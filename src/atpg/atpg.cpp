@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/analysis/snapshot.hpp"
 #include "src/cnf/encoder.hpp"
 #include "src/core/verdict.hpp"
 #include "src/proof/drat.hpp"
@@ -25,6 +26,24 @@ void AtpgStats::accumulate(const AtpgStats& other) {
   static_discharged += other.static_discharged;
   cone_gates_encoded += other.cone_gates_encoded;
   max_cone_gates = std::max(max_cone_gates, other.max_cone_gates);
+}
+
+StaticOracle::StaticOracle(const Network& net, bool proving)
+    : net_(net), engine_(net), proving_(proving) {}
+
+std::optional<std::shared_ptr<proof::StaticCertificate>> StaticOracle::lookup(
+    const Fault& f) const {
+  const analysis::StaticResult r =
+      f.site == Fault::Site::kStem ? engine_.analyze_stem(f.gate, f.stuck)
+                                   : engine_.analyze_branch(f.conn, f.stuck);
+  if (!r.untestable()) return std::nullopt;
+  if (!proving_) return nullptr;
+  std::call_once(snapshot_once_, [this] {
+    snapshot_ =
+        std::make_shared<const std::string>(analysis::write_snapshot(net_));
+  });
+  return std::make_shared<proof::StaticCertificate>(
+      proof::StaticCertificate{snapshot_, r.justification});
 }
 
 Atpg::Atpg(const Network& net, const RunContext& ctx)
@@ -83,12 +102,12 @@ TestResult Atpg::generate_test(const Fault& fault) {
   // is NOT journalled here — the caller journals committed verdicts
   // only, so an aborted run never records a speculative static claim.
   if (oracle_) {
-    if (const auto* cert = oracle_->lookup(fault)) {
+    if (auto cert = oracle_->lookup(fault)) {
       ++stats_.untestable;
       ++stats_.static_discharged;
       TestResult res;
       res.outcome = TestOutcome::kUntestable;
-      res.static_just = *cert;
+      res.static_just = std::move(*cert);
       return res;
     }
   }

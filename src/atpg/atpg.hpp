@@ -11,12 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <tuple>
+#include <string>
 #include <vector>
 
+#include "src/analysis/static_untestable.hpp"
 #include "src/atpg/fault.hpp"
 #include "src/base/governor.hpp"
 #include "src/core/context.hpp"
@@ -99,41 +100,37 @@ struct TestResult {
   const std::vector<bool>& operator*() const { return *vector; }
 };
 
-/// Precomputed SAT-free untestability verdicts for one network state.
-/// The removal engines build one per pass from the static analysis
-/// engine and attach it to every Atpg (all workers share the same
-/// const oracle — lookups are read-only). A hit answers the query
-/// before any cone marking or solver work and consumes no randomness,
-/// so scan behaviour stays bit-identical across engines and job
-/// counts. Entries are keyed by the exact fault tuple; an absent key
-/// means "no static verdict, fall through to SAT".
+/// SAT-free untestability verdicts for one network state, computed on
+/// demand by the static analysis engine (src/analysis). The removal
+/// engines build one per pass and attach it to every Atpg; all workers
+/// share it (analysis calls are const, and the snapshot is written
+/// once). A verdict is a pure function of the network and the fault,
+/// so analyzing only the faults that reach generate_test answers each
+/// of them exactly as analyzing the whole list up front would. A hit
+/// answers the query before any cone marking or solver work and
+/// consumes no randomness, so scan behaviour stays bit-identical
+/// across engines and job counts.
 class StaticOracle {
  public:
-  /// Record a statically proved untestable fault. `cert` carries the
-  /// snapshot + justification in proving runs and is null otherwise.
-  void add(const Fault& f, std::shared_ptr<proof::StaticCertificate> cert) {
-    map_[key(f)] = std::move(cert);
-  }
+  /// Builds the dominator tree and implication engine of `net`, which
+  /// must stay unchanged while the oracle is in use. With `proving`,
+  /// every hit carries a StaticCertificate; all certificates share one
+  /// snapshot of `net`, written on the first hit (claims are stated
+  /// against the same graph, and the verifier parses it once).
+  StaticOracle(const Network& net, bool proving);
 
-  /// The certificate slot for `f`, or nullptr when `f` has no static
-  /// verdict. A non-null return whose pointee is null is a hit from a
-  /// non-proving run.
-  const std::shared_ptr<proof::StaticCertificate>* lookup(
-      const Fault& f) const {
-    const auto it = map_.find(key(f));
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
-  std::size_t size() const { return map_.size(); }
+  /// nullopt when the rules prove nothing about `f` (fall through to
+  /// SAT); otherwise the verdict's certificate, null in a non-proving
+  /// run.
+  std::optional<std::shared_ptr<proof::StaticCertificate>> lookup(
+      const Fault& f) const;
 
  private:
-  using Key = std::tuple<bool, std::uint32_t, std::uint32_t, bool>;
-  static Key key(const Fault& f) {
-    return {f.site == Fault::Site::kBranch, f.gate.value(),
-            f.site == Fault::Site::kBranch ? f.conn.value() : 0, f.stuck};
-  }
-
-  std::map<Key, std::shared_ptr<proof::StaticCertificate>> map_;
+  const Network& net_;
+  analysis::StaticUntestable engine_;
+  bool proving_;
+  mutable std::once_flag snapshot_once_;
+  mutable std::shared_ptr<const std::string> snapshot_;
 };
 
 class Atpg {
@@ -165,11 +162,11 @@ class Atpg {
   void set_proof_capture(bool on) { capture_ = on; }
 
   /// Attach a static untestability oracle (may be null to detach). For
-  /// a fault with an oracle entry, generate_test returns kUntestable
-  /// immediately — no cone marking, no solver, no governor charge —
-  /// and counts the query under stats().static_discharged. The oracle
-  /// must have been computed against the *current* network state; the
-  /// caller rebuilds it after every structural edit, exactly as it
+  /// a fault the oracle proves untestable, generate_test returns
+  /// kUntestable immediately — no cone marking, no solver, no governor
+  /// charge — and counts the query under stats().static_discharged. The
+  /// oracle must have been built against the *current* network state;
+  /// the caller rebuilds it after every structural edit, exactly as it
   /// rebuilds the Atpg itself.
   void set_static_oracle(const StaticOracle* oracle) { oracle_ = oracle; }
 

@@ -1,14 +1,15 @@
 #include "src/atpg/fault_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace kms {
 namespace {
 
-std::uint64_t eval_word(const Network& net, GateId g,
-                        const std::vector<std::uint64_t>& in) {
-  const Gate& gt = net.gate(g);
-  switch (gt.kind) {
+/// Output word of a gate of `kind` whose pin k reads `pin(k)`.
+template <class Pin>
+std::uint64_t eval_word(GateKind kind, std::uint32_t pins, Pin pin) {
+  switch (kind) {
     case GateKind::kConst0:
       return 0;
     case GateKind::kConst1:
@@ -18,29 +19,29 @@ std::uint64_t eval_word(const Network& net, GateId g,
       return 0;
     case GateKind::kOutput:
     case GateKind::kBuf:
-      return in[0];
+      return pin(0);
     case GateKind::kNot:
-      return ~in[0];
+      return ~pin(0);
     case GateKind::kAnd:
     case GateKind::kNand: {
       std::uint64_t w = ~0ull;
-      for (std::uint64_t x : in) w &= x;
-      return gt.kind == GateKind::kNand ? ~w : w;
+      for (std::uint32_t k = 0; k < pins; ++k) w &= pin(k);
+      return kind == GateKind::kNand ? ~w : w;
     }
     case GateKind::kOr:
     case GateKind::kNor: {
       std::uint64_t w = 0;
-      for (std::uint64_t x : in) w |= x;
-      return gt.kind == GateKind::kNor ? ~w : w;
+      for (std::uint32_t k = 0; k < pins; ++k) w |= pin(k);
+      return kind == GateKind::kNor ? ~w : w;
     }
     case GateKind::kXor:
     case GateKind::kXnor: {
       std::uint64_t w = 0;
-      for (std::uint64_t x : in) w ^= x;
-      return gt.kind == GateKind::kXnor ? ~w : w;
+      for (std::uint32_t k = 0; k < pins; ++k) w ^= pin(k);
+      return kind == GateKind::kXnor ? ~w : w;
     }
     case GateKind::kMux:
-      return (in[0] & in[1]) | (~in[0] & in[2]);
+      return (pin(0) & pin(1)) | (~pin(0) & pin(2));
   }
   return 0;
 }
@@ -49,79 +50,117 @@ std::uint64_t eval_word(const Network& net, GateId g,
 
 FaultSimulator::FaultSimulator(const Network& net)
     : net_(net),
-      order_(net.topo_order()),
+      kind_(net.gate_capacity(), GateKind::kInput),
+      fanin_begin_(net.gate_capacity() + 1, 0),
+      fanout_begin_(net.gate_capacity() + 1, 0),
+      level_(net.gate_capacity(), 0),
+      is_output_(net.gate_capacity(), 0),
       good_(net.gate_capacity(), 0),
       faulty_(net.gate_capacity(), 0),
-      stamp_(net.gate_capacity(), 0) {}
+      stamp_(net.gate_capacity(), 0),
+      queued_(net.gate_capacity(), 0) {
+  // CSR ranges are laid out in gate-id order; dead gates get empty ones.
+  const std::uint32_t cap = net.gate_capacity();
+  for (std::uint32_t g = 0; g < cap; ++g) {
+    fanin_begin_[g] = static_cast<std::uint32_t>(fanin_src_.size());
+    fanout_begin_[g] = static_cast<std::uint32_t>(fanout_sink_.size());
+    const Gate& gt = net.gate(GateId{g});
+    if (gt.dead) continue;
+    kind_[g] = gt.kind;
+    for (ConnId c : gt.fanins) {
+      fanin_src_.push_back(net.conn(c).from.value());
+      fanin_conn_.push_back(c);
+    }
+    for (ConnId c : gt.fanouts)
+      if (!net.conn(c).dead) fanout_sink_.push_back(net.conn(c).to.value());
+  }
+  fanin_begin_[cap] = static_cast<std::uint32_t>(fanin_src_.size());
+  fanout_begin_[cap] = static_cast<std::uint32_t>(fanout_sink_.size());
+  // A gate's level exceeds every fanin's, so sweeping levels in
+  // increasing order evaluates each gate after all of its fanins.
+  std::uint32_t max_level = 0;
+  for (GateId id : net.topo_order()) {
+    const std::uint32_t g = id.value();
+    std::uint32_t lvl = 0;
+    for (std::uint32_t k = fanin_begin_[g]; k < fanin_begin_[g + 1]; ++k)
+      lvl = std::max(lvl, level_[fanin_src_[k]] + 1);
+    level_[g] = lvl;
+    max_level = std::max(max_level, lvl);
+    if (kind_[g] != GateKind::kInput) eval_order_.push_back(g);
+  }
+  buckets_.resize(max_level + 1);
+  for (GateId o : net.outputs()) is_output_[o.value()] = 1;
+}
+
+void FaultSimulator::schedule(std::uint32_t g) {
+  if (queued_[g] == current_stamp_) return;
+  queued_[g] = current_stamp_;
+  buckets_[level_[g]].push_back(g);
+  top_level_ = std::max(top_level_, level_[g]);
+}
+
+std::uint64_t FaultSimulator::propagate(const Fault& f) {
+  ++current_stamp_;
+  top_level_ = 0;
+  const std::uint64_t stuck_word = f.stuck ? ~0ull : 0;
+  std::uint64_t detect = 0;
+  // Record a faulty value that differs from the good one and wake the
+  // gate's fanout.
+  auto mark = [&](std::uint32_t g, std::uint64_t w) {
+    faulty_[g] = w;
+    stamp_[g] = current_stamp_;
+    if (is_output_[g]) detect |= w ^ good_[g];
+    for (std::uint32_t k = fanout_begin_[g]; k < fanout_begin_[g + 1]; ++k)
+      schedule(fanout_sink_[k]);
+  };
+  std::uint32_t first_level;
+  if (f.site == Fault::Site::kStem) {
+    const std::uint32_t site = f.gate.value();
+    if (stuck_word == good_[site]) return 0;  // never excited
+    mark(site, stuck_word);
+    first_level = level_[site] + 1;
+  } else {
+    const std::uint32_t sink = net_.conn(f.conn).to.value();
+    schedule(sink);
+    first_level = level_[sink];
+  }
+  const ConnId branch =
+      f.site == Fault::Site::kBranch ? f.conn : ConnId::invalid();
+  for (std::uint32_t lvl = first_level; lvl <= top_level_; ++lvl) {
+    std::vector<std::uint32_t>& bucket = buckets_[lvl];
+    // Gates of this level only wake gates of higher levels, so the
+    // bucket does not grow while it is swept.
+    for (const std::uint32_t g : bucket) {
+      const std::uint32_t base = fanin_begin_[g];
+      const std::uint64_t w = eval_word(
+          kind_[g], fanin_begin_[g + 1] - base, [&](std::uint32_t k) {
+            if (fanin_conn_[base + k] == branch) return stuck_word;
+            const std::uint32_t src = fanin_src_[base + k];
+            return stamp_[src] == current_stamp_ ? faulty_[src] : good_[src];
+          });
+      if (w != good_[g]) mark(g, w);
+    }
+    bucket.clear();
+  }
+  return detect;
+}
 
 std::vector<std::uint64_t> FaultSimulator::detect_words(
     const std::vector<Fault>& faults,
     const std::vector<std::uint64_t>& pi_words) {
   assert(pi_words.size() == net_.inputs().size());
-  // Good simulation.
   for (std::size_t i = 0; i < pi_words.size(); ++i)
     good_[net_.inputs()[i].value()] = pi_words[i];
-  std::vector<std::uint64_t> in;
-  for (GateId g : order_) {
-    const Gate& gt = net_.gate(g);
-    if (gt.kind == GateKind::kInput) continue;
-    in.clear();
-    for (ConnId c : gt.fanins) in.push_back(good_[net_.conn(c).from.value()]);
-    good_[g.value()] = eval_word(net_, g, in);
+  for (const std::uint32_t g : eval_order_) {
+    const std::uint32_t base = fanin_begin_[g];
+    good_[g] = eval_word(kind_[g], fanin_begin_[g + 1] - base,
+                         [&](std::uint32_t k) {
+                           return good_[fanin_src_[base + k]];
+                         });
   }
-
   std::vector<std::uint64_t> result;
   result.reserve(faults.size());
-  for (const Fault& f : faults) {
-    ++current_stamp_;
-    const std::uint64_t stuck_word = f.stuck ? ~0ull : 0;
-    auto value_of = [&](GateId g) {
-      return stamp_[g.value()] == current_stamp_ ? faulty_[g.value()]
-                                                 : good_[g.value()];
-    };
-    if (f.site == Fault::Site::kStem) {
-      faulty_[f.gate.value()] = stuck_word;
-      stamp_[f.gate.value()] = current_stamp_;
-    }
-    // Replay the cone in topological order. The overall order_ is a
-    // valid order for any cone; we lazily recompute gates with a dirty
-    // fanin (or the branch sink).
-    const GateId branch_sink = f.site == Fault::Site::kBranch
-                                   ? net_.conn(f.conn).to
-                                   : GateId::invalid();
-    for (GateId g : order_) {
-      const Gate& gt = net_.gate(g);
-      if (gt.kind == GateKind::kInput || is_constant(gt.kind)) continue;
-      if (f.site == Fault::Site::kStem && g == f.gate) continue;
-      bool dirty = g == branch_sink;
-      if (!dirty) {
-        for (ConnId c : gt.fanins) {
-          if (stamp_[net_.conn(c).from.value()] == current_stamp_) {
-            dirty = true;
-            break;
-          }
-        }
-      }
-      if (!dirty) continue;
-      in.clear();
-      for (ConnId c : gt.fanins) {
-        if (f.site == Fault::Site::kBranch && c == f.conn)
-          in.push_back(stuck_word);
-        else
-          in.push_back(value_of(net_.conn(c).from));
-      }
-      const std::uint64_t w = eval_word(net_, g, in);
-      if (w != good_[g.value()]) {
-        faulty_[g.value()] = w;
-        stamp_[g.value()] = current_stamp_;
-      }
-    }
-    std::uint64_t detect = 0;
-    for (GateId o : net_.outputs())
-      if (stamp_[o.value()] == current_stamp_)
-        detect |= faulty_[o.value()] ^ good_[o.value()];
-    result.push_back(detect);
-  }
+  for (const Fault& f : faults) result.push_back(propagate(f));
   return result;
 }
 

@@ -1,10 +1,12 @@
 // Parallel-pattern single-fault simulation.
 //
 // Simulates 64 input vectors at a time against the good circuit, then
-// replays only each fault's output cone with the fault injected. Used to
-// cheaply mark detectable faults so that exact (SAT) ATPG effort is spent
-// only on the hard survivors — the classic fault-sim-then-ATPG flow of
-// redundancy identification tools like [22] (Schulz–Auth).
+// propagates each fault event-driven from its site: only gates with a
+// fanin whose faulty value differs from the good one are re-evaluated,
+// level by level, and a fault whose effect dies costs nothing further.
+// Used to cheaply mark detectable faults so that exact (SAT) ATPG effort
+// is spent only on the hard survivors — the classic fault-sim-then-ATPG
+// flow of redundancy identification tools like [22] (Schulz–Auth).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,9 @@ namespace kms {
 
 class FaultSimulator {
  public:
+  /// Flattens the network's live structure (fanins in pin order, live
+  /// fanout sinks, topological levels) once. The network must not change
+  /// while the simulator is in use.
   explicit FaultSimulator(const Network& net);
 
   /// Simulate one 64-pattern word set and return, for each fault, the
@@ -39,12 +44,30 @@ class FaultSimulator {
                                   std::size_t* words_done = nullptr);
 
  private:
+  /// Detection mask of one fault against the current good values.
+  std::uint64_t propagate(const Fault& f);
+  /// Queue `g` for re-evaluation in this fault's sweep (once).
+  void schedule(std::uint32_t g);
+
   const Network& net_;
-  std::vector<GateId> order_;
+  // Flat structure, indexed by gate id.
+  std::vector<std::uint32_t> eval_order_;  ///< live non-input gates, topo
+  std::vector<GateKind> kind_;
+  std::vector<std::uint32_t> fanin_begin_;  ///< CSR offsets (size cap+1)
+  std::vector<std::uint32_t> fanin_src_;
+  std::vector<ConnId> fanin_conn_;
+  std::vector<std::uint32_t> fanout_begin_;  ///< CSR offsets (size cap+1)
+  std::vector<std::uint32_t> fanout_sink_;
+  std::vector<std::uint32_t> level_;
+  std::vector<std::uint8_t> is_output_;
+  // Per-word and per-fault scratch.
   std::vector<std::uint64_t> good_;
   std::vector<std::uint64_t> faulty_;
-  std::vector<std::uint32_t> stamp_;  // faulty_ validity stamp
+  std::vector<std::uint32_t> stamp_;   ///< faulty_ validity stamp
+  std::vector<std::uint32_t> queued_;  ///< scheduled-in-sweep stamp
+  std::vector<std::vector<std::uint32_t>> buckets_;  ///< per level
   std::uint32_t current_stamp_ = 0;
+  std::uint32_t top_level_ = 0;  ///< highest level queued this sweep
 };
 
 /// Fraction of `faults` detected by the given test set (each entry is a

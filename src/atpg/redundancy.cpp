@@ -9,8 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/analysis/snapshot.hpp"
-#include "src/analysis/static_untestable.hpp"
 #include "src/atpg/atpg.hpp"
 #include "src/atpg/fault_cache.hpp"
 #include "src/atpg/fault_sim.hpp"
@@ -74,11 +72,13 @@ enum FaultState : std::uint8_t {
 /// Mark cache hits and run the random-simulation pre-drop for one pass.
 /// Mutates `state` (kUndecided -> kKnownTestable), the cache, and the
 /// coordinator-side counters. Shared by both engines; consumes main-rng
-/// draws dependent only on (inputs, random_words).
+/// draws dependent only on (inputs, random_words). The simulator it
+/// builds is left in `sim` for the pass's witness replays.
 void predrop_pass(const Network& net, const std::vector<Fault>& faults,
                   const RedundancyRemovalOptions& opts, ResourceGovernor* gov,
                   ShardedFaultCache& cache, Rng& rng,
                   std::vector<std::uint8_t>& state,
+                  std::optional<FaultSimulator>& sim,
                   RedundancyRemovalResult& result) {
   if (opts.incremental) {
     for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -90,7 +90,7 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
   }
   if (!opts.use_fault_sim || faults.empty() || net.inputs().empty()) return;
   const auto t0 = Clock::now();
-  FaultSimulator sim(net);
+  sim.emplace(net);
   std::vector<Fault> pending;
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -100,7 +100,7 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
   }
   if (!pending.empty()) {
     const std::vector<bool> detected =
-        sim.detect_random(pending, opts.random_words, rng, gov);
+        sim->detect_random(pending, opts.random_words, rng, gov);
     for (std::size_t k = 0; k < pending.size(); ++k) {
       if (!detected[k]) continue;
       state[idx[k]] = kKnownTestable;
@@ -113,34 +113,18 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
   result.sim_seconds += Seconds(Clock::now() - t0).count();
 }
 
-/// Build the per-pass static oracle: run the SAT-free untestability
-/// rules over the collapsed fault list. A pure function of the network
-/// state — no rng draws, no thread state — so every engine and worker
-/// count computes the identical verdict set. In proving runs each hit
-/// carries a StaticCertificate; all certificates of one pass share one
-/// snapshot of the current network (claims are stated against the same
-/// graph, and the verifier parses it once).
+/// The per-pass static oracle, or null when no fault is undecided after
+/// the pre-drop. Only undecided faults ever reach Atpg::generate_test —
+/// states only leave kUndecided — and the oracle analyzes each of them
+/// when it gets there, so a pass whose faults are all decided skips the
+/// dominator tree and implication engine altogether. Analysis happens
+/// inside the scan, whose loop polls the governor before every query.
 std::unique_ptr<StaticOracle> build_static_oracle(
-    const Network& net, const std::vector<Fault>& faults, bool proving) {
-  const analysis::StaticUntestable engine(net);
-  auto oracle = std::make_unique<StaticOracle>();
-  std::shared_ptr<const std::string> snapshot;
-  for (const Fault& f : faults) {
-    const analysis::StaticResult r =
-        f.site == Fault::Site::kStem ? engine.analyze_stem(f.gate, f.stuck)
-                                     : engine.analyze_branch(f.conn, f.stuck);
-    if (!r.untestable()) continue;
-    std::shared_ptr<proof::StaticCertificate> cert;
-    if (proving) {
-      if (!snapshot)
-        snapshot =
-            std::make_shared<const std::string>(analysis::write_snapshot(net));
-      cert = std::make_shared<proof::StaticCertificate>(
-          proof::StaticCertificate{snapshot, r.justification});
-    }
-    oracle->add(f, std::move(cert));
-  }
-  return oracle;
+    const Network& net, const std::vector<std::uint8_t>& state,
+    bool proving) {
+  if (std::find(state.begin(), state.end(), kUndecided) == state.end())
+    return nullptr;
+  return std::make_unique<StaticOracle>(net, proving);
 }
 
 /// Journal one committed untestable verdict plus the deletion citing
@@ -207,16 +191,16 @@ RedundancyRemovalResult remove_sequential(Network& net,
     ++result.passes;
     const auto faults = collapsed_faults(net);
     std::vector<std::uint8_t> state(faults.size(), kUndecided);
-    predrop_pass(net, faults, opts, gov, cache, rng, state, result);
+    std::optional<FaultSimulator> sim;
+    predrop_pass(net, faults, opts, gov, cache, rng, state, sim, result);
     const std::vector<std::size_t> order =
         scan_order(faults.size(), opts.order, rng);
     Rng wrng = witness_rng(opts.seed, result.passes, 0);
     RemovalWorkerStats ws;
-    std::optional<FaultSimulator> sim;
     Atpg atpg(net, ctx);
     std::unique_ptr<StaticOracle> oracle;
     if (opts.static_prepass) {
-      oracle = build_static_oracle(net, faults, session != nullptr);
+      oracle = build_static_oracle(net, state, session != nullptr);
       atpg.set_static_oracle(oracle.get());
     }
     bool removed_one = false;
@@ -240,6 +224,9 @@ RedundancyRemovalResult remove_sequential(Network& net,
         state[i] = kSatTestable;
         if (!opts.incremental) continue;
         cache.insert(faults[i], fault_source(net, faults[i]));
+        // A stopped run skips the replay: dropping fewer faults is
+        // sound, and the loop head ends the pass.
+        if (gov && gov->should_stop()) continue;
         if (!sim && !net.inputs().empty()) sim.emplace(net);
         if (sim && test.vector) {
           // SAT-witness dropping: replay the model (plus 63 random
@@ -265,9 +252,6 @@ RedundancyRemovalResult remove_sequential(Network& net,
               state[idx[k]] = kWitnessTestable;
               ++ws.witness_dropped;
               cache.insert(pending[k], fault_source(net, pending[k]));
-              if (session)
-                session->journal.add_fault_sim_testable(
-                    format_fault(net, pending[k]));
             }
           }
           ws.sim_seconds += Seconds(Clock::now() - t1).count();
@@ -331,12 +315,16 @@ RedundancyRemovalResult remove_parallel(Network& net,
     const auto faults = collapsed_faults(net);
     const std::size_t n = faults.size();
     std::vector<std::uint8_t> seed_state(n, kUndecided);
-    predrop_pass(net, faults, opts, gov, cache, rng, seed_state, result);
+    // The pre-drop's simulator goes to lane 0, the coordinator's own;
+    // the other workers build theirs, since its scratch is per thread.
+    std::optional<FaultSimulator> predrop_sim;
+    predrop_pass(net, faults, opts, gov, cache, rng, seed_state, predrop_sim,
+                 result);
     // One static oracle per pass, shared read-only by all workers (the
     // lookups are const and the verdicts are scan-order independent).
     std::unique_ptr<StaticOracle> oracle;
     if (opts.static_prepass)
-      oracle = build_static_oracle(net, faults, session != nullptr);
+      oracle = build_static_oracle(net, seed_state, session != nullptr);
     const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
     // Rank of each fault in scan order, for the first-untestable race.
     std::vector<std::size_t> rank(n, n);
@@ -353,9 +341,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
     std::atomic<bool> aborted{false};
     TicketQueue tickets(n);
     std::vector<RemovalWorkerStats> wstats(pool.size());
-    // Witness-dropped fault indices per worker, journalled (sorted) at
-    // the pass barrier when a session is attached.
-    std::vector<std::vector<std::size_t>> wdrops(pool.size());
 
     // Snapshot the pass index for worker rng seeding: workers must not
     // read the coordinator-owned result struct.
@@ -367,6 +352,7 @@ RedundancyRemovalResult remove_parallel(Network& net,
       if (oracle) atpg.set_static_oracle(oracle.get());
       Rng wrng = witness_rng(opts.seed, passes_now, w);
       std::optional<FaultSimulator> sim;
+      if (w == 0 && predrop_sim) sim.emplace(std::move(*predrop_sim));
       for (;;) {
         const std::size_t k = tickets.next();
         if (k >= n) break;
@@ -410,6 +396,7 @@ RedundancyRemovalResult remove_parallel(Network& net,
         if (!opts.incremental) continue;
         cache.insert(faults[i], fault_source(net, faults[i]));
         if (!s.result.vector) continue;
+        if (gov && gov->should_stop()) continue;  // skip the replay
         if (!sim && !net.inputs().empty()) sim.emplace(net);
         if (!sim) continue;
         const auto t1 = Clock::now();
@@ -434,7 +421,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
                     std::memory_order_relaxed)) {
               ++ws.witness_dropped;
               cache.insert(pending[m], fault_source(net, pending[m]));
-              wdrops[w].push_back(idx[m]);
             }
           }
         }
@@ -447,12 +433,6 @@ RedundancyRemovalResult remove_parallel(Network& net,
     for (std::size_t w = 0; w < wstats.size(); ++w)
       result.merge_worker(wstats[w]);
     if (session) {
-      std::vector<std::size_t> drops;
-      for (const auto& d : wdrops) drops.insert(drops.end(), d.begin(),
-                                                d.end());
-      std::sort(drops.begin(), drops.end());
-      for (std::size_t i : drops)
-        session->journal.add_fault_sim_testable(format_fault(net, faults[i]));
       for (std::size_t k = 0; k < n; ++k) {
         const std::size_t i = order[k];
         if (spec[i].state.load(std::memory_order_relaxed) == kUnknownVerdict)

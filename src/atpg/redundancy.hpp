@@ -73,7 +73,11 @@ struct RemovalResume;
 
 struct RedundancyRemovalOptions {
   /// Use random-pattern fault simulation to pre-drop detectable faults
-  /// before exact ATPG (big speedup, no effect on the result).
+  /// before exact ATPG (no effect on the removed set). It does not
+  /// clearly pay for itself: `e2ebench/run.py --trace 1` (seed 3,
+  /// 4-thread x86 host) puts the removal phase at 730 ms with it and
+  /// 700 ms without on the certify workload, and at 699 and 534 ms on
+  /// csa. Without it, SAT queries grow 2.2x and 8x.
   bool use_fault_sim = true;
   /// Number of 64-pattern words of random stimulus for the pre-drop.
   std::size_t random_words = 8;
@@ -82,13 +86,13 @@ struct RedundancyRemovalOptions {
   /// engine, kept selectable as the baseline for equivalence tests and
   /// the bench_atpg comparison.
   bool incremental = true;
-  /// SAT-free static untestability pre-pass: before each pass's scan,
-  /// the dominator/implication engine (src/analysis) proves what it can
-  /// and those faults are discharged without a solver call. The rules
-  /// are sound and the oracle is a pure function of the network — no
-  /// rng draws, no thread state — so the removed-fault set stays
-  /// bit-identical with the pre-pass on or off, at any job count; only
-  /// the SAT query count changes. In proof-carrying runs each static
+  /// SAT-free static untestability pre-pass: each pass builds the
+  /// dominator/implication engine (src/analysis), which analyzes every
+  /// fault the scan queries; faults it proves untestable are discharged
+  /// without a solver call. The rules are sound and the oracle is a
+  /// pure function of the network — no rng draws, no thread state — so
+  /// the removed-fault set stays bit-identical with the pre-pass on or
+  /// off, at any job count; only the SAT query count changes. In proof-carrying runs each static
   /// verdict is journalled at commit time with a re-derivable
   /// structural justification (snapshot + dominator chain + implication
   /// set) instead of a DRAT certificate; kmsproof re-derives it.
@@ -101,9 +105,9 @@ struct RedundancyRemovalOptions {
   /// deletion licence — and the loop stops on exhaustion; the random-
   /// simulation pre-drop honours it word by word), proof session (every
   /// untestable verdict carries a DRAT certificate and every removal is
-  /// journalled citing it, in commit order; witness-dropped faults are
-  /// journalled as informational fault-sim-testable steps; an aborted
-  /// run finalizes the journal as partial), and the worker count:
+  /// journalled citing it, in commit order; witness drops are not
+  /// journalled, since at jobs > 1 they depend on worker timing; an
+  /// aborted run finalizes the journal as partial), and the worker count:
   /// context.jobs == 1 runs the sequential engines unchanged; > 1 (or 0
   /// = hardware concurrency) runs fault classification on that many
   /// workers with the deterministic commit protocol, whose removed-

@@ -40,6 +40,9 @@ struct JournalStep {
     /// Fault observed testable by simulating another fault's SAT witness
     /// (or a perturbation of it). Informational: it licenses nothing and
     /// never marks a journal partial — the checker accepts it as a no-op.
+    /// The removal engines no longer write it (which faults a witness
+    /// drops depends on worker timing at jobs > 1); it is still parsed,
+    /// replayed and verified so older journals stay valid.
     kFaultSimTestable,
     kPartial,  ///< degradation marker (what = reason)
     /// Fault proven untestable by the SAT-free static pre-pass. `proof`

@@ -12,7 +12,6 @@
 
 #include "src/analysis/report.hpp"
 #include "src/analysis/rules.hpp"
-#include "src/analysis/static_untestable.hpp"
 #include "src/atpg/atpg.hpp"
 #include "src/check/checker.hpp"
 #include "src/check/diagnostics.hpp"
@@ -245,14 +244,7 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
   // Static pre-pass: faults the dominator/implication engine proves
   // untestable are discharged without a SAT solve (and without
   // spending governor budget on them).
-  const analysis::StaticUntestable stat(model.comb);
-  StaticOracle oracle;
-  for (const Fault& f : faults) {
-    const analysis::StaticResult r =
-        f.site == Fault::Site::kStem ? stat.analyze_stem(f.gate, f.stuck)
-                                     : stat.analyze_branch(f.conn, f.stuck);
-    if (r.untestable()) oracle.add(f, nullptr);
-  }
+  const StaticOracle oracle(model.comb, /*proving=*/false);
   atpg.set_static_oracle(&oracle);
   std::size_t redundant = 0;
   std::size_t unresolved = 0;

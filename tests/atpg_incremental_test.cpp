@@ -3,11 +3,13 @@
 // fault simulation, and the solver-call accounting fix.
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/static_untestable.hpp"
 #include "src/atpg/atpg.hpp"
 #include "src/atpg/fault_sim.hpp"
 #include "src/atpg/redundancy.hpp"
@@ -19,6 +21,7 @@
 #include "src/netlist/transform.hpp"
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
+#include "src/serve/runner.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace kms {
@@ -247,33 +250,134 @@ TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
   session.journal.set_input_digest(proof::digest_bytes(input));
   RedundancyRemovalOptions opts;
   opts.incremental = true;
+  // Without the random pre-drop, SAT witnesses drop faults on this
+  // circuit, so the journal below is checked with drops happening.
+  opts.use_fault_sim = false;
   opts.context.session = &session;
   const auto r = remove_redundancies(net, opts);
   ASSERT_GT(r.removed, 0u);
   const std::string output = write_blif_string(net);
   session.journal.set_output_digest(proof::digest_bytes(output));
-  // Every removal cites an untestable proof; witness-dropped faults are
-  // journalled as informational sim-testable steps, never as untestable.
+  // Every removal cites an untestable proof. Witness-dropped faults are
+  // not journalled: which faults a witness drops depends on worker
+  // timing at jobs > 1, and the journal records only facts that do not.
   std::size_t deletes = 0, untestable = 0, sim_testable = 0;
   for (const auto& s : session.journal.steps()) {
     if (s.kind == proof::JournalStep::Kind::kDelete) ++deletes;
     if (s.kind == proof::JournalStep::Kind::kFaultUntestable) ++untestable;
     if (s.kind == proof::JournalStep::Kind::kFaultSimTestable) ++sim_testable;
   }
+  EXPECT_GT(r.witness_dropped, 0u);
   EXPECT_EQ(deletes, r.removed);
   EXPECT_EQ(untestable, r.removed);
-  EXPECT_EQ(sim_testable, r.witness_dropped);
+  EXPECT_EQ(sim_testable, 0u);
   EXPECT_FALSE(session.journal.partial());
-  // The independent checker accepts the journal, sim-testable steps
-  // included, and verifies every deletion's certificate.
+  // The independent checker accepts the journal and verifies every
+  // deletion's certificate.
   const proof::VerifyReport rep =
       proof::verify_session(session, input, output);
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.deletions_verified, r.removed);
-  // Round-trip: the new step kind survives serialization.
+  // Journals written before the step was retired still carry it: it
+  // must keep parsing, round-tripping and verifying as a no-op.
+  session.journal.add_fault_sim_testable("g1(and)/SA0");
   std::istringstream in(session.journal.to_text());
   const proof::TransformJournal parsed = proof::TransformJournal::read(in);
   EXPECT_EQ(parsed.steps().size(), session.journal.steps().size());
+  EXPECT_EQ(parsed.steps().back().kind,
+            proof::JournalStep::Kind::kFaultSimTestable);
+  const proof::VerifyReport legacy =
+      proof::verify_session(session, input, output);
+  EXPECT_TRUE(legacy.ok) << legacy.error;
+  EXPECT_EQ(legacy.deletions_verified, r.removed);
+}
+
+// The invariant behind analyzing only the undecided faults statically:
+// a fault that random or witness simulation detects is testable, so no
+// sound static rule may call it untestable. Were it otherwise, dropping
+// the fault before the oracle analyzes it would lose a verdict.
+TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
+  std::vector<Network> nets = test_circuits();
+  for (Network& n : example_circuits()) nets.push_back(std::move(n));
+  std::size_t static_hits = 0;
+  for (const Network& net : nets) {
+    if (net.inputs().empty()) continue;
+    const auto faults = collapsed_faults(net);
+    FaultSimulator sim(net);
+    Rng rng(17);
+    std::vector<bool> detected = sim.detect_random(faults, 8, rng);
+    Atpg atpg(net);
+    for (const Fault& f : faults) {
+      const TestResult t = atpg.generate_test(f);
+      if (t.outcome != TestOutcome::kTestable || !t.vector) continue;
+      const auto masks = sim.detect_words(faults, witness_words(*t.vector, rng));
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        if (masks[i] != 0) detected[i] = true;
+    }
+    const analysis::StaticUntestable engine(net);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const Fault& f = faults[i];
+      const analysis::StaticResult r =
+          f.site == Fault::Site::kStem ? engine.analyze_stem(f.gate, f.stuck)
+                                       : engine.analyze_branch(f.conn, f.stuck);
+      if (!r.untestable()) continue;
+      ++static_hits;
+      EXPECT_FALSE(detected[i])
+          << net.name() << ": simulation detects statically untestable "
+          << format_fault(net, f);
+    }
+  }
+  EXPECT_GT(static_hits, 0u);  // the property was exercised
+}
+
+// A certify job's artifacts — output BLIF, journal, DRAT and static
+// certificates — are byte-identical at jobs 1 and 4. Only the WAL is
+// left out: its checkpoints serialize the fault cache, whose contents
+// at jobs > 1 depend on which worker's witness dropped a fault first.
+TEST(AtpgIncrementalTest, CertifyArtifactsByteIdenticalAtJobs1And4) {
+  const std::string dir_base =
+      (fs::temp_directory_path() / "atpg_incremental_certify_").string();
+  std::vector<Network> nets;
+  nets.push_back(carry_skip_adder(8, 2));
+  nets.push_back(carry_skip_adder(4, 2));
+  for (std::size_t c = 0; c < nets.size(); ++c) {
+    const std::string blif = write_blif_string(nets[c]);
+    std::map<std::string, std::string> base;
+    for (const unsigned jobs : {1u, 4u}) {
+      const fs::path dir =
+          dir_base + std::to_string(c) + "_j" + std::to_string(jobs);
+      fs::remove_all(dir);
+      serve::JobSpec spec;
+      spec.kind = serve::JobKind::kCertify;
+      spec.blif = blif;
+      spec.jobs = jobs;
+      spec.emit_proof = dir.string();
+      ResourceGovernor gov;
+      const serve::JobReport rep = serve::run_job(spec, gov);
+      EXPECT_EQ(rep.verdict, "ok") << rep.error;
+      EXPECT_TRUE(rep.certified);
+      std::map<std::string, std::string> files;
+      for (const auto& entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name == "wal.log") continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        files[name] = bytes.str();
+      }
+      fs::remove_all(dir);
+      EXPECT_EQ(files.count("journal.txt"), 1u);
+      EXPECT_EQ(files["journal.txt"].find("fault-sim-testable"),
+                std::string::npos);
+      if (jobs == 1) {
+        base = std::move(files);
+        continue;
+      }
+      ASSERT_EQ(files.size(), base.size()) << "circuit " << c;
+      for (const auto& [name, bytes] : base)
+        EXPECT_EQ(files[name], bytes) << "circuit " << c << ": " << name;
+    }
+  }
 }
 
 TEST(AtpgIncrementalTest, RemovalOrdersStillConvergeIncrementally) {

@@ -1,16 +1,224 @@
 #include "src/atpg/fault_sim.hpp"
 
+#include <filesystem>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "src/atpg/atpg.hpp"
 #include "src/atpg/inject.hpp"
+#include "src/atpg/redundancy.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
+#include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace kms {
 namespace {
+
+// ---- reference oracle: whole-order fault simulation --------------------
+//
+// The straightforward single-fault simulator: one good pass, then for
+// each fault a replay of the whole topological order that re-evaluates
+// every gate with a faulty fanin (or the faulted branch's sink). The
+// event-driven FaultSimulator must return bit-identical masks.
+
+std::uint64_t reference_eval(GateKind kind,
+                             const std::vector<std::uint64_t>& in) {
+  switch (kind) {
+    case GateKind::kConst0:
+      return 0;
+    case GateKind::kConst1:
+      return ~0ull;
+    case GateKind::kInput:
+      return 0;
+    case GateKind::kOutput:
+    case GateKind::kBuf:
+      return in[0];
+    case GateKind::kNot:
+      return ~in[0];
+    case GateKind::kAnd:
+    case GateKind::kNand: {
+      std::uint64_t w = ~0ull;
+      for (std::uint64_t x : in) w &= x;
+      return kind == GateKind::kNand ? ~w : w;
+    }
+    case GateKind::kOr:
+    case GateKind::kNor: {
+      std::uint64_t w = 0;
+      for (std::uint64_t x : in) w |= x;
+      return kind == GateKind::kNor ? ~w : w;
+    }
+    case GateKind::kXor:
+    case GateKind::kXnor: {
+      std::uint64_t w = 0;
+      for (std::uint64_t x : in) w ^= x;
+      return kind == GateKind::kXnor ? ~w : w;
+    }
+    case GateKind::kMux:
+      return (in[0] & in[1]) | (~in[0] & in[2]);
+  }
+  return 0;
+}
+
+std::vector<std::uint64_t> reference_detect_words(
+    const Network& net, const std::vector<Fault>& faults,
+    const std::vector<std::uint64_t>& pi_words) {
+  const std::vector<GateId> order = net.topo_order();
+  std::vector<std::uint64_t> good(net.gate_capacity(), 0);
+  for (std::size_t i = 0; i < pi_words.size(); ++i)
+    good[net.inputs()[i].value()] = pi_words[i];
+  std::vector<std::uint64_t> in;
+  for (GateId g : order) {
+    const Gate& gt = net.gate(g);
+    if (gt.kind == GateKind::kInput) continue;
+    in.clear();
+    for (ConnId c : gt.fanins) in.push_back(good[net.conn(c).from.value()]);
+    good[g.value()] = reference_eval(gt.kind, in);
+  }
+  std::vector<std::uint64_t> result;
+  for (const Fault& f : faults) {
+    std::vector<std::uint64_t> faulty = good;
+    std::vector<bool> dirty(net.gate_capacity(), false);
+    const std::uint64_t stuck = f.stuck ? ~0ull : 0;
+    if (f.site == Fault::Site::kStem) {
+      faulty[f.gate.value()] = stuck;
+      dirty[f.gate.value()] = true;
+    }
+    const GateId branch_sink = f.site == Fault::Site::kBranch
+                                   ? net.conn(f.conn).to
+                                   : GateId::invalid();
+    for (GateId g : order) {
+      const Gate& gt = net.gate(g);
+      if (gt.kind == GateKind::kInput || is_constant(gt.kind)) continue;
+      if (f.site == Fault::Site::kStem && g == f.gate) continue;
+      bool touched = g == branch_sink;
+      for (ConnId c : gt.fanins) touched = touched || dirty[net.conn(c).from.value()];
+      if (!touched) continue;
+      in.clear();
+      for (ConnId c : gt.fanins)
+        in.push_back(f.site == Fault::Site::kBranch && c == f.conn
+                         ? stuck
+                         : faulty[net.conn(c).from.value()]);
+      faulty[g.value()] = reference_eval(gt.kind, in);
+      dirty[g.value()] = faulty[g.value()] != good[g.value()];
+    }
+    std::uint64_t detect = 0;
+    for (GateId o : net.outputs())
+      detect |= faulty[o.value()] ^ good[o.value()];
+    result.push_back(detect);
+  }
+  return result;
+}
+
+/// Every stuck-at fault the simulator can be asked about: stem faults on
+/// every live gate (inputs, constants and output markers included) and
+/// branch faults on every live connection, fanout one or not.
+std::vector<Fault> every_site_fault(const Network& net) {
+  std::vector<Fault> faults;
+  for (std::uint32_t g = 0; g < net.gate_capacity(); ++g) {
+    if (net.gate(GateId{g}).dead) continue;
+    for (const bool stuck : {false, true})
+      faults.push_back({Fault::Site::kStem, GateId{g}, ConnId::invalid(),
+                        stuck});
+  }
+  for (std::uint32_t c = 0; c < net.conn_capacity(); ++c) {
+    if (net.conn(ConnId{c}).dead) continue;
+    for (const bool stuck : {false, true})
+      faults.push_back({Fault::Site::kBranch, GateId::invalid(), ConnId{c},
+                        stuck});
+  }
+  return faults;
+}
+
+/// Compare the event-driven simulator with the reference on every
+/// fault site of `net`, over several words from one simulator (so stale
+/// scratch state from an earlier word or fault would show).
+void expect_matches_reference(const Network& net, std::uint64_t seed) {
+  ASSERT_EQ(net.check(), "") << net.name();
+  const std::vector<Fault> faults = every_site_fault(net);
+  FaultSimulator sim(net);
+  Rng rng(seed);
+  std::vector<std::vector<std::uint64_t>> word_sets;
+  word_sets.emplace_back(net.inputs().size(), 0ull);
+  word_sets.emplace_back(net.inputs().size(), ~0ull);
+  for (int w = 0; w < 4; ++w) {
+    std::vector<std::uint64_t> pi(net.inputs().size());
+    for (auto& x : pi) x = rng.next_u64();
+    word_sets.push_back(std::move(pi));
+  }
+  for (const auto& pi : word_sets) {
+    const auto got = sim.detect_words(faults, pi);
+    const auto want = reference_detect_words(net, faults, pi);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      EXPECT_EQ(got[i], want[i])
+          << net.name() << ": " << format_fault(net, faults[i]);
+  }
+}
+
+/// Apply the removal surgery for every `stride`-th collapsed fault in
+/// turn (untestable or not — only the structure matters here), leaving
+/// dangling logic and constant-fed pins. With `tidy`, each edit is
+/// followed by constant propagation and a sweep, which tombstones gates
+/// and connections.
+Network edited(const Network& original, std::size_t stride, bool tidy) {
+  Network net = original.clone_compact();
+  for (std::size_t k = 0; k < 6; ++k) {
+    const auto faults = collapsed_faults(net);
+    const std::size_t i = (k + 1) * stride;
+    if (i >= faults.size()) break;
+    apply_redundancy_removal(net, faults[i]);
+    if (tidy) {
+      simplify(net);
+      net.sweep();
+    }
+  }
+  return net;
+}
+
+std::vector<Network> example_networks() {
+  std::vector<Network> nets;
+  for (const auto& entry : std::filesystem::directory_iterator(EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".blif") continue;
+    std::ifstream in(entry.path());
+    nets.push_back(read_blif_sequential(in).comb);
+  }
+  return nets;
+}
+
+TEST(FaultSimTest, EventDrivenMatchesWholeOrderReference) {
+  std::vector<Network> nets;
+  // Undecomposed: XOR/XNOR and MUX pins, multi-input gates.
+  nets.push_back(carry_skip_adder(4, 2));
+  nets.push_back(ripple_carry_adder(3));
+  for (std::uint64_t seed = 90; seed < 96; ++seed) {
+    RandomNetworkOptions opts;
+    opts.seed = seed;
+    opts.gates = 30;
+    opts.max_fanin = 4;
+    nets.push_back(random_network(opts));
+  }
+  for (Network& n : example_networks()) nets.push_back(std::move(n));
+  // Decomposed copies, and copies after removal edits.
+  const std::size_t base = nets.size();
+  for (std::size_t i = 0; i < base; ++i) {
+    Network simple = nets[i].clone_compact();
+    decompose_to_simple(simple);
+    nets.push_back(edited(simple, 3, /*tidy=*/false));
+    nets.push_back(edited(simple, 5, /*tidy=*/true));
+    nets.push_back(std::move(simple));
+  }
+  // A fully removed carry-skip adder: tombstoned gates and connections
+  // from many passes of real removals.
+  Network removed = carry_skip_adder(8, 2);
+  decompose_to_simple(removed);
+  remove_redundancies(removed);
+  nets.push_back(std::move(removed));
+  std::uint64_t seed = 1;
+  for (const Network& net : nets) expect_matches_reference(net, seed++);
+}
 
 TEST(FaultSimTest, AgreesWithInjectionSimulation) {
   // For each fault and pattern word, the detection mask must equal the

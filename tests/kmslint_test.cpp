@@ -37,8 +37,13 @@ std::string slurp(const std::string& path) {
 }
 
 /// Runs kmslint, returns its exit code; stderr+stdout land in `capture`.
+/// The capture file is named after the running test, so tests run in
+/// parallel processes never share one.
 int run_lint(const std::string& args, std::string* capture = nullptr) {
-  const std::string cap = temp_path("kmslint_cap.txt");
+  const std::string cap =
+      temp_path(std::string("kmslint_cap_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                ".txt");
   const std::string cmd =
       std::string(KMSLINT_PATH) + " " + args + " > " + cap + " 2>&1";
   const int status = std::system(cmd.c_str());

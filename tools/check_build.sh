@@ -56,6 +56,16 @@ ctest --preset tsan -L parallel --output-on-failure
 echo "== ThreadSanitizer: kmsloop-labelled tests (tsan preset) =="
 ctest --preset tsan -L kmsloop --output-on-failure
 
+# Repeat stage: the determinism contracts (byte-identical BLIF, journal
+# and certificates at any jobs x width; resume equal to an uninterrupted
+# run) must hold under real concurrency, not just once. Run the labels
+# that exercise worker scheduling twenty times over, all CPUs busy at
+# once, so a schedule-dependent artifact fails CI here instead of
+# intermittently elsewhere.
+echo "== repeated parallel/kmsloop/crash/serve tests (checked preset) =="
+ctest --preset checked -L 'parallel|kmsloop|crash|serve' \
+  --repeat until-fail:20 -j "$(nproc)" --output-on-failure
+
 # Crash-safety stage: the `crash` label covers the durability layer —
 # WAL framing with torn-tail/bit-flip fuzzing, checkpoint serialization
 # round-trips, the kill-point property suite (simulated crash at every
