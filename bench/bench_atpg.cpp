@@ -6,13 +6,10 @@
 // Modes:
 //   bench_atpg                      audit table (fault counts, drop
 //                                   rates, solver throughput)
-//   bench_atpg --json <path>        three-way removal-engine comparison
-//                                   (seed / incremental / static+
-//                                   incremental, the last with the
-//                                   SAT-free static untestability
-//                                   pre-pass on), written as
-//                                   kms-bench-atpg-v2 JSON (schema
-//                                   documented in DESIGN.md §11)
+//   bench_atpg --json <path>        removal with the SAT-free static
+//                                   untestability pre-pass off and on,
+//                                   written as kms-bench-atpg-v3 JSON
+//                                   (schema documented in DESIGN.md §11)
 //   bench_atpg --json <path> --quick
 //                                   same, smallest circuit only (the CI
 //                                   bench-smoke stage)
@@ -20,7 +17,7 @@
 //                                   worker counts 1,2,4,... up to n on
 //                                   each circuit; exits 2 unless every
 //                                   thread count reproduces the
-//                                   sequential removed count and BLIF
+//                                   one-lane removed count and BLIF
 //                                   digest bit-for-bit
 #include <cstdio>
 #include <cstring>
@@ -88,7 +85,7 @@ int run_audit_table() {
   return 0;
 }
 
-// ---- seed-vs-incremental comparison (--json) ------------------------------
+// ---- static pre-pass off vs on (--json) -----------------------------------
 
 struct EngineRun {
   RedundancyRemovalResult r;
@@ -97,19 +94,16 @@ struct EngineRun {
   std::uint64_t digest = 0;  ///< FNV-1a of the result's BLIF bytes
 };
 
-EngineRun run_engine(const Network& net, bool incremental,
-                     unsigned jobs = 1, bool static_prepass = false) {
+EngineRun run_engine(const Network& net, unsigned jobs, bool static_prepass) {
   Network copy = net.clone_compact();
   RedundancyRemovalOptions opts;
-  opts.incremental = incremental;
   opts.static_prepass = static_prepass;
   opts.context.jobs = jobs;
   // The comparison isolates exact-ATPG load: random-pattern pre-drop is
-  // off for both engines (it hides the query counts behind stimulus
-  // luck — with it on, small circuits sit at the one-UNSAT-per-removal
-  // floor for both engines). The incremental engine's witness dropping
-  // and cross-pass cache take over the drop role from targeted, not
-  // random, stimulus.
+  // off for both runs (it hides the query counts behind stimulus luck —
+  // with it on, small circuits sit at the one-UNSAT-per-removal floor).
+  // Witness dropping and the cross-pass cache take over the drop role
+  // from targeted, not random, stimulus.
   opts.use_fault_sim = false;
   bench::Timer t;
   EngineRun run;
@@ -148,8 +142,8 @@ void write_engine(std::FILE* out, const char* key, const EngineRun& run) {
 
 /// Statically redundant blocks: y_i = a_i AND (a_i AND b_i). The
 /// direct a_i branch into the outer AND is untestable stuck-at-1 and
-/// the static "blocked" rule proves it SAT-free, so the static engine
-/// column shows a removal pipeline running at zero SAT queries here —
+/// the static "blocked" rule proves it SAT-free, so the static column
+/// shows a removal pipeline running at zero SAT queries here —
 /// the sharp end of the pre-pass comparison.
 Network statred_blocks(std::size_t blocks) {
   Network net("statred_" + std::to_string(blocks));
@@ -179,7 +173,7 @@ int run_json(const std::string& path, bool quick) {
     std::fprintf(stderr, "bench_atpg: cannot write %s\n", path.c_str());
     return 2;
   }
-  std::fprintf(out, "{\n  \"schema\": \"kms-bench-atpg-v2\",\n");
+  std::fprintf(out, "{\n  \"schema\": \"kms-bench-atpg-v3\",\n");
   std::fprintf(out, "  \"circuits\": [\n");
   bool failed = false;
   for (std::size_t c = 0; c < circuits.size(); ++c) {
@@ -189,47 +183,35 @@ int run_json(const std::string& path, bool quick) {
     const std::size_t faults = collapsed_faults(net).size();
     std::fprintf(stderr, "bench_atpg: %s (%zu gates, %zu faults)\n",
                  circuits[c].first.c_str(), gates, faults);
-    const EngineRun seed = run_engine(net, /*incremental=*/false);
-    const EngineRun inc = run_engine(net, /*incremental=*/true);
-    const EngineRun stat = run_engine(net, /*incremental=*/true, /*jobs=*/1,
-                                      /*static_prepass=*/true);
-    const bool match = seed.r.removed == inc.r.removed &&
-                       inc.r.removed == stat.r.removed &&
-                       seed.digest == inc.digest && inc.digest == stat.digest;
+    const EngineRun plain = run_engine(net, 1, /*static_prepass=*/false);
+    const EngineRun stat = run_engine(net, 1, /*static_prepass=*/true);
+    const bool match =
+        plain.r.removed == stat.r.removed && plain.digest == stat.digest;
     if (!match) failed = true;
-    const double ratio =
-        static_cast<double>(seed.r.sat_queries) /
-        static_cast<double>(inc.r.sat_queries > 0 ? inc.r.sat_queries : 1);
     std::fprintf(out, "    {\"name\": \"%s\", \"gates\": %zu, "
                       "\"faults\": %zu,\n",
                  circuits[c].first.c_str(), gates, faults);
     std::fprintf(out, "     \"engines\": {\n");
-    write_engine(out, "seed", seed);
-    std::fprintf(out, ",\n");
-    write_engine(out, "incremental", inc);
+    write_engine(out, "no_static", plain);
     std::fprintf(out, ",\n");
     write_engine(out, "static", stat);
     std::fprintf(out, "\n     },\n");
-    std::fprintf(out, "     \"removed_match\": %s, "
-                      "\"sat_query_ratio\": %.3f}%s\n",
-                 match ? "true" : "false", ratio,
-                 c + 1 < circuits.size() ? "," : "");
+    std::fprintf(out, "     \"removed_match\": %s}%s\n",
+                 match ? "true" : "false", c + 1 < circuits.size() ? "," : "");
     std::fprintf(stderr,
-                 "  seed: %zu removed, %zu sat queries, %.3fs | "
-                 "incremental: %zu removed, %zu sat queries, %.3fs "
-                 "(ratio %.2fx) | static: %zu removed, %zu sat queries "
-                 "(%zu discharged), %.3fs%s\n",
-                 seed.r.removed, seed.r.sat_queries, seed.seconds,
-                 inc.r.removed, inc.r.sat_queries, inc.seconds, ratio,
+                 "  no_static: %zu removed, %zu sat queries, %.3fs | "
+                 "static: %zu removed, %zu sat queries (%zu discharged), "
+                 "%.3fs%s\n",
+                 plain.r.removed, plain.r.sat_queries, plain.seconds,
                  stat.r.removed, stat.r.sat_queries, stat.r.static_discharged,
-                 stat.seconds, match ? "" : "  ENGINE MISMATCH");
+                 stat.seconds, match ? "" : "  MISMATCH");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   if (failed) {
     std::fprintf(stderr,
-                 "bench_atpg: FAILED — engines diverged (removed count or "
-                 "result digest)\n");
+                 "bench_atpg: FAILED — static pre-pass on/off diverged "
+                 "(removed count or result digest)\n");
     return 2;
   }
   return 0;
@@ -250,8 +232,7 @@ int run_scaling(unsigned max_jobs, bool quick) {
   for (unsigned j = 2; j < max_jobs; j *= 2) job_counts.push_back(j);
   if (max_jobs > 1) job_counts.push_back(max_jobs);
 
-  std::printf("parallel removal scaling (incremental engine, pre-drop "
-              "off)\n");
+  std::printf("parallel removal scaling (pre-drop off)\n");
   bench::rule('=');
   std::printf("%-12s %7s %7s %5s %8s %9s %8s %6s\n", "circuit", "gates",
               "faults", "jobs", "removed", "sec", "speedup", "match");
@@ -263,10 +244,10 @@ int run_scaling(unsigned max_jobs, bool quick) {
     const std::size_t faults = collapsed_faults(net).size();
     EngineRun base;
     for (const unsigned jobs : job_counts) {
-      const EngineRun run = run_engine(net, /*incremental=*/true, jobs);
+      const EngineRun run = run_engine(net, jobs, /*static_prepass=*/false);
       if (jobs == 1) base = run;
       // The whole point of the commit protocol: every worker count
-      // reproduces the sequential result bit for bit.
+      // reproduces the one-lane result bit for bit.
       const bool match =
           run.r.removed == base.r.removed && run.digest == base.digest;
       if (!match) failed = true;
@@ -281,7 +262,7 @@ int run_scaling(unsigned max_jobs, bool quick) {
   if (failed) {
     std::fprintf(stderr,
                  "bench_atpg: FAILED — a parallel run diverged from the "
-                 "sequential result\n");
+                 "one-lane result\n");
     return 2;
   }
   return 0;

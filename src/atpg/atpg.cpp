@@ -46,12 +46,8 @@ std::optional<std::shared_ptr<proof::StaticCertificate>> StaticOracle::lookup(
       proof::StaticCertificate{snapshot_, r.justification});
 }
 
-Atpg::Atpg(const Network& net, const RunContext& ctx)
-    : net_(net), governor_(ctx.governor), session_(ctx.session) {}
-
-Atpg::Atpg(const Network& net, ResourceGovernor* governor,
-           proof::ProofSession* session)
-    : net_(net), governor_(governor), session_(session) {}
+Atpg::Atpg(const Network& net, ResourceGovernor* governor)
+    : net_(net), governor_(governor) {}
 
 void Atpg::mark_fault_cone(const Fault& f) {
   cone_outputs_.clear();
@@ -123,11 +119,11 @@ TestResult Atpg::generate_test(const Fault& fault) {
 
   // Untestable without a SAT call if no primary output sees the fault.
   // This is a structural proof, exact under any resource pressure.
-  // With a proof session attached the shortcut is bypassed: every
-  // untestable verdict must carry a checkable certificate, and the SAT
-  // encoding below yields one even here — the detection clause comes out
-  // empty, a root-level contradiction any DRAT checker confirms.
-  if (cone_outputs_.empty() && !session_ && !capture_) {
+  // Under proof capture the shortcut is bypassed: every untestable
+  // verdict must carry a checkable certificate, and the SAT encoding
+  // below yields one even here — the detection clause comes out empty,
+  // a root-level contradiction any DRAT checker confirms.
+  if (cone_outputs_.empty() && !capture_) {
     ++stats_.untestable;
     ++stats_.structural_shortcuts;
     return TestResult{TestOutcome::kUntestable, std::nullopt};
@@ -142,8 +138,7 @@ TestResult Atpg::generate_test(const Fault& fault) {
 
   Solver solver;
   proof::DratTrace trace;
-  const bool proving = session_ != nullptr || capture_;
-  if (proving) solver.set_proof(&trace);
+  if (capture_) solver.set_proof(&trace);
   if (governor_) solver.set_governor(governor_);
   CircuitEncoding good(net_, solver, subset_);
   ++stats_.sat_solves;
@@ -210,30 +205,20 @@ TestResult Atpg::generate_test(const Fault& fault) {
   res.outcome = test_outcome_of(r);  // the one sat::Result mapping point
   switch (res.outcome) {
     case TestOutcome::kUntestable: {
-      if (!proving) break;
+      if (!capture_) break;
       auto cert = trace.last_unsat_certificate();
       if (!cert) {
         // A kUnsat verdict always certifies; treat its absence as an
         // aborted query rather than license an unproved deletion.
         res.outcome = TestOutcome::kUnknown;
-        if (session_ && !capture_)
-          session_->journal.add_fault_unknown(format_fault(net_, fault));
         break;
       }
-      if (capture_) {
-        res.certificate =
-            std::make_shared<proof::DratCertificate>(std::move(*cert));
-      } else {
-        res.proof = session_->add_certificate(std::move(*cert));
-        session_->journal.add_fault_untestable(format_fault(net_, fault),
-                                               res.proof);
-      }
+      res.certificate =
+          std::make_shared<proof::DratCertificate>(std::move(*cert));
       break;
     }
     case TestOutcome::kUnknown:
       // Resource exhaustion or an injected abort: NOT a redundancy proof.
-      if (session_ && !capture_)
-        session_->journal.add_fault_unknown(format_fault(net_, fault));
       break;
     case TestOutcome::kTestable:
       res.vector = good.model_inputs();

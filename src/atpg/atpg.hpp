@@ -20,7 +20,6 @@
 #include "src/analysis/static_untestable.hpp"
 #include "src/atpg/fault.hpp"
 #include "src/base/governor.hpp"
-#include "src/core/context.hpp"
 #include "src/core/verdict.hpp"
 #include "src/netlist/network.hpp"
 #include "src/sat/solver.hpp"
@@ -28,7 +27,6 @@
 namespace kms {
 
 namespace proof {
-class ProofSession;
 struct DratCertificate;
 struct StaticCertificate;
 }  // namespace proof
@@ -78,13 +76,9 @@ struct AtpgStats {
 struct TestResult {
   TestOutcome outcome = TestOutcome::kUnknown;
   std::optional<std::vector<bool>> vector;  ///< set iff kTestable
-  /// Certificate id in the proof session backing a kUntestable verdict;
-  /// -1 when no session was attached (or the verdict needs no proof).
-  std::int64_t proof = -1;
-  /// Under proof *capture* (speculative parallel classification), a
-  /// kUntestable verdict carries its DRAT certificate here instead of
-  /// registering it with a session: whether the verdict is ever
-  /// journalled is the coordinator's commit decision, made later and in
+  /// Under proof capture (Atpg::set_proof_capture), a kUntestable
+  /// verdict carries its DRAT certificate here: whether the verdict is
+  /// ever journalled is the caller's commit decision, made later and in
   /// canonical order. Null otherwise.
   std::shared_ptr<proof::DratCertificate> certificate;
   /// A kUntestable verdict discharged by the static oracle carries its
@@ -102,14 +96,14 @@ struct TestResult {
 
 /// SAT-free untestability verdicts for one network state, computed on
 /// demand by the static analysis engine (src/analysis). The removal
-/// engines build one per pass and attach it to every Atpg; all workers
+/// engine builds one per pass and attaches it to every Atpg; all lanes
 /// share it (analysis calls are const, and the snapshot is written
 /// once). A verdict is a pure function of the network and the fault,
 /// so analyzing only the faults that reach generate_test answers each
 /// of them exactly as analyzing the whole list up front would. A hit
 /// answers the query before any cone marking or solver work and
 /// consumes no randomness, so scan behaviour stays bit-identical
-/// across engines and job counts.
+/// with the oracle on or off and at any job count.
 class StaticOracle {
  public:
   /// Builds the dominator tree and implication engine of `net`, which
@@ -137,28 +131,18 @@ class Atpg {
  public:
   /// The network must stay structurally unchanged while tests are being
   /// generated (take a fresh Atpg after every network edit). The
-  /// context's governor (optional) bounds every SAT solve; exhaustion
-  /// yields kUnknown. With the context's proof session attached, every
-  /// kUntestable verdict carries a DRAT certificate (the structural-
-  /// shortcut path is bypassed so that even faults whose cone misses
-  /// every output get one) and verdicts are journalled. The context's
-  /// `jobs` field is ignored — one Atpg is always single-threaded;
-  /// parallel engines build one per worker.
-  Atpg(const Network& net, const RunContext& ctx);
+  /// governor (optional) bounds every SAT solve; exhaustion yields
+  /// kUnknown. One Atpg is single-threaded; the removal engine builds
+  /// one per lane.
+  explicit Atpg(const Network& net, ResourceGovernor* governor = nullptr);
 
-  /// Deprecated raw-pointer form; forwards to the RunContext overload.
-  explicit Atpg(const Network& net, ResourceGovernor* governor = nullptr,
-                proof::ProofSession* session = nullptr);
-
-  /// Proof-capture mode, for speculative classification by parallel
-  /// workers: generate_test records each kUntestable verdict's DRAT
-  /// certificate into TestResult::certificate and journals nothing —
-  /// the coordinator registers and journals only *committed* verdicts,
-  /// in commit order. Mutually exclusive with an attached session (the
-  /// session is ignored while capture is on). As under a session, the
-  /// structural shortcut is bypassed so every untestable verdict is
-  /// certifiable, and a kUnsat with no extractable certificate degrades
-  /// to kUnknown rather than licensing an unproved deletion.
+  /// Proof-capture mode: generate_test records each kUntestable
+  /// verdict's DRAT certificate into TestResult::certificate and
+  /// journals nothing — the caller registers and journals only the
+  /// verdicts it commits, in commit order. The structural shortcut is
+  /// bypassed so every untestable verdict is certifiable, and a kUnsat
+  /// with no extractable certificate degrades to kUnknown rather than
+  /// licensing an unproved deletion.
   void set_proof_capture(bool on) { capture_ = on; }
 
   /// Attach a static untestability oracle (may be null to detach). For
@@ -193,7 +177,6 @@ class Atpg {
 
   const Network& net_;
   ResourceGovernor* governor_ = nullptr;
-  proof::ProofSession* session_ = nullptr;
   bool capture_ = false;  ///< see set_proof_capture
   const StaticOracle* oracle_ = nullptr;  ///< see set_static_oracle
   AtpgStats stats_;

@@ -1,6 +1,6 @@
 // Cross-pass testable-fault cache, sharded for concurrent writers.
 //
-// The removal engines cache every *testable* verdict (from SAT, random
+// The removal engine caches every *testable* verdict (from SAT, random
 // simulation, or witness dropping) keyed by stable fault identity —
 // GateId/ConnId are tombstoned, never reused, so (site, id, stuck)
 // names the same structural site for the whole run. Cached verdicts
@@ -9,12 +9,11 @@
 // gates sharing an output path with f's source, so it survives an edit
 // iff source(f) ∉ TFI(TFO(touched)).
 //
-// Sharding: the parallel engine's workers insert concurrently while
-// classifying, so entries are spread over mutex-guarded shards by a
-// mixed hash of the key. Lookups and insertions take one uncontended
-// shard lock (the sequential engines pay a handful of nanoseconds for
-// the same code path); invalidation is coordinator-only, between
-// passes, while no worker runs.
+// Sharding: the engine's lanes insert concurrently while classifying,
+// so entries are spread over mutex-guarded shards by a mixed hash of
+// the key. Lookups and insertions take one uncontended shard lock (a
+// one-lane run pays a handful of nanoseconds for it); invalidation is
+// coordinator-only, between passes, while no lane runs.
 #pragma once
 
 #include <array>

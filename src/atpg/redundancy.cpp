@@ -36,15 +36,15 @@ std::uint64_t mix64(std::uint64_t x) {
 /// main scan rng: witness perturbations only ever mark genuinely
 /// testable faults, so their draws must not desynchronize the main
 /// stream — which the kRandom scan order and the pre-drop stimulus are
-/// derived from — between the sequential and parallel engines (or
-/// between worker counts). With the streams separated, every engine
-/// sees the identical scan order and pre-drop patterns in every pass.
+/// derived from — between worker counts. With the streams separated,
+/// every lane count sees the identical scan order and pre-drop patterns
+/// in every pass.
 Rng witness_rng(std::uint64_t seed, std::size_t pass, unsigned worker) {
   return Rng(mix64(seed ^ mix64(pass) ^ mix64(0xACEDull + worker)));
 }
 
 /// Scan-order permutation for one pass (consumes rng draws only for
-/// kRandom — identically in every engine).
+/// kRandom — identically at every lane count).
 std::vector<std::size_t> scan_order(std::size_t n, RemovalOrder order,
                                     Rng& rng) {
   std::vector<std::size_t> idx(n);
@@ -71,21 +71,19 @@ enum FaultState : std::uint8_t {
 
 /// Mark cache hits and run the random-simulation pre-drop for one pass.
 /// Mutates `state` (kUndecided -> kKnownTestable), the cache, and the
-/// coordinator-side counters. Shared by both engines; consumes main-rng
-/// draws dependent only on (inputs, random_words). The simulator it
-/// builds is left in `sim` for the pass's witness replays.
+/// coordinator-side counters. Consumes main-rng draws dependent only on
+/// (inputs, random_words). The simulator it builds is left in `sim` for
+/// the pass's witness replays.
 void predrop_pass(const Network& net, const std::vector<Fault>& faults,
                   const RedundancyRemovalOptions& opts, ResourceGovernor* gov,
                   ShardedFaultCache& cache, Rng& rng,
                   std::vector<std::uint8_t>& state,
                   std::optional<FaultSimulator>& sim,
                   RedundancyRemovalResult& result) {
-  if (opts.incremental) {
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (cache.contains(faults[i])) {
-        state[i] = kKnownTestable;
-        ++result.cache_hits;
-      }
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (cache.contains(faults[i])) {
+      state[i] = kKnownTestable;
+      ++result.cache_hits;
     }
   }
   if (!opts.use_fault_sim || faults.empty() || net.inputs().empty()) return;
@@ -105,9 +103,8 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
       if (!detected[k]) continue;
       state[idx[k]] = kKnownTestable;
       ++result.sim_dropped;
-      if (opts.incremental)
-        // A simulated detection is a testability witness: cache it.
-        cache.insert(pending[k], fault_source(net, pending[k]));
+      // A simulated detection is a testability witness: cache it.
+      cache.insert(pending[k], fault_source(net, pending[k]));
     }
   }
   result.sim_seconds += Seconds(Clock::now() - t0).count();
@@ -128,11 +125,15 @@ std::unique_ptr<StaticOracle> build_static_oracle(
 }
 
 /// Journal one committed untestable verdict plus the deletion citing
-/// it. Static verdicts reach the journal ONLY through here, at commit
-/// time — never speculatively from inside a query — so an aborted run
-/// cannot record a vacuous static claim (satellite (c)'s invariant).
+/// it. Verdicts reach the journal ONLY through here, at commit time —
+/// never speculatively from inside a query — so an aborted run cannot
+/// record a vacuous claim. Capture mode guarantees a certificate behind
+/// every untestable verdict (certificate-less UNSATs degrade to
+/// kUnknown); a static oracle hit carries its structural certificate
+/// instead.
 void journal_deletion(proof::ProofSession& session, const std::string& what,
-                      const TestResult& test) {
+                      TestResult& test) {
+  assert(test.certificate != nullptr || test.static_just != nullptr);
   if (test.static_just) {
     const std::uint64_t digest = proof::digest_bytes(*test.static_just->snapshot);
     const std::int64_t id = session.add_static_certificate(*test.static_just);
@@ -140,15 +141,16 @@ void journal_deletion(proof::ProofSession& session, const std::string& what,
         what, id, test.static_just->justification, digest);
     session.journal.add_delete_static(what, id);
   } else {
-    session.journal.add_delete(what, test.proof);
+    const std::int64_t id =
+        session.add_certificate(std::move(*test.certificate));
+    session.journal.add_fault_untestable(what, id);
+    session.journal.add_delete(what, id);
   }
 }
 
-// ---- sequential engines (jobs == 1): seed and incremental ----------------
-
 /// Restore a committed pass-boundary state into the engine-local
-/// (result, rng, cache) triple. Shared by both engines; a cleared
-/// `aborted` lets the resumed run finish what the crashed one could not.
+/// (result, rng, cache) triple. A cleared `aborted` lets the resumed run
+/// finish what the crashed one could not.
 void apply_resume(const RemovalResume& resume, RedundancyRemovalResult& result,
                   Rng& rng, ShardedFaultCache& cache) {
   result = resume.base;
@@ -174,124 +176,20 @@ void commit_pass(const RunContext& ctx, const Network& net, const Rng& rng,
   ctx.sink->commit(cp);
 }
 
-RedundancyRemovalResult remove_sequential(Network& net,
-                                          const RedundancyRemovalOptions& opts,
-                                          const RunContext& ctx) {
-  RedundancyRemovalResult result;
-  ResourceGovernor* const gov = ctx.governor;
-  proof::ProofSession* const session = ctx.session;
-  Rng rng(opts.seed);
-  ShardedFaultCache cache;  // persists across passes (incremental engine)
-  if (opts.resume != nullptr) apply_resume(*opts.resume, result, rng, cache);
-  for (;;) {
-    if (gov && gov->should_stop()) {
-      result.aborted = true;
-      break;
-    }
-    ++result.passes;
-    const auto faults = collapsed_faults(net);
-    std::vector<std::uint8_t> state(faults.size(), kUndecided);
-    std::optional<FaultSimulator> sim;
-    predrop_pass(net, faults, opts, gov, cache, rng, state, sim, result);
-    const std::vector<std::size_t> order =
-        scan_order(faults.size(), opts.order, rng);
-    Rng wrng = witness_rng(opts.seed, result.passes, 0);
-    RemovalWorkerStats ws;
-    Atpg atpg(net, ctx);
-    std::unique_ptr<StaticOracle> oracle;
-    if (opts.static_prepass) {
-      oracle = build_static_oracle(net, state, session != nullptr);
-      atpg.set_static_oracle(oracle.get());
-    }
-    bool removed_one = false;
-    for (std::size_t i : order) {
-      if (state[i] != kUndecided) continue;
-      if (gov && gov->should_stop()) {
-        result.aborted = true;
-        break;
-      }
-      const auto t0 = Clock::now();
-      const TestResult test = atpg.generate_test(faults[i]);
-      ws.sat_seconds += Seconds(Clock::now() - t0).count();
-      if (test.outcome == TestOutcome::kUnknown) {
-        // Aborted query: the fault might be testable; keep it (and
-        // never cache it — an abort is not a verdict).
-        state[i] = kUnknownVerdict;
-        ++ws.unknown_queries;
-        continue;
-      }
-      if (test.outcome == TestOutcome::kTestable) {
-        state[i] = kSatTestable;
-        if (!opts.incremental) continue;
-        cache.insert(faults[i], fault_source(net, faults[i]));
-        // A stopped run skips the replay: dropping fewer faults is
-        // sound, and the loop head ends the pass.
-        if (gov && gov->should_stop()) continue;
-        if (!sim && !net.inputs().empty()) sim.emplace(net);
-        if (sim && test.vector) {
-          // SAT-witness dropping: replay the model (plus 63 random
-          // perturbations of it) against every undecided fault. Any
-          // detection is positive proof of testability — those faults
-          // never reach the solver. Only the undecided remainder is
-          // simulated; it shrinks with every verdict.
-          const auto t1 = Clock::now();
-          std::vector<Fault> pending;
-          std::vector<std::size_t> idx;
-          for (std::size_t j = 0; j < faults.size(); ++j) {
-            if (state[j] != kUndecided) continue;
-            pending.push_back(faults[j]);
-            idx.push_back(j);
-          }
-          if (!pending.empty()) {
-            const std::vector<std::uint64_t> pi =
-                witness_words(*test.vector, wrng);
-            const std::vector<std::uint64_t> masks =
-                sim->detect_words(pending, pi);
-            for (std::size_t k = 0; k < pending.size(); ++k) {
-              if (masks[k] == 0) continue;
-              state[idx[k]] = kWitnessTestable;
-              ++ws.witness_dropped;
-              cache.insert(pending[k], fault_source(net, pending[k]));
-            }
-          }
-          ws.sim_seconds += Seconds(Clock::now() - t1).count();
-        }
-        continue;
-      }
-      if (session) journal_deletion(*session, format_fault(net, faults[i]), test);
-      TransformTrace trace;
-      TransformTrace* tr = opts.incremental ? &trace : nullptr;
-      apply_redundancy_removal(net, faults[i], tr);
-      simplify(net, tr);
-      ++result.removed;
-      removed_one = true;
-      if (opts.incremental)
-        result.cache_invalidated += cache.invalidate(net, trace);
-      break;  // structure changed: recompute the fault list
-    }
-    ws.atpg = atpg.stats();
-    result.merge_worker(ws);
-    if (!removed_one) break;
-    // A pass that committed a removal is a resumable unit: the network
-    // edit, its journal steps and the cache invalidation are all done.
-    // The final no-removal pass needs no commit — nothing changed, and
-    // a resumed run simply re-proves the fixpoint.
-    if (!result.aborted) commit_pass(ctx, net, rng, cache, result);
-  }
-  return result;
-}
+// ---- the removal engine --------------------------------------------------
 
-// ---- parallel engine (jobs > 1) ------------------------------------------
-
-/// One worker's speculative output for one fault, written exclusively by
+/// One lane's speculative output for one fault, written exclusively by
 /// the ticket owner; the pool barrier publishes it to the coordinator.
-/// `state` is the only cross-worker field (witness droppers CAS it).
+/// `state` is the only cross-lane field (witness droppers CAS it).
 struct Speculation {
   std::atomic<std::uint8_t> state{kUndecided};
   TestResult result;  ///< owner-written; meaningful once state is final
 };
 
-RedundancyRemovalResult remove_parallel(Network& net,
+/// Every removal pass classifies faults on `jobs` lanes of a pool (one
+/// lane runs inline on the caller: no thread is spawned) and commits
+/// the scan-order-first untestable fault at the pass barrier.
+RedundancyRemovalResult remove_on_lanes(Network& net,
                                         const RedundancyRemovalOptions& opts,
                                         const RunContext& ctx,
                                         unsigned jobs) {
@@ -299,13 +197,9 @@ RedundancyRemovalResult remove_parallel(Network& net,
   ResourceGovernor* const gov = ctx.governor;
   proof::ProofSession* const session = ctx.session;
   Rng rng(opts.seed);
-  ShardedFaultCache cache;
+  ShardedFaultCache cache;  // persists across passes
   if (opts.resume != nullptr) apply_resume(*opts.resume, result, rng, cache);
   ThreadPool pool(jobs);
-  // Per-worker context: same governor (thread-safe), never the session —
-  // workers capture certificates; only the coordinator journals.
-  RunContext worker_ctx;
-  worker_ctx.governor = gov;
   for (;;) {
     if (gov && gov->should_stop()) {
       result.aborted = true;
@@ -316,38 +210,37 @@ RedundancyRemovalResult remove_parallel(Network& net,
     const std::size_t n = faults.size();
     std::vector<std::uint8_t> seed_state(n, kUndecided);
     // The pre-drop's simulator goes to lane 0, the coordinator's own;
-    // the other workers build theirs, since its scratch is per thread.
+    // the other lanes build theirs, since its scratch is per thread.
     std::optional<FaultSimulator> predrop_sim;
     predrop_pass(net, faults, opts, gov, cache, rng, seed_state, predrop_sim,
                  result);
-    // One static oracle per pass, shared read-only by all workers (the
+    // One static oracle per pass, shared read-only by all lanes (the
     // lookups are const and the verdicts are scan-order independent).
     std::unique_ptr<StaticOracle> oracle;
     if (opts.static_prepass)
       oracle = build_static_oracle(net, seed_state, session != nullptr);
     const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
-    // Rank of each fault in scan order, for the first-untestable race.
-    std::vector<std::size_t> rank(n, n);
-    for (std::size_t k = 0; k < n; ++k) rank[order[k]] = k;
 
     std::vector<Speculation> spec(n);
     for (std::size_t i = 0; i < n; ++i)
       spec[i].state.store(seed_state[i], std::memory_order_relaxed);
 
     // Lowest scan rank proved untestable so far. Only ever decreases, so
-    // a worker may safely skip any ticket ranked above it: that fault
-    // can no longer be the pass's first untestable verdict.
+    // a lane may safely skip any ticket ranked above it: that fault can
+    // no longer be the pass's first untestable verdict.
     std::atomic<std::size_t> best_rank{n};
     std::atomic<bool> aborted{false};
     TicketQueue tickets(n);
     std::vector<RemovalWorkerStats> wstats(pool.size());
 
-    // Snapshot the pass index for worker rng seeding: workers must not
-    // read the coordinator-owned result struct.
+    // Snapshot the pass index for lane rng seeding: lanes must not read
+    // the coordinator-owned result struct.
     const std::size_t passes_now = result.passes;
     pool.run([&](unsigned w) {
       RemovalWorkerStats& ws = wstats[w];
-      Atpg atpg(net, worker_ctx);
+      // Same governor (thread-safe), never the session: lanes capture
+      // certificates; only the coordinator journals.
+      Atpg atpg(net, gov);
       if (session) atpg.set_proof_capture(true);
       if (oracle) atpg.set_static_oracle(oracle.get());
       Rng wrng = witness_rng(opts.seed, passes_now, w);
@@ -356,18 +249,23 @@ RedundancyRemovalResult remove_parallel(Network& net,
       for (;;) {
         const std::size_t k = tickets.next();
         if (k >= n) break;
-        if (gov && gov->should_stop()) {
-          aborted.store(true, std::memory_order_relaxed);
-          break;
-        }
+        // Skips come before the governor poll: a lane that has just
+        // proved the pass's first untestable fault drains the tickets
+        // behind it without tripping the abort, so that proof commits.
         if (k > best_rank.load(std::memory_order_relaxed)) continue;
         const std::size_t i = order[k];
         Speculation& s = spec[i];
         if (s.state.load(std::memory_order_acquire) != kUndecided) continue;
+        if (gov && gov->should_stop()) {
+          aborted.store(true, std::memory_order_relaxed);
+          break;
+        }
         const auto t0 = Clock::now();
         TestResult test = atpg.generate_test(faults[i]);
         ws.sat_seconds += Seconds(Clock::now() - t0).count();
         if (test.outcome == TestOutcome::kUnknown) {
+          // Aborted query: the fault might be testable; keep it (and
+          // never cache it — an abort is not a verdict).
           ++ws.unknown_queries;
           std::uint8_t expected = kUndecided;
           s.state.compare_exchange_strong(expected, kUnknownVerdict,
@@ -385,18 +283,21 @@ RedundancyRemovalResult remove_parallel(Network& net,
           continue;
         }
         // Testable: publish, cache, then sweep the undecided remainder
-        // with the witness (worker-local rng and simulator; drops only
-        // ever mark genuinely testable faults, so schedule and worker
-        // count cannot change which fault commits).
+        // with the witness: replay the model (plus 63 random
+        // perturbations of it) against every undecided fault. Any
+        // detection is positive proof of testability, so those faults
+        // never reach the solver; the lane-local rng and simulator
+        // cannot change which fault commits.
         s.result = std::move(test);
         std::uint8_t expected = kUndecided;
         s.state.compare_exchange_strong(expected, kSatTestable,
                                         std::memory_order_release,
                                         std::memory_order_relaxed);
-        if (!opts.incremental) continue;
         cache.insert(faults[i], fault_source(net, faults[i]));
         if (!s.result.vector) continue;
-        if (gov && gov->should_stop()) continue;  // skip the replay
+        // A stopped run skips the replay: dropping fewer faults is
+        // sound, and the next poll ends the pass.
+        if (gov && gov->should_stop()) continue;
         if (!sim && !net.inputs().empty()) sim.emplace(net);
         if (!sim) continue;
         const auto t1 = Clock::now();
@@ -439,51 +340,45 @@ RedundancyRemovalResult remove_parallel(Network& net,
           session->journal.add_fault_unknown(format_fault(net, faults[i]));
       }
     }
-    if (aborted.load(std::memory_order_relaxed) ||
-        (gov && gov->should_stop())) {
-      // Degraded stop: commit nothing this pass. Every removal already
-      // applied was individually proved, so the network is a correct
-      // partial result.
-      result.aborted = true;
+    // The scan-order-first untestable fault commits once every fault
+    // ranked before it has a verdict (kUnknown included: such a fault
+    // is kept and the scan moves on). That holds whenever no lane
+    // stopped early, and also when the governor tripped right after the
+    // proof; the next pass's head then ends the run. Otherwise the pass
+    // commits nothing and the run ends: fully testable, or stopped —
+    // every removal already applied was individually proved, so the
+    // network is a correct partial result.
+    const std::size_t best = best_rank.load(std::memory_order_relaxed);
+    bool commit = best < n;
+    for (std::size_t k = 0; commit && k < best; ++k)
+      commit = spec[order[k]].state.load(std::memory_order_relaxed) !=
+               kUndecided;
+    if (!commit) {
+      result.aborted = aborted.load(std::memory_order_relaxed) ||
+                       (gov && gov->should_stop());
       break;
     }
-    const std::size_t best = best_rank.load(std::memory_order_relaxed);
-    if (best >= n) break;  // no untestable fault left: fully testable
 
     // ---- deterministic commit: the scan-order-first untestable fault,
-    // exactly the one the sequential scan would have removed ----
+    // whatever the lane count ----
     const std::size_t chosen = order[best];
     const Fault& fault = faults[chosen];
     assert(spec[chosen].state.load(std::memory_order_relaxed) ==
            kProvedUntestable);
-    if (session) {
-      TestResult& tr = spec[chosen].result;
-      // Capture mode guarantees a certificate behind every untestable
-      // verdict (certificate-less UNSATs degrade to kUnknown); a static
-      // oracle hit carries its structural certificate instead.
-      assert(tr.certificate != nullptr || tr.static_just != nullptr);
-      if (tr.static_just) {
-        journal_deletion(*session, format_fault(net, fault), tr);
-      } else {
-        const std::int64_t id =
-            session->add_certificate(std::move(*tr.certificate));
-        session->journal.add_fault_untestable(format_fault(net, fault), id);
-        session->journal.add_delete(format_fault(net, fault), id);
-      }
-    }
+    if (session)
+      journal_deletion(*session, format_fault(net, fault),
+                       spec[chosen].result);
     TransformTrace trace;
-    TransformTrace* tr = opts.incremental ? &trace : nullptr;
-    apply_redundancy_removal(net, fault, tr);
-    simplify(net, tr);
+    apply_redundancy_removal(net, fault, &trace);
+    simplify(net, &trace);
     ++result.removed;
-    if (opts.incremental)
-      result.cache_invalidated += cache.invalidate(net, trace);
+    result.cache_invalidated += cache.invalidate(net, trace);
     // Speculative verdicts beyond `chosen` are re-queued implicitly:
     // testable ones persist only through the cache (which the edit
     // region just invalidated where stale) and untestable ones are
     // discarded entirely — the next pass re-proves any that remain.
     // Commit point: pass barrier passed, removal applied, journal
-    // written — and no worker is running, so the sink sees quiescent
+    // written — and no lane is running, so the sink sees quiescent
     // state (a checkpoint can never land mid-speculation).
     commit_pass(ctx, net, rng, cache, result);
   }
@@ -536,10 +431,8 @@ void apply_redundancy_removal(Network& net, const Fault& fault,
 RedundancyRemovalResult remove_redundancies(
     Network& net, const RedundancyRemovalOptions& opts) {
   const RunContext ctx = opts.context;
-  const unsigned jobs = ctx.effective_jobs();
   RedundancyRemovalResult result =
-      jobs > 1 ? remove_parallel(net, opts, ctx, jobs)
-               : remove_sequential(net, opts, ctx);
+      remove_on_lanes(net, opts, ctx, ctx.effective_jobs());
   // The sat_queries accounting fix: count solves the solver actually
   // ran, not loop iterations — structural shortcuts are reported on
   // their own counter.

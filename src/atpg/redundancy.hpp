@@ -13,38 +13,37 @@
 // on a carry-skip adder directly, it deletes the skip chain and the
 // circuit slows down to ripple speed.
 //
-// Two engines share this entry point:
-//  * the seed engine (incremental = false): every pass rebuilds the
-//    fault list and re-queries every fault not pre-dropped by random
-//    simulation — the literal reading of "recompute after each removal";
-//  * the incremental engine (default): three mechanisms avoid SAT
-//    queries whose outcome is already known —
-//     1. SAT-witness fault dropping: each testable verdict's model is
-//        packed into a 64-pattern word (exact witness + 63 random
-//        perturbations) and fault-simulated against the whole remaining
-//        list, marking other faults testable without solver calls;
-//     2. a cross-pass fault-status cache: testable verdicts (from SAT,
-//        random simulation, or witness dropping) persist across removal
-//        passes keyed by fault identity (GateId/ConnId are stable);
-//     3. cone-scoped invalidation: a removal invalidates only cached
-//        verdicts whose fault region intersects the edited gates, which
-//        TransformTrace records (including severed old edges, so the
-//        traversal sees connectivity that the edit itself cut).
-//    Every skip is backed by positive evidence of testability, never by
-//    an assumption of untestability, so both engines remove the same
-//    redundancies in the same (forward) scan order.
+// One engine runs every removal. Three mechanisms avoid SAT queries
+// whose outcome is already known:
+//  1. SAT-witness fault dropping: each testable verdict's model is
+//     packed into a 64-pattern word (exact witness + 63 random
+//     perturbations) and fault-simulated against the whole remaining
+//     list, marking other faults testable without solver calls;
+//  2. a cross-pass fault-status cache: testable verdicts (from SAT,
+//     random simulation, or witness dropping) persist across removal
+//     passes keyed by fault identity (GateId/ConnId are stable);
+//  3. cone-scoped invalidation: a removal invalidates only cached
+//     verdicts whose fault region intersects the edited gates, which
+//     TransformTrace records (including severed old edges, so the
+//     traversal sees connectivity that the edit itself cut).
+// Every skip is backed by positive evidence of testability, never by
+// an assumption of untestability, so the engine removes exactly the
+// faults a plain scan of Atpg::generate_test in the same order would,
+// one at a time with a recompute after each (tests/ keeps that scan as
+// the differential oracle).
 //
-// With context.jobs > 1 either engine classifies faults on a worker
-// pool: per pass, workers speculatively classify faults (each with a
+// Each pass classifies faults on context.effective_jobs() lanes of a
+// worker pool; with one lane the pool runs inline on the caller and
+// spawns no thread. Lanes speculatively classify faults (each with a
 // private Atpg, SAT solver and cone encoding) against the frozen
-// network while the coordinator holds all edits; the coordinator then
-// commits the *scan-order-first* untestable verdict exactly as the
-// sequential scan would have, re-queues every speculative verdict whose
-// fault region intersects the committed edit, and recomputes the fault
-// list. Because SAT verdicts are exact and skips only ever mark
-// genuinely testable faults, the removed-fault set — and therefore the
-// final network — is bit-identical to the sequential engine's at any
-// worker count. See DESIGN.md §12 for the determinism argument.
+// network while the coordinator holds all edits; at the pass barrier
+// the coordinator commits the *scan-order-first* untestable verdict,
+// re-queues every speculative verdict whose fault region intersects
+// the committed edit, and recomputes the fault list. Because SAT
+// verdicts are exact and skips only ever mark genuinely testable
+// faults, the removed-fault set — and therefore the final network — is
+// bit-identical at any lane count. See DESIGN.md §12 for the
+// determinism argument.
 #pragma once
 
 #include <cstdint>
@@ -81,11 +80,6 @@ struct RedundancyRemovalOptions {
   bool use_fault_sim = true;
   /// Number of 64-pattern words of random stimulus for the pre-drop.
   std::size_t random_words = 8;
-  /// Incremental engine: SAT-witness fault dropping plus the cross-pass
-  /// testable-fault cache with cone-scoped invalidation. Off = the seed
-  /// engine, kept selectable as the baseline for equivalence tests and
-  /// the bench_atpg comparison.
-  bool incremental = true;
   /// SAT-free static untestability pre-pass: each pass builds the
   /// dominator/implication engine (src/analysis), which analyzes every
   /// fault the scan queries; faults it proves untestable are discharged
@@ -108,10 +102,9 @@ struct RedundancyRemovalOptions {
   /// journalled citing it, in commit order; witness drops are not
   /// journalled, since at jobs > 1 they depend on worker timing; an
   /// aborted run finalizes the journal as partial), and the worker count:
-  /// context.jobs == 1 runs the sequential engines unchanged; > 1 (or 0
-  /// = hardware concurrency) runs fault classification on that many
-  /// workers with the deterministic commit protocol, whose removed-
-  /// fault set is bit-identical to the sequential engine's.
+  /// fault classification runs on context.effective_jobs() lanes (0 =
+  /// hardware concurrency) with the deterministic commit protocol, whose
+  /// removed-fault set is bit-identical at any lane count.
   RunContext context;
 
   /// Resume a crashed run from a committed pass boundary (the network
@@ -124,8 +117,7 @@ struct RedundancyRemovalOptions {
 /// mutate only their own instance — never the shared result — and the
 /// coordinator folds each into RedundancyRemovalResult::merge_worker()
 /// at the pass barrier: the single stats merge point, so no counter is
-/// ever incremented racily in place. The sequential engine routes its
-/// per-pass counters through the same path (a one-worker merge).
+/// ever incremented racily in place.
 struct RemovalWorkerStats {
   AtpgStats atpg;
   std::size_t witness_dropped = 0;
@@ -150,8 +142,7 @@ struct RedundancyRemovalResult {
   std::size_t unknown_queries = 0;  ///< queries aborted by the governor
   bool aborted = false;  ///< loop stopped early on governor exhaustion
 
-  // Incremental-engine observability (all zero under the seed engine,
-  // except sim_dropped which both engines report).
+  // Query-avoidance observability.
   std::size_t sim_dropped = 0;      ///< pre-dropped by random simulation
   std::size_t witness_dropped = 0;  ///< dropped by SAT-witness replay
   std::size_t cache_hits = 0;       ///< faults skipped via the cross-pass cache
@@ -172,7 +163,7 @@ struct RedundancyRemovalResult {
 
 /// Pass-boundary state of a crashed removal run, as restored by the
 /// resume path: the committed counters plus the serialized scan rng and
-/// cross-pass fault cache. The engines pick up at the next pass; since
+/// cross-pass fault cache. The engine picks up at the next pass; since
 /// every skip the cache licenses is backed by positive testability
 /// evidence and the rng stream resumes exactly where it stopped, the
 /// continued run removes the identical fault sequence at any job count.
@@ -193,7 +184,7 @@ RedundancyRemovalResult remove_redundancies(
 /// Assert the stuck value at one untestable fault's site. The caller
 /// must know the fault is untestable; the function only rewires.
 /// `trace`, if non-null, records every modified gate and severed edge
-/// (for the incremental engine's cache invalidation).
+/// (for the fault cache's invalidation).
 void apply_redundancy_removal(Network& net, const Fault& fault,
                               TransformTrace* trace = nullptr);
 

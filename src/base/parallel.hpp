@@ -56,7 +56,7 @@ class ThreadPool {
   /// A pool of `workers` total lanes. Lane 0 is the calling thread
   /// (run() executes the body on it directly), so `workers - 1` threads
   /// are spawned. workers == 1 spawns nothing and run() degenerates to
-  /// a plain call — the sequential engines pay zero threading cost.
+  /// a plain call — a one-lane run pays zero threading cost.
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 

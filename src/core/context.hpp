@@ -44,8 +44,8 @@ namespace recover {
 /// durability layer (src/recover/) at the deterministic points of the
 /// PR-5 commit protocol: the end of a KMS loop iteration, the end of a
 /// removal pass, and the phase boundaries between them. Never
-/// mid-speculation — with jobs > 1 the sink is invoked only on the
-/// coordinator thread, after the pass barrier, while no worker runs.
+/// mid-speculation — the sink is invoked only on the coordinator
+/// thread, after the pass barrier, while no lane runs.
 struct CommitPoint {
   const Network* net = nullptr;
   const char* phase = "";     ///< "loop" | "removal"
@@ -96,9 +96,9 @@ struct RunContext {
   /// only; null means no persistence.
   recover::CommitSink* sink = nullptr;
 
-  /// Worker count for fault-level parallel phases. 1 (the default)
-  /// preserves the sequential engines exactly; 0 means one worker per
-  /// hardware thread; N > 1 pins the count.
+  /// Lane count for fault-level parallel phases. 1 (the default) runs
+  /// one lane inline on the caller; 0 means one lane per hardware
+  /// thread; N > 1 pins the count. Results never depend on it.
   unsigned jobs = 1;
 
   /// `jobs` with 0 resolved to the hardware concurrency (and a paranoid

@@ -1,23 +1,17 @@
 #include "src/core/kms.hpp"
 
-#include <cassert>
 #include <optional>
 #include <stdexcept>
 
-#include <algorithm>
-
 #include "src/base/log.hpp"
-#include "src/base/parallel.hpp"
 #include "src/check/checker.hpp"
 #include "src/check/hooks.hpp"
-#include "src/core/speculate.hpp"
 #include "src/core/verdict.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/proof/journal.hpp"
 #include "src/timing/checker.hpp"
 #include "src/timing/incremental.hpp"
 #include "src/timing/path.hpp"
-#include "src/timing/sta.hpp"
 
 namespace kms {
 namespace {
@@ -66,12 +60,11 @@ Path duplicate_prefix(Network& net, const Path& p, std::size_t n_index,
   return out;
 }
 
-/// The constant-assertion step shared by the live loop and the resume
-/// replay: set the first edge of P' to the value that deletes the gate
-/// it feeds, then propagate. `trace` records the reroute
-/// set_conn_constant performs under the hood (the edge stays alive; its
-/// source changes to a — possibly new — constant gate) plus everything
-/// the propagation passes touch.
+/// The constant-assertion step: set the first edge of P' to the value
+/// that deletes the gate it feeds, then propagate. `trace` records the
+/// reroute set_conn_constant performs under the hood (the edge stays
+/// alive; its source changes to a — possibly new — constant gate) plus
+/// everything the propagation passes touch.
 void assert_first_edge_constant(Network& net, const Path& pp,
                                 TransformTrace* trace) {
   const GateKind k0 = net.gate(pp.gates[0]).kind;
@@ -85,6 +78,41 @@ void assert_first_edge_constant(Network& net, const Path& pp,
   propagate_constants(net, trace);
   collapse_buffers(net, trace);
   net.sweep();
+}
+
+/// The structural surgery of one loop iteration on the unsensitizable
+/// longest path `path`, shared by the live loop and the resume replay:
+/// find n, the gate in P closest to the output with fanout > 1 (the
+/// trailing kOutput marker is not a gate and has no fanout anyway);
+/// duplicate P up to n; then assert the first edge of P' constant.
+/// `between(out)` runs after the duplication and before the constant
+/// assertion, with `out` already describing the whole transform — the
+/// live loop journals and checkpoints there.
+template <class Between>
+KmsLoopTransform transform_path(Network& net, const Path& path,
+                                TransformTrace* trace, Between&& between) {
+  std::ptrdiff_t n_index = -1;
+  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(path.gates.size()) - 1;
+       i >= 0; --i) {
+    const GateId g = path.gates[static_cast<std::size_t>(i)];
+    if (net.gate(g).kind == GateKind::kOutput) continue;
+    if (live_fanout(net, g) > 1) {
+      n_index = i;
+      break;
+    }
+  }
+  KmsLoopTransform out;
+  std::size_t dup = 0;
+  const Path pp =
+      n_index >= 0
+          ? duplicate_prefix(net, path, static_cast<std::size_t>(n_index),
+                             &dup, trace)
+          : path;
+  out.duplicated = dup;
+  out.constant_conn = pp.conns[0].value();
+  between(out);
+  assert_first_edge_constant(net, pp, trace);
+  return out;
 }
 
 }  // namespace
@@ -105,68 +133,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   checkpoint("kms:input");
   proof::ProofSession* const session = ctx.session;
   const KmsResumeState* const res = opts.resume;
-  // The loop's timing engine: constructed once after decomposition (or
-  // after the caller's replay, for resumed runs) and repaired in place
-  // per edit. Every timing consumer below — the initial/final delay
-  // columns, PathEnumerator's completion bounds, the sensitizer's
-  // viability arrivals — reads these tables; with the engine off, each
-  // site falls back to its own full pass exactly as before.
-  std::optional<IncrementalSta> sta;
-  // Audit the repaired tables against a from-scratch recompute wherever
-  // the engine is synchronized (never between the surgery steps of one
-  // iteration, where the tables are legitimately stale).
-  const auto timing_checkpoint = [&](const char* phase) {
-    if (sta && (checking || opts.audit_timing))
-      enforce_timing_invariants(net, *sta, phase);
-  };
-  // One arrival pass feeding both delay columns (topological bound and
-  // the SAT search's seed) — the initial_*/final_* measurement sites
-  // used to pay two back-to-back full traversals each.
-  const auto measure =
-      [&](double* topo, double* computed) {
-        StaSeed seed;
-        std::vector<double> own_arrival;
-        std::vector<double> own_suffix;
-        if (sta) {
-          *topo = sta->delay();
-          seed.arrival = &sta->arrival();
-          seed.suffix = &sta->suffix();
-        } else {
-          own_arrival = compute_arrival(net);
-          own_suffix = compute_suffix(net);
-          *topo = delay_from_arrival(net, own_arrival);
-          seed.arrival = &own_arrival;
-          seed.suffix = &own_suffix;
-        }
-        const DelayReport r =
-            computed_delay(net, opts.mode, opts.max_queries, gov, &seed);
-        *computed = r.delay;
-      };
   std::size_t base_unknown = 0;
-  // The incremental engine's counters flow into stats continuously (they
-  // serialize into every loop-phase checkpoint, not just the final
-  // result): `sta_restored` carries the totals a resumed run starts
-  // from, `sta_base` subtracts whatever the attached engine instance had
-  // already counted when it came up — for a resumed run that is the
-  // attach-time constructor rebuild, which the uninterrupted run never
-  // performed and which therefore must not inflate the restored totals.
-  struct StaBase {
-    std::size_t applies = 0, rebuilds = 0, repaired = 0, full = 0;
-  };
-  StaBase sta_restored;
-  StaBase sta_base;
-  const auto sync_sta = [&] {
-    if (!sta) return;
-    const IncrementalSta::Stats& ss = sta->stats();
-    stats.sta_incremental = true;
-    stats.sta_applies = sta_restored.applies + (ss.applies - sta_base.applies);
-    stats.sta_rebuilds =
-        sta_restored.rebuilds + (ss.rebuilds - sta_base.rebuilds);
-    stats.sta_gates_repaired =
-        sta_restored.repaired + (ss.repaired() - sta_base.repaired);
-    stats.sta_full_visits =
-        sta_restored.full + (ss.full_equivalent - sta_base.full);
-  };
   if (res != nullptr) {
     // Resumed run: the caller already replayed the journal prefix onto
     // `net` (decomposition included) and restored the committed
@@ -175,23 +142,63 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     // travel in the restored stats.
     stats = res->stats;
     base_unknown = stats.unknown_queries;
-    sta_restored = {stats.sta_applies, stats.sta_rebuilds,
-                    stats.sta_gates_repaired, stats.sta_full_visits};
-    if (opts.incremental_sta) {
-      sta.emplace(net);
-      const IncrementalSta::Stats& ss = sta->stats();
-      sta_base = {static_cast<std::size_t>(ss.applies),
-                  static_cast<std::size_t>(ss.rebuilds),
-                  static_cast<std::size_t>(ss.repaired()),
-                  static_cast<std::size_t>(ss.full_equivalent)};
-    }
   } else {
     stats.decomposed_complex = decompose_to_simple(net);
     checkpoint("kms:decompose_to_simple");
     if (session && stats.decomposed_complex > 0)
       session->journal.add_decompose(stats.decomposed_complex);
+  }
 
-    if (opts.incremental_sta) sta.emplace(net);
+  // The loop's timing engine: constructed once after decomposition (or
+  // after the caller's replay, for resumed runs) and repaired in place
+  // per edit. Every timing consumer below — the initial/final delay
+  // columns, PathEnumerator's completion bounds, the sensitizer's
+  // viability arrivals — reads these tables.
+  IncrementalSta sta(net);
+  // Audit the repaired tables against a from-scratch recompute wherever
+  // the engine is synchronized (never between the surgery steps of one
+  // iteration, where the tables are legitimately stale).
+  const auto timing_checkpoint = [&](const char* phase) {
+    if (checking || opts.audit_timing)
+      enforce_timing_invariants(net, sta, phase);
+  };
+  const auto measure = [&](double* topo, double* computed) {
+    *topo = sta.delay();
+    const StaSeed seed{&sta.arrival(), &sta.suffix()};
+    *computed =
+        computed_delay(net, opts.mode, opts.max_queries, gov, &seed).delay;
+  };
+  // The engine's counters flow into stats continuously (they serialize
+  // into every loop-phase checkpoint, not just the final result):
+  // `sta_restored` carries the totals a resumed run starts from,
+  // `sta_base` subtracts what this instance had counted when it came up
+  // — for a resumed run that is the attach-time constructor rebuild,
+  // which the uninterrupted run never performed and which therefore
+  // must not inflate the restored totals.
+  struct StaBase {
+    std::size_t applies = 0, rebuilds = 0, repaired = 0, full = 0;
+  };
+  const StaBase sta_restored{stats.sta_applies, stats.sta_rebuilds,
+                             stats.sta_gates_repaired, stats.sta_full_visits};
+  StaBase sta_base;
+  if (res != nullptr) {
+    const IncrementalSta::Stats& ss = sta.stats();
+    sta_base = {static_cast<std::size_t>(ss.applies),
+                static_cast<std::size_t>(ss.rebuilds),
+                static_cast<std::size_t>(ss.repaired()),
+                static_cast<std::size_t>(ss.full_equivalent)};
+  }
+  const auto sync_sta = [&] {
+    const IncrementalSta::Stats& ss = sta.stats();
+    stats.sta_applies = sta_restored.applies + (ss.applies - sta_base.applies);
+    stats.sta_rebuilds =
+        sta_restored.rebuilds + (ss.rebuilds - sta_base.rebuilds);
+    stats.sta_gates_repaired =
+        sta_restored.repaired + (ss.repaired() - sta_base.repaired);
+    stats.sta_full_visits =
+        sta_restored.full + (ss.full_equivalent - sta_base.full);
+  };
+  if (res == nullptr) {
     stats.initial_gates = net.count_gates();
     stats.initial_max_fanout = net.max_fanout();
     measure(&stats.initial_topo_delay, &stats.initial_computed_delay);
@@ -208,40 +215,11 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   }
 
   const bool run_loop = res == nullptr || res->phase == "loop";
-  // The loop's sensitization machinery persists across iterations: the
-  // enumerator is re-seeded per iteration instead of reconstructed (a
-  // full suffix recompute plus an O(capacity) copy each time, even with
-  // the incremental engine maintaining the table in place), and the
-  // speculative engine carries its verdict cache from commit to commit.
-  // The worker pool exists only when there is speculation to overlap.
+  // The enumerator persists across iterations and is re-seeded per
+  // iteration instead of reconstructed (a full suffix recompute plus an
+  // O(capacity) copy each time); its completion bounds ride the
+  // engine's suffix table, repaired in place.
   std::optional<PathEnumerator> en;
-  std::optional<ThreadPool> pool;
-  std::optional<SpeculativeSensitizer> spec;
-  const std::size_t spec_k = opts.speculate_k == 0 ? 1 : opts.speculate_k;
-  const SpeculateStats spec_restored = {
-      stats.spec_batches, stats.spec_solves, stats.spec_cache_hits,
-      stats.spec_cache_insertions, stats.spec_cache_invalidated};
-  const auto sync_spec = [&] {
-    if (!spec) return;
-    const SpeculateStats& sp = spec->stats();
-    stats.spec_batches = spec_restored.batches + sp.batches;
-    stats.spec_solves = spec_restored.solves + sp.solves;
-    stats.spec_cache_hits = spec_restored.cache_hits + sp.cache_hits;
-    stats.spec_cache_insertions =
-        spec_restored.cache_insertions + sp.cache_insertions;
-    stats.spec_cache_invalidated =
-        spec_restored.cache_invalidated + sp.cache_invalidated;
-  };
-  if (run_loop) {
-    // Verdict-only batches always solve inline on one shared encoding
-    // (amortization beats overlap there), so the pool is only worth its
-    // idle cost when certificate capture forces per-path solvers.
-    if (session != nullptr && spec_k > 1 && ctx.effective_jobs() > 1)
-      pool.emplace(static_cast<unsigned>(
-          std::min<std::size_t>(ctx.effective_jobs(), spec_k)));
-    spec.emplace(net, opts.mode, spec_k, gov, /*want_certs=*/session != nullptr,
-                 pool ? &*pool : nullptr);
-  }
   while (run_loop && stats.iterations < opts.max_iterations) {
     // Bounded run: stop transforming the moment the governor trips.
     // Exiting the loop at any iteration is safe — the delay invariant
@@ -261,37 +239,29 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     // transforming it is valid regardless of the other longest paths'
     // status (at worst we perform transformations Fig. 3 would have
     // skipped — each removes a false path and keeps both invariants).
-    // With the incremental engine on, the enumerator's completion
-    // bounds and the sensitizer's arrival table come from the
-    // maintained tables (bit-identical to the full passes they
-    // replace, so path choice and verdicts are unchanged).
-    if (!en) {
-      if (sta)
-        en.emplace(net, sta->suffix());
-      else
-        en.emplace(net);
-    } else {
+    if (!en)
+      en.emplace(net, sta.suffix());
+    else
       en->reseed();
-    }
     // The initial construction counts as a seed pass too, so a resumed
     // run (which constructs a fresh enumerator where the uninterrupted
     // run re-seeded) reports the same totals.
     ++stats.sta_enum_reseeds;
     stats.sta_enum_seed_visits += en->last_seed_visits();
 
-    // The speculative engine draws the top-k candidates, serves or
-    // solves the authoritative (enumeration-first) one, and banks the
-    // rest; with speculate_k == 1 this is exactly one next() and one
-    // check() — the serial engine's shape, query for query.
-    auto outcome = spec->step(*en, sta ? &sta->arrival() : nullptr);
-    if (!outcome) {
+    std::optional<Path> chosen = en->next();
+    if (!chosen) {
       stats.loop_exit = "no-paths";
       break;  // no IO-paths left at all
     }
-    Path path = std::move(outcome->path);
-    stats.sensitization_queries += outcome->committed_queries;
-    sync_spec();
-    const SensitizeResult& sres = outcome->result;
+    const Path path = std::move(*chosen);
+    // One fresh Sensitizer per path. With a session it captures the
+    // certificate instead of journalling it, so the verdict reaches the
+    // journal below only once it licenses a transform.
+    Sensitizer sens(net, opts.mode, gov, /*session=*/nullptr, &sta.arrival(),
+                    /*capture=*/session != nullptr);
+    const SensitizeResult sres = sens.check(path);
+    stats.sensitization_queries += sens.queries();
     // Only a *proved* kUnsat licenses the transformation (Theorem 7.2's
     // premise is that P is not sensitizable). kSat is the natural exit;
     // kUnknown degrades the same way — treat the path as sensitizable
@@ -308,11 +278,6 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
         session->journal.add_path_giveup(verdict_name(sres.verdict));
       break;
     }
-    // Committed kUnsat: register and journal the captured certificate
-    // now, in commit order, so certificate ids stay sequential and the
-    // journal is byte-identical to the serial engine's (which journals
-    // inside its single check() call at this same point). Speculative
-    // verdicts never reach the session.
     if (session) {
       std::int64_t proof_id = -1;
       if (sres.certificate)
@@ -322,45 +287,25 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     KMS_LOG(kDebug) << "kms: transforming longest path (len=" << path.length
                     << "): " << format_path(net, path);
 
-    // Find n, the gate in P closest to the output with fanout > 1. The
-    // trailing kOutput marker is not a gate (it has no fanout anyway).
-    std::ptrdiff_t n_index = -1;
-    for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(path.gates.size()) - 1;
-         i >= 0; --i) {
-      const GateId g = path.gates[static_cast<std::size_t>(i)];
-      if (net.gate(g).kind == GateKind::kOutput) continue;
-      if (live_fanout(net, g) > 1) {
-        n_index = i;
-        break;
-      }
-    }
-    const std::size_t dup_before = stats.duplicated_gates;
+    // Duplicate P up to n, then set the first edge of P' to a constant —
+    // the controlling value of the gate it feeds, which deletes that
+    // gate — and propagate as far as possible, removing useless gates.
+    // Fig. 3 re-tests "If P' is not statically sensitizable" between the
+    // two. The test above already established it: P is not
+    // sensitizable under the loop condition (and not-viable implies
+    // not-statically-sensitizable), and by Theorem 7.1 the duplication
+    // preserved every side-input function and path length, so P'
+    // inherits the verdict.
     TransformTrace trace;
-    Path pp =
-        n_index >= 0
-            ? duplicate_prefix(net, path, static_cast<std::size_t>(n_index),
-                               &stats.duplicated_gates, &trace)
-            : path;
-    checkpoint("kms:duplicate_prefix");
-    if (session && stats.duplicated_gates > dup_before)
-      session->journal.add_duplicate(stats.duplicated_gates - dup_before);
-
-    // Fig. 3 re-tests "If P' is not statically sensitizable" here. The
-    // test above already established it: P is not sensitizable under
-    // the loop condition (and not-viable implies not-statically-
-    // sensitizable), and by Theorem 7.1 the duplication preserved every
-    // side-input function and path length, so P' inherits the verdict.
-
-    // Set the first edge of P' to a constant — prefer the controlling
-    // value of the gate it feeds, which deletes that gate — and
-    // propagate as far as possible, removing useless gates.
-    if (session) session->journal.add_constant(pp.conns[0].value());
-    assert_first_edge_constant(net, pp, &trace);
-    if (sta) sta->apply(trace);
-    // Same trace, same watermark: drop the speculative verdicts whose
-    // support this commit's edits (or the sweep) could have staled.
-    spec->invalidate(trace);
-    sync_spec();
+    const KmsLoopTransform t =
+        transform_path(net, path, &trace, [&](const KmsLoopTransform& dup) {
+          checkpoint("kms:duplicate_prefix");
+          if (session && dup.duplicated > 0)
+            session->journal.add_duplicate(dup.duplicated);
+          if (session) session->journal.add_constant(dup.constant_conn);
+        });
+    stats.duplicated_gates += t.duplicated;
+    sta.apply(trace);
     checkpoint("kms:constant_propagation");
     timing_checkpoint("kms:constant_propagation");
     ++stats.constants_set;
@@ -417,10 +362,8 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     // are not aggregated here; one full rebuild resynchronizes the
     // tables — still far cheaper than the per-iteration passes the
     // engine saved across the loop.
-    if (sta) {
-      sta->rebuild();
-      timing_checkpoint("kms:remove_redundancies");
-    }
+    sta.rebuild();
+    timing_checkpoint("kms:remove_redundancies");
   }
 
   stats.final_gates = net.count_gates();
@@ -428,9 +371,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   measure(&stats.final_topo_delay, &stats.final_computed_delay);
   // Final synchronization of the engine counters. sync_sta diffs
   // against the restored totals and this instance's attach-time base,
-  // so a resumed run reports exactly what the uninterrupted run would —
-  // the old `+=` fold here both missed the loop-phase checkpoints
-  // (they serialized zeros) and double-counted the attach-time rebuild.
+  // so a resumed run reports exactly what the uninterrupted run would.
   sync_sta();
   if (gov) {
     const GovernorReport gr = gov->report();
@@ -460,28 +401,7 @@ KmsLoopTransform kms_replay_loop_transform(Network& net,
     throw std::runtime_error(
         "kms replay: no IO-path left to transform (journal does not match "
         "this network)");
-  const Path path = std::move(*chosen);
-  std::ptrdiff_t n_index = -1;
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(path.gates.size()) - 1;
-       i >= 0; --i) {
-    const GateId g = path.gates[static_cast<std::size_t>(i)];
-    if (net.gate(g).kind == GateKind::kOutput) continue;
-    if (live_fanout(net, g) > 1) {
-      n_index = i;
-      break;
-    }
-  }
-  KmsLoopTransform out;
-  std::size_t dup = 0;
-  const Path pp =
-      n_index >= 0
-          ? duplicate_prefix(net, path, static_cast<std::size_t>(n_index),
-                             &dup, trace)
-          : path;
-  out.duplicated = dup;
-  out.constant_conn = pp.conns[0].value();
-  assert_first_edge_constant(net, pp, trace);
-  return out;
+  return transform_path(net, *chosen, trace, [](const KmsLoopTransform&) {});
 }
 
 }  // namespace kms

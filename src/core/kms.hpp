@@ -49,31 +49,11 @@ struct KmsOptions {
   /// Run the final removal phase (disable to study the loop alone).
   bool remove_remaining = true;
 
-  /// Speculation width of the loop's sensitization engine
-  /// (src/core/speculate.hpp): each iteration draws the top
-  /// `speculate_k` candidate longest paths and dispatches their SAT
-  /// queries across the context's worker pool; the first path's verdict
-  /// is authoritative and committed exactly as the serial engine would,
-  /// later verdicts are cached and survive commits whose dirty cone
-  /// misses their support. 1 (the default) keeps the loop serial. End
-  /// states, journal and proof artifacts are bit-identical at any width
-  /// and any jobs count; like context.jobs, this knob is not part of a
-  /// durable session's recorded configuration.
-  std::size_t speculate_k = 1;
-
-  /// Maintain arrival/required/slack/suffix tables incrementally across
-  /// the loop (src/timing/incremental.hpp) instead of recomputing them
-  /// from scratch every iteration. Results are bit-identical either way
-  /// (the engine's contract, audited by TimingChecker); off exists for
-  /// benchmarking and differential testing.
-  bool incremental_sta = true;
-
   /// Audit the incremental engine's tables against a from-scratch
   /// recompute after every repair (rules NL024–NL028), throwing
   /// CheckFailure on any violation. Costs a full timing pass per
   /// iteration — a debugging/CI mode, also implied by the
-  /// KMS_CHECK_INVARIANTS phase checkpoints. No-op when incremental_sta
-  /// is off.
+  /// KMS_CHECK_INVARIANTS phase checkpoints.
   bool audit_timing = false;
 
   /// Execution context of the run, shared by every phase:
@@ -144,14 +124,13 @@ struct KmsStats {
   double initial_computed_delay = 0, final_computed_delay = 0;
   std::size_t initial_max_fanout = 0, final_max_fanout = 0;
 
-  // Incremental-STA observability (zero when the engine was off).
-  bool sta_incremental = false;      ///< engine selection for this run
+  // Incremental-STA observability (src/timing/incremental.hpp).
   std::size_t sta_applies = 0;       ///< per-edit dirty-cone repairs
   std::size_t sta_rebuilds = 0;      ///< full rebuilds (ctor + removal)
   std::size_t sta_gates_repaired = 0;  ///< gate visits by the repairs
   /// Gate visits the per-edit full recomputes would have made instead
   /// (two passes over every live gate per repair) — the denominator of
-  /// the repaired fraction reported by bench_timing.
+  /// the repaired fraction.
   std::size_t sta_full_visits = 0;
   /// Seed passes of the loop's persistent PathEnumerator — one per loop
   /// iteration, the initial construction included (so resumed totals
@@ -162,14 +141,6 @@ struct KmsStats {
   /// Gate visits spent by those (re)seeding passes — the per-iteration
   /// enumerator cost that replaced a full suffix recompute + copy.
   std::size_t sta_enum_seed_visits = 0;
-
-  // Speculative-sensitization observability (src/core/speculate.hpp;
-  // all zero when speculate_k == 1).
-  std::size_t spec_batches = 0;      ///< iterations that dispatched a batch
-  std::size_t spec_solves = 0;       ///< speculative (non-committed) queries
-  std::size_t spec_cache_hits = 0;   ///< committed verdicts served cached
-  std::size_t spec_cache_insertions = 0;
-  std::size_t spec_cache_invalidated = 0;
 };
 
 /// Committed mid-run state of a previous kms_make_irredundant call, as

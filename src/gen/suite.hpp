@@ -43,10 +43,8 @@ const SuiteSpec& suite_spec(const std::string& name);
 
 /// A datapath of `copies` disjoint instances of `block` side by side in
 /// one network, PI/PO names suffixed "_b<i>". The copies share no gates
-/// or connections, so their longest paths tie exactly — the multi-block
-/// shape whose independent critical cones the KMS loop's speculative
-/// sensitizer exploits (src/core/speculate.hpp), and a realistic stand-
-/// in for a design with several identical arithmetic slices.
+/// or connections, so their longest paths tie exactly — a realistic
+/// stand-in for a design with several identical arithmetic slices.
 Network replicate_blocks(const Network& block, std::size_t copies);
 
 }  // namespace kms

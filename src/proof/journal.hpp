@@ -40,7 +40,7 @@ struct JournalStep {
     /// Fault observed testable by simulating another fault's SAT witness
     /// (or a perturbation of it). Informational: it licenses nothing and
     /// never marks a journal partial — the checker accepts it as a no-op.
-    /// The removal engines no longer write it (which faults a witness
+    /// The removal engine no longer writes it (which faults a witness
     /// drops depends on worker timing at jobs > 1); it is still parsed,
     /// replayed and verified so older journals stay valid.
     kFaultSimTestable,

@@ -149,7 +149,6 @@ struct FieldTable {
     dbl("kms.final_computed_delay", &k.final_computed_delay);
     sz("kms.initial_max_fanout", &k.initial_max_fanout);
     sz("kms.final_max_fanout", &k.final_max_fanout);
-    flag("kms.sta_incremental", &k.sta_incremental);
     sz("kms.sta_applies", &k.sta_applies);
     sz("kms.sta_rebuilds", &k.sta_rebuilds);
     sz("kms.sta_gates_repaired", &k.sta_gates_repaired);
@@ -157,11 +156,6 @@ struct FieldTable {
     sz("kms.sta_enum_reseeds", &k.sta_enum_reseeds);
     sz("kms.sta_enum_seed_visits", &k.sta_enum_seed_visits);
     str("kms.loop_exit", &k.loop_exit);
-    sz("kms.spec_batches", &k.spec_batches);
-    sz("kms.spec_solves", &k.spec_solves);
-    sz("kms.spec_cache_hits", &k.spec_cache_hits);
-    sz("kms.spec_cache_insertions", &k.spec_cache_insertions);
-    sz("kms.spec_cache_invalidated", &k.spec_cache_invalidated);
 
     RedundancyRemovalResult& r = k.removal;
     sz("rm.removed", &r.removed);

@@ -208,7 +208,6 @@ SessionMeta make_meta(const std::string& model, const KmsOptions& opts,
   m.order = order_name(opts.removal.order);
   m.jobs = jobs;
   m.seed = opts.removal.seed;
-  m.incremental = opts.removal.incremental;
   m.static_prepass = opts.removal.static_prepass;
   m.use_fault_sim = opts.removal.use_fault_sim;
   m.random_words = opts.removal.random_words;
@@ -227,7 +226,6 @@ void apply_meta(const SessionMeta& meta, KmsOptions* opts) {
   opts->max_queries = static_cast<std::size_t>(meta.max_queries);
   opts->remove_remaining = meta.remove_remaining;
   opts->removal.seed = meta.seed;
-  opts->removal.incremental = meta.incremental;
   opts->removal.static_prepass = meta.static_prepass;
   opts->removal.use_fault_sim = meta.use_fault_sim;
   opts->removal.random_words = static_cast<std::size_t>(meta.random_words);
@@ -243,7 +241,6 @@ std::string write_meta(const SessionMeta& m) {
       << "order " << m.order << '\n'
       << "jobs " << m.jobs << '\n'
       << "seed " << m.seed << '\n'
-      << "incremental " << (m.incremental ? 1 : 0) << '\n'
       << "static-prepass " << (m.static_prepass ? 1 : 0) << '\n'
       << "fault-sim " << (m.use_fault_sim ? 1 : 0) << '\n'
       << "random-words " << m.random_words << '\n'
@@ -275,7 +272,6 @@ SessionMeta read_meta(const std::string& text) {
     else if (key == "jobs")
       m.jobs = static_cast<unsigned>(parse_u64_field(value, key));
     else if (key == "seed") m.seed = parse_u64_field(value, key);
-    else if (key == "incremental") m.incremental = parse_flag_field(value, key);
     else if (key == "static-prepass")
       m.static_prepass = parse_flag_field(value, key);
     else if (key == "fault-sim") m.use_fault_sim = parse_flag_field(value, key);
@@ -292,9 +288,9 @@ SessionMeta read_meta(const std::string& text) {
     else
       throw std::runtime_error("meta: unknown key '" + key + "'");
   }
-  if (seen.size() != 14)
+  if (seen.size() != 13)
     throw std::runtime_error("meta: missing fields (" +
-                             std::to_string(seen.size()) + " of 14)");
+                             std::to_string(seen.size()) + " of 13)");
   if (m.mode != "static" && m.mode != "viability")
     throw std::runtime_error("meta: unknown mode '" + m.mode + "'");
   if (m.order != "forward" && m.order != "reverse" && m.order != "random")

@@ -101,8 +101,6 @@ std::string JobSpec::validate() const {
   if (schema != kJobSchemaV1) return "unsupported schema version";
   if (mode != "static" && mode != "viability")
     return "mode must be \"static\" or \"viability\"";
-  if (sta != "incremental" && sta != "full")
-    return "sta must be \"incremental\" or \"full\"";
   if (!blif.empty() && !blif_path.empty())
     return "blif and blif_path are mutually exclusive";
   const bool has_payload = !blif.empty() || !blif_path.empty();
@@ -114,8 +112,6 @@ std::string JobSpec::validate() const {
     return "no BLIF payload (blif or blif_path required)";
   }
   if (jobs > 1024) return "jobs out of range (0..1024)";
-  if (speculate_k < 1 || speculate_k > 4096)
-    return "speculate_k out of range (1..4096)";
   if (time_limit < 0) return "time_limit must be >= 0";
   if (conflict_limit < -1) return "conflict_limit must be >= -1";
   if (!emit_proof.empty() && kind != JobKind::kIrr &&

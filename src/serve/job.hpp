@@ -50,14 +50,12 @@ bool parse_job_kind(const std::string& name, JobKind* out);
   X(blif, "")             /* inline BLIF payload ...                   */   \
   X(blif_path, "")        /* ... or a server-readable path (pick one)  */   \
   X(mode, "static")       /* sensitization: "static" | "viability"     */   \
-  X(sta, "incremental")   /* loop timing engine: "incremental"|"full"  */   \
   X(emit_proof, "")       /* artifact directory (irr/certify only)     */   \
   X(resume, "")           /* crashed-session directory to continue     */   \
   X(output_path, "")      /* write the result BLIF here (irr only)     */
 
 #define KMS_JOB_SPEC_U64_FIELDS(X)                                          \
   X(jobs, 1)              /* removal workers; 0 = hardware concurrency */   \
-  X(speculate_k, 1)       /* loop speculation width                    */   \
   X(checkpoint_every, 8)  /* commits per checkpoint; 0 = phases only   */
 
 #define KMS_JOB_SPEC_I64_FIELDS(X)                                          \
@@ -141,8 +139,6 @@ JobSpec parse_job_spec(const std::string& json_text);
   X(removal_max_cone_gates, 0)                                              \
   X(sta_applies, 0) X(sta_rebuilds, 0) X(sta_gates_repaired, 0)             \
   X(sta_full_visits, 0)                                                     \
-  X(spec_batches, 0) X(spec_solves, 0) X(spec_cache_hits, 0)                \
-  X(spec_cache_insertions, 0) X(spec_cache_invalidated, 0)                  \
   X(steps_checked, 0) X(certificates_checked, 0) X(static_checked, 0)       \
   X(deletions_verified, 0)                                                  \
   X(audit_faults, 0) X(audit_redundant, 0) X(audit_unknown, 0)              \
@@ -161,7 +157,6 @@ JobSpec parse_job_spec(const std::string& json_text);
   X(cache_hit, false)    /* served from the daemon's digest cache      */   \
   X(degraded, false) X(deadline_hit, false) X(budget_exhausted, false)      \
   X(interrupted, false)                                                     \
-  X(sta_incremental, false)                                                 \
   X(certified, false) X(certify_partial, false)
 
 struct JobReport {

@@ -331,16 +331,10 @@ void fill_kms_stats(const KmsStats& stats, JobReport* rep) {
   rep->removal_max_cone_gates = r.atpg.max_cone_gates;
   rep->removal_sim_seconds = r.sim_seconds;
   rep->removal_sat_seconds = r.sat_seconds;
-  rep->sta_incremental = stats.sta_incremental;
   rep->sta_applies = stats.sta_applies;
   rep->sta_rebuilds = stats.sta_rebuilds;
   rep->sta_gates_repaired = stats.sta_gates_repaired;
   rep->sta_full_visits = stats.sta_full_visits;
-  rep->spec_batches = stats.spec_batches;
-  rep->spec_solves = stats.spec_solves;
-  rep->spec_cache_hits = stats.spec_cache_hits;
-  rep->spec_cache_insertions = stats.spec_cache_insertions;
-  rep->spec_cache_invalidated = stats.spec_cache_invalidated;
 }
 
 void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
@@ -413,12 +407,7 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
   // A resumed run reuses the recorded worker count unless the spec
   // overrides it (jobs is result-invariant, so both are legal).
   if (resuming && spec.jobs == 1) opts.context.jobs = rs.info.meta.jobs;
-  // Engine selection is free at resume time too: the incremental and
-  // full engines produce bit-identical results, so neither is part of
-  // the session's recorded configuration.
-  opts.incremental_sta = spec.sta != "full";
   opts.audit_timing = spec.audit_timing;
-  opts.speculate_k = static_cast<std::size_t>(spec.speculate_k);
   if (dur) opts.context.sink = &*dur;
   const KmsStats stats = kms_make_irredundant(model.comb, opts);
   check_stage(spec, rep, model.comb, "kms_make_irredundant");

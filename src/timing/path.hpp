@@ -37,9 +37,8 @@ double path_length(const Network& net, const Path& p);
 /// FNV-1a over the path's structural identity: the source gate id and
 /// the (conn id, gate id) sequence. GateId/ConnId are tombstoned and
 /// never reused, so equal signatures on the same network name the same
-/// structural path for the whole run — the key of the speculative
-/// verdict cache (src/core/speculate.hpp). Length is deliberately
-/// excluded: it is derived state the ids already determine.
+/// structural path for the whole run. Length is deliberately excluded:
+/// it is derived state the ids already determine.
 std::uint64_t path_signature(const Path& p);
 
 /// Exact structural equality (source, conns, gates) — the collision

@@ -51,9 +51,8 @@ struct SensitizeResult {
   std::int64_t proof = -1;
   /// In capture mode (see the Sensitizer constructor): the DRAT
   /// certificate backing a kUnsat verdict, held privately instead of
-  /// being registered with a session. The coordinator that eventually
-  /// commits the verdict registers and journals it then — in commit
-  /// order, so speculative solves never perturb the proof artifacts.
+  /// being registered with a session. The KMS loop registers and
+  /// journals it only once the verdict licenses a transform.
   /// Certificates are self-contained (formula + assumptions + steps),
   /// so one captured against an older network state still verifies
   /// standalone when cited later.
@@ -78,11 +77,10 @@ struct StaSeed {
 /// Thread-compatibility: a Sensitizer owns its solver, encoding and
 /// proof trace outright and reads the network const; distinct instances
 /// over the same (un-mutated) network may run concurrently without
-/// synchronization, which is how the speculative KMS loop dispatches
-/// one instance per worker (src/core/speculate.cpp). A single instance
-/// is not thread-safe. The shared ResourceGovernor is thread-safe; a
-/// shared ProofSession is NOT — concurrent users must pass capture mode
-/// instead and serialize into the session on one thread.
+/// synchronization. A single instance is not thread-safe. The shared
+/// ResourceGovernor is thread-safe; a shared ProofSession is NOT —
+/// concurrent users must pass capture mode instead and serialize into
+/// the session on one thread.
 class Sensitizer {
  public:
   /// With a proof session, every kUnsat verdict from check() carries a

@@ -1,6 +1,7 @@
-// Incremental ATPG engine tests: SAT/simulation cross-checks, the
-// seed-vs-incremental removal equivalence, cache behaviour, governed
-// fault simulation, and the solver-call accounting fix.
+// Removal engine tests: SAT/simulation cross-checks, equivalence with
+// the reference removal scan (tests/reference_removal.hpp), cache
+// behaviour, governed fault simulation, and the solver-call accounting
+// fix.
 #include <algorithm>
 #include <filesystem>
 #include <map>
@@ -23,6 +24,7 @@
 #include "src/proof/verify.hpp"
 #include "src/serve/runner.hpp"
 #include "src/sim/simulator.hpp"
+#include "tests/reference_removal.hpp"
 
 namespace kms {
 namespace {
@@ -107,27 +109,24 @@ TEST(AtpgIncrementalTest, SimDetectedFaultIsSatTestable) {
   }
 }
 
+/// The engine against the reference scan: the same faults removed, so
+/// the same network bytes, with no more solver calls.
 void expect_engines_agree(const Network& original) {
-  Network seed_net = original.clone_compact();
-  Network inc_net = original.clone_compact();
-  RedundancyRemovalOptions seed_opts;
-  seed_opts.incremental = false;
-  RedundancyRemovalOptions inc_opts;
-  inc_opts.incremental = true;
-  const auto seed_r = remove_redundancies(seed_net, seed_opts);
-  const auto inc_r = remove_redundancies(inc_net, inc_opts);
-  EXPECT_EQ(seed_r.removed, inc_r.removed);
-  EXPECT_LE(inc_r.sat_queries, seed_r.sat_queries);
-  EXPECT_EQ(seed_net.check(), "");
-  EXPECT_EQ(inc_net.check(), "");
-  EXPECT_EQ(count_redundancies(inc_net), 0u);
+  Network ref_net = original.clone_compact();
+  Network net = original.clone_compact();
+  const ReferenceRemoval ref = reference_remove_redundancies(ref_net);
+  const RedundancyRemovalResult r = remove_redundancies(net);
+  EXPECT_EQ(ref.removed, r.removed);
+  EXPECT_EQ(write_blif_string(ref_net), write_blif_string(net));
+  EXPECT_LE(r.sat_queries, ref.sat_queries);
+  EXPECT_EQ(ref_net.check(), "");
+  EXPECT_EQ(net.check(), "");
+  EXPECT_EQ(count_redundancies(net), 0u);
   if (original.inputs().size() <= 16) {
-    EXPECT_TRUE(exhaustive_equiv(original, seed_net).equivalent);
-    EXPECT_TRUE(exhaustive_equiv(original, inc_net).equivalent);
+    EXPECT_TRUE(exhaustive_equiv(original, net).equivalent);
   } else {
     Rng rng(23);
-    EXPECT_TRUE(random_equiv(original, seed_net, rng).equivalent);
-    EXPECT_TRUE(random_equiv(original, inc_net, rng).equivalent);
+    EXPECT_TRUE(random_equiv(original, net, rng).equivalent);
   }
 }
 
@@ -142,30 +141,25 @@ TEST(AtpgIncrementalTest, EnginesAgreeOnExampleNetlists) {
 TEST(AtpgIncrementalTest, IncrementalSavesQueriesOnCarrySkip) {
   Network net = carry_skip_adder(8, 2);
   decompose_to_simple(net);
-  Network seed_net = net.clone_compact();
+  Network ref_net = net.clone_compact();
   Network inc_net = net.clone_compact();
-  // Random-sim pre-drop off for both: the comparison measures the
-  // exact-ATPG load the incremental machinery (witness dropping +
-  // cross-pass cache) is responsible for, as bench_atpg --json does.
-  RedundancyRemovalOptions seed_opts;
-  seed_opts.incremental = false;
-  seed_opts.use_fault_sim = false;
+  // Random-sim pre-drop and static pre-pass off: the comparison
+  // measures the exact-ATPG load witness dropping and the cross-pass
+  // cache are responsible for, as bench_atpg --json does.
   RedundancyRemovalOptions inc_opts;
-  inc_opts.incremental = true;
   inc_opts.use_fault_sim = false;
-  const auto seed_r = remove_redundancies(seed_net, seed_opts);
+  inc_opts.static_prepass = false;
+  const ReferenceRemoval ref = reference_remove_redundancies(ref_net);
   const auto inc_r = remove_redundancies(inc_net, inc_opts);
   ASSERT_GT(inc_r.removed, 0u);
-  EXPECT_EQ(seed_r.removed, inc_r.removed);
+  EXPECT_EQ(ref.removed, inc_r.removed);
+  EXPECT_EQ(write_blif_string(ref_net), write_blif_string(inc_net));
   // The carry-skip adder needs several passes; the cross-pass cache and
   // witness dropping must both fire and must strictly reduce the exact
   // ATPG load.
   EXPECT_GT(inc_r.cache_hits, 0u);
   EXPECT_GT(inc_r.witness_dropped, 0u);
-  EXPECT_LT(inc_r.sat_queries, seed_r.sat_queries);
-  // Seed engine never uses the cache.
-  EXPECT_EQ(seed_r.cache_hits, 0u);
-  EXPECT_EQ(seed_r.witness_dropped, 0u);
+  EXPECT_LT(inc_r.sat_queries, ref.sat_queries);
 }
 
 TEST(AtpgIncrementalTest, GovernedDetectRandomReportsPartialResult) {
@@ -205,13 +199,13 @@ TEST(AtpgIncrementalTest, StructuralShortcutAccounting) {
     EXPECT_EQ(atpg.stats().structural_shortcuts, 1u);
   }
   {
-    // With a proof session the shortcut is bypassed so the verdict
+    // Under proof capture the shortcut is bypassed so the verdict
     // carries a certificate; the accounting must say so.
-    proof::ProofSession session;
-    Atpg atpg(net, nullptr, &session);
+    Atpg atpg(net);
+    atpg.set_proof_capture(true);
     const TestResult t = atpg.generate_test(f);
     EXPECT_EQ(t.outcome, TestOutcome::kUntestable);
-    EXPECT_GE(t.proof, 0);
+    EXPECT_NE(t.certificate, nullptr);
     EXPECT_EQ(atpg.stats().sat_solves, 1u);
     EXPECT_EQ(atpg.stats().structural_shortcuts, 0u);
   }
@@ -249,7 +243,6 @@ TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
   session.journal.set_model(net.name());
   session.journal.set_input_digest(proof::digest_bytes(input));
   RedundancyRemovalOptions opts;
-  opts.incremental = true;
   // Without the random pre-drop, SAT witnesses drop faults on this
   // circuit, so the journal below is checked with drops happening.
   opts.use_fault_sim = false;
@@ -391,7 +384,6 @@ TEST(AtpgIncrementalTest, RemovalOrdersStillConvergeIncrementally) {
     Network orig = net.clone_compact();
     RedundancyRemovalOptions opts;
     opts.order = order;
-    opts.incremental = true;
     remove_redundancies(net, opts);
     EXPECT_EQ(net.check(), "");
     EXPECT_EQ(count_redundancies(net), 0u);

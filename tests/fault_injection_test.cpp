@@ -172,28 +172,124 @@ INSTANTIATE_TEST_SUITE_P(Schedules, FaultInjectionScheduleTest,
 
 TEST(FaultInjectionTest, InjectedAbortNeverEmitsVacuousUnsatProof) {
   // With every solve forced to abort, no ATPG query may conclude UNSAT —
-  // so a proof session collected over the run must contain no
-  // untestable-fault steps and no certificates, only unknown verdicts,
-  // and must finalize as partial. A vacuous UNSAT certificate slipping
-  // through here would let an aborted run "prove" a deletion.
+  // so no verdict carries a certificate, and a proof session collected
+  // over a removal run must contain no untestable-fault steps and no
+  // certificates, only unknown verdicts, and must finalize as partial.
+  // A vacuous UNSAT certificate slipping through here would let an
+  // aborted run "prove" a deletion.
   Network net = carry_skip_adder(2, 2);
   decompose_to_simple(net);
   const auto faults = collapsed_faults(net);
 
   ResourceGovernor gov;
   gov.set_injector(FaultInjector::random(/*seed=*/7, /*abort_probability=*/1.0));
-  proof::ProofSession session;
-  Atpg atpg(net, &gov, &session);
+  Atpg atpg(net, &gov);
+  atpg.set_proof_capture(true);
   for (const Fault& f : faults) {
     const TestResult r = atpg.generate_test(f);
     EXPECT_NE(r.outcome, TestOutcome::kUntestable)
         << "aborted solve concluded untestable";
-    EXPECT_EQ(r.proof, -1) << "aborted solve carries a proof id";
+    EXPECT_EQ(r.certificate, nullptr) << "aborted solve carries a certificate";
   }
+
+  // The same schedule through the removal engine, which journals the
+  // lanes' captured verdicts. The static pre-pass is off: its verdicts
+  // need no solver, so they would (rightly) survive the aborts.
+  ResourceGovernor run_gov;
+  run_gov.set_injector(
+      FaultInjector::random(/*seed=*/7, /*abort_probability=*/1.0));
+  proof::ProofSession session;
+  RedundancyRemovalOptions opts;
+  opts.static_prepass = false;
+  opts.context.governor = &run_gov;
+  opts.context.session = &session;
+  const RedundancyRemovalResult r = remove_redundancies(net, opts);
+  EXPECT_EQ(r.removed, 0u);
+  EXPECT_GT(r.unknown_queries, 0u);
   EXPECT_TRUE(session.certificates().empty());
   EXPECT_TRUE(session.journal.partial());
+  ASSERT_FALSE(session.journal.steps().empty());
   for (const proof::JournalStep& s : session.journal.steps())
     EXPECT_EQ(s.kind, proof::JournalStep::Kind::kFaultUnknown);
+}
+
+/// Records the network and the governor's propagation count at the
+/// first committed removal pass.
+class FirstCommitProbe : public recover::CommitSink {
+ public:
+  explicit FirstCommitProbe(const ResourceGovernor& gov) : gov_(gov) {}
+  void commit(const recover::CommitPoint& point) override {
+    if (seen_) return;
+    seen_ = true;
+    propagations_ = gov_.report().propagations;
+    blif_ = write_blif_string(*point.net);
+  }
+  void checkpoint(const recover::CommitPoint&) override {}
+  bool seen() const { return seen_; }
+  std::uint64_t propagations() const { return propagations_; }
+  const std::string& blif() const { return blif_; }
+
+ private:
+  const ResourceGovernor& gov_;
+  bool seen_ = false;
+  std::uint64_t propagations_ = 0;
+  std::string blif_;
+};
+
+TEST(FaultInjectionTest, GovernorTripRightAfterUntestableProofStillRemoves) {
+  // A one-lane removal whose governor trips the moment the first pass's
+  // untestable solve returns must still commit that proved fault, then
+  // stop: the first pass's removal lands, nothing after it does. The
+  // trip is a propagation budget equal to the work done up to the end
+  // of that solve, measured by an unlimited run of the same removal
+  // (the budget is charged at the end of each solve, so no poll inside
+  // it sees the limit).
+  Network original = carry_skip_adder(4, 2);
+  decompose_to_simple(original);
+  const std::string input_blif = write_blif_string(original);
+  const auto run = [&](ResourceGovernor& gov, Network& net,
+                       recover::CommitSink* sink,
+                       proof::ProofSession& session) {
+    session.journal.set_model(net.name());
+    session.journal.set_input_digest(proof::digest_bytes(input_blif));
+    RedundancyRemovalOptions opts;
+    opts.static_prepass = false;  // the first removal must be a SAT proof
+    opts.context.governor = &gov;
+    opts.context.session = &session;
+    opts.context.sink = sink;
+    return remove_redundancies(net, opts);
+  };
+
+  ResourceGovernor unlimited;
+  FirstCommitProbe probe(unlimited);
+  Network reference = original.clone_compact();
+  proof::ProofSession reference_session;
+  const RedundancyRemovalResult full =
+      run(unlimited, reference, &probe, reference_session);
+  ASSERT_TRUE(probe.seen());
+  ASSERT_GT(full.removed, 1u);
+  ASSERT_GT(probe.propagations(), 0u);
+
+  ResourceGovernor gov;
+  gov.set_propagation_limit(static_cast<std::int64_t>(probe.propagations()));
+  Network net = original.clone_compact();
+  proof::ProofSession session;
+  const RedundancyRemovalResult r = run(gov, net, nullptr, session);
+  EXPECT_TRUE(gov.report().budget_exhausted);
+  EXPECT_TRUE(r.aborted);
+  EXPECT_EQ(r.unknown_queries, 0u);
+  EXPECT_EQ(r.removed, 1u);
+  const std::string output_blif = write_blif_string(net);
+  EXPECT_EQ(output_blif, probe.blif());
+  EXPECT_TRUE(equivalent(original, net));
+  EXPECT_EQ(NetworkChecker().run(net).error_count(), 0u);
+
+  session.journal.set_output_digest(proof::digest_bytes(output_blif));
+  const proof::VerifyReport rep =
+      proof::verify_session(session, input_blif, output_blif);
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_TRUE(rep.partial);
+  EXPECT_EQ(rep.deletions_verified, 1u);
 }
 
 TEST(FaultInjectionTest, DegradedRunYieldsPartialJournalThatStillVerifies) {

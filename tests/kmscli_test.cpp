@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "src/atpg/atpg.hpp"
@@ -124,6 +125,30 @@ TEST(KmscliTest, BadLimitArgumentsAreUsageErrors) {
   EXPECT_EQ(run_cli_status("irr " + in_path +
                            " --conflict-limit -1 >/dev/null 2>&1"), 1);
   std::remove(in_path.c_str());
+}
+
+TEST(KmscliTest, RetiredEngineFlagsAreUnknown) {
+  // --speculate-k and --sta selected engines that no longer exist.
+  Network net = carry_skip_adder(2, 2);
+  const std::string in_path = temp_path("kmscli_retired.blif");
+  const std::string err_path = temp_path("kmscli_retired.err");
+  write_blif_file(net, in_path);
+  for (const std::string flag : {"--speculate-k 1", "--sta full",
+                                 "--sta incremental"}) {
+    EXPECT_EQ(run_cli_status("irr " + in_path + " " + flag + " >/dev/null 2>" +
+                             err_path),
+              1)
+        << flag;
+    std::ifstream err(err_path);
+    const std::string text((std::istreambuf_iterator<char>(err)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("unknown flag '" + flag.substr(0, flag.find(' ')) +
+                        "'"),
+              std::string::npos)
+        << text;
+  }
+  std::remove(in_path.c_str());
+  std::remove(err_path.c_str());
 }
 
 TEST(KmscliTest, ZeroConflictBudgetDegradesButStaysEquivalent) {

@@ -1,14 +1,14 @@
 // Parallel redundancy-removal determinism suite.
 //
-// The central claim of the parallel engine (DESIGN.md §12) is that its
+// The central claim of the removal engine (DESIGN.md §12) is that its
 // removed-fault set — and therefore the final network — is bit-identical
-// to the sequential engine's at any worker count, because workers only
-// *speculate* and the coordinator commits the scan-order-first
-// untestable verdict exactly as the sequential scan would. These tests
-// pin that claim across thread counts {1, 2, 4, 8}, scan orders,
-// engines (seed and incremental), circuits (generated and the example
-// BLIFs), and proof sessions — plus the degraded (governor-interrupted)
-// path, where only functional equivalence is promised.
+// at any lane count, because lanes only *speculate* and the coordinator
+// commits the scan-order-first untestable verdict exactly as a plain
+// scan would. These tests pin that claim across lane counts
+// {1, 2, 4, 8}, scan orders, circuits (generated and the example
+// BLIFs), the reference scan of tests/reference_removal.hpp, and proof
+// sessions — plus the degraded (governor-interrupted) path, where only
+// functional equivalence is promised.
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +30,7 @@
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
 #include "src/sim/simulator.hpp"
+#include "tests/reference_removal.hpp"
 
 namespace kms {
 namespace {
@@ -79,12 +80,11 @@ struct RunFingerprint {
 };
 
 RunFingerprint run_removal(const Network& original, unsigned jobs,
-                           bool incremental, RemovalOrder order,
-                           bool with_session, bool static_prepass = true) {
+                           RemovalOrder order, bool with_session,
+                           bool static_prepass = true) {
   Network net = original.clone_compact();
   proof::ProofSession session;
   RedundancyRemovalOptions opts;
-  opts.incremental = incremental;
   opts.order = order;
   opts.static_prepass = static_prepass;
   opts.context.jobs = jobs;
@@ -113,14 +113,12 @@ RunFingerprint run_removal(const Network& original, unsigned jobs,
   return fp;
 }
 
-void expect_bit_identical(const Network& original, bool incremental,
-                          RemovalOrder order, bool with_session) {
-  const RunFingerprint base =
-      run_removal(original, 1, incremental, order, with_session);
+void expect_bit_identical(const Network& original, RemovalOrder order,
+                          bool with_session) {
+  const RunFingerprint base = run_removal(original, 1, order, with_session);
   for (const unsigned jobs : kJobs) {
     if (jobs == 1) continue;
-    const RunFingerprint fp =
-        run_removal(original, jobs, incremental, order, with_session);
+    const RunFingerprint fp = run_removal(original, jobs, order, with_session);
     EXPECT_EQ(fp.removed, base.removed) << "jobs=" << jobs;
     EXPECT_EQ(fp.blif_digest, base.blif_digest) << "jobs=" << jobs;
     EXPECT_EQ(fp.blif, base.blif) << "jobs=" << jobs;
@@ -130,14 +128,24 @@ void expect_bit_identical(const Network& original, bool incremental,
 
 TEST(ParallelRemovalTest, IncrementalEngineBitIdenticalAcrossJobs) {
   for (const Network& net : test_circuits())
-    expect_bit_identical(net, /*incremental=*/true, RemovalOrder::kForward,
-                         /*with_session=*/false);
+    expect_bit_identical(net, RemovalOrder::kForward, /*with_session=*/false);
 }
 
-TEST(ParallelRemovalTest, SeedEngineBitIdenticalAcrossJobs) {
-  for (const Network& net : test_circuits())
-    expect_bit_identical(net, /*incremental=*/false, RemovalOrder::kForward,
-                         /*with_session=*/false);
+TEST(ParallelRemovalTest, ReferenceScanBitIdenticalAcrossJobs) {
+  // Every lane count removes exactly the faults the reference scan
+  // removes, in the same order: the same network bytes.
+  for (const Network& original : test_circuits()) {
+    Network ref_net = original.clone_compact();
+    const ReferenceRemoval ref = reference_remove_redundancies(ref_net);
+    const std::string ref_blif = write_blif_string(ref_net);
+    for (const unsigned jobs : kJobs) {
+      const RunFingerprint fp = run_removal(original, jobs,
+                                            RemovalOrder::kForward,
+                                            /*with_session=*/false);
+      EXPECT_EQ(fp.removed, ref.removed) << "jobs=" << jobs;
+      EXPECT_EQ(fp.blif, ref_blif) << "jobs=" << jobs;
+    }
+  }
 }
 
 TEST(ParallelRemovalTest, AllScanOrdersBitIdenticalAcrossJobs) {
@@ -152,14 +160,12 @@ TEST(ParallelRemovalTest, AllScanOrdersBitIdenticalAcrossJobs) {
   }();
   for (const RemovalOrder order :
        {RemovalOrder::kForward, RemovalOrder::kReverse, RemovalOrder::kRandom})
-    expect_bit_identical(net, /*incremental=*/true, order,
-                         /*with_session=*/false);
+    expect_bit_identical(net, order, /*with_session=*/false);
 }
 
 TEST(ParallelRemovalTest, ExampleCircuitsBitIdenticalAcrossJobs) {
   for (const Network& net : example_circuits())
-    expect_bit_identical(net, /*incremental=*/true, RemovalOrder::kForward,
-                         /*with_session=*/false);
+    expect_bit_identical(net, RemovalOrder::kForward, /*with_session=*/false);
 }
 
 /// A circuit with redundancies the static rules catch: y_i = a_i AND
@@ -187,13 +193,12 @@ TEST(ParallelRemovalTest, StaticPrepassPreservesResultAcrossJobs) {
   nets.push_back(statically_redundant_circuit(4));
   for (std::size_t c = 0; c < nets.size(); ++c) {
     const RunFingerprint off =
-        run_removal(nets[c], 1, /*incremental=*/true, RemovalOrder::kForward,
+        run_removal(nets[c], 1, RemovalOrder::kForward,
                     /*with_session=*/false, /*static_prepass=*/false);
     EXPECT_EQ(off.static_discharged, 0u);
     for (const unsigned jobs : kJobs) {
       const RunFingerprint on =
-          run_removal(nets[c], jobs, /*incremental=*/true,
-                      RemovalOrder::kForward,
+          run_removal(nets[c], jobs, RemovalOrder::kForward,
                       /*with_session=*/false, /*static_prepass=*/true);
       EXPECT_EQ(on.removed, off.removed) << "circuit=" << c << " jobs=" << jobs;
       EXPECT_EQ(on.blif, off.blif) << "circuit=" << c << " jobs=" << jobs;
@@ -203,8 +208,8 @@ TEST(ParallelRemovalTest, StaticPrepassPreservesResultAcrossJobs) {
   }
   // The static engine is itself bit-identical across jobs, journal
   // conclusions (including the static steps) included.
-  expect_bit_identical(nets.back(), /*incremental=*/true,
-                       RemovalOrder::kForward, /*with_session=*/true);
+  expect_bit_identical(nets.back(), RemovalOrder::kForward,
+                       /*with_session=*/true);
 }
 
 TEST(ParallelRemovalTest, JournalConclusionsIdenticalAndSessionsVerify) {

@@ -188,6 +188,22 @@ TEST(JobSpecTest, UnknownKeysAndTypeMismatchesAreRejected) {
                JobError);
 }
 
+// The loop speculation width and the STA engine switch are gone; a spec
+// still carrying either is rejected like any other unknown key.
+TEST(JobSpecTest, RetiredEngineKeysAreRejected) {
+  EXPECT_NO_THROW(parse_job_spec(R"({"schema":"kms-job-v1","kind":"irr"})"));
+  EXPECT_THROW(parse_job_spec(
+                   R"({"schema":"kms-job-v1","kind":"irr","speculate_k":1})"),
+               JobError);
+  EXPECT_THROW(parse_job_spec(
+                   R"({"schema":"kms-job-v1","kind":"irr","sta":"full"})"),
+               JobError);
+  EXPECT_THROW(
+      parse_job_spec(
+          R"({"schema":"kms-job-v1","kind":"irr","sta":"incremental"})"),
+      JobError);
+}
+
 TEST(JobSpecTest, ValidateCatchesContradictorySpecs) {
   JobSpec spec;
   EXPECT_EQ(spec.validate(), "no BLIF payload (blif or blif_path required)");
@@ -202,10 +218,6 @@ TEST(JobSpecTest, ValidateCatchesContradictorySpecs) {
   EXPECT_EQ(spec.validate(), "");
   spec.kind = JobKind::kAudit;
   EXPECT_NE(spec.validate(), "");  // resume is irr/certify-only
-  spec = JobSpec();
-  spec.blif = "x";
-  spec.speculate_k = 0;
-  EXPECT_NE(spec.validate(), "");
   spec = JobSpec();
   spec.blif = "x";
   spec.jobs = 5000;

@@ -306,6 +306,23 @@ TEST(CheckpointTest, RejectsTampering) {
   EXPECT_THROW(read_checkpoint(bad), std::runtime_error);
 }
 
+// Checkpoints written before loop speculation and the STA engine switch
+// were removed carry keys no engine produces any more: rejected, not
+// silently skipped.
+TEST(CheckpointTest, RejectsRetiredSpeculationKeys) {
+  const std::string text = write_checkpoint(sample_checkpoint());
+  EXPECT_NO_THROW(read_checkpoint(text));
+  EXPECT_EQ(text.find("kms.spec_"), std::string::npos);
+  EXPECT_EQ(text.find("kms.sta_incremental"), std::string::npos);
+  for (const char* key :
+       {"kms.spec_batches", "kms.spec_solves", "kms.spec_cache_hits",
+        "kms.spec_cache_insertions", "kms.spec_cache_invalidated",
+        "kms.sta_incremental"})
+    EXPECT_THROW(read_checkpoint(std::string(key) + " 0\n" + text),
+                 std::runtime_error)
+        << key;
+}
+
 TEST(SessionMetaTest, RoundTripsExactly) {
   SessionMeta m;
   m.model = "carry skip adder";  // spaces survive (rest-of-line value)
@@ -313,8 +330,7 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   m.order = "random";
   m.jobs = 4;
   m.seed = 0x5EEDull;
-  m.incremental = false;
-  m.static_prepass = true;
+  m.static_prepass = false;
   m.use_fault_sim = false;
   m.random_words = 16;
   m.remove_remaining = true;
@@ -329,13 +345,15 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   EXPECT_EQ(r.mode, "viability");
   EXPECT_EQ(r.order, "random");
   EXPECT_EQ(r.jobs, 4u);
-  EXPECT_FALSE(r.incremental);
+  EXPECT_FALSE(r.static_prepass);
   EXPECT_EQ(r.source_digest, m.source_digest);
 }
 
 TEST(SessionMetaTest, RejectsMalformedMeta) {
   const std::string text = write_meta(SessionMeta{});
   EXPECT_THROW(read_meta("bogus 1\n" + text), std::runtime_error);
+  // The removal-engine switch is gone: its key is unknown now.
+  EXPECT_THROW(read_meta("incremental 1\n" + text), std::runtime_error);
   EXPECT_THROW(read_meta(text.substr(0, text.size() / 2)),
                std::runtime_error);
   std::string bad = text;

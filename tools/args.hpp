@@ -5,8 +5,8 @@
 // {"kind":"irr","jobs":4} line sent to kmsd mean the same run by
 // construction — there is exactly one option surface, the JobSpec, and
 // the flag table below is its only CLI binding. Tools share this header
-// so --jobs/--time-limit/--conflict-limit/--speculate-k/--sta (and the
-// rest) spell, validate, and fail identically everywhere.
+// so --jobs/--time-limit/--conflict-limit (and the rest) spell,
+// validate, and fail identically everywhere.
 //
 // Error reporting is uniform: a value that is missing or out of range
 // prints "<tool>: flag '<flag>' <what>" and an unrecognized flag prints
@@ -80,13 +80,6 @@ inline FlagResult parse_job_flag(const char* tool, int argc, char** argv,
     spec->mode = v;
     return FlagResult::kHandled;
   }
-  if (a == "--sta") {
-    if (!detail::take_value(argc, argv, i, &v) ||
-        (std::strcmp(v, "full") != 0 && std::strcmp(v, "incremental") != 0))
-      return bad("expects full|incremental");
-    spec->sta = v;
-    return FlagResult::kHandled;
-  }
   if (a == "--emit-proof") {
     if (!detail::take_value(argc, argv, i, &v))
       return bad("expects a directory");
@@ -127,13 +120,6 @@ inline FlagResult parse_job_flag(const char* tool, int argc, char** argv,
         !detail::to_int(v, 0, 1024, &n))
       return bad("expects a worker count 0..1024");
     spec->jobs = static_cast<std::uint64_t>(n);
-    return FlagResult::kHandled;
-  }
-  if (a == "--speculate-k") {
-    if (!detail::take_value(argc, argv, i, &v) ||
-        !detail::to_int(v, 1, 4096, &n))
-      return bad("expects a speculation width 1..4096");
-    spec->speculate_k = static_cast<std::uint64_t>(n);
     return FlagResult::kHandled;
   }
   if (a == "--check") return spec->check = true, FlagResult::kHandled;

@@ -43,10 +43,9 @@ done
 # ThreadSanitizer stage: rebuild under -fsanitize=thread and run the
 # parallel-labelled tests — the work-stealing removal engine's ticket
 # queue, commit protocol, sharded cache, and its jobs={1,2,4,8}
-# determinism suite — plus the kmsloop label: the speculative
-# sensitization engine's byte-identity suite crossing speculation
-# widths with worker counts, whose certificate-capture batches fan out
-# over the same pool. TSan and ASan cannot share a build, hence the
+# determinism suite — plus the kmsloop label: the KMS pipeline's
+# byte-identity suite at jobs 1 and 4, whose removal phase runs on the
+# same pool. TSan and ASan cannot share a build, hence the
 # separate preset/tree. Any data race in the worker/coordinator
 # handshake fails CI here.
 echo "== ThreadSanitizer: parallel-labelled tests (tsan preset) =="
@@ -57,7 +56,7 @@ echo "== ThreadSanitizer: kmsloop-labelled tests (tsan preset) =="
 ctest --preset tsan -L kmsloop --output-on-failure
 
 # Repeat stage: the determinism contracts (byte-identical BLIF, journal
-# and certificates at any jobs x width; resume equal to an uninterrupted
+# and certificates at any jobs count; resume equal to an uninterrupted
 # run) must hold under real concurrency, not just once. Run the labels
 # that exercise worker scheduling twenty times over, all CPUs busy at
 # once, so a schedule-dependent artifact fails CI here instead of
@@ -91,37 +90,20 @@ ctest --preset checked -L analysis --output-on-failure
 # per-gate kernels, path enumeration, sensitization, and the
 # incremental engine's property suite (randomized edit walks asserting
 # repaired tables equal a from-scratch recompute under exact double
-# equality, KMS end-state bit-identity with the engine on vs off at
-# jobs 1 and 4, and the NL022-NL028 tamper tests). Then the loop-cost
-# bench runs on the quick circuits and its BENCH_timing.json is
-# validated: any end-state digest mismatch between the engines, or an
-# incremental repair visiting more gates than the full recompute it
-# replaces, fails CI here.
+# equality, KMS runs audited against TimingChecker after every repair,
+# and the NL022-NL028 tamper tests).
 echo "== timing-labelled tests (checked preset) =="
 ctest --preset checked -L timing --output-on-failure
-echo "== bench smoke: bench_timing --json (checked preset) =="
-"$BUILD_DIR/bench/bench_timing" --json "$CERT_DIR/BENCH_timing.json" --quick
-python3 tools/validate_bench_timing.py "$CERT_DIR/BENCH_timing.json"
 
-# Bench-smoke stage: run the three-engine ATPG comparison (seed /
-# incremental / static pre-pass + incremental) on the quick circuits and
-# validate the emitted BENCH_atpg.json against its kms-bench-atpg-v2
-# schema. Fails on malformed or empty output, on any removed-count or
-# digest mismatch between the engines, on the incremental engine issuing
-# more SAT queries than the seed engine, and on the static pre-pass
-# failing to avoid any SAT query across the suite.
+# Bench-smoke stage: run removal with the static pre-pass off and on
+# on the quick circuits and validate the emitted BENCH_atpg.json
+# against its kms-bench-atpg-v3 schema. Fails on malformed or empty
+# output, on any removed-count or digest mismatch between the two runs,
+# and on the static pre-pass failing to avoid any SAT query across the
+# suite.
 echo "== bench smoke: bench_atpg --json (checked preset) =="
 "$BUILD_DIR/bench/bench_atpg" --json "$CERT_DIR/BENCH_atpg.json" --quick
 python3 tools/validate_bench_atpg.py "$CERT_DIR/BENCH_atpg.json"
-
-# KMS-loop speculation smoke: serial vs speculative engine on the quick
-# circuit, then validate the kms-bench-kmsloop-v1 JSON. The binary
-# itself exits 2 on an end-state digest mismatch or on the speculative
-# engine committing more SAT queries than the serial one; the validator
-# re-checks both contracts from the emitted file.
-echo "== bench smoke: bench_kmsloop --json (checked preset) =="
-"$BUILD_DIR/bench/bench_kmsloop" --json "$CERT_DIR/BENCH_kmsloop.json" --quick
-python3 tools/validate_bench_kmsloop.py "$CERT_DIR/BENCH_kmsloop.json"
 
 # Serving surface: the JobSpec/JobReport round-trip + run_job suite and
 # the kmsd end-to-end tests (real daemon, real socket: kmscli byte-

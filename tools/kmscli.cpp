@@ -78,8 +78,7 @@ int usage() {
                "[--jobs <n>]\n"
                "              [--certify] [--emit-proof <dir>] "
                "[--checkpoint-every <n>]   (irr only)\n"
-               "              [--sta full|incremental] [--audit-timing] "
-               "[--speculate-k <n>]   (irr only)\n"
+               "              [--audit-timing]   (irr only)\n"
                "       kmscli irr --resume <dir> [-o out.blif] [--certify] "
                "[--jobs <n>] ...\n"
                "--jobs: removal-phase worker threads (default 1; 0 = one "
@@ -87,16 +86,10 @@ int usage() {
                "        the result is bit-identical at any worker count\n"
                "--resume: continue a crashed --emit-proof session from its "
                "artifact directory\n"
-               "--sta: loop timing engine (default incremental; results are "
-               "bit-identical either way)\n"
                "--audit-timing: cross-check the incremental timing tables "
                "against a full recompute\n"
                "               every iteration (rules NL024-NL028; exit 2 on "
                "divergence)\n"
-               "--speculate-k: loop sensitization speculation width (default "
-               "1 = serial);\n"
-               "               end state/proof bit-identical at any width and "
-               "--jobs count\n"
                "exit codes: 0 ok, 1 usage, 2 error, 3 degraded "
                "(limit/SIGINT/SIGTERM; output still valid)\n");
   return 1;
@@ -158,24 +151,14 @@ void print_irr_summary(const JobSpec& spec, const JobReport& r) {
           : 0.0,
       static_cast<unsigned long long>(r.removal_max_cone_gates),
       r.removal_sim_seconds, r.removal_sat_seconds);
-  if (r.sta_incremental)
-    std::fprintf(stderr,
-                 "timing: incremental sta, %llu repairs + %llu rebuilds "
-                 "touched %llu gates (per-iteration full recompute: %llu)%s\n",
-                 static_cast<unsigned long long>(r.sta_applies),
-                 static_cast<unsigned long long>(r.sta_rebuilds),
-                 static_cast<unsigned long long>(r.sta_gates_repaired),
-                 static_cast<unsigned long long>(r.sta_full_visits),
-                 spec.audit_timing ? ", audited" : "");
-  if (r.spec_batches > 0 || r.spec_cache_hits > 0)
-    std::fprintf(stderr,
-                 "speculation: %llu batches, %llu speculative solves, "
-                 "%llu cache hits (%llu banked, %llu invalidated)\n",
-                 static_cast<unsigned long long>(r.spec_batches),
-                 static_cast<unsigned long long>(r.spec_solves),
-                 static_cast<unsigned long long>(r.spec_cache_hits),
-                 static_cast<unsigned long long>(r.spec_cache_insertions),
-                 static_cast<unsigned long long>(r.spec_cache_invalidated));
+  std::fprintf(stderr,
+               "timing: incremental sta, %llu repairs + %llu rebuilds "
+               "touched %llu gates (per-iteration full recompute: %llu)%s\n",
+               static_cast<unsigned long long>(r.sta_applies),
+               static_cast<unsigned long long>(r.sta_rebuilds),
+               static_cast<unsigned long long>(r.sta_gates_repaired),
+               static_cast<unsigned long long>(r.sta_full_visits),
+               spec.audit_timing ? ", audited" : "");
   if (r.degraded)
     std::fprintf(stderr,
                  "partial result (equivalent, conservatively degraded): "

@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
-"""Validate a BENCH_atpg.json file against the kms-bench-atpg-v2 schema.
+"""Validate a BENCH_atpg.json file against the kms-bench-atpg-v3 schema.
 
 Usage: validate_bench_atpg.py <path>
 
 Checks (stdlib only, no dependencies):
-  * the file parses as JSON and carries schema "kms-bench-atpg-v2";
+  * the file parses as JSON and carries schema "kms-bench-atpg-v3";
   * "circuits" is a non-empty list;
-  * every circuit has name/gates/faults, a seed, an incremental and a
-    static engine record (the last = incremental + the SAT-free static
-    untestability pre-pass) with all required counter fields of the
-    right type, removed_match and sat_query_ratio;
-  * internal consistency: removed_match reflects the engine records,
-    the incremental engine never issues more SAT queries than the seed
-    engine, the static engine never issues more than the incremental
-    one (and strictly fewer summed over the whole suite — the pre-pass
-    must actually discharge something), and non-aborted runs on the
-    same circuit removed the same redundancies bit-identically (digest
-    equality across all three engines).
+  * every circuit has name/gates/faults, a no_static and a static run
+    record (the removal engine with the SAT-free static untestability
+    pre-pass off and on) with all required counter fields of the right
+    type, and removed_match;
+  * internal consistency: removed_match reflects the run records, the
+    static run never issues more SAT queries than the no_static one (and
+    strictly fewer summed over the whole suite — the pre-pass must
+    actually discharge something), and non-aborted runs on the same
+    circuit removed the same redundancies bit-identically (digest
+    equality).
 
 Exit code 0 on success; 1 with a diagnostic on any violation (including
 an empty or malformed file — the CI bench-smoke stage depends on that).
@@ -73,12 +72,12 @@ def main():
         fail(f"cannot read/parse {sys.argv[1]}: {e}")
     if not isinstance(doc, dict):
         fail("top level is not an object")
-    if doc.get("schema") != "kms-bench-atpg-v2":
+    if doc.get("schema") != "kms-bench-atpg-v3":
         fail(f"unexpected schema {doc.get('schema')!r}")
     circuits = doc.get("circuits")
     if not isinstance(circuits, list) or not circuits:
         fail("'circuits' missing, not a list, or empty")
-    inc_total = stat_total = 0
+    plain_total = stat_total = 0
     any_aborted = False
     for c in circuits:
         if not isinstance(c, dict):
@@ -93,50 +92,36 @@ def main():
         engines = c.get("engines")
         if not isinstance(engines, dict):
             fail(f"circuit '{name}': 'engines' is not an object")
-        for key in ("seed", "incremental", "static"):
+        for key in ("no_static", "static"):
             if key not in engines:
-                fail(f"circuit '{name}': missing engine '{key}'")
+                fail(f"circuit '{name}': missing run '{key}'")
             check_engine(name, key, engines[key])
-        seed, inc = engines["seed"], engines["incremental"]
-        stat = engines["static"]
+        plain, stat = engines["no_static"], engines["static"]
         match = c.get("removed_match")
         if not isinstance(match, bool):
             fail(f"circuit '{name}': 'removed_match' is not a boolean")
-        if match != (seed["removed"] == inc["removed"] == stat["removed"]
-                     and seed["digest"] == inc["digest"] == stat["digest"]):
+        if match != (plain["removed"] == stat["removed"]
+                     and plain["digest"] == stat["digest"]):
             fail(f"circuit '{name}': removed_match contradicts the "
-                 "engine records")
-        aborted = seed["aborted"] or inc["aborted"] or stat["aborted"]
+                 "run records")
+        aborted = plain["aborted"] or stat["aborted"]
         any_aborted |= aborted
         if not aborted:
             if not match:
-                fail(f"circuit '{name}': engines diverged "
-                     f"(removed {seed['removed']}/{inc['removed']}/"
-                     f"{stat['removed']}, digest {seed['digest']}/"
-                     f"{inc['digest']}/{stat['digest']})")
-            if seed["sat_queries"] > 0 and \
-                    inc["sat_queries"] >= seed["sat_queries"]:
-                fail(f"circuit '{name}': incremental engine did not issue "
-                     f"strictly fewer SAT queries ({inc['sat_queries']} vs "
-                     f"seed {seed['sat_queries']})")
-            if stat["sat_queries"] > inc["sat_queries"]:
-                fail(f"circuit '{name}': static engine issued more SAT "
-                     f"queries than incremental ({stat['sat_queries']} vs "
-                     f"{inc['sat_queries']})")
-            if stat["sat_queries"] + stat["static_discharged"] < \
-                    stat["sat_queries"]:
-                fail(f"circuit '{name}': static counter overflow")
-            inc_total += inc["sat_queries"]
+                fail(f"circuit '{name}': static pre-pass changed the result "
+                     f"(removed {plain['removed']}/{stat['removed']}, "
+                     f"digest {plain['digest']}/{stat['digest']})")
+            if stat["sat_queries"] > plain["sat_queries"]:
+                fail(f"circuit '{name}': static run issued more SAT "
+                     f"queries than no_static ({stat['sat_queries']} vs "
+                     f"{plain['sat_queries']})")
+            plain_total += plain["sat_queries"]
             stat_total += stat["sat_queries"]
-        ratio = c.get("sat_query_ratio")
-        if not isinstance(ratio, (int, float)) or ratio < 0:
-            fail(f"circuit '{name}': 'sat_query_ratio' is not a "
-                 "non-negative number")
-    if not any_aborted and stat_total >= inc_total:
+    if not any_aborted and stat_total >= plain_total:
         fail(f"static pre-pass discharged nothing across the suite "
-             f"({stat_total} SAT queries vs incremental {inc_total})")
+             f"({stat_total} SAT queries vs no_static {plain_total})")
     print(f"validate_bench_atpg: OK ({len(circuits)} circuits, "
-          f"static pre-pass avoided {inc_total - stat_total} SAT queries)")
+          f"static pre-pass avoided {plain_total - stat_total} SAT queries)")
 
 
 if __name__ == "__main__":
