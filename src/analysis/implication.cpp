@@ -30,7 +30,6 @@ struct Prop {
     if (slot == static_cast<std::int8_t>(v)) return true;
     if (slot != -1) {
       out.conflict = true;
-      out.conflict_gate = g;
       return false;
     }
     slot = static_cast<std::int8_t>(v);

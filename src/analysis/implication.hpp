@@ -29,7 +29,6 @@ namespace kms::analysis {
 /// derivation order, seeds first — deterministic for a fixed network.
 struct Implications {
   bool conflict = false;
-  GateId conflict_gate = GateId::invalid();  ///< site of the clash, if any
   std::vector<std::pair<GateId, bool>> assigned;
 
   /// Value lookup against the closure (linear; use the engine's

@@ -53,13 +53,13 @@ AnalysisReport run_analysis(const Network& net) {
   r.dominance_edges = collapse.dominance_edges();
 
   // Static untestability over one representative per equivalence class —
-  // the same universe the ATPG pre-pass walks.
+  // the same universe the ATPG removal phase walks.
   for (const FaultClass& cls : collapse.classes()) {
     const FaultNode& f = cls.members.front();
-    const StaticResult sr = f.branch ? stat.analyze_branch(f.conn, f.stuck)
+    const StaticVerdict v = f.branch ? stat.analyze_branch(f.conn, f.stuck)
                                      : stat.analyze_stem(f.gate, f.stuck);
     ++r.fault_sites;
-    switch (sr.verdict) {
+    switch (v) {
       case StaticVerdict::kUnobservable: ++r.unobservable; break;
       case StaticVerdict::kUnexcitable:  ++r.unexcitable;  break;
       case StaticVerdict::kBlocked:      ++r.blocked;      break;

@@ -93,14 +93,14 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
     const GateId g{i};
     if (!faultable_gate(net, g)) continue;
     if (!stat.dominators().reaches_output(g)) continue;  // NL013 territory
-    const StaticResult sa0 = stat.analyze_stem(g, false);
-    const StaticResult sa1 = stat.analyze_stem(g, true);
-    if (sa0.untestable() && sa1.untestable())
+    const StaticVerdict sa0 = stat.analyze_stem(g, false);
+    const StaticVerdict sa1 = stat.analyze_stem(g, true);
+    if (sa0 != StaticVerdict::kUnknown && sa1 != StaticVerdict::kUnknown)
       emit.add("NL017",
                gate_label(net, g) + " reaches an output but both stem faults"
                " are statically untestable (SA0 " +
-                   std::string(static_verdict_name(sa0.verdict)) + ", SA1 " +
-                   std::string(static_verdict_name(sa1.verdict)) + ")",
+                   std::string(static_verdict_name(sa0)) + ", SA1 " +
+                   std::string(static_verdict_name(sa1)) + ")",
                g);
   }
 
@@ -132,15 +132,15 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
     if (!faultable_gate(net, src) || live_fanout(net, src) <= 1) continue;
     if (net.gate(net.conn(c).to).kind == GateKind::kOutput) continue;
     for (bool v : {false, true}) {
-      const StaticResult r = stat.analyze_branch(c, v);
-      if (r.untestable()) {
+      const StaticVerdict r = stat.analyze_branch(c, v);
+      if (r != StaticVerdict::kUnknown) {
         emit.add("NL019",
                  "branch " + gate_label(net, src) + " -> " +
                      gate_label(net, net.conn(c).to) +
                      str_format(" stuck-at-%d is statically untestable (%s);"
                                 " connection replaceable by constant %d",
                                 v ? 1 : 0,
-                                std::string(static_verdict_name(r.verdict))
+                                std::string(static_verdict_name(r))
                                     .c_str(),
                                 v ? 1 : 0),
                  GateId::invalid(), c);

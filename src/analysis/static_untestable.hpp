@@ -1,5 +1,5 @@
-// SAT-free untestability pre-pass (the tentpole of the static analysis
-// subsystem).
+// SAT-free untestability analysis: the verdicts behind lint rules
+// NL017-NL021 and `kmscli analyze`.
 //
 // A single stuck-at fault is untestable — i.e. the connection is
 // redundant in the KMS testing sense — when a *necessary condition* for
@@ -24,18 +24,13 @@
 //                 reports a conflict (each seed is individually
 //                 necessary, so a joint conflict is sound).
 //
-// Every verdict carries a textual justification in snapshot coordinates
-// (see snapshot.hpp) so that an independent checker — kmsproof — can
-// re-derive the claim on the exact gate graph without trusting the
-// pipeline: verify_static_claim() re-runs the dominator and implication
-// reasoning from scratch and confirms each recorded step.
+// The removal phase does not use these verdicts: it proves every
+// untestable fault with SAT, so each deletion carries one certificate
+// kind, a DRAT proof (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/analysis/dominators.hpp"
 #include "src/analysis/implication.hpp"
@@ -52,53 +47,30 @@ enum class StaticVerdict : std::uint8_t {
 
 std::string_view static_verdict_name(StaticVerdict v);
 
-/// A static untestability verdict plus its re-derivable justification.
-/// `justification` is empty iff `verdict == kUnknown`.
-struct StaticResult {
-  StaticVerdict verdict = StaticVerdict::kUnknown;
-  std::string justification;
-
-  bool untestable() const { return verdict != StaticVerdict::kUnknown; }
-};
-
 /// Static untestability engine over one network state. Construction
-/// builds the post-dominator tree and the snapshot index map; analysis
-/// calls are const and allocate only per-call scratch, so one engine
-/// may serve concurrent workers.
+/// builds the post-dominator tree; analysis calls are const and
+/// allocate only per-call scratch.
 class StaticUntestable {
  public:
   explicit StaticUntestable(const Network& net);
 
-  /// Analyze the stem fault `g` stuck-at `stuck`.
-  StaticResult analyze_stem(GateId g, bool stuck) const;
+  /// Analyze the stem fault `g` stuck-at `stuck`. kUnknown means no
+  /// rule fired; any other verdict proves the fault untestable.
+  StaticVerdict analyze_stem(GateId g, bool stuck) const;
 
   /// Analyze the branch fault on connection `c` stuck-at `stuck`.
-  StaticResult analyze_branch(ConnId c, bool stuck) const;
+  StaticVerdict analyze_branch(ConnId c, bool stuck) const;
 
   const DominatorTree& dominators() const { return dom_; }
   const ImplicationEngine& implications() const { return imp_; }
 
-  /// Snapshot index of a live gate (see snapshot.hpp).
-  std::uint32_t snapshot_index(GateId g) const {
-    return snap_index_[g.value()];
-  }
-
  private:
-  StaticResult analyze(GateId source, GateId entry, ConnId fault_conn,
-                       bool stuck) const;
+  StaticVerdict analyze(GateId source, GateId entry, ConnId fault_conn,
+                        bool stuck) const;
 
   const Network& net_;
   DominatorTree dom_;
   ImplicationEngine imp_;
-  std::vector<std::uint32_t> snap_index_;
 };
-
-/// Independent checker: re-derive `justification` on `net` (a network
-/// parsed back from the snapshot the claim was stated against). Returns
-/// an empty string when the claim checks out, else a description of the
-/// first discrepancy. Shares no state with StaticUntestable beyond the
-/// primitive dominator/implication engines it rebuilds locally.
-std::string verify_static_claim(const Network& net,
-                                const std::string& justification);
 
 }  // namespace kms::analysis

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/analysis/snapshot.hpp"
 #include "src/cnf/encoder.hpp"
 #include "src/core/verdict.hpp"
 #include "src/proof/drat.hpp"
-#include "src/proof/journal.hpp"
 
 namespace kms {
 
@@ -23,27 +21,8 @@ void AtpgStats::accumulate(const AtpgStats& other) {
   sat_conflicts += other.sat_conflicts;
   sat_solves += other.sat_solves;
   structural_shortcuts += other.structural_shortcuts;
-  static_discharged += other.static_discharged;
   cone_gates_encoded += other.cone_gates_encoded;
   max_cone_gates = std::max(max_cone_gates, other.max_cone_gates);
-}
-
-StaticOracle::StaticOracle(const Network& net, bool proving)
-    : net_(net), engine_(net), proving_(proving) {}
-
-std::optional<std::shared_ptr<proof::StaticCertificate>> StaticOracle::lookup(
-    const Fault& f) const {
-  const analysis::StaticResult r =
-      f.site == Fault::Site::kStem ? engine_.analyze_stem(f.gate, f.stuck)
-                                   : engine_.analyze_branch(f.conn, f.stuck);
-  if (!r.untestable()) return std::nullopt;
-  if (!proving_) return nullptr;
-  std::call_once(snapshot_once_, [this] {
-    snapshot_ =
-        std::make_shared<const std::string>(analysis::write_snapshot(net_));
-  });
-  return std::make_shared<proof::StaticCertificate>(
-      proof::StaticCertificate{snapshot_, r.justification});
 }
 
 Atpg::Atpg(const Network& net, ResourceGovernor* governor)
@@ -92,21 +71,6 @@ void Atpg::mark_support(GateId extra_root) {
 
 TestResult Atpg::generate_test(const Fault& fault) {
   ++stats_.queries;
-
-  // Static oracle first: a pre-proved untestable verdict answers the
-  // query with zero cone/solver work and zero randomness. The verdict
-  // is NOT journalled here — the caller journals committed verdicts
-  // only, so an aborted run never records a speculative static claim.
-  if (oracle_) {
-    if (auto cert = oracle_->lookup(fault)) {
-      ++stats_.untestable;
-      ++stats_.static_discharged;
-      TestResult res;
-      res.outcome = TestOutcome::kUntestable;
-      res.static_just = std::move(*cert);
-      return res;
-    }
-  }
 
   const std::uint32_t cap = net_.gate_capacity();
   if (cone_.size() < cap) {

@@ -12,12 +12,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "src/analysis/static_untestable.hpp"
 #include "src/atpg/fault.hpp"
 #include "src/base/governor.hpp"
 #include "src/core/verdict.hpp"
@@ -28,7 +26,6 @@ namespace kms {
 
 namespace proof {
 struct DratCertificate;
-struct StaticCertificate;
 }  // namespace proof
 
 struct AtpgStats {
@@ -43,18 +40,11 @@ struct AtpgStats {
   /// ones (an exhausted budget still did — and reports — its work).
   std::uint64_t sat_conflicts = 0;
   /// Queries that actually reached the SAT solver. queries ==
-  /// sat_solves + structural_shortcuts + static_discharged.
+  /// sat_solves + structural_shortcuts.
   std::uint64_t sat_solves = 0;
   /// Untestable verdicts proved structurally (the fault cone reaches no
   /// primary output), with no solver involved.
   std::uint64_t structural_shortcuts = 0;
-  /// Untestable verdicts discharged by the static analysis pre-pass
-  /// (src/analysis/static_untestable.hpp) via an attached StaticOracle,
-  /// before any cone or solver work. Counted separately from
-  /// structural_shortcuts: a shortcut is the ATPG engine's own
-  /// cone-misses-every-output test, a static discharge is an external
-  /// dominator/implication verdict handed in ready-made.
-  std::uint64_t static_discharged = 0;
   /// Gates encoded into CNF, summed over all SAT solves (good-circuit
   /// support; the measure of the cone-of-influence restriction — the
   /// whole-network encoding would contribute count_gates() per solve).
@@ -81,50 +71,11 @@ struct TestResult {
   /// ever journalled is the caller's commit decision, made later and in
   /// canonical order. Null otherwise.
   std::shared_ptr<proof::DratCertificate> certificate;
-  /// A kUntestable verdict discharged by the static oracle carries its
-  /// structural certificate (snapshot + justification) here; the
-  /// caller journals it at commit time (never speculatively, so an
-  /// aborted run can never record a vacuous static verdict). Null for
-  /// SAT-backed verdicts and in non-proving runs.
-  std::shared_ptr<proof::StaticCertificate> static_just;
 
   bool has_value() const { return vector.has_value(); }
   explicit operator bool() const { return vector.has_value(); }
   std::vector<bool>& operator*() { return *vector; }
   const std::vector<bool>& operator*() const { return *vector; }
-};
-
-/// SAT-free untestability verdicts for one network state, computed on
-/// demand by the static analysis engine (src/analysis). The removal
-/// engine builds one per pass and attaches it to every Atpg; all lanes
-/// share it (analysis calls are const, and the snapshot is written
-/// once). A verdict is a pure function of the network and the fault,
-/// so analyzing only the faults that reach generate_test answers each
-/// of them exactly as analyzing the whole list up front would. A hit
-/// answers the query before any cone marking or solver work and
-/// consumes no randomness, so scan behaviour stays bit-identical
-/// with the oracle on or off and at any job count.
-class StaticOracle {
- public:
-  /// Builds the dominator tree and implication engine of `net`, which
-  /// must stay unchanged while the oracle is in use. With `proving`,
-  /// every hit carries a StaticCertificate; all certificates share one
-  /// snapshot of `net`, written on the first hit (claims are stated
-  /// against the same graph, and the verifier parses it once).
-  StaticOracle(const Network& net, bool proving);
-
-  /// nullopt when the rules prove nothing about `f` (fall through to
-  /// SAT); otherwise the verdict's certificate, null in a non-proving
-  /// run.
-  std::optional<std::shared_ptr<proof::StaticCertificate>> lookup(
-      const Fault& f) const;
-
- private:
-  const Network& net_;
-  analysis::StaticUntestable engine_;
-  bool proving_;
-  mutable std::once_flag snapshot_once_;
-  mutable std::shared_ptr<const std::string> snapshot_;
 };
 
 class Atpg {
@@ -144,15 +95,6 @@ class Atpg {
   /// with no extractable certificate degrades to kUnknown rather than
   /// licensing an unproved deletion.
   void set_proof_capture(bool on) { capture_ = on; }
-
-  /// Attach a static untestability oracle (may be null to detach). For
-  /// a fault the oracle proves untestable, generate_test returns
-  /// kUntestable immediately — no cone marking, no solver, no governor
-  /// charge — and counts the query under stats().static_discharged. The
-  /// oracle must have been built against the *current* network state;
-  /// the caller rebuilds it after every structural edit, exactly as it
-  /// rebuilds the Atpg itself.
-  void set_static_oracle(const StaticOracle* oracle) { oracle_ = oracle; }
 
   /// Decide testability of the fault: kTestable with a test vector (PI
   /// assignment, in net.inputs() order), kUntestable (the fault site is
@@ -178,7 +120,6 @@ class Atpg {
   const Network& net_;
   ResourceGovernor* governor_ = nullptr;
   bool capture_ = false;  ///< see set_proof_capture
-  const StaticOracle* oracle_ = nullptr;  ///< see set_static_oracle
   AtpgStats stats_;
 
   // Per-query scratch, hoisted out of generate_test and reset by stamp

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -110,42 +109,18 @@ void predrop_pass(const Network& net, const std::vector<Fault>& faults,
   result.sim_seconds += Seconds(Clock::now() - t0).count();
 }
 
-/// The per-pass static oracle, or null when no fault is undecided after
-/// the pre-drop. Only undecided faults ever reach Atpg::generate_test —
-/// states only leave kUndecided — and the oracle analyzes each of them
-/// when it gets there, so a pass whose faults are all decided skips the
-/// dominator tree and implication engine altogether. Analysis happens
-/// inside the scan, whose loop polls the governor before every query.
-std::unique_ptr<StaticOracle> build_static_oracle(
-    const Network& net, const std::vector<std::uint8_t>& state,
-    bool proving) {
-  if (std::find(state.begin(), state.end(), kUndecided) == state.end())
-    return nullptr;
-  return std::make_unique<StaticOracle>(net, proving);
-}
-
 /// Journal one committed untestable verdict plus the deletion citing
-/// it. Verdicts reach the journal ONLY through here, at commit time —
-/// never speculatively from inside a query — so an aborted run cannot
-/// record a vacuous claim. Capture mode guarantees a certificate behind
-/// every untestable verdict (certificate-less UNSATs degrade to
-/// kUnknown); a static oracle hit carries its structural certificate
-/// instead.
+/// its DRAT certificate. Verdicts reach the journal ONLY through here,
+/// at commit time — never speculatively from inside a query — so an
+/// aborted run cannot record a vacuous claim. Capture mode guarantees a
+/// certificate behind every untestable verdict (certificate-less UNSATs
+/// degrade to kUnknown).
 void journal_deletion(proof::ProofSession& session, const std::string& what,
                       TestResult& test) {
-  assert(test.certificate != nullptr || test.static_just != nullptr);
-  if (test.static_just) {
-    const std::uint64_t digest = proof::digest_bytes(*test.static_just->snapshot);
-    const std::int64_t id = session.add_static_certificate(*test.static_just);
-    session.journal.add_fault_static_untestable(
-        what, id, test.static_just->justification, digest);
-    session.journal.add_delete_static(what, id);
-  } else {
-    const std::int64_t id =
-        session.add_certificate(std::move(*test.certificate));
-    session.journal.add_fault_untestable(what, id);
-    session.journal.add_delete(what, id);
-  }
+  assert(test.certificate != nullptr);
+  const std::int64_t id = session.add_certificate(std::move(*test.certificate));
+  session.journal.add_fault_untestable(what, id);
+  session.journal.add_delete(what, id);
 }
 
 /// Restore a committed pass-boundary state into the engine-local
@@ -214,11 +189,6 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     std::optional<FaultSimulator> predrop_sim;
     predrop_pass(net, faults, opts, gov, cache, rng, seed_state, predrop_sim,
                  result);
-    // One static oracle per pass, shared read-only by all lanes (the
-    // lookups are const and the verdicts are scan-order independent).
-    std::unique_ptr<StaticOracle> oracle;
-    if (opts.static_prepass)
-      oracle = build_static_oracle(net, seed_state, session != nullptr);
     const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
 
     std::vector<Speculation> spec(n);
@@ -242,7 +212,6 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
       // certificates; only the coordinator journals.
       Atpg atpg(net, gov);
       if (session) atpg.set_proof_capture(true);
-      if (oracle) atpg.set_static_oracle(oracle.get());
       Rng wrng = witness_rng(opts.seed, passes_now, w);
       std::optional<FaultSimulator> sim;
       if (w == 0 && predrop_sim) sim.emplace(std::move(*predrop_sim));
@@ -433,12 +402,6 @@ RedundancyRemovalResult remove_redundancies(
   const RunContext ctx = opts.context;
   RedundancyRemovalResult result =
       remove_on_lanes(net, opts, ctx, ctx.effective_jobs());
-  // The sat_queries accounting fix: count solves the solver actually
-  // ran, not loop iterations — structural shortcuts are reported on
-  // their own counter.
-  result.sat_queries = result.atpg.sat_solves;
-  result.structural_shortcuts = result.atpg.structural_shortcuts;
-  result.static_discharged = result.atpg.static_discharged;
   if (result.aborted && ctx.session)
     ctx.session->journal.mark_partial(
         "redundancy removal stopped early: resource governor exhausted");

@@ -80,17 +80,6 @@ struct RedundancyRemovalOptions {
   bool use_fault_sim = true;
   /// Number of 64-pattern words of random stimulus for the pre-drop.
   std::size_t random_words = 8;
-  /// SAT-free static untestability pre-pass: each pass builds the
-  /// dominator/implication engine (src/analysis), which analyzes every
-  /// fault the scan queries; faults it proves untestable are discharged
-  /// without a solver call. The rules are sound and the oracle is a
-  /// pure function of the network — no rng draws, no thread state — so
-  /// the removed-fault set stays bit-identical with the pre-pass on or
-  /// off, at any job count; only the SAT query count changes. In proof-carrying runs each static
-  /// verdict is journalled at commit time with a re-derivable
-  /// structural justification (snapshot + dominator chain + implication
-  /// set) instead of a DRAT certificate; kmsproof re-derives it.
-  bool static_prepass = true;
   RemovalOrder order = RemovalOrder::kForward;
   std::uint64_t seed = 0x5EEDull;
 
@@ -130,15 +119,6 @@ struct RemovalWorkerStats {
 struct RedundancyRemovalResult {
   std::size_t removed = 0;  ///< redundant faults asserted constant
   std::size_t passes = 0;   ///< full fault-list scans
-  /// Exact ATPG queries that reached the SAT solver. Structural
-  /// shortcut verdicts (fault cone reaches no output) are counted in
-  /// `structural_shortcuts`, not here — no solve happened.
-  std::size_t sat_queries = 0;
-  std::size_t structural_shortcuts = 0;  ///< solver-free untestable verdicts
-  /// Untestable verdicts discharged by the static analysis pre-pass
-  /// (dominators + implications), each a SAT query avoided. Zero when
-  /// RedundancyRemovalOptions::static_prepass is off.
-  std::size_t static_discharged = 0;
   std::size_t unknown_queries = 0;  ///< queries aborted by the governor
   bool aborted = false;  ///< loop stopped early on governor exhaustion
 
@@ -152,8 +132,9 @@ struct RedundancyRemovalResult {
   /// wall clock — they measure work, not latency.
   double sim_seconds = 0.0;
   double sat_seconds = 0.0;
-  /// Aggregate ATPG-engine counters across all passes and workers (cone
-  /// sizes, conflicts, solver-call split).
+  /// Aggregate ATPG-engine counters across all passes and workers: the
+  /// one copy of the SAT solve count (atpg.sat_solves), the structural
+  /// shortcuts, cone sizes and conflicts.
   AtpgStats atpg;
 
   /// Fold one worker's pass-local counters in. The only place worker

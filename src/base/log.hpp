@@ -1,8 +1,10 @@
 // Minimal leveled logging.
 //
 // The library is quiet by default; benches and examples raise the level to
-// narrate what the algorithms are doing. Not thread-safe by design — the
-// library is single-threaded.
+// narrate what the algorithms are doing. set_log_level() writes a plain,
+// unsynchronized global: call it before any worker thread or daemon job
+// starts. Only coordinator code logs (never a removal-pool lane); each
+// line goes out in one fprintf call.
 #pragma once
 
 #include <sstream>

@@ -26,8 +26,6 @@ constexpr KindName kKindNames[] = {
     {JournalStep::Kind::kDelete, "delete"},
     {JournalStep::Kind::kFaultSimTestable, "fault-sim-testable"},
     {JournalStep::Kind::kPartial, "partial"},
-    {JournalStep::Kind::kFaultStaticUntestable, "fault-static-untestable"},
-    {JournalStep::Kind::kDeleteStatic, "delete-static"},
 };
 
 /// Quote a free-text field: backslash-escape '"' and '\'.
@@ -54,45 +52,35 @@ void TransformJournal::add(JournalStep step) {
 }
 
 void TransformJournal::add_decompose(std::uint64_t gates) {
-  add({JournalStep::Kind::kDecompose, -1, {}, {}, gates});
+  add({JournalStep::Kind::kDecompose, -1, {}, gates});
 }
 void TransformJournal::add_path_unsens(std::string path, std::int64_t proof) {
-  add({JournalStep::Kind::kPathUnsens, proof, std::move(path), {}, 0});
+  add({JournalStep::Kind::kPathUnsens, proof, std::move(path), 0});
 }
 void TransformJournal::add_path_giveup(std::string reason) {
-  add({JournalStep::Kind::kPathGiveup, -1, std::move(reason), {}, 0});
+  add({JournalStep::Kind::kPathGiveup, -1, std::move(reason), 0});
 }
 void TransformJournal::add_duplicate(std::uint64_t gates) {
-  add({JournalStep::Kind::kDuplicate, -1, {}, {}, gates});
+  add({JournalStep::Kind::kDuplicate, -1, {}, gates});
 }
 void TransformJournal::add_constant(std::uint64_t conn) {
-  add({JournalStep::Kind::kConstant, -1, {}, {}, conn});
+  add({JournalStep::Kind::kConstant, -1, {}, conn});
 }
 void TransformJournal::add_fault_untestable(std::string fault,
                                             std::int64_t proof) {
-  add({JournalStep::Kind::kFaultUntestable, proof, std::move(fault), {}, 0});
+  add({JournalStep::Kind::kFaultUntestable, proof, std::move(fault), 0});
 }
 void TransformJournal::add_fault_unknown(std::string fault) {
-  add({JournalStep::Kind::kFaultUnknown, -1, std::move(fault), {}, 0});
+  add({JournalStep::Kind::kFaultUnknown, -1, std::move(fault), 0});
 }
 void TransformJournal::add_fault_sim_testable(std::string fault) {
-  add({JournalStep::Kind::kFaultSimTestable, -1, std::move(fault), {}, 0});
+  add({JournalStep::Kind::kFaultSimTestable, -1, std::move(fault), 0});
 }
 void TransformJournal::add_delete(std::string fault, std::int64_t proof) {
-  add({JournalStep::Kind::kDelete, proof, std::move(fault), {}, 0});
-}
-void TransformJournal::add_fault_static_untestable(
-    std::string fault, std::int64_t proof, std::string just,
-    std::uint64_t snapshot_digest) {
-  add({JournalStep::Kind::kFaultStaticUntestable, proof, std::move(fault),
-       std::move(just), snapshot_digest});
-}
-void TransformJournal::add_delete_static(std::string fault,
-                                         std::int64_t proof) {
-  add({JournalStep::Kind::kDeleteStatic, proof, std::move(fault), {}, 0});
+  add({JournalStep::Kind::kDelete, proof, std::move(fault), 0});
 }
 void TransformJournal::mark_partial(std::string reason) {
-  add({JournalStep::Kind::kPartial, -1, std::move(reason), {}, 0});
+  add({JournalStep::Kind::kPartial, -1, std::move(reason), 0});
 }
 
 bool TransformJournal::partial() const {
@@ -112,7 +100,6 @@ std::string format_step(const JournalStep& s) {
   if (s.proof >= 0) out << " proof=" << s.proof;
   if (s.count != 0) out << " count=" << s.count;
   if (!s.what.empty()) out << " what=" << quote(s.what);
-  if (!s.just.empty()) out << " just=" << quote(s.just);
   return out.str();
 }
 
@@ -182,8 +169,7 @@ JournalStep parse_step(const std::string& text) {
   if (!known)
     throw std::runtime_error("journal: unknown step kind '" + kind_name + "'");
   // Scan the raw line key=value style: quoted values contain spaces, so
-  // a stream tokenizer cannot walk past them (the old parser simply
-  // stopped at what=; just= forces a real scan).
+  // a stream tokenizer cannot walk past them.
   std::size_t pos = text.find(kind_name) + kind_name.size();
   while (pos < text.size()) {
     while (pos < text.size() && text[pos] == ' ') ++pos;
@@ -211,8 +197,6 @@ JournalStep parse_step(const std::string& text) {
       step.count = std::stoull(value);
     } else if (key == "what") {
       step.what = value;
-    } else if (key == "just") {
-      step.just = value;
     } else {
       throw std::runtime_error("journal: unknown field '" + key + "'");
     }
@@ -270,11 +254,6 @@ TransformJournal TransformJournal::read(std::istream& in) {
 std::int64_t ProofSession::add_certificate(DratCertificate cert) {
   certs_.push_back(std::move(cert));
   return static_cast<std::int64_t>(certs_.size()) - 1;
-}
-
-std::int64_t ProofSession::add_static_certificate(StaticCertificate cert) {
-  static_certs_.push_back(std::move(cert));
-  return static_cast<std::int64_t>(static_certs_.size()) - 1;
 }
 
 std::uint64_t digest_bytes(const std::string& bytes) {

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,23 +44,12 @@ struct JournalStep {
     /// replayed and verified so older journals stay valid.
     kFaultSimTestable,
     kPartial,  ///< degradation marker (what = reason)
-    /// Fault proven untestable by the SAT-free static pre-pass. `proof`
-    /// is a *static certificate* id (a snapshot + structural
-    /// justification, see ProofSession::static_certificates()), `count`
-    /// holds the snapshot digest, and `just` carries the justification
-    /// the checker re-derives (dominator chain + implication set).
-    kFaultStaticUntestable,
-    /// Redundancy removed citing a static verdict (the static analogue
-    /// of kDelete; kept a distinct kind because its proof ids index the
-    /// static certificate space, not the DRAT space).
-    kDeleteStatic,
   };
 
   Kind kind;
   std::int64_t proof = -1;  ///< certificate id, -1 = none
   std::string what;         ///< fault/path description or reason
-  std::string just;         ///< static structural justification, if any
-  std::uint64_t count = 0;  ///< kind-specific count (gates, conn id, digest)
+  std::uint64_t count = 0;  ///< kind-specific count (gates, conn id)
 };
 
 /// Stable text name of a step kind ("delete", "fault-untestable", ...).
@@ -96,12 +84,6 @@ class TransformJournal {
   void add_fault_unknown(std::string fault);
   void add_fault_sim_testable(std::string fault);
   void add_delete(std::string fault, std::int64_t proof);
-  /// `proof` indexes the session's static certificates; `snapshot_digest`
-  /// ties the step to the exact structure the claim was derived on.
-  void add_fault_static_untestable(std::string fault, std::int64_t proof,
-                                   std::string just,
-                                   std::uint64_t snapshot_digest);
-  void add_delete_static(std::string fault, std::int64_t proof);
 
   /// Record a degradation event; the journal finalizes as partial.
   void mark_partial(std::string reason);
@@ -132,16 +114,6 @@ class TransformJournal {
 /// pointer through KmsOptions / RedundancyRemovalOptions; components
 /// register certificates for each UNSAT verdict and journal every
 /// transformation against them.
-/// One static untestability claim: the exact structural snapshot
-/// (kms-snapshot v1, see src/analysis/snapshot.hpp) and the textual
-/// justification the independent checker re-derives on it. Snapshots
-/// are shared — every fault discharged on one network state cites the
-/// same bytes.
-struct StaticCertificate {
-  std::shared_ptr<const std::string> snapshot;
-  std::string justification;
-};
-
 class ProofSession {
  public:
   TransformJournal journal;
@@ -151,18 +123,8 @@ class ProofSession {
 
   const std::vector<DratCertificate>& certificates() const { return certs_; }
 
-  /// Register a static certificate; its id space is separate from the
-  /// DRAT certificates' (kFaultStaticUntestable/kDeleteStatic steps
-  /// index here).
-  std::int64_t add_static_certificate(StaticCertificate cert);
-
-  const std::vector<StaticCertificate>& static_certificates() const {
-    return static_certs_;
-  }
-
  private:
   std::vector<DratCertificate> certs_;
-  std::vector<StaticCertificate> static_certs_;
 };
 
 /// FNV-1a over bytes; used to tie the journal to the exact BLIF

@@ -4,10 +4,10 @@
 // journal prefix alone: the phase cursor, the committed counters
 // (KmsStats with the nested removal and ATPG stats), the removal-phase
 // scan rng and cross-pass fault-cache state, the proof-session sizes
-// (journal steps / certificate counts the prefix is truncated to), and
-// the FNV-1a digest of the exact network snapshot (kms-snapshot v1) —
-// the cross-check that the deterministic journal replay reconstructed
-// the bit-identical structure before the run continues.
+// (journal steps / certificate count the prefix is truncated to), and
+// the FNV-1a digest of the exact network structure — the cross-check
+// that the deterministic journal replay reconstructed the bit-identical
+// structure before the run continues.
 //
 // Serialized as a line-oriented "key value" text block inside one WAL
 // record; parsing rejects unknown keys and malformed values outright (a
@@ -26,9 +26,8 @@ struct Checkpoint {
   std::string phase;         ///< "loop" | "removal"
   std::uint64_t cursor = 0;  ///< loop iterations | removal passes
   std::uint64_t steps = 0;   ///< journal steps committed at this point
-  std::uint64_t drat_certs = 0;    ///< DRAT certificates registered
-  std::uint64_t static_certs = 0;  ///< static certificates registered
-  std::uint64_t net_digest = 0;  ///< digest_bytes(write_snapshot(net))
+  std::uint64_t drat_certs = 0;  ///< DRAT certificates registered
+  std::uint64_t net_digest = 0;  ///< structure digest (src/recover/session.cpp)
   std::string rng_state;    ///< removal scan rng; "" in the loop phase
   std::string cache_state;  ///< fault cache; "" in the loop phase
   KmsStats stats;           ///< full committed counters

@@ -132,15 +132,15 @@ JobSpec parse_job_spec(const std::string& json_text);
   X(initial_gates, 0) X(final_gates, 0)                                     \
   X(initial_max_fanout, 0) X(final_max_fanout, 0)                           \
   X(removal_passes, 0) X(removal_sat_queries, 0)                            \
-  X(removal_structural_shortcuts, 0) X(removal_static_discharged, 0)        \
+  X(removal_structural_shortcuts, 0)                                        \
+  /* always 0 (no static pre-pass); e2ebench/driver.cpp reads it */          \
+  X(removal_static_discharged, 0)                                           \
   X(removal_sim_dropped, 0) X(removal_witness_dropped, 0)                   \
   X(removal_cache_hits, 0) X(removal_cache_invalidated, 0)                  \
-  X(removal_sat_solves, 0) X(removal_cone_gates, 0)                         \
-  X(removal_max_cone_gates, 0)                                              \
+  X(removal_cone_gates, 0) X(removal_max_cone_gates, 0)                     \
   X(sta_applies, 0) X(sta_rebuilds, 0) X(sta_gates_repaired, 0)             \
   X(sta_full_visits, 0)                                                     \
-  X(steps_checked, 0) X(certificates_checked, 0) X(static_checked, 0)       \
-  X(deletions_verified, 0)                                                  \
+  X(steps_checked, 0) X(certificates_checked, 0) X(deletions_verified, 0)   \
   X(audit_faults, 0) X(audit_redundant, 0) X(audit_unknown, 0)              \
   X(audit_sat_conflicts, 0)                                                 \
   X(lint_errors, 0) X(lint_findings, 0)                                     \

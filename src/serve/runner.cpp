@@ -241,11 +241,6 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
   check_stage(spec, rep, model.comb, "decompose_to_simple");
   const auto faults = collapsed_faults(model.comb);
   Atpg atpg(model.comb, &governor);
-  // Static pre-pass: faults the dominator/implication engine proves
-  // untestable are discharged without a SAT solve (and without
-  // spending governor budget on them).
-  const StaticOracle oracle(model.comb, /*proving=*/false);
-  atpg.set_static_oracle(&oracle);
   std::size_t redundant = 0;
   std::size_t unresolved = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -272,12 +267,9 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
           unresolved);
   appendf(&rep->text, "sat conflicts  : %llu\n",
           static_cast<unsigned long long>(as.sat_conflicts));
-  appendf(&rep->text,
-          "sat solves     : %llu (+%llu structural shortcuts, "
-          "+%llu static pre-pass)\n",
+  appendf(&rep->text, "sat solves     : %llu (+%llu structural shortcuts)\n",
           static_cast<unsigned long long>(as.sat_solves),
-          static_cast<unsigned long long>(as.structural_shortcuts),
-          static_cast<unsigned long long>(as.static_discharged));
+          static_cast<unsigned long long>(as.structural_shortcuts));
   if (as.sat_solves > 0)
     appendf(&rep->text, "cone gates     : %.1f avg, %llu max per solve\n",
             static_cast<double>(as.cone_gates_encoded) /
@@ -291,9 +283,8 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
   rep->audit_redundant = redundant;
   rep->audit_unknown = unresolved;
   rep->audit_sat_conflicts = as.sat_conflicts;
-  rep->removal_sat_solves = as.sat_solves;
+  rep->removal_sat_queries = as.sat_solves;
   rep->removal_structural_shortcuts = as.structural_shortcuts;
-  rep->removal_static_discharged = as.static_discharged;
   rep->removal_cone_gates = as.cone_gates_encoded;
   rep->removal_max_cone_gates = as.max_cone_gates;
 }
@@ -319,14 +310,12 @@ void fill_kms_stats(const KmsStats& stats, JobReport* rep) {
   rep->interrupted = rep->interrupted || stats.interrupted;
   const RedundancyRemovalResult& r = stats.removal;
   rep->removal_passes = r.passes;
-  rep->removal_sat_queries = r.sat_queries;
-  rep->removal_structural_shortcuts = r.structural_shortcuts;
-  rep->removal_static_discharged = r.static_discharged;
+  rep->removal_sat_queries = r.atpg.sat_solves;
+  rep->removal_structural_shortcuts = r.atpg.structural_shortcuts;
   rep->removal_sim_dropped = r.sim_dropped;
   rep->removal_witness_dropped = r.witness_dropped;
   rep->removal_cache_hits = r.cache_hits;
   rep->removal_cache_invalidated = r.cache_invalidated;
-  rep->removal_sat_solves = r.atpg.sat_solves;
   rep->removal_cone_gates = r.atpg.cone_gates_encoded;
   rep->removal_max_cone_gates = r.atpg.max_cone_gates;
   rep->removal_sim_seconds = r.sim_seconds;
@@ -431,7 +420,6 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
       rep->certify_partial = vrep.partial;
       rep->steps_checked = vrep.steps_checked;
       rep->certificates_checked = vrep.certificates_checked;
-      rep->static_checked = vrep.static_checked;
       rep->deletions_verified = vrep.deletions_verified;
     }
   }

@@ -1,12 +1,10 @@
 // Static analysis subsystem unit tests: levelized traversal, the
 // post-dominator tree, implication learning, SCOAP metrics, fault
 // collapsing (and its agreement with the ATPG layer's collapsed list),
-// the exact structural snapshot, the NL017-NL021 rules and the
-// aggregated report. The soundness property suite for the SAT-free
+// the NL017-NL021 rules and the aggregated report. The soundness property suite for the SAT-free
 // untestability verdicts lives in static_untestable_test.cpp.
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +15,6 @@
 #include "src/analysis/report.hpp"
 #include "src/analysis/rules.hpp"
 #include "src/analysis/scoap.hpp"
-#include "src/analysis/snapshot.hpp"
 #include "src/atpg/fault.hpp"
 #include "src/check/diagnostics.hpp"
 #include "src/gen/adders.hpp"
@@ -314,53 +311,6 @@ TEST(AnalysisCollapseTest, SimpleGateHasDominanceEdges) {
   const Network net = load(kStatredBlif);
   const analysis::FaultCollapse fc(net);
   EXPECT_GT(fc.dominance_edges(), 0u);
-}
-
-// ---- snapshot ------------------------------------------------------------
-
-TEST(AnalysisSnapshotTest, RoundTripPreservesGateIdentity) {
-  // The contract certificates rest on: gate i of the parsed network IS
-  // the snapshot's gate i — same kind, same fanin pins (as snapshot
-  // indices, in pin order), same name. Byte-idempotence of a second
-  // write is NOT promised (the rebuilt network may serialize in a
-  // different valid topological order); identity of coordinates is.
-  for (const Network& net : property_circuits()) {
-    const std::string s = analysis::write_snapshot(net);
-    ASSERT_EQ(analysis::write_snapshot(net), s);  // deterministic bytes
-    const Network back = analysis::read_snapshot(s);
-    const auto order = analysis::snapshot_order(net);
-    ASSERT_EQ(back.topo_order().size(), order.size());
-    std::vector<std::uint32_t> index(net.gate_capacity(), 0);
-    for (std::size_t i = 0; i < order.size(); ++i)
-      index[order[i].value()] = static_cast<std::uint32_t>(i);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const Gate& orig = net.gate(order[i]);
-      const Gate& copy = back.gate(GateId(static_cast<std::uint32_t>(i)));
-      EXPECT_EQ(copy.kind, orig.kind);
-      EXPECT_EQ(copy.name, orig.name);
-      std::vector<std::uint32_t> want, got;
-      for (const ConnId c : orig.fanins) {
-        if (net.conn(c).dead) continue;
-        want.push_back(index[net.conn(c).from.value()]);
-      }
-      for (const ConnId c : copy.fanins) {
-        if (back.conn(c).dead) continue;
-        got.push_back(back.conn(c).from.value());
-      }
-      EXPECT_EQ(got, want) << "fanin pins differ at snapshot index " << i;
-    }
-  }
-}
-
-TEST(AnalysisSnapshotTest, RejectsMalformedInput) {
-  EXPECT_THROW(analysis::read_snapshot("not a snapshot"),
-               std::runtime_error);
-  EXPECT_THROW(analysis::read_snapshot(""), std::runtime_error);
-  // Truncation mid-file must not produce a silently different network.
-  const Network net = load(kConsensusBlif);
-  const std::string s = analysis::write_snapshot(net);
-  EXPECT_THROW(analysis::read_snapshot(s.substr(0, s.size() / 2)),
-               std::runtime_error);
 }
 
 // ---- rules and report ----------------------------------------------------

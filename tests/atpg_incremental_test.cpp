@@ -118,7 +118,7 @@ void expect_engines_agree(const Network& original) {
   const RedundancyRemovalResult r = remove_redundancies(net);
   EXPECT_EQ(ref.removed, r.removed);
   EXPECT_EQ(write_blif_string(ref_net), write_blif_string(net));
-  EXPECT_LE(r.sat_queries, ref.sat_queries);
+  EXPECT_LE(r.atpg.sat_solves, ref.sat_queries);
   EXPECT_EQ(ref_net.check(), "");
   EXPECT_EQ(net.check(), "");
   EXPECT_EQ(count_redundancies(net), 0u);
@@ -143,12 +143,10 @@ TEST(AtpgIncrementalTest, IncrementalSavesQueriesOnCarrySkip) {
   decompose_to_simple(net);
   Network ref_net = net.clone_compact();
   Network inc_net = net.clone_compact();
-  // Random-sim pre-drop and static pre-pass off: the comparison
-  // measures the exact-ATPG load witness dropping and the cross-pass
-  // cache are responsible for, as bench_atpg --json does.
+  // Random-sim pre-drop off: the comparison measures the exact-ATPG
+  // load witness dropping and the cross-pass cache are responsible for.
   RedundancyRemovalOptions inc_opts;
   inc_opts.use_fault_sim = false;
-  inc_opts.static_prepass = false;
   const ReferenceRemoval ref = reference_remove_redundancies(ref_net);
   const auto inc_r = remove_redundancies(inc_net, inc_opts);
   ASSERT_GT(inc_r.removed, 0u);
@@ -159,7 +157,7 @@ TEST(AtpgIncrementalTest, IncrementalSavesQueriesOnCarrySkip) {
   // ATPG load.
   EXPECT_GT(inc_r.cache_hits, 0u);
   EXPECT_GT(inc_r.witness_dropped, 0u);
-  EXPECT_LT(inc_r.sat_queries, ref.sat_queries);
+  EXPECT_LT(inc_r.atpg.sat_solves, ref.sat_queries);
 }
 
 TEST(AtpgIncrementalTest, GovernedDetectRandomReportsPartialResult) {
@@ -222,17 +220,16 @@ TEST(AtpgIncrementalTest, StructuralShortcutAccounting) {
 }
 
 TEST(AtpgIncrementalTest, RemovalResultCountsActualSolves) {
-  // The sat_queries accounting fix: the counter must equal the engine's
-  // solver-call count, with structural shortcuts reported separately —
-  // not the number of loop iterations that reached generate_test.
+  // The removal result keeps one copy of the solver-call count, in its
+  // aggregated AtpgStats: every query the lanes issued is either a
+  // solve or a structural shortcut, and every removal needed a proof.
   Network net = carry_skip_adder(4, 2);
   decompose_to_simple(net);
   const auto r = remove_redundancies(net);
-  EXPECT_EQ(r.sat_queries, r.atpg.sat_solves);
-  EXPECT_EQ(r.structural_shortcuts, r.atpg.structural_shortcuts);
-  EXPECT_EQ(r.static_discharged, r.atpg.static_discharged);
-  EXPECT_EQ(r.atpg.queries, r.atpg.sat_solves + r.atpg.structural_shortcuts +
-                                r.atpg.static_discharged);
+  ASSERT_GT(r.removed, 0u);
+  EXPECT_GT(r.atpg.sat_solves, 0u);
+  EXPECT_EQ(r.atpg.queries, r.atpg.sat_solves + r.atpg.structural_shortcuts);
+  EXPECT_GE(r.atpg.untestable, r.removed);
 }
 
 TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
@@ -285,10 +282,9 @@ TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
   EXPECT_EQ(legacy.deletions_verified, r.removed);
 }
 
-// The invariant behind analyzing only the undecided faults statically:
-// a fault that random or witness simulation detects is testable, so no
-// sound static rule may call it untestable. Were it otherwise, dropping
-// the fault before the oracle analyzes it would lose a verdict.
+// A soundness cross-check of the static verdicts lint and `kmscli
+// analyze` report: a fault that random or witness simulation detects is
+// testable, so no sound static rule may call it untestable.
 TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
   std::vector<Network> nets = test_circuits();
   for (Network& n : example_circuits()) nets.push_back(std::move(n));
@@ -310,10 +306,10 @@ TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
     const analysis::StaticUntestable engine(net);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Fault& f = faults[i];
-      const analysis::StaticResult r =
+      const analysis::StaticVerdict v =
           f.site == Fault::Site::kStem ? engine.analyze_stem(f.gate, f.stuck)
                                        : engine.analyze_branch(f.conn, f.stuck);
-      if (!r.untestable()) continue;
+      if (v == analysis::StaticVerdict::kUnknown) continue;
       ++static_hits;
       EXPECT_FALSE(detected[i])
           << net.name() << ": simulation detects statically untestable "
@@ -323,7 +319,7 @@ TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
   EXPECT_GT(static_hits, 0u);  // the property was exercised
 }
 
-// A certify job's artifacts — output BLIF, journal, DRAT and static
+// A certify job's artifacts — output BLIF, journal and DRAT
 // certificates — are byte-identical at jobs 1 and 4. Only the WAL is
 // left out: its checkpoints serialize the fault cache, whose contents
 // at jobs > 1 depend on which worker's witness dropped a fault first.

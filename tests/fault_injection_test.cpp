@@ -193,14 +193,12 @@ TEST(FaultInjectionTest, InjectedAbortNeverEmitsVacuousUnsatProof) {
   }
 
   // The same schedule through the removal engine, which journals the
-  // lanes' captured verdicts. The static pre-pass is off: its verdicts
-  // need no solver, so they would (rightly) survive the aborts.
+  // lanes' captured verdicts.
   ResourceGovernor run_gov;
   run_gov.set_injector(
       FaultInjector::random(/*seed=*/7, /*abort_probability=*/1.0));
   proof::ProofSession session;
   RedundancyRemovalOptions opts;
-  opts.static_prepass = false;
   opts.context.governor = &run_gov;
   opts.context.session = &session;
   const RedundancyRemovalResult r = remove_redundancies(net, opts);
@@ -253,7 +251,6 @@ TEST(FaultInjectionTest, GovernorTripRightAfterUntestableProofStillRemoves) {
     session.journal.set_model(net.name());
     session.journal.set_input_digest(proof::digest_bytes(input_blif));
     RedundancyRemovalOptions opts;
-    opts.static_prepass = false;  // the first removal must be a SAT proof
     opts.context.governor = &gov;
     opts.context.session = &session;
     opts.context.sink = sink;

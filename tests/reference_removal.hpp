@@ -4,7 +4,7 @@
 // redundancies must be recomputed after each removal". Each pass scans
 // the collapsed fault list forward with a fresh Atpg, removes the first
 // untestable fault and starts over; the first pass that finds none
-// ends the run. No simulation, no cache, no static oracle, no threads —
+// ends the run. No simulation, no cache, no threads —
 // so any fault the production engine skips or removes differently
 // shows up as a different network.
 #pragma once
@@ -21,7 +21,7 @@ namespace kms {
 
 struct ReferenceRemoval {
   std::size_t removed = 0;
-  std::size_t sat_queries = 0;  ///< solver calls, as in RedundancyRemovalResult
+  std::size_t sat_queries = 0;  ///< solver calls (AtpgStats::sat_solves)
 };
 
 inline ReferenceRemoval reference_remove_redundancies(Network& net) {

@@ -1,17 +1,14 @@
-// Soundness and integrity suite for the SAT-free untestability
-// pre-pass (the static analysis tentpole):
+// Soundness suite for the SAT-free untestability verdicts behind lint
+// rules NL017-NL021 and `kmscli analyze`:
 //
 //  * property: every static untestability verdict is confirmed by the
 //    exact SAT engine on the example corpus, random circuits and the
 //    statically-redundant generator — the rules must never be wrong;
-//  * every justification re-derives on a network parsed back from the
-//    structural snapshot it was stated against, and a tampered
-//    justification is rejected;
-//  * the pre-pass never changes the removal result, only the number of
-//    SAT queries spent reaching it;
-//  * fault injection: an aborted run never records a vacuous static
-//    verdict — static journal steps exist only for removals that were
-//    actually committed, and each one still re-derives.
+//  * the verdicts are a deterministic function of the network;
+//  * removal does not use them: a certified run on circuits whose
+//    redundancies the rules catch proves every deletion with SAT and a
+//    DRAT certificate, and an aborted run journals only the verdicts
+//    of removals it committed.
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,25 +16,26 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/snapshot.hpp"
 #include "src/analysis/static_untestable.hpp"
 #include "src/atpg/atpg.hpp"
 #include "src/atpg/fault.hpp"
 #include "src/atpg/redundancy.hpp"
 #include "src/base/governor.hpp"
+#include "src/core/kms.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/proof/journal.hpp"
+#include "src/proof/verify.hpp"
 
 namespace kms {
 namespace {
 
 namespace fs = std::filesystem;
 
-using analysis::StaticResult;
 using analysis::StaticUntestable;
+using analysis::StaticVerdict;
 using proof::JournalStep;
 using proof::ProofSession;
 
@@ -79,33 +77,26 @@ Network mixed_redundancies() {
   return net;
 }
 
-StaticResult analyze(const StaticUntestable& engine, const Fault& f) {
+StaticVerdict analyze(const StaticUntestable& engine, const Fault& f) {
   return f.site == Fault::Site::kStem ? engine.analyze_stem(f.gate, f.stuck)
                                       : engine.analyze_branch(f.conn, f.stuck);
 }
 
 /// The core soundness check: every static verdict on `net` must agree
-/// with the exact SAT engine, and every justification must re-derive on
-/// the snapshot. Returns the number of statically discharged faults.
+/// with the exact SAT engine. Returns the number of faults the rules
+/// prove untestable.
 std::size_t check_soundness(const Network& net, const std::string& label) {
   const StaticUntestable engine(net);
-  Atpg exact(net);  // no oracle, no governor: verdicts are exact
+  Atpg exact(net);  // no governor: verdicts are exact
   std::size_t hits = 0;
-  Network from_snapshot;
   for (const Fault& f : collapsed_faults(net)) {
-    const StaticResult r = analyze(engine, f);
-    if (!r.untestable()) continue;
+    const StaticVerdict v = analyze(engine, f);
+    if (v == StaticVerdict::kUnknown) continue;
     ++hits;
     EXPECT_EQ(exact.generate_test(f).outcome, TestOutcome::kUntestable)
         << label << ": static engine wrongly called "
         << format_fault(net, f) << " untestable ("
-        << r.justification << ")";
-    if (hits == 1)
-      from_snapshot = analysis::read_snapshot(analysis::write_snapshot(net));
-    EXPECT_EQ(analysis::verify_static_claim(from_snapshot, r.justification),
-              "")
-        << label << ": justification failed to re-derive: "
-        << r.justification;
+        << analysis::static_verdict_name(v) << ")";
   }
   return hits;
 }
@@ -119,8 +110,8 @@ TEST(StaticUntestableTest, VerdictsMatchExactSatOnExampleCorpus) {
     decompose_to_simple(model.comb);
     total += check_soundness(model.comb, entry.path().filename().string());
   }
-  // Acceptance: the pre-pass discharges at least one untestable fault
-  // SAT-free on the shipped example corpus.
+  // The rules prove at least one untestable fault SAT-free on the
+  // shipped example corpus.
   EXPECT_GE(total, 1u);
 }
 
@@ -144,63 +135,12 @@ TEST(StaticUntestableTest, VerdictsMatchExactSatOnGeneratedCircuits) {
   EXPECT_GE(total, 8u);  // each statred block contributes two
 }
 
-TEST(StaticUntestableTest, VerifierRejectsTamperedJustifications) {
-  const Network net = statred_blocks(1);
-  const Network snap = analysis::read_snapshot(analysis::write_snapshot(net));
-  const StaticUntestable engine(net);
-  std::size_t checked = 0;
-  for (const Fault& f : collapsed_faults(net)) {
-    const StaticResult r = analyze(engine, f);
-    if (!r.untestable()) continue;
-    ++checked;
-    // Flip the claimed stuck value: the claim must stop re-deriving.
-    std::string flipped = r.justification;
-    const auto pos = flipped.find("stuck=");
-    ASSERT_NE(pos, std::string::npos);
-    flipped[pos + 6] = flipped[pos + 6] == '0' ? '1' : '0';
-    EXPECT_NE(analysis::verify_static_claim(snap, flipped), "")
-        << "tampered stuck value accepted: " << flipped;
-    // Garbage is rejected, not crashed on.
-    EXPECT_NE(analysis::verify_static_claim(snap, "site=stem:0"), "");
-    EXPECT_NE(analysis::verify_static_claim(snap, ""), "");
-  }
-  EXPECT_GT(checked, 0u);
-}
-
 TEST(StaticUntestableTest, AnalysisIsDeterministic) {
   const Network net = mixed_redundancies();
   const StaticUntestable a(net), b(net);
-  for (const Fault& f : collapsed_faults(net)) {
-    const StaticResult ra = analyze(a, f), rb = analyze(b, f);
-    EXPECT_EQ(ra.verdict, rb.verdict);
-    EXPECT_EQ(ra.justification, rb.justification);
-  }
+  for (const Fault& f : collapsed_faults(net))
+    EXPECT_EQ(analyze(a, f), analyze(b, f));
 }
-
-TEST(StaticUntestableTest, PrepassPreservesRemovalResultExactly) {
-  for (Network original : {statred_blocks(3), mixed_redundancies()}) {
-    Network off_net = original.clone_compact();
-    Network on_net = original.clone_compact();
-    RedundancyRemovalOptions off_opts, on_opts;
-    off_opts.static_prepass = false;
-    on_opts.static_prepass = true;
-    const auto off = remove_redundancies(off_net, off_opts);
-    const auto on = remove_redundancies(on_net, on_opts);
-    EXPECT_EQ(off.removed, on.removed);
-    EXPECT_EQ(write_blif_string(off_net), write_blif_string(on_net))
-        << "pre-pass changed the removal result";
-    EXPECT_EQ(off.static_discharged, 0u);
-    EXPECT_GT(on.static_discharged, 0u);
-    EXPECT_LT(on.sat_queries, off.sat_queries);
-    // Accounting identity: every query is a solve, a structural
-    // shortcut, or a static discharge.
-    EXPECT_EQ(on.atpg.queries, on.atpg.sat_solves +
-                                   on.atpg.structural_shortcuts +
-                                   on.atpg.static_discharged);
-  }
-}
-
-// ---- fault injection: no vacuous static verdicts -------------------------
 
 std::size_t count_steps(const ProofSession& session, JournalStep::Kind kind) {
   std::size_t n = 0;
@@ -210,105 +150,95 @@ std::size_t count_steps(const ProofSession& session, JournalStep::Kind kind) {
 }
 
 TEST(StaticUntestableTest, InterruptedRunRecordsNoStaticVerdicts) {
-  // The oracle provably holds verdicts for this circuit...
+  // The static rules hold verdicts for every redundancy here...
   Network net = statred_blocks(4);
   EXPECT_GT(check_soundness(net, "statred_4"), 0u);
-  // ...yet a run interrupted before any commit must journal none of
-  // them: a static verdict is only recorded when its removal commits.
+  // ...yet removal never takes one from them, and a run interrupted
+  // before any commit journals no verdict at all.
   ResourceGovernor gov;
   gov.request_interrupt();
   ProofSession session;
   session.journal.set_model(net.name());
   RedundancyRemovalOptions opts;
-  opts.static_prepass = true;
   opts.context.governor = &gov;
   opts.context.session = &session;
   const auto r = remove_redundancies(net, opts);
   EXPECT_EQ(r.removed, 0u);
   EXPECT_TRUE(r.aborted);
-  EXPECT_EQ(count_steps(session, JournalStep::Kind::kFaultStaticUntestable),
-            0u);
-  EXPECT_EQ(count_steps(session, JournalStep::Kind::kDeleteStatic), 0u);
-  EXPECT_TRUE(session.static_certificates().empty());
+  EXPECT_EQ(count_steps(session, JournalStep::Kind::kFaultUntestable), 0u);
+  EXPECT_EQ(count_steps(session, JournalStep::Kind::kDelete), 0u);
+  EXPECT_TRUE(session.certificates().empty());
 }
 
 TEST(StaticUntestableTest, AbortedRunsNeverJournalVacuousStaticClaims) {
-  // Across a sweep of mid-run cancellation schedules: however far the
-  // loop got, (a) static steps come in matched pairs with their
-  // deletions, (b) every static claim cites a registered certificate
-  // whose justification re-derives on its own snapshot, and (c) the
-  // deletion count in the journal equals the removals actually applied.
+  // Across a sweep of mid-run cancellation schedules on a circuit that
+  // mixes statically provable redundancies with one only SAT proves:
+  // however far the loop got, (a) untestable-fault steps come in
+  // matched pairs with their deletions, one per removal actually
+  // applied, (b) each cites a registered DRAT certificate, and (c) the
+  // session verifies.
   for (std::uint64_t cancel_after = 0; cancel_after < 6; ++cancel_after) {
     Network net = mixed_redundancies();
+    const std::string input = write_blif_string(net);
     ResourceGovernor gov;
     gov.set_injector(FaultInjector::random(/*seed=*/cancel_after + 1,
                                            /*abort_probability=*/0.3,
                                            cancel_after));
     ProofSession session;
     session.journal.set_model(net.name());
+    session.journal.set_input_digest(proof::digest_bytes(input));
     RedundancyRemovalOptions opts;
-    opts.static_prepass = true;
     opts.context.governor = &gov;
     opts.context.session = &session;
     const auto r = remove_redundancies(net, opts);
+    const std::string output = write_blif_string(net);
+    session.journal.set_output_digest(proof::digest_bytes(output));
 
     const std::size_t claims =
-        count_steps(session, JournalStep::Kind::kFaultStaticUntestable);
-    const std::size_t static_deletes =
-        count_steps(session, JournalStep::Kind::kDeleteStatic);
-    const std::size_t sat_deletes =
-        count_steps(session, JournalStep::Kind::kDelete);
-    EXPECT_EQ(claims, static_deletes)
-        << "static claim journalled without its committed deletion";
-    EXPECT_EQ(sat_deletes + static_deletes, r.removed)
-        << "journalled deletions disagree with removals applied";
-    EXPECT_LE(claims, r.static_discharged);
-
-    ASSERT_EQ(session.static_certificates().size(), claims);
-    for (const JournalStep& s : session.journal.steps()) {
-      if (s.kind != JournalStep::Kind::kFaultStaticUntestable) continue;
-      ASSERT_GE(s.proof, 0);
-      ASSERT_LT(static_cast<std::size_t>(s.proof),
-                session.static_certificates().size());
-      const proof::StaticCertificate& cert =
-          session.static_certificates()[static_cast<std::size_t>(s.proof)];
-      ASSERT_NE(cert.snapshot, nullptr);
-      EXPECT_EQ(s.count, proof::digest_bytes(*cert.snapshot));
-      EXPECT_EQ(s.just, cert.justification);
-      const Network snap = analysis::read_snapshot(*cert.snapshot);
-      EXPECT_EQ(analysis::verify_static_claim(snap, cert.justification), "")
-          << "aborted run journalled a static claim that does not "
-          << "re-derive: " << cert.justification;
-    }
+        count_steps(session, JournalStep::Kind::kFaultUntestable);
+    EXPECT_EQ(claims, r.removed)
+        << "untestable verdict journalled without its committed deletion";
+    EXPECT_EQ(count_steps(session, JournalStep::Kind::kDelete), r.removed);
+    EXPECT_EQ(session.certificates().size(), claims);
+    const proof::VerifyReport rep =
+        proof::verify_session(session, input, output);
+    EXPECT_TRUE(rep.ok) << "cancel_after=" << cancel_after << ": "
+                        << rep.error;
+    EXPECT_EQ(rep.deletions_verified, r.removed);
   }
 }
 
-TEST(StaticUntestableTest, JournalStaticStepsSurviveTextRoundTrip) {
-  Network net = statred_blocks(2);
+TEST(StaticUntestableTest, StatredCertifiedRunProvesEveryRemovalWithSat) {
+  // Every redundancy of statred_blocks is one the static rules prove,
+  // yet removal proves each with SAT: one fault-untestable + delete
+  // pair per block, each citing its own DRAT certificate, and the
+  // session verifies and survives a text round trip of its journal.
+  Network net = statred_blocks(8);
+  ASSERT_GE(check_soundness(net, "statred_8"), 8u);
   ProofSession session;
-  session.journal.set_model(net.name());
   const std::string input = write_blif_string(net);
+  session.journal.set_model(net.name());
   session.journal.set_input_digest(proof::digest_bytes(input));
-  RedundancyRemovalOptions opts;
-  opts.static_prepass = true;
+  KmsOptions opts;
   opts.context.session = &session;
-  const auto r = remove_redundancies(net, opts);
-  EXPECT_GT(r.static_discharged, 0u);
-  session.journal.set_output_digest(
-      proof::digest_bytes(write_blif_string(net)));
+  const KmsStats stats = kms_make_irredundant(net, opts);
+  const std::string output = write_blif_string(net);
+  session.journal.set_output_digest(proof::digest_bytes(output));
+
+  EXPECT_EQ(stats.redundancies_removed, 8u);
+  EXPECT_EQ(count_steps(session, JournalStep::Kind::kFaultUntestable), 8u);
+  EXPECT_EQ(count_steps(session, JournalStep::Kind::kDelete), 8u);
+  EXPECT_EQ(session.certificates().size(), 8u);
+  const proof::VerifyReport rep =
+      proof::verify_session(session, input, output);
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_FALSE(rep.partial);
+  EXPECT_EQ(rep.certificates_checked, 8u);
+  EXPECT_EQ(rep.deletions_verified, 8u);
 
   std::istringstream in(session.journal.to_text());
   const proof::TransformJournal back = proof::TransformJournal::read(in);
-  ASSERT_EQ(back.steps().size(), session.journal.steps().size());
-  for (std::size_t i = 0; i < back.steps().size(); ++i) {
-    const JournalStep& a = session.journal.steps()[i];
-    const JournalStep& b = back.steps()[i];
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.proof, b.proof);
-    EXPECT_EQ(a.what, b.what);
-    EXPECT_EQ(a.just, b.just);
-    EXPECT_EQ(a.count, b.count);
-  }
+  EXPECT_EQ(back.to_text(), session.journal.to_text());
 }
 
 }  // namespace

@@ -244,7 +244,6 @@ Checkpoint sample_checkpoint() {
   c.cursor = 7;
   c.steps = 42;
   c.drat_certs = 5;
-  c.static_certs = 2;
   c.net_digest = 0xdeadbeefcafef00dull;
   c.rng_state = "0123456789abcdef:fedcba9876543210:0000000000000001:"
                 "00000000000000ff";
@@ -260,10 +259,10 @@ Checkpoint sample_checkpoint() {
   c.stats.final_computed_delay = 8.0000000000000071;
   c.stats.removal.removed = 9;
   c.stats.removal.passes = 7;
-  c.stats.removal.sat_queries = 123;
   c.stats.removal.sim_seconds = 0.25;
   c.stats.removal.sat_seconds = 1.5e-3;
   c.stats.removal.atpg.queries = 321;
+  c.stats.removal.atpg.sat_solves = 123;
   c.stats.removal.atpg.sat_conflicts = 999;
   c.stats.removal.atpg.max_cone_gates = 64;
   return c;
@@ -281,6 +280,7 @@ TEST(CheckpointTest, RoundTripsExactly) {
   EXPECT_EQ(d.rng_state, c.rng_state);
   EXPECT_EQ(d.cache_state, c.cache_state);
   EXPECT_EQ(d.stats.removal.atpg.sat_conflicts, 999u);
+  EXPECT_EQ(d.stats.removal.atpg.sat_solves, 123u);
   EXPECT_DOUBLE_EQ(d.stats.initial_computed_delay,
                    c.stats.initial_computed_delay);
   EXPECT_DOUBLE_EQ(d.stats.removal.sat_seconds, c.stats.removal.sat_seconds);
@@ -323,6 +323,23 @@ TEST(CheckpointTest, RejectsRetiredSpeculationKeys) {
         << key;
 }
 
+// Checkpoints written while removal had a static pre-pass, or while the
+// removal result kept its own copies of the solve counters, carry keys
+// no engine produces any more: rejected, not silently skipped.
+TEST(CheckpointTest, RejectsRetiredStaticAndCounterCopyKeys) {
+  const std::string text = write_checkpoint(sample_checkpoint());
+  EXPECT_NO_THROW(read_checkpoint(text));
+  for (const char* key :
+       {"static-certs", "rm.sat_queries", "rm.structural_shortcuts",
+        "rm.static_discharged", "atpg.static_discharged"}) {
+    EXPECT_EQ(text.find(std::string("\n") + key + " "), std::string::npos)
+        << key;
+    EXPECT_THROW(read_checkpoint(std::string(key) + " 0\n" + text),
+                 std::runtime_error)
+        << key;
+  }
+}
+
 TEST(SessionMetaTest, RoundTripsExactly) {
   SessionMeta m;
   m.model = "carry skip adder";  // spaces survive (rest-of-line value)
@@ -330,7 +347,6 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   m.order = "random";
   m.jobs = 4;
   m.seed = 0x5EEDull;
-  m.static_prepass = false;
   m.use_fault_sim = false;
   m.random_words = 16;
   m.remove_remaining = true;
@@ -345,15 +361,18 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   EXPECT_EQ(r.mode, "viability");
   EXPECT_EQ(r.order, "random");
   EXPECT_EQ(r.jobs, 4u);
-  EXPECT_FALSE(r.static_prepass);
+  EXPECT_FALSE(r.use_fault_sim);
   EXPECT_EQ(r.source_digest, m.source_digest);
 }
 
 TEST(SessionMetaTest, RejectsMalformedMeta) {
   const std::string text = write_meta(SessionMeta{});
   EXPECT_THROW(read_meta("bogus 1\n" + text), std::runtime_error);
-  // The removal-engine switch is gone: its key is unknown now.
+  // The removal-engine switch and the static pre-pass are gone: their
+  // keys are unknown now.
   EXPECT_THROW(read_meta("incremental 1\n" + text), std::runtime_error);
+  EXPECT_EQ(text.find("static-prepass"), std::string::npos);
+  EXPECT_THROW(read_meta("static-prepass 1\n" + text), std::runtime_error);
   EXPECT_THROW(read_meta(text.substr(0, text.size() / 2)),
                std::runtime_error);
   std::string bad = text;

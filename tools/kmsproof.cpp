@@ -4,10 +4,8 @@
 //       Verify an artifact directory written by `kmscli irr --emit-proof
 //       <dir>`: parse journal.txt, replay every journal step against its
 //       local inference rule, re-check every referenced DRAT certificate
-//       from scratch, re-derive every static untestability claim on its
-//       stated structural snapshot (s<N>.snap), recompute the
-//       input/output digests from the BLIF bytes, and run the structural
-//       invariant checker on output.blif.
+//       from scratch, recompute the input/output digests from the BLIF
+//       bytes, and run the structural invariant checker on output.blif.
 //
 //   kmsproof --proof <file.cnf> <file.drat>
 //       Check a single certificate pair (any DIMACS CNF + DRAT text;
@@ -98,9 +96,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf(
-      "VERIFIED%s: %zu journal steps, %zu certificates, %zu static claims "
-      "re-derived, %zu deletions proof-backed\n",
+      "VERIFIED%s: %zu journal steps, %zu certificates, %zu deletions "
+      "proof-backed\n",
       rep.partial ? " (partial run)" : "", rep.steps_checked,
-      rep.certificates_checked, rep.static_checked, rep.deletions_verified);
+      rep.certificates_checked, rep.deletions_verified);
   return 0;
 }
