@@ -145,8 +145,7 @@ std::uint64_t FaultSimulator::propagate(const Fault& f) {
   return detect;
 }
 
-std::vector<std::uint64_t> FaultSimulator::detect_words(
-    const std::vector<Fault>& faults,
+void FaultSimulator::simulate_good(
     const std::vector<std::uint64_t>& pi_words) {
   assert(pi_words.size() == net_.inputs().size());
   for (std::size_t i = 0; i < pi_words.size(); ++i)
@@ -158,10 +157,54 @@ std::vector<std::uint64_t> FaultSimulator::detect_words(
                            return good_[fanin_src_[base + k]];
                          });
   }
+}
+
+std::vector<std::uint64_t> FaultSimulator::detect_words(
+    const std::vector<Fault>& faults,
+    const std::vector<std::uint64_t>& pi_words) {
+  simulate_good(pi_words);
   std::vector<std::uint64_t> result;
   result.reserve(faults.size());
   for (const Fault& f : faults) result.push_back(propagate(f));
   return result;
+}
+
+std::uint64_t FaultSimulator::detect_new(
+    const std::vector<Fault>& faults,
+    const std::vector<std::uint64_t>& pi_words, std::vector<bool>& detected,
+    std::uint64_t patterns) {
+  assert(detected.size() == faults.size());
+  // Nothing left to detect: skip the good-circuit pass too.
+  if (std::find(detected.begin(), detected.end(), false) == detected.end())
+    return 0;
+  simulate_good(pi_words);
+  std::uint64_t first = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (detected[i]) continue;
+    const std::uint64_t m = propagate(faults[i]) & patterns;
+    if (m == 0) continue;
+    detected[i] = true;
+    first |= m & (~m + 1);
+  }
+  return first;
+}
+
+bool FaultSimulator::detect_tests(const std::vector<Fault>& faults,
+                                  const std::vector<std::vector<bool>>& tests,
+                                  std::vector<bool>& detected) {
+  const std::size_t n = net_.inputs().size();
+  bool any = false;
+  for (std::size_t base = 0; base < tests.size(); base += 64) {
+    const std::size_t in_pass = std::min<std::size_t>(64, tests.size() - base);
+    std::vector<std::uint64_t> pi(n, 0);
+    for (std::size_t k = 0; k < in_pass; ++k)
+      for (std::size_t i = 0; i < n; ++i)
+        if (tests[base + k][i]) pi[i] |= 1ull << k;
+    const std::uint64_t live =
+        in_pass >= 64 ? ~0ull : ((1ull << in_pass) - 1);
+    if (detect_new(faults, pi, detected, live) != 0) any = true;
+  }
+  return any;
 }
 
 std::vector<bool> FaultSimulator::detect_random(
@@ -170,16 +213,13 @@ std::vector<bool> FaultSimulator::detect_random(
   std::vector<bool> detected(faults.size(), false);
   std::vector<std::uint64_t> pi(net_.inputs().size());
   std::size_t done = 0;
-  for (std::size_t w = 0; w < words; ++w) {
+  for (; done < words; ++done) {
     // The deadline the rest of the pipeline honors binds here too: a
     // large word budget must not run past it. Stopping between words
     // yields a partial-but-sound result (fewer pre-dropped faults).
     if (governor && governor->should_stop()) break;
     for (auto& x : pi) x = rng.next_u64();
-    const auto masks = detect_words(faults, pi);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      if (masks[i] != 0) detected[i] = true;
-    ++done;
+    detect_new(faults, pi, detected);
   }
   if (words_done) *words_done = done;
   return detected;
@@ -202,25 +242,11 @@ std::vector<std::uint64_t> witness_words(const std::vector<bool>& vector,
 double fault_coverage(const Network& net, const std::vector<Fault>& faults,
                       const std::vector<std::vector<bool>>& tests) {
   if (faults.empty()) return 1.0;
-  FaultSimulator sim(net);
   std::vector<bool> detected(faults.size(), false);
-  const std::size_t n = net.inputs().size();
-  for (std::size_t base = 0; base < tests.size(); base += 64) {
-    const std::size_t in_pass = std::min<std::size_t>(64, tests.size() - base);
-    std::vector<std::uint64_t> pi(n, 0);
-    for (std::size_t k = 0; k < in_pass; ++k)
-      for (std::size_t i = 0; i < n; ++i)
-        if (tests[base + k][i]) pi[i] |= 1ull << k;
-    const std::uint64_t live =
-        in_pass >= 64 ? ~0ull : ((1ull << in_pass) - 1);
-    const auto masks = sim.detect_words(faults, pi);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      if (masks[i] & live) detected[i] = true;
-  }
-  std::size_t count = 0;
-  for (bool d : detected)
-    if (d) ++count;
-  return static_cast<double>(count) / static_cast<double>(faults.size());
+  FaultSimulator(net).detect_tests(faults, tests, detected);
+  return static_cast<double>(
+             std::count(detected.begin(), detected.end(), true)) /
+         static_cast<double>(faults.size());
 }
 
 }  // namespace kms

@@ -32,11 +32,31 @@ class FaultSimulator {
       const std::vector<Fault>& faults,
       const std::vector<std::uint64_t>& pi_words);
 
+  /// Fault dropping, one word at a time: simulate `pi_words` against
+  /// only the faults not yet set in `detected`, and set those that a
+  /// pattern in `patterns` detects. Returns the OR, over the newly
+  /// detected faults, of each one's first detecting pattern (the lowest
+  /// bit of its mask). Called once per word, it simulates every fault
+  /// only until its first detection.
+  std::uint64_t detect_new(const std::vector<Fault>& faults,
+                           const std::vector<std::uint64_t>& pi_words,
+                           std::vector<bool>& detected,
+                           std::uint64_t patterns = ~0ull);
+
+  /// detect_new over a test set: `tests` (full PI assignments) are
+  /// packed 64 to a word, in order. Returns whether any fault was newly
+  /// detected.
+  bool detect_tests(const std::vector<Fault>& faults,
+                    const std::vector<std::vector<bool>>& tests,
+                    std::vector<bool>& detected);
+
   /// Convenience: which of `faults` are detected by `words` sets of 64
-  /// random patterns each. An optional governor is consulted between
-  /// words: on exhaustion the simulation stops early and the partial
-  /// detection set is returned (sound — every mark is a real detection;
-  /// an unsimulated word can only cost extra exact-ATPG effort later).
+  /// random patterns each, with fault dropping between words. An
+  /// optional governor is consulted before every word: on exhaustion the
+  /// simulation stops early and the partial detection set is returned
+  /// (sound — every mark is a real detection; an unsimulated word can
+  /// only cost extra exact-ATPG effort later). Every word simulated
+  /// draws its patterns from `rng`, even once all faults are detected.
   /// `words_done`, if non-null, receives the number of words simulated.
   std::vector<bool> detect_random(const std::vector<Fault>& faults,
                                   std::size_t words, Rng& rng,
@@ -44,6 +64,8 @@ class FaultSimulator {
                                   std::size_t* words_done = nullptr);
 
  private:
+  /// Load `pi_words` and evaluate the good circuit.
+  void simulate_good(const std::vector<std::uint64_t>& pi_words);
   /// Detection mask of one fault against the current good values.
   std::uint64_t propagate(const Fault& f);
   /// Queue `g` for re-evaluation in this fault's sweep (once).

@@ -359,7 +359,6 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
 void RedundancyRemovalResult::merge_worker(const RemovalWorkerStats& w) {
   atpg.accumulate(w.atpg);
   witness_dropped += w.witness_dropped;
-  sim_dropped += w.sim_dropped;
   unknown_queries += w.unknown_queries;
   sim_seconds += w.sim_seconds;
   sat_seconds += w.sat_seconds;

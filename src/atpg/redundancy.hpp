@@ -72,11 +72,14 @@ struct RemovalResume;
 
 struct RedundancyRemovalOptions {
   /// Use random-pattern fault simulation to pre-drop detectable faults
-  /// before exact ATPG (no effect on the removed set). It does not
-  /// clearly pay for itself: `e2ebench/run.py --trace 1` (seed 3,
-  /// 4-thread x86 host) puts the removal phase at 730 ms with it and
-  /// 700 ms without on the certify workload, and at 699 and 534 ms on
-  /// csa. Without it, SAT queries grow 2.2x and 8x.
+  /// before exact ATPG (no effect on the removed set). With fault
+  /// dropping between its words it pays for itself: `e2ebench/run.py
+  /// --trace 1` (seed 3, 4-thread x86 host) puts the removal phase at
+  /// 404 ms with it and 819 ms without on the certify workload, and at
+  /// 286 and 706 ms on csa. Without it, SAT queries grow 2.1x and 3.7x.
+  /// `kmscli irr` end to end, with / without: csa_16_4 1.77 / 1.74 s,
+  /// sduke2 2.88 / 2.81 s, smisex2 0.24 / 0.53 s, csa_8_2 x8 15.3 /
+  /// 16.0 s.
   bool use_fault_sim = true;
   /// Number of 64-pattern words of random stimulus for the pre-drop.
   std::size_t random_words = 8;
@@ -110,7 +113,6 @@ struct RedundancyRemovalOptions {
 struct RemovalWorkerStats {
   AtpgStats atpg;
   std::size_t witness_dropped = 0;
-  std::size_t sim_dropped = 0;
   std::size_t unknown_queries = 0;
   double sim_seconds = 0.0;
   double sat_seconds = 0.0;

@@ -7,41 +7,6 @@
 #include "src/base/rng.hpp"
 
 namespace kms {
-namespace {
-
-/// Mark every fault in `detected` that any of `vectors` detects, and
-/// return the indices of vectors that detected something new ("useful").
-std::vector<std::size_t> mark_detected(
-    const Network& net, const std::vector<Fault>& faults,
-    const std::vector<std::vector<bool>>& vectors,
-    std::vector<bool>* detected) {
-  FaultSimulator sim(net);
-  const std::size_t n_pi = net.inputs().size();
-  std::vector<std::size_t> useful;
-  for (std::size_t base = 0; base < vectors.size(); base += 64) {
-    const std::size_t in_pass =
-        std::min<std::size_t>(64, vectors.size() - base);
-    std::vector<std::uint64_t> words(n_pi, 0);
-    for (std::size_t k = 0; k < in_pass; ++k)
-      for (std::size_t i = 0; i < n_pi; ++i)
-        if (vectors[base + k][i]) words[i] |= 1ull << k;
-    const auto masks = sim.detect_words(faults, words);
-    std::uint64_t used_bits = 0;
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if ((*detected)[f]) continue;
-      std::uint64_t m = masks[f];
-      if (in_pass < 64) m &= (1ull << in_pass) - 1;
-      if (m == 0) continue;
-      (*detected)[f] = true;
-      used_bits |= m & (~m + 1);  // credit the first detecting pattern
-    }
-    for (std::size_t k = 0; k < in_pass; ++k)
-      if (used_bits & (1ull << k)) useful.push_back(base + k);
-  }
-  return useful;
-}
-
-}  // namespace
 
 TestSet generate_test_set(const Network& net, const TestGenOptions& opts) {
   TestSet set;
@@ -49,26 +14,19 @@ TestSet generate_test_set(const Network& net, const TestGenOptions& opts) {
   const std::size_t n_pi = net.inputs().size();
   std::vector<bool> detected(faults.size(), false);
   Rng rng(opts.seed);
+  // One simulator serves every phase: the network does not change here.
+  FaultSimulator sim(net);
 
   // Phase 1: random patterns; keep only those that detect a new fault.
-  {
-    FaultSimulator sim(net);
-    for (std::size_t w = 0; w < opts.random_words; ++w) {
-      std::vector<std::uint64_t> words(n_pi);
-      for (auto& x : words) x = rng.next_u64();
-      const auto masks = sim.detect_words(faults, words);
-      std::uint64_t useful_bits = 0;
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        if (detected[f] || masks[f] == 0) continue;
-        detected[f] = true;
-        useful_bits |= masks[f] & (~masks[f] + 1);
-      }
-      for (std::size_t k = 0; k < 64; ++k) {
-        if (!(useful_bits & (1ull << k))) continue;
-        std::vector<bool> v(n_pi);
-        for (std::size_t i = 0; i < n_pi; ++i) v[i] = (words[i] >> k) & 1;
-        set.vectors.push_back(std::move(v));
-      }
+  for (std::size_t w = 0; w < opts.random_words; ++w) {
+    std::vector<std::uint64_t> words(n_pi);
+    for (auto& x : words) x = rng.next_u64();
+    const std::uint64_t useful_bits = sim.detect_new(faults, words, detected);
+    for (std::size_t k = 0; k < 64; ++k) {
+      if (!(useful_bits & (1ull << k))) continue;
+      std::vector<bool> v(n_pi);
+      for (std::size_t i = 0; i < n_pi; ++i) v[i] = (words[i] >> k) & 1;
+      set.vectors.push_back(std::move(v));
     }
   }
 
@@ -89,10 +47,7 @@ TestSet generate_test_set(const Network& net, const TestGenOptions& opts) {
     }
     detected[f] = true;
     // Drop every other fault the new vector happens to detect.
-    std::vector<bool> drop(faults.size(), false);
-    mark_detected(net, faults, {*test}, &drop);
-    for (std::size_t g = 0; g < faults.size(); ++g)
-      if (drop[g]) detected[g] = true;
+    sim.detect_tests(faults, {*test}, detected);
     set.vectors.push_back(std::move(*test));
   }
   set.testable_faults = faults.size() - set.redundant_faults;
@@ -103,38 +58,22 @@ TestSet generate_test_set(const Network& net, const TestGenOptions& opts) {
   if (opts.compact && !set.vectors.empty()) {
     std::vector<std::vector<bool>> reversed(set.vectors.rbegin(),
                                             set.vectors.rend());
+    // Faults no vector of the set detects can never be covered;
+    // pre-mark them.
     std::vector<bool> covered(faults.size(), false);
-    // Redundant faults can never be covered; pre-mark them.
-    {
-      Atpg dummy(net);
-      (void)dummy;
-      std::vector<bool> reach(faults.size(), false);
-      mark_detected(net, faults, reversed, &reach);
-      for (std::size_t f = 0; f < faults.size(); ++f)
-        if (!reach[f]) covered[f] = true;  // undetectable by this set
-    }
+    sim.detect_tests(faults, reversed, covered);
+    covered.flip();
     std::vector<std::vector<bool>> kept;
-    for (const auto& v : reversed) {
-      std::vector<bool> before = covered;
-      const auto useful = mark_detected(net, faults, {v}, &covered);
-      bool new_detection = false;
-      for (std::size_t f = 0; f < faults.size(); ++f)
-        if (covered[f] && !before[f]) new_detection = true;
-      if (new_detection)
-        kept.push_back(v);
-      else
-        covered = std::move(before);
-      (void)useful;
-    }
+    for (auto& v : reversed)
+      if (sim.detect_tests(faults, {v}, covered)) kept.push_back(std::move(v));
     set.vectors = std::move(kept);
   }
 
   // Verify the final coverage by fault simulation (never assume).
   std::vector<bool> final_detected(faults.size(), false);
-  mark_detected(net, faults, set.vectors, &final_detected);
-  std::size_t count = 0;
-  for (bool d : final_detected)
-    if (d) ++count;
+  sim.detect_tests(faults, set.vectors, final_detected);
+  const auto count =
+      std::count(final_detected.begin(), final_detected.end(), true);
   set.coverage = set.testable_faults == 0
                      ? 1.0
                      : static_cast<double>(count) /

@@ -1,7 +1,9 @@
 #include "src/atpg/fault_sim.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -188,7 +190,9 @@ std::vector<Network> example_networks() {
   return nets;
 }
 
-TEST(FaultSimTest, EventDrivenMatchesWholeOrderReference) {
+/// The file's random networks and examples, their decomposed copies,
+/// copies after removal edits, and a fully removed carry-skip adder.
+std::vector<Network> test_networks() {
   std::vector<Network> nets;
   // Undecomposed: XOR/XNOR and MUX pins, multi-input gates.
   nets.push_back(carry_skip_adder(4, 2));
@@ -216,8 +220,116 @@ TEST(FaultSimTest, EventDrivenMatchesWholeOrderReference) {
   decompose_to_simple(removed);
   remove_redundancies(removed);
   nets.push_back(std::move(removed));
+  return nets;
+}
+
+TEST(FaultSimTest, EventDrivenMatchesWholeOrderReference) {
   std::uint64_t seed = 1;
-  for (const Network& net : nets) expect_matches_reference(net, seed++);
+  for (const Network& net : test_networks())
+    expect_matches_reference(net, seed++);
+}
+
+// ---- reference oracle: detect_random without fault dropping -----------
+//
+// The multi-word loop detect_random replaced: every word is simulated
+// against the whole fault list and the masks ORed. Fault dropping must
+// not change the detections, the words simulated, or the rng draws.
+
+std::vector<bool> reference_detect_random(const Network& net,
+                                          const std::vector<Fault>& faults,
+                                          std::size_t words, Rng& rng,
+                                          ResourceGovernor* governor,
+                                          std::size_t* words_done) {
+  FaultSimulator sim(net);
+  std::vector<bool> detected(faults.size(), false);
+  std::vector<std::uint64_t> pi(net.inputs().size());
+  std::size_t done = 0;
+  for (; done < words; ++done) {
+    if (governor && governor->should_stop()) break;
+    for (auto& x : pi) x = rng.next_u64();
+    const auto masks = sim.detect_words(faults, pi);
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      if (masks[i] != 0) detected[i] = true;
+  }
+  *words_done = done;
+  return detected;
+}
+
+/// Arm `gov` so that should_stop() first returns true at its (k+1)-th
+/// poll from now, k < 16. The deadline probe reads the clock on the
+/// first poll and on every 16th after: prime 16 - k polls against a far
+/// deadline, then move the deadline into the past. The callers check
+/// words_done, so a change to the probe schedule fails loudly.
+void stop_after_polls(ResourceGovernor& gov, unsigned k) {
+  gov.set_time_limit(3600.0);
+  for (unsigned p = 0; p < 16 - k; ++p) ASSERT_FALSE(gov.should_stop());
+  gov.set_time_limit(1e-9);
+}
+
+TEST(FaultSimTest, DetectRandomDroppingMatchesFullListReference) {
+  std::uint64_t seed = 7;
+  for (const Network& net : test_networks()) {
+    const std::vector<Fault> faults = every_site_fault(net);
+    FaultSimulator sim(net);  // reused across calls: stale state would show
+    for (const std::size_t words : {1, 3, 8}) {
+      // -1: no governor; otherwise stop after that many words.
+      for (const int stop : {-1, 0, 1, 2, 5}) {
+        SCOPED_TRACE(net.name() + " words=" + std::to_string(words) +
+                     " stop=" + std::to_string(stop));
+        Rng got_rng(seed), want_rng(seed);
+        ++seed;
+        ResourceGovernor got_gov, want_gov;
+        ResourceGovernor* got_gp = nullptr;
+        ResourceGovernor* want_gp = nullptr;
+        if (stop >= 0) {
+          stop_after_polls(got_gov, static_cast<unsigned>(stop));
+          stop_after_polls(want_gov, static_cast<unsigned>(stop));
+          got_gp = &got_gov;
+          want_gp = &want_gov;
+        }
+        std::size_t got_done = 123, want_done = 456;
+        const auto got =
+            sim.detect_random(faults, words, got_rng, got_gp, &got_done);
+        const auto want = reference_detect_random(net, faults, words,
+                                                  want_rng, want_gp,
+                                                  &want_done);
+        const std::size_t expect_done =
+            stop < 0 ? words
+                     : std::min(words, static_cast<std::size_t>(stop));
+        EXPECT_EQ(want_done, expect_done);
+        EXPECT_EQ(got_done, want_done);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(got_rng.save_state(), want_rng.save_state());
+      }
+    }
+  }
+}
+
+TEST(FaultSimTest, DetectNewSkipsDetectedFaultsAndCreditsFirstPattern) {
+  RandomNetworkOptions opts;
+  opts.seed = 91;
+  opts.gates = 30;
+  Network net = random_network(opts);
+  const std::vector<Fault> faults = every_site_fault(net);
+  FaultSimulator sim(net);
+  Rng rng(12);
+  std::vector<std::uint64_t> pi(net.inputs().size());
+  for (auto& x : pi) x = rng.next_u64();
+  const auto masks = sim.detect_words(faults, pi);
+  // Pre-mark every other fault; restrict to the low 32 patterns.
+  const std::uint64_t patterns = 0xFFFFFFFFull;
+  std::vector<bool> detected(faults.size(), false);
+  for (std::size_t i = 0; i < faults.size(); i += 2) detected[i] = true;
+  const std::vector<bool> before = detected;
+  const std::uint64_t first = sim.detect_new(faults, pi, detected, patterns);
+  std::uint64_t want_first = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const std::uint64_t m = masks[i] & patterns;
+    EXPECT_EQ(detected[i], before[i] || m != 0) << i;
+    if (!before[i] && m != 0) want_first |= m & (~m + 1);
+  }
+  EXPECT_EQ(first, want_first);
+  EXPECT_NE(first, 0u);
 }
 
 TEST(FaultSimTest, AgreesWithInjectionSimulation) {

@@ -95,6 +95,15 @@ ctest --preset checked -L analysis --output-on-failure
 echo "== timing-labelled tests (checked preset) =="
 ctest --preset checked -L timing --output-on-failure
 
+# Fault-simulation stage: the `faultsim` label covers the event-driven
+# simulator against its whole-order reference, fault dropping against
+# the full-list loop it replaced (detections, words simulated and rng
+# draws, under governors that stop mid-run), and generate_test_set
+# pinned vector for vector. Run it by name so a regression in detection
+# masks or dropping is called out in CI output.
+echo "== faultsim-labelled tests (checked preset) =="
+ctest --preset checked -L faultsim --output-on-failure
+
 # Bench-smoke stage: run removal on the quick circuit at lane counts
 # 1, 2 and 4. bench_atpg exits 2 unless every lane count reproduces
 # the one-lane removed count and result digest bit for bit.
