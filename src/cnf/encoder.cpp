@@ -103,32 +103,35 @@ void encode_gate(Solver& s, GateKind kind, Var out,
 
 CircuitEncoding::CircuitEncoding(const Network& net, Solver& solver)
     : net_(net), solver_(solver), vars_(net.gate_capacity(), -1) {
-  encode(nullptr);
+  encode(net.topo_order());
 }
 
 CircuitEncoding::CircuitEncoding(const Network& net, Solver& solver,
                                  const std::vector<bool>& gate_subset)
     : net_(net), solver_(solver), vars_(net.gate_capacity(), -1) {
   assert(gate_subset.size() >= net.gate_capacity());
-  encode(&gate_subset);
+  std::vector<GateId> order = net.topo_order();
+  std::erase_if(order, [&](GateId g) { return !gate_subset[g.value()]; });
+  encode(order);
 }
 
-void CircuitEncoding::encode(const std::vector<bool>* gate_subset) {
-  const auto order = net_.topo_order();
+CircuitEncoding::CircuitEncoding(const Network& net, Solver& solver,
+                                 const std::vector<GateId>& order)
+    : net_(net), solver_(solver), vars_(net.gate_capacity(), -1) {
+  encode(order);
+}
+
+void CircuitEncoding::encode(const std::vector<GateId>& order) {
+  for (GateId g : order) vars_[g.value()] = solver_.new_var();
+  encoded_gates_ = order.size();
+  std::vector<Lit> in;
   for (GateId g : order) {
-    if (gate_subset && !(*gate_subset)[g.value()]) continue;
-    vars_[g.value()] = solver_.new_var();
-    ++encoded_gates_;
-  }
-  for (GateId g : order) {
-    if (vars_[g.value()] < 0) continue;
     const Gate& gt = net_.gate(g);
     if (gt.kind == GateKind::kInput) continue;
-    std::vector<Lit> in;
-    in.reserve(gt.fanins.size());
+    in.clear();
     for (ConnId c : gt.fanins) {
       const Var sv = vars_[net_.conn(c).from.value()];
-      assert(sv >= 0 && "gate subset must be fanin-closed");
+      assert(sv >= 0 && "gate subset must be fanin-closed and ordered");
       in.push_back(sat::mk_lit(sv));
     }
     encode_gate(solver_, gt.kind, vars_[g.value()], in);

@@ -37,6 +37,15 @@ class CircuitEncoding {
   CircuitEncoding(const Network& net, sat::Solver& solver,
                   const std::vector<bool>& gate_subset);
 
+  /// Encode exactly the gates of `order`, allocating variables and
+  /// emitting clauses in that sequence. The list must be fanin-closed
+  /// and topologically ordered (every fanin source of a listed non-input
+  /// gate listed earlier; asserted). The other constructors build this
+  /// list from topo_order(); the path-scoped sensitizer passes the DFS
+  /// post-order of a fanin closure.
+  CircuitEncoding(const Network& net, sat::Solver& solver,
+                  const std::vector<GateId>& order);
+
   sat::Var var_of(GateId g) const { return vars_[g.value()]; }
   sat::Lit lit_of(GateId g, bool negated = false) const {
     return sat::Lit(var_of(g), negated);
@@ -60,7 +69,7 @@ class CircuitEncoding {
   std::vector<bool> model_inputs() const;
 
  private:
-  void encode(const std::vector<bool>* gate_subset);
+  void encode(const std::vector<GateId>& order);
 
   const Network& net_;
   sat::Solver& solver_;

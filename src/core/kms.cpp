@@ -162,11 +162,13 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     if (checking || opts.audit_timing)
       enforce_timing_invariants(net, sta, phase);
   };
-  const auto measure = [&](double* topo, double* computed) {
+  const auto measure = [&](double* topo, double* computed, bool* exact) {
     *topo = sta.delay();
     const StaSeed seed{&sta.arrival(), &sta.suffix()};
-    *computed =
-        computed_delay(net, opts.mode, opts.max_queries, gov, &seed).delay;
+    const DelayReport r =
+        computed_delay(net, opts.mode, opts.max_queries, gov, &seed);
+    *computed = r.delay;
+    *exact = r.exact;
   };
   // The engine's counters flow into stats continuously (they serialize
   // into every loop-phase checkpoint, not just the final result):
@@ -201,7 +203,8 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   if (res == nullptr) {
     stats.initial_gates = net.count_gates();
     stats.initial_max_fanout = net.max_fanout();
-    measure(&stats.initial_topo_delay, &stats.initial_computed_delay);
+    measure(&stats.initial_topo_delay, &stats.initial_computed_delay,
+            &stats.initial_computed_exact);
     if (ctx.sink != nullptr) {
       // First resumable state: decomposed, measured, zero iterations.
       sync_sta();
@@ -255,11 +258,12 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
       break;  // no IO-paths left at all
     }
     const Path path = std::move(*chosen);
-    // One fresh Sensitizer per path. With a session it captures the
-    // certificate instead of journalling it, so the verdict reaches the
-    // journal below only once it licenses a transform.
-    Sensitizer sens(net, opts.mode, gov, /*session=*/nullptr, &sta.arrival(),
-                    /*capture=*/session != nullptr);
+    // One fresh Sensitizer per path, encoding only the fanin closure of
+    // the side inputs the path constrains. With a session it captures
+    // the certificate instead of journalling it, so the verdict reaches
+    // the journal below only once it licenses a transform.
+    Sensitizer sens(net, opts.mode, path, gov, /*session=*/nullptr,
+                    &sta.arrival(), /*capture=*/session != nullptr);
     const SensitizeResult sres = sens.check(path);
     stats.sensitization_queries += sens.queries();
     // Only a *proved* kUnsat licenses the transformation (Theorem 7.2's
@@ -368,7 +372,8 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
 
   stats.final_gates = net.count_gates();
   stats.final_max_fanout = net.max_fanout();
-  measure(&stats.final_topo_delay, &stats.final_computed_delay);
+  measure(&stats.final_topo_delay, &stats.final_computed_delay,
+          &stats.final_computed_exact);
   // Final synchronization of the engine counters. sync_sta diffs
   // against the restored totals and this instance's attach-time base,
   // so a resumed run reports exactly what the uninterrupted run would.

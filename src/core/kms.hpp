@@ -122,6 +122,10 @@ struct KmsStats {
   std::size_t initial_gates = 0, final_gates = 0;
   double initial_topo_delay = 0, final_topo_delay = 0;
   double initial_computed_delay = 0, final_computed_delay = 0;
+  /// False when that computed delay is the topological upper bound
+  /// computed_delay() fell back to (query budget or governor exhausted)
+  /// rather than the measured value.
+  bool initial_computed_exact = true, final_computed_exact = true;
   std::size_t initial_max_fanout = 0, final_max_fanout = 0;
 
   // Incremental-STA observability (src/timing/incremental.hpp).

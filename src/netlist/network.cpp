@@ -261,42 +261,30 @@ std::size_t Network::max_fanout() const {
 
 std::size_t Network::sweep() {
   KMS_SURGERY("sweep");
-  // Mark gates reachable backwards from the outputs.
-  std::vector<bool> keep(gates_.size(), false);
-  std::vector<GateId> stack;
-  for (GateId o : outputs_) {
-    if (!gate(o).dead) {
-      keep[o.value()] = true;
-      stack.push_back(o);
-    }
+  // In a DAG a logic gate reaches no primary output exactly when it has
+  // no fanout or all its fanouts reach none, so peeling fanout-free
+  // logic gates (primary inputs and output markers are not logic)
+  // removes precisely the unreachable ones, without a traversal from
+  // the outputs or an order. Removal only erases list entries, so the
+  // surviving fanin and fanout lists keep their order either way.
+  std::vector<GateId> peel;
+  for (std::uint32_t i = 0; i < gates_.size(); ++i) {
+    const Gate& g = gates_[i];
+    if (!g.dead && is_logic(g.kind) && g.fanouts.empty())
+      peel.push_back(GateId{i});
   }
-  while (!stack.empty()) {
-    GateId g = stack.back();
-    stack.pop_back();
-    for (ConnId c : gate(g).fanins) {
-      if (conn(c).dead) continue;
-      GateId f = conn(c).from;
-      if (!keep[f.value()]) {
-        keep[f.value()] = true;
-        stack.push_back(f);
-      }
-    }
-  }
-  // Primary inputs are part of the interface and always kept.
-  for (GateId i : inputs_) keep[i.value()] = true;
-
-  // Remove unreachable logic gates in reverse topological order so that
-  // fanout lists empty out before removal.
   std::size_t removed = 0;
-  auto order = topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    GateId g = *it;
-    if (keep[g.value()] || gate(g).dead) continue;
-    if (!is_logic(gate(g).kind)) continue;
-    // Drop any connections to other dead-marked gates first.
-    while (!gate(g).fanouts.empty()) remove_conn(gate(g).fanouts.back());
+  std::vector<GateId> srcs;
+  while (!peel.empty()) {
+    const GateId g = peel.back();
+    peel.pop_back();
+    if (gate(g).dead) continue;  // queued once per connection it lost
+    srcs.clear();
+    for (ConnId c : gate(g).fanins) srcs.push_back(conn(c).from);
     remove_gate(g);
     ++removed;
+    for (GateId s : srcs)
+      if (is_logic(gate(s).kind) && gate(s).fanouts.empty()) peel.push_back(s);
   }
   return removed;
 }

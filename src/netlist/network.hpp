@@ -144,7 +144,8 @@ class Network {
 
   /// Remove logic gates that cannot reach any primary output, and constant
   /// gates with no fanout. Primary inputs are always kept. Returns the
-  /// number of gates removed.
+  /// number of gates removed. Costs one scan of the gate table plus the
+  /// removed gates' connections.
   std::size_t sweep();
 
   /// Deep copy without tombstones. Input/output order and names preserved.

@@ -1,6 +1,10 @@
 #include "src/netlist/transform.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <vector>
 
 namespace kms {
@@ -204,7 +208,8 @@ void reduce_single_input(Network& net, GateId g) {
   }
 }
 
-/// Simplify one gate given constant fanins. Returns true if changed.
+}  // namespace
+
 bool simplify_gate(Network& net, GateId g) {
   Gate& gt = net.gate(g);
   switch (gt.kind) {
@@ -341,30 +346,83 @@ bool simplify_gate(Network& net, GateId g) {
   }
 }
 
-}  // namespace
-
 std::size_t propagate_constants(Network& net, TransformTrace* trace) {
+  // Only a gate with a constant fanin simplifies, and a simplification
+  // hands a constant on only where the gate became a constant itself
+  // (its fanouts) or a MUX was left as a buffer of one (the gate
+  // itself). So the work starts at the fanouts of the constant gates.
+  std::vector<GateId> next;  // gates to visit in the next round
+  bool has_mux = false;
+  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
+    const Gate& gt = net.gate(GateId{i});
+    if (gt.dead) continue;
+    if (gt.kind == GateKind::kMux) has_mux = true;
+    if (!is_constant(gt.kind)) continue;
+    for (ConnId c : gt.fanouts) next.push_back(net.conn(c).to);
+  }
+  // Order of a round. Without MUXes any order reaches the same network:
+  // the simplifications only delete connections and change kinds, and
+  // a gate visited before all its constant fanins are known is visited
+  // again when the next one appears, ending as if it had seen them at
+  // once. A MUX simplification depends on which fanins are constant
+  // when it runs, and it creates gates and connections whose ids (and
+  // fanout-list positions) reach the output, so with MUXes present the
+  // rounds follow topo_order() exactly as a sweep over every gate does.
+  constexpr std::uint32_t kUnplaced = 0xffffffffu;
+  std::vector<std::uint32_t> pos;
+  const auto key = [&](GateId g) -> std::uint64_t {
+    return has_mux ? (static_cast<std::uint64_t>(pos[g.value()]) << 32) |
+                         g.value()
+                   : g.value();
+  };
+  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                      std::greater<std::uint64_t>>
+      heap;
   std::size_t changed_total = 0;
   std::vector<GateId> old_srcs;  // pre-edit fanin sources, for the trace
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (GateId g : net.topo_order()) {
+  while (!next.empty()) {
+    if (has_mux) {
+      const std::vector<GateId> order = net.topo_order();
+      pos.assign(net.gate_capacity(), kUnplaced);
+      for (std::uint32_t i = 0; i < order.size(); ++i)
+        pos[order[i].value()] = i;
+    }
+    for (GateId g : next) heap.push(key(g));
+    next.clear();
+    std::uint64_t last = ~std::uint64_t{0};
+    while (!heap.empty()) {
+      const std::uint64_t k = heap.top();
+      heap.pop();
+      if (k == last) continue;  // queued twice before its visit
+      last = k;
+      const GateId g{static_cast<std::uint32_t>(k & 0xffffffffu)};
       const Gate& gt = net.gate(g);
       if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
       if (trace) {
         old_srcs.clear();
         for (ConnId c : gt.fanins) old_srcs.push_back(net.conn(c).from);
       }
-      if (simplify_gate(net, g)) {
-        if (trace) {
-          // Every edit simplify_gate makes rewires g's fanins; record g
-          // and (conservatively) all of its pre-edit input edges.
-          trace->note_touch(g);
-          for (GateId s : old_srcs) trace->note_severed(s, g);
-        }
-        ++changed_total;
-        changed = true;
+      if (!simplify_gate(net, g)) continue;
+      if (trace) {
+        // Every edit simplify_gate makes rewires g's fanins; record g
+        // and (conservatively) all of its pre-edit input edges.
+        trace->note_touch(g);
+        for (GateId s : old_srcs) trace->note_severed(s, g);
+      }
+      ++changed_total;
+      if (!is_constant(net.gate(g).kind)) {
+        // A MUX whose select chose a constant data input is now a
+        // buffer of that constant: the next round folds it.
+        if (has_const_fanin(net, g, false) || has_const_fanin(net, g, true))
+          next.push_back(g);
+        continue;
+      }
+      for (ConnId c : net.gate(g).fanouts) {
+        const GateId to = net.conn(c).to;
+        if (has_mux && pos[to.value()] == kUnplaced)
+          next.push_back(to);  // created this round: no position yet
+        else
+          heap.push(key(to));
       }
     }
   }
@@ -373,10 +431,32 @@ std::size_t propagate_constants(Network& net, TransformTrace* trace) {
 }
 
 std::size_t collapse_buffers(Network& net, TransformTrace* trace) {
-  std::size_t removed = 0;
-  for (GateId g : net.topo_order()) {
+  std::vector<GateId> bufs;
+  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
+    const Gate& gt = net.gate(GateId{i});
+    if (!gt.dead && gt.kind == GateKind::kBuf) bufs.push_back(GateId{i});
+  }
+  // Splicing a buffer appends its fanouts to its source's fanout list,
+  // so buffers that feed one another or share a source must go in
+  // topological order to rebuild the lists (and sum the delays) as a
+  // topological sweep would; other buffers commute.
+  std::vector<GateId> srcs;
+  bool interact = false;
+  for (GateId g : bufs) {
+    const GateId src = net.conn(net.gate(g).fanins[0]).from;
+    interact = interact || net.gate(src).kind == GateKind::kBuf;
+    srcs.push_back(src);
+  }
+  std::sort(srcs.begin(), srcs.end());
+  interact = interact ||
+             std::adjacent_find(srcs.begin(), srcs.end()) != srcs.end();
+  if (interact) {
+    bufs = net.topo_order();
+    std::erase_if(bufs,
+                  [&](GateId g) { return net.gate(g).kind != GateKind::kBuf; });
+  }
+  for (GateId g : bufs) {
     Gate& gt = net.gate(g);
-    if (gt.dead || gt.kind != GateKind::kBuf) continue;
     const ConnId in = gt.fanins[0];
     const GateId src = net.conn(in).from;
     const double through = net.conn(in).delay + gt.delay;
@@ -391,10 +471,9 @@ std::size_t collapse_buffers(Network& net, TransformTrace* trace) {
       trace->note_severed(src, g);
     }
     net.remove_gate(g);
-    ++removed;
   }
   net.self_check("collapse_buffers");
-  return removed;
+  return bufs.size();
 }
 
 Network extract_output(const Network& net, std::size_t index) {

@@ -47,17 +47,27 @@ struct TransformTrace {
 /// complex gates expanded.
 std::size_t decompose_to_simple(Network& net);
 
-/// Simplify gates fed by constants, in topological order, until no
-/// constant can move any further. AND/OR gates left with a single fanin
-/// become zero-delay buffers (the wire convention); NAND/NOR become
-/// inverters that keep their gate delay. Returns the number of gates
-/// simplified. Does not sweep — call Network::sweep() afterwards.
-/// `trace`, if non-null, records every modified gate and severed edge.
+/// Simplify gates fed by constants until no constant can move any
+/// further, visiting only the gates constants reach (a worklist seeded
+/// at the fanouts of the constant gates). AND/OR gates left with a
+/// single fanin become zero-delay buffers (the wire convention);
+/// NAND/NOR become inverters that keep their gate delay. The result is
+/// the network a topological sweep repeated to a fixpoint produces, ids
+/// and list orders included. Returns the number of simplification
+/// steps (nonzero iff anything changed). Does not sweep — call
+/// Network::sweep() afterwards. `trace`, if non-null, records every
+/// modified gate and severed edge.
 std::size_t propagate_constants(Network& net, TransformTrace* trace = nullptr);
+
+/// One step of propagate_constants: simplify gate `g` against the
+/// constants among its current fanins. Returns true if it changed.
+bool simplify_gate(Network& net, GateId g);
 
 /// Splice out every kBuf gate, folding its gate delay and input-connection
 /// delay into each outgoing connection so that all path lengths are
-/// unchanged. Returns the number of buffers removed.
+/// unchanged. Buffers are found by a scan; only buffers that feed one
+/// another or share a source need (and get) a topological order.
+/// Returns the number of buffers removed.
 /// `trace`, if non-null, records every modified gate and severed edge.
 std::size_t collapse_buffers(Network& net, TransformTrace* trace = nullptr);
 

@@ -24,7 +24,6 @@ constexpr KindName kKindNames[] = {
     {JournalStep::Kind::kFaultUntestable, "fault-untestable"},
     {JournalStep::Kind::kFaultUnknown, "fault-unknown"},
     {JournalStep::Kind::kDelete, "delete"},
-    {JournalStep::Kind::kFaultSimTestable, "fault-sim-testable"},
     {JournalStep::Kind::kPartial, "partial"},
 };
 
@@ -72,9 +71,6 @@ void TransformJournal::add_fault_untestable(std::string fault,
 }
 void TransformJournal::add_fault_unknown(std::string fault) {
   add({JournalStep::Kind::kFaultUnknown, -1, std::move(fault), 0});
-}
-void TransformJournal::add_fault_sim_testable(std::string fault) {
-  add({JournalStep::Kind::kFaultSimTestable, -1, std::move(fault), 0});
 }
 void TransformJournal::add_delete(std::string fault, std::int64_t proof) {
   add({JournalStep::Kind::kDelete, proof, std::move(fault), 0});

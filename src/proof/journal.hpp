@@ -36,13 +36,6 @@ struct JournalStep {
     kFaultUntestable,  ///< fault proven untestable (proof id)
     kFaultUnknown,     ///< ATPG query aborted; fault conservatively kept
     kDelete,           ///< redundancy removed (cites an untestable proof)
-    /// Fault observed testable by simulating another fault's SAT witness
-    /// (or a perturbation of it). Informational: it licenses nothing and
-    /// never marks a journal partial — the checker accepts it as a no-op.
-    /// The removal engine no longer writes it (which faults a witness
-    /// drops depends on worker timing at jobs > 1); it is still parsed,
-    /// replayed and verified so older journals stay valid.
-    kFaultSimTestable,
     kPartial,  ///< degradation marker (what = reason)
   };
 
@@ -82,7 +75,6 @@ class TransformJournal {
   void add_constant(std::uint64_t conn);
   void add_fault_untestable(std::string fault, std::int64_t proof);
   void add_fault_unknown(std::string fault);
-  void add_fault_sim_testable(std::string fault);
   void add_delete(std::string fault, std::int64_t proof);
 
   /// Record a degradation event; the journal finalizes as partial.

@@ -119,7 +119,6 @@ VerifyReport verify_session(const ProofSession& session,
         untestable[s.what] = s.proof;
         break;
       case JournalStep::Kind::kFaultUnknown:
-      case JournalStep::Kind::kFaultSimTestable:  // informational only
       case JournalStep::Kind::kPartial:
         break;
       case JournalStep::Kind::kDelete: {

@@ -146,6 +146,8 @@ struct FieldTable {
     dbl("kms.final_topo_delay", &k.final_topo_delay);
     dbl("kms.initial_computed_delay", &k.initial_computed_delay);
     dbl("kms.final_computed_delay", &k.final_computed_delay);
+    flag("kms.initial_computed_exact", &k.initial_computed_exact);
+    flag("kms.final_computed_exact", &k.final_computed_exact);
     sz("kms.initial_max_fanout", &k.initial_max_fanout);
     sz("kms.final_max_fanout", &k.final_max_fanout);
     sz("kms.sta_applies", &k.sta_applies);

@@ -179,7 +179,6 @@ void replay_steps(Network& net, const std::vector<proof::JournalStep>& steps,
       case Kind::kPathGiveup:
       case Kind::kFaultUntestable:
       case Kind::kFaultUnknown:
-      case Kind::kFaultSimTestable:
       case Kind::kPartial:
         break;
     }

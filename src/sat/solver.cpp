@@ -86,16 +86,20 @@ void Solver::remove_clause(CRef c) {
   header(c).reloced = 1;  // tombstone; arena space is not reclaimed
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::span<const Lit> given) {
+  model_current_ = false;
   if (!ok_) return false;
   assert(decision_level() == 0);
+  std::vector<Lit>& lits = add_sorted_;
+  lits.assign(given.begin(), given.end());
   std::sort(lits.begin(), lits.end());
   // Log the clause as given (only sorted), before root-level
   // simplification: the certificate's formula must be what the caller
   // stated, not the solver's derived form.
   if (proof_) proof_->on_original(lits);
   // Strip duplicates, satisfied clauses, false literals.
-  std::vector<Lit> out;
+  std::vector<Lit>& out = add_kept_;
+  out.clear();
   Lit prev = Lit::from_index(-2);
   for (Lit l : lits) {
     if (value(l) == Value::kTrue || l == ~prev) return true;  // satisfied
@@ -450,9 +454,15 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       return Result::kUnknown;
     }
   }
+  if (reuse_model_ && proof_ == nullptr && model_current_ &&
+      std::all_of(assumptions.begin(), assumptions.end(), [&](Lit a) {
+        return (model_[a.var()] ^ a.sign()) == Value::kTrue;
+      }))
+    return Result::kSat;
   assumptions_ = assumptions;
   max_learnts_ = std::max<double>(4000.0, 0.3 * clauses_.size());
   const Result r = search();
+  model_current_ = r == Result::kSat;
   if (r == Result::kSat)
     for (std::size_t v = 0; v < assigns_.size(); ++v)
       model_[v] = assigns_[v];

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace kms {
@@ -102,11 +104,20 @@ class Solver {
   /// Add a clause (ORed literals). Returns false if the formula became
   /// trivially unsatisfiable (empty clause / conflicting units at the
   /// root level).
-  bool add_clause(std::vector<Lit> lits);
-  bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-  bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
+  /// The literals are copied into solver-owned scratch, so short
+  /// clauses add without a heap allocation.
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
+  bool add_clause(Lit a) { return add_clause(std::span<const Lit>(&a, 1)); }
+  bool add_clause(Lit a, Lit b) {
+    const Lit lits[] = {a, b};
+    return add_clause(lits);
+  }
   bool add_clause(Lit a, Lit b, Lit c) {
-    return add_clause(std::vector<Lit>{a, b, c});
+    const Lit lits[] = {a, b, c};
+    return add_clause(lits);
   }
 
   /// Solve under the given assumptions. kUnknown only if a per-solve
@@ -135,6 +146,14 @@ class Solver {
   /// before the first add_clause for the emitted certificate's formula
   /// to be complete. Ownership stays with the caller.
   void set_proof(ProofSink* proof) { proof_ = proof; }
+
+  /// Let solve() return kSat without searching when the previous search
+  /// ended kSat, no clause has been added since, and its model already
+  /// satisfies every assumption. The verdict is the one a search would
+  /// reach; the model it leaves may differ. Governor accounting at
+  /// solve() entry is unchanged. Has no effect while a proof sink is
+  /// attached. Off by default.
+  void set_model_reuse(bool on) { reuse_model_ = on; }
 
   const SolverStats& stats() const { return stats_; }
 
@@ -227,7 +246,11 @@ class Solver {
 
   std::vector<char> seen_;
   std::vector<Lit> analyze_stack_;
+  std::vector<Lit> add_sorted_;  ///< add_clause scratch: sorted input
+  std::vector<Lit> add_kept_;    ///< add_clause scratch: simplified clause
 
+  bool reuse_model_ = false;
+  bool model_current_ = false;  ///< model_ satisfies the clause database
   std::int64_t conflict_budget_ = -1;
   ResourceGovernor* governor_ = nullptr;
   ProofSink* proof_ = nullptr;

@@ -157,7 +157,9 @@ JobSpec parse_job_spec(const std::string& json_text);
   X(cache_hit, false)    /* served from the daemon's digest cache      */   \
   X(degraded, false) X(deadline_hit, false) X(budget_exhausted, false)      \
   X(interrupted, false)                                                     \
-  X(certified, false) X(certify_partial, false)
+  X(certified, false) X(certify_partial, false)                            \
+  /* false: that computed delay is the topological upper bound */          \
+  X(initial_computed_exact, true) X(final_computed_exact, true)
 
 struct JobReport {
   std::string schema = kReportSchemaV1;

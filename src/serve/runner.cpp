@@ -174,6 +174,7 @@ void run_delay(const JobSpec& spec, ResourceGovernor& governor,
             topo - r.delay);
   rep->initial_topo_delay = rep->final_topo_delay = topo;
   rep->initial_computed_delay = rep->final_computed_delay = r.delay;
+  rep->initial_computed_exact = rep->final_computed_exact = r.exact;
 }
 
 void run_analyze(const JobSpec& spec, ResourceGovernor&, JobReport* rep) {
@@ -302,6 +303,8 @@ void fill_kms_stats(const KmsStats& stats, JobReport* rep) {
   rep->final_topo_delay = stats.final_topo_delay;
   rep->initial_computed_delay = stats.initial_computed_delay;
   rep->final_computed_delay = stats.final_computed_delay;
+  rep->initial_computed_exact = stats.initial_computed_exact;
+  rep->final_computed_exact = stats.final_computed_exact;
   rep->loop_exit = stats.loop_exit;
   rep->unknown_queries = stats.unknown_queries;
   rep->degraded = rep->degraded || stats.degraded;

@@ -220,6 +220,20 @@ TimingAudit audit_incremental_sta(const Network& net,
     emit.add("NL028", Severity::kError,
              str_format("incremental delay bound %.17g, recomputed %.17g",
                         sta.delay(), ref.delay));
+  // The repairs visit gates in the order of the maintained key; it must
+  // increase along every live connection, or a repair could evaluate a
+  // gate before one of its dirty predecessors.
+  const std::vector<std::uint32_t>& key = sta.topo_key();
+  for (std::uint32_t i = 0; i < net.conn_capacity(); ++i) {
+    const Conn& c = net.conn(ConnId{i});
+    if (c.dead) continue;
+    const std::uint32_t from = c.from.value(), to = c.to.value();
+    if (from < key.size() && to < key.size() && key[from] < key[to]) continue;
+    emit.add("NL028", Severity::kError,
+             "incremental repair order key does not increase from " +
+                 gate_label(net, c.from) + " to " + gate_label(net, c.to),
+             c.to);
+  }
   return audit;
 }
 

@@ -1,5 +1,6 @@
 #include "src/timing/incremental.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <queue>
@@ -9,7 +10,7 @@ namespace {
 
 constexpr double kPlusInf = std::numeric_limits<double>::infinity();
 
-/// Heap key ordering gates by topological position (ties by id are
+/// Heap key ordering gates by topological key (ties by id are
 /// irrelevant: each gate enters a heap at most once per repair).
 std::uint64_t key(std::uint32_t pos, std::uint32_t id) {
   return (static_cast<std::uint64_t>(pos) << 32) | id;
@@ -40,6 +41,23 @@ void IncrementalSta::grow() {
   slack_.resize(net_.gate_capacity(), kPlusInf);
   gate_live_.resize(net_.gate_capacity(), 0);
   conn_live_.resize(net_.conn_capacity(), 0);
+  key_.resize(net_.gate_capacity(), 0);
+}
+
+void IncrementalSta::order_edge(GateId u, GateId v) {
+  if (key_[u.value()] < key_[v.value()]) return;
+  key_[v.value()] = key_[u.value()] + 1;
+  raise_stack_.assign(1, v);
+  while (!raise_stack_.empty()) {
+    const GateId g = raise_stack_.back();
+    raise_stack_.pop_back();
+    for (ConnId c : net_.gate(g).fanouts) {
+      const GateId to = net_.conn(c).to;
+      if (key_[g.value()] < key_[to.value()]) continue;
+      key_[to.value()] = key_[g.value()] + 1;
+      raise_stack_.push_back(to);
+    }
+  }
 }
 
 void IncrementalSta::rebuild() {
@@ -57,8 +75,14 @@ void IncrementalSta::rebuild() {
     conn_live_[i] = net_.conn(ConnId{i}).dead ? 0 : 1;
 
   const std::vector<GateId> order = net_.topo_order();
-  for (GateId g : order)
+  key_.assign(gcap, 0);
+  for (GateId g : order) {
     arrival_[g.value()] = local_arrival(net_, g, arrival_);
+    for (ConnId c : net_.gate(g).fanouts) {
+      const std::uint32_t to = net_.conn(c).to.value();
+      key_[to] = std::max(key_[to], key_[g.value()] + 1);
+    }
+  }
   delay_ = delay_from_arrival(net_, arrival_);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     suffix_[it->value()] = local_suffix(net_, *it, suffix_);
@@ -84,8 +108,10 @@ void IncrementalSta::apply(const TransformTrace& trace) {
   slack_dirty_.assign(gcap, 0);
 
   // Seed 1: gate births and deaths.
+  std::uint64_t live_gates = 0;
   for (std::uint32_t i = 0; i < gcap; ++i) {
     const bool live = !net_.gate(GateId{i}).dead;
+    live_gates += live ? 1 : 0;
     if (i >= gate_mark) {
       gate_live_[i] = live ? 1 : 0;
       if (live) {
@@ -141,14 +167,28 @@ void IncrementalSta::apply(const TransformTrace& trace) {
       fwd_dirty_[to.value()] = 1;
   }
 
-  // Topological positions of the edited network; every live gate has
-  // one. (The order itself is what a full pass would walk — its length
-  // prices the full-recompute alternative for the bench comparison.)
-  const std::vector<GateId> order = net_.topo_order();
-  pos_.assign(gcap, 0);
-  for (std::uint32_t i = 0; i < order.size(); ++i)
-    pos_[order[i].value()] = i;
-  stats_.full_equivalent += 2 * static_cast<std::uint64_t>(order.size());
+  // Repair the topological key. Only a born connection or one whose
+  // source changed can break it: the latter's sink is touched or a
+  // severed edge's sink (the TransformTrace contract), so checking the
+  // fanins of born gates, touched gates and severed sinks, plus every
+  // born connection, restores the key everywhere. Born gates start at
+  // zero and rise above their fanins here.
+  const auto order_fanins = [&](GateId g) {
+    for (ConnId c : net_.gate(g).fanins) order_edge(net_.conn(c).from, g);
+  };
+  for (std::uint32_t i = gate_mark; i < gcap; ++i)
+    if (gate_live_[i]) order_fanins(GateId{i});
+  for (std::uint32_t i = conn_mark; i < ccap; ++i) {
+    const Conn& cn = net_.conn(ConnId{i});
+    if (!cn.dead) order_edge(cn.from, cn.to);
+  }
+  for (GateId g : trace.touched)
+    if (g.value() < gcap && gate_live_[g.value()]) order_fanins(g);
+  for (const auto& [from, to] : trace.severed)
+    if (to.value() < gcap && gate_live_[to.value()]) order_fanins(to);
+  // A full pass would visit every live gate forward and backward; that
+  // prices the full-recompute alternative for the bench comparison.
+  stats_.full_equivalent += 2 * live_gates;
 
   // Forward repair: re-evaluate dirty gates in topological order; a
   // changed arrival dirties live fanout sinks (always downstream, so
@@ -159,7 +199,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
                         std::greater<std::uint64_t>>
         heap;
     for (std::uint32_t i = 0; i < gcap; ++i)
-      if (fwd_dirty_[i]) heap.push(key(pos_[i], i));
+      if (fwd_dirty_[i]) heap.push(key(key_[i], i));
     while (!heap.empty()) {
       const std::uint32_t g = id_of(heap.top());
       heap.pop();
@@ -175,7 +215,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
         const std::uint32_t to = cn.to.value();
         if (!gate_live_[to] || fwd_dirty_[to]) continue;
         fwd_dirty_[to] = 1;
-        heap.push(key(pos_[to], to));
+        heap.push(key(key_[to], to));
       }
     }
   }
@@ -198,7 +238,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
   {
     std::priority_queue<std::uint64_t> heap;  // max position first
     for (std::uint32_t i = 0; i < gcap; ++i)
-      if (bwd_dirty_[i]) heap.push(key(pos_[i], i));
+      if (bwd_dirty_[i]) heap.push(key(key_[i], i));
     while (!heap.empty()) {
       const std::uint32_t g = id_of(heap.top());
       heap.pop();
@@ -216,7 +256,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
         const std::uint32_t src = net_.conn(c).from.value();
         if (!gate_live_[src] || bwd_dirty_[src]) continue;
         bwd_dirty_[src] = 1;
-        heap.push(key(pos_[src], src));
+        heap.push(key(key_[src], src));
       }
     }
   }

@@ -78,6 +78,8 @@ class IncrementalSta {
   const std::vector<double>& suffix() const { return suffix_; }
   double delay() const { return delay_; }
   const Stats& stats() const { return stats_; }
+  /// The repair heaps' topological key (see key_); audited by NL028.
+  const std::vector<std::uint32_t>& topo_key() const { return key_; }
 
   /// Copy of the maintained tables in compute_timing's result shape.
   TimingTables tables() const;
@@ -85,6 +87,9 @@ class IncrementalSta {
  private:
   void reset_dead(std::uint32_t g);
   void grow();
+  /// Restore key_[u] < key_[v] across the live connection u -> v by
+  /// raising v's key and, transitively, its fanouts' keys.
+  void order_edge(GateId u, GateId v);
 
   const Network& net_;
   std::vector<double> arrival_;
@@ -102,7 +107,12 @@ class IncrementalSta {
   std::vector<char> fwd_dirty_;
   std::vector<char> bwd_dirty_;
   std::vector<char> slack_dirty_;
-  std::vector<std::uint32_t> pos_;
+  /// Topological key of every live gate: strictly increasing along every
+  /// live connection, so the repair heaps pop in topological order. Set
+  /// to levels by rebuild() and repaired by apply() (born gates and new
+  /// or rerouted connections raise keys downstream), never re-sorted.
+  std::vector<std::uint32_t> key_;
+  std::vector<GateId> raise_stack_;  ///< order_edge scratch
 
   Stats stats_;
 };

@@ -11,28 +11,79 @@
 
 namespace kms {
 
-Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
+Sensitizer::Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
                        ResourceGovernor* governor, proof::ProofSession* session,
                        const std::vector<double>* arrival_seed, bool capture)
-    : net_(net),
-      mode_(mode),
-      session_(session),
-      capture_(capture),
-      arrival_(arrival_seed ? *arrival_seed : compute_arrival(net)) {
+    : net_(net), mode_(mode), session_(session), capture_(capture) {
+  // Only viability smoothing reads arrival times.
+  if (arrival_seed == nullptr && mode_ == SensitizationMode::kViability)
+    own_arrival_ = compute_arrival(net);
+  arrival_ = arrival_seed ? arrival_seed : &own_arrival_;
   if (governor) solver_.set_governor(governor);
   if (session_ || capture_) {
     trace_ = std::make_unique<proof::DratTrace>();
     solver_.set_proof(trace_.get());
   }
+  // Consecutive queries of the delay search differ by a few added side
+  // constraints, which the previous model often satisfies already (61%
+  // to 77% of computed_delay's queries on csa 4.2 to 16.4 and csa 8.2
+  // x8); the verdict is the same, and a witness from the older model is
+  // as valid.
+  solver_.set_model_reuse(true);
+}
+
+Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
+                       ResourceGovernor* governor, proof::ProofSession* session,
+                       const std::vector<double>* arrival_seed, bool capture)
+    : Sensitizer(Unencoded{}, net, mode, governor, session, arrival_seed,
+                 capture) {
   // Encode only after the trace is listening: the certificate's formula
   // must contain every clause the network contributed.
   enc_.emplace(net_, solver_);
 }
 
+Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
+                       const Path& path, ResourceGovernor* governor,
+                       proof::ProofSession* session,
+                       const std::vector<double>* arrival_seed, bool capture)
+    : Sensitizer(Unencoded{}, net, mode, governor, session, arrival_seed,
+                 capture) {
+  // DFS post-order over the fanin closure of the constrained side
+  // inputs, roots in assumption order and fanins in pin order: every
+  // gate follows its fanins, which is all the encoder needs.
+  std::vector<GateId> order;
+  std::vector<char> seen(net_.gate_capacity(), 0);
+  struct Frame {
+    GateId gate;
+    std::size_t pin;
+  };
+  std::vector<Frame> stack;
+  for_each_path_constraint(path, [&](GateId root, bool) {
+    if (seen[root.value()]) return;
+    seen[root.value()] = 1;
+    stack.push_back({root, 0});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const std::vector<ConnId>& fanins = net_.gate(f.gate).fanins;
+      if (f.pin == fanins.size()) {
+        order.push_back(f.gate);
+        stack.pop_back();
+        continue;
+      }
+      const GateId src = net_.conn(fanins[f.pin++]).from;
+      if (seen[src.value()]) continue;
+      seen[src.value()] = 1;
+      stack.push_back({src, 0});
+    }
+  });
+  enc_.emplace(net_, solver_, order);
+}
+
 Sensitizer::~Sensitizer() = default;
 
-void Sensitizer::side_constraints(GateId g, ConnId entering, double event_time,
-                                  std::vector<sat::Lit>* out) const {
+template <class Fn>
+void Sensitizer::for_each_side_input(GateId g, ConnId entering,
+                                     double event_time, Fn&& fn) const {
   const Gate& gt = net_.gate(g);
   switch (gt.kind) {
     case GateKind::kOutput:
@@ -53,10 +104,10 @@ void Sensitizer::side_constraints(GateId g, ConnId entering, double event_time,
         if (mode_ == SensitizationMode::kViability) {
           // Smooth late side-inputs: constrain only those that have
           // settled strictly before the event arrives (Section V.1).
-          const double settle = arrival_[cn.from.value()] + cn.delay;
+          const double settle = (*arrival_)[cn.from.value()] + cn.delay;
           if (!(settle < event_time - 1e-9)) continue;
         }
-        out->push_back(enc_->lit_of(cn.from, /*negated=*/!nc));
+        fn(cn.from, /*negated=*/!nc);
       }
       return;
     }
@@ -66,6 +117,27 @@ void Sensitizer::side_constraints(GateId g, ConnId entering, double event_time,
     default:
       throw std::invalid_argument("Sensitizer: unexpected gate on path");
   }
+}
+
+template <class Fn>
+void Sensitizer::for_each_path_constraint(const Path& path, Fn&& fn) const {
+  // Event time along the path: starts at the source's arrival.
+  double event_time = net_.gate(path.source).arrival;
+  for (std::size_t i = 0; i < path.gates.size(); ++i) {
+    const ConnId on_path = path.conns[i];
+    const GateId g = path.gates[i];
+    event_time += net_.conn(on_path).delay;  // event at the gate's input
+    for_each_side_input(g, on_path, event_time, fn);
+    event_time += net_.gate(g).delay;  // event leaves the gate's output
+  }
+}
+
+void Sensitizer::side_constraints(GateId g, ConnId entering, double event_time,
+                                  std::vector<sat::Lit>* out) const {
+  for_each_side_input(g, entering, event_time, [&](GateId src, bool negated) {
+    assert(enc_->encoded(src) && "side input outside the encoded closure");
+    out->push_back(enc_->lit_of(src, negated));
+  });
 }
 
 sat::Result Sensitizer::solve(const std::vector<sat::Lit>& assumptions) {
@@ -81,15 +153,10 @@ bool Sensitizer::satisfiable(const std::vector<sat::Lit>& assumptions) {
 
 SensitizeResult Sensitizer::check(const Path& path) {
   std::vector<sat::Lit> assumptions;
-  // Event time along the path: starts at the source's arrival.
-  double event_time = net_.gate(path.source).arrival;
-  for (std::size_t i = 0; i < path.gates.size(); ++i) {
-    const ConnId on_path = path.conns[i];
-    const GateId g = path.gates[i];
-    event_time += net_.conn(on_path).delay;  // event at the gate's input
-    side_constraints(g, on_path, event_time, &assumptions);
-    event_time += net_.gate(g).delay;  // event leaves the gate's output
-  }
+  for_each_path_constraint(path, [&](GateId src, bool negated) {
+    assert(enc_->encoded(src) && "path differs from the scoped one");
+    assumptions.push_back(enc_->lit_of(src, negated));
+  });
   SensitizeResult out;
   out.verdict = solve(assumptions);
   if (out.verdict == sat::Result::kSat) out.witness = enc_->model_inputs();

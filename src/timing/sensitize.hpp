@@ -1,7 +1,8 @@
 // Path sensitization tests (Definitions 4.11 and 5.1).
 //
 // Both conditions are decided with one incremental SAT query per path on
-// a single Tseitin encoding of the network:
+// a Tseitin encoding of the network (or, for a single path, of the fanin
+// closure of the side inputs it constrains):
 //
 //  * Static sensitization: assume every side-input of every gate along
 //    the path takes its noncontrolling value; SAT iff some input cube
@@ -92,7 +93,22 @@ class Sensitizer {
   /// SensitizeResult::certificate and journals nothing — the mode
   /// worker threads must use (mirrors Atpg::set_proof_capture). A
   /// kUnsat that fails to certify degrades to kUnknown in both modes.
+  /// This constructor encodes the whole network, so any path may be
+  /// checked; the branch-and-bound search in computed_delay() needs that.
   Sensitizer(const Network& net, SensitizationMode mode,
+             ResourceGovernor* governor = nullptr,
+             proof::ProofSession* session = nullptr,
+             const std::vector<double>* arrival_seed = nullptr,
+             bool capture = false);
+
+  /// Path-scoped: encodes only the fanin closure of the side inputs
+  /// check(`path`) constrains under `mode` and the arrival table, in DFS
+  /// post-order from those side inputs. Gates outside that closure
+  /// cannot influence a constrained side input, so check(`path`)
+  /// returns the verdict the whole-network encoding would, from a
+  /// smaller formula (and so a smaller certificate). Only `path` may be
+  /// checked. Other parameters as above.
+  Sensitizer(const Network& net, SensitizationMode mode, const Path& path,
              ResourceGovernor* governor = nullptr,
              proof::ProofSession* session = nullptr,
              const std::vector<double>* arrival_seed = nullptr,
@@ -129,7 +145,25 @@ class Sensitizer {
 
   SensitizationMode mode() const { return mode_; }
 
+  /// Number of gates the encoding covers.
+  std::size_t encoded_gates() const { return enc_->encoded_gates(); }
+
  private:
+  /// Everything but the encoding, which the public constructors add.
+  struct Unencoded {};
+  Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
+             ResourceGovernor* governor, proof::ProofSession* session,
+             const std::vector<double>* arrival_seed, bool capture);
+
+  /// Visit the side inputs entering `g` through `entering` constrains
+  /// (see side_constraints): fn(source gate, negated literal?).
+  template <class Fn>
+  void for_each_side_input(GateId g, ConnId entering, double event_time,
+                           Fn&& fn) const;
+  /// Visit every side constraint check(`path`) assumes, in order.
+  template <class Fn>
+  void for_each_path_constraint(const Path& path, Fn&& fn) const;
+
   const Network& net_;
   SensitizationMode mode_;
   sat::Solver solver_;
@@ -140,7 +174,8 @@ class Sensitizer {
   /// clauses reach the solver (the certificate formula must be
   /// complete). Always engaged after construction.
   std::optional<CircuitEncoding> enc_;
-  std::vector<double> arrival_;
+  std::vector<double> own_arrival_;  ///< computed when no seed was given
+  const std::vector<double>* arrival_ = nullptr;
   std::size_t queries_ = 0;
   bool aborted_ = false;
 };

@@ -251,16 +251,14 @@ TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
   // Every removal cites an untestable proof. Witness-dropped faults are
   // not journalled: which faults a witness drops depends on worker
   // timing at jobs > 1, and the journal records only facts that do not.
-  std::size_t deletes = 0, untestable = 0, sim_testable = 0;
+  std::size_t deletes = 0, untestable = 0;
   for (const auto& s : session.journal.steps()) {
     if (s.kind == proof::JournalStep::Kind::kDelete) ++deletes;
     if (s.kind == proof::JournalStep::Kind::kFaultUntestable) ++untestable;
-    if (s.kind == proof::JournalStep::Kind::kFaultSimTestable) ++sim_testable;
   }
   EXPECT_GT(r.witness_dropped, 0u);
   EXPECT_EQ(deletes, r.removed);
   EXPECT_EQ(untestable, r.removed);
-  EXPECT_EQ(sim_testable, 0u);
   EXPECT_FALSE(session.journal.partial());
   // The independent checker accepts the journal and verifies every
   // deletion's certificate.
@@ -268,18 +266,24 @@ TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
       proof::verify_session(session, input, output);
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.deletions_verified, r.removed);
-  // Journals written before the step was retired still carry it: it
-  // must keep parsing, round-tripping and verifying as a no-op.
-  session.journal.add_fault_sim_testable("g1(and)/SA0");
-  std::istringstream in(session.journal.to_text());
-  const proof::TransformJournal parsed = proof::TransformJournal::read(in);
-  EXPECT_EQ(parsed.steps().size(), session.journal.steps().size());
-  EXPECT_EQ(parsed.steps().back().kind,
-            proof::JournalStep::Kind::kFaultSimTestable);
-  const proof::VerifyReport legacy =
-      proof::verify_session(session, input, output);
-  EXPECT_TRUE(legacy.ok) << legacy.error;
-  EXPECT_EQ(legacy.deletions_verified, r.removed);
+  // The retired fault-sim-testable step is no longer a step kind: a
+  // journal carrying it is rejected as an unknown kind, like the retired
+  // static steps.
+  std::string text = session.journal.to_text();
+  const std::size_t end = text.find("output-digest ");
+  ASSERT_NE(end, std::string::npos);
+  text.insert(end, "step fault-sim-testable what=\"g1(and)/SA0\"\n");
+  std::istringstream in(text);
+  try {
+    proof::TransformJournal::read(in);
+    ADD_FAILURE() << "retired step kind parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown step kind"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(proof::parse_step("fault-sim-testable what=\"g1(and)/SA0\""),
+               std::runtime_error);
 }
 
 // A soundness cross-check of the static verdicts lint and `kmscli

@@ -203,6 +203,40 @@ TEST(KmscliTest, TimeLimitHonoredWithValidPartialOutput) {
   std::remove(out_path.c_str());
 }
 
+TEST(KmscliTest, DegradedRunNeverPrintsUnmarkedDelayIncrease) {
+  // The deadline stops the loop mid-flight, so the final computed-delay
+  // search cannot run and falls back to the topological bound of a
+  // partly transformed network, above the initial computed delay. That
+  // bound must be printed as one, never as a measured increase.
+  Network net = carry_skip_adder(32, 4);
+  decompose_to_simple(net);
+  const std::string in_path = temp_path("kmscli_bound.blif");
+  const std::string err_path = temp_path("kmscli_bound.err");
+  write_blif_file(net, in_path);
+  EXPECT_EQ(run_cli_status("irr " + in_path + " -o /dev/null" +
+                           " --time-limit 0.3 2>" + err_path),
+            3);
+  std::ifstream in(err_path);
+  const std::string err((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const std::string tag = "(computed ";
+  const std::size_t at = err.find(tag);
+  ASSERT_NE(at, std::string::npos) << err;
+  const std::string line = err.substr(at, err.find('\n', at) - at);
+  const std::size_t arrow = line.find(" -> ");
+  ASSERT_NE(arrow, std::string::npos) << line;
+  const std::string before = line.substr(tag.size(), arrow - tag.size());
+  const std::string after = line.substr(arrow + 4);
+  const std::string bound = "(upper bound)";
+  EXPECT_NE(after.find(bound), std::string::npos) << line;
+  if (std::stod(after) > std::stod(before) + 1e-9) {
+    EXPECT_NE(after.find(bound), std::string::npos)
+        << "unmarked increase: " << line;
+  }
+  std::remove(in_path.c_str());
+  std::remove(err_path.c_str());
+}
+
 TEST(KmscliTest, SigintStopsGracefullyWithEquivalentOutput) {
   Network net = carry_skip_adder(32, 4);
   decompose_to_simple(net);

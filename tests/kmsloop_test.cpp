@@ -121,6 +121,40 @@ TEST(KmsloopSpeculationTest, UnknownExitIsRecordedAndDegraded) {
   EXPECT_EQ(stats.iterations, 0u);
 }
 
+TEST(KmsloopSpeculationTest, InterruptedRunMarksTheFinalDelayAsABound) {
+  // An interrupt landing early in the loop leaves a partly transformed
+  // network whose final computed-delay search cannot run: the stats
+  // carry its topological bound, above the initial computed delay,
+  // flagged as a bound.
+  Network net = carry_skip_adder(12, 4);
+  decompose_to_simple(net);
+  const DelayReport initial = computed_delay(net, SensitizationMode::kStatic);
+  ASSERT_TRUE(initial.exact);
+  ResourceGovernor gov;
+  gov.set_injector(FaultInjector::random(
+      /*seed=*/1, /*abort_probability=*/0.0,
+      /*cancel_after_queries=*/initial.paths_examined + 20));
+  KmsOptions opts;
+  opts.context.governor = &gov;
+  Network cut = net;
+  const KmsStats s = kms_make_irredundant(cut, opts);
+  EXPECT_TRUE(s.degraded);
+  EXPECT_GT(s.iterations, 0u);
+  EXPECT_TRUE(s.initial_computed_exact);
+  EXPECT_EQ(s.initial_computed_delay, initial.delay);
+  EXPECT_FALSE(s.final_computed_exact);
+  EXPECT_EQ(s.final_computed_delay, s.final_topo_delay);
+  EXPECT_GT(s.final_computed_delay, s.initial_computed_delay);
+
+  // An unlimited run measures both ends.
+  opts.context.governor = nullptr;
+  opts.remove_remaining = false;
+  const KmsStats full = kms_make_irredundant(net, opts);
+  EXPECT_TRUE(full.initial_computed_exact);
+  EXPECT_TRUE(full.final_computed_exact);
+  EXPECT_LE(full.final_computed_delay, full.initial_computed_delay);
+}
+
 TEST(KmsloopSpeculationTest, LoopExitReasonsCoverTheNaturalCases) {
   {
     Network net = carry_skip_adder(4, 2);

@@ -1,0 +1,92 @@
+// Pinned output digests: `kmscli irr` (run_job) at --jobs 1 and 4 must
+// reproduce, byte for byte, the output BLIF recorded for carry-skip
+// adders, a replicated datapath, the MCNC substitutes and the example
+// netlists. The FNV-1a digests below were taken from a build before the
+// KMS loop's path-scoped rewrite (worklist surgery, repaired STA order,
+// path-scoped sensitization, model reuse in computed_delay); any change
+// to a digest is a change to the engine's output and must be deliberate.
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "src/base/governor.hpp"
+#include "src/gen/adders.hpp"
+#include "src/gen/suite.hpp"
+#include "src/netlist/blif.hpp"
+#include "src/proof/journal.hpp"
+#include "src/serve/job.hpp"
+#include "src/serve/runner.hpp"
+
+namespace kms {
+namespace {
+
+struct Pinned {
+  const char* name;
+  std::uint64_t digest;
+};
+
+constexpr Pinned kPinned[] = {
+    {"csa_4_2", 0xaf0dddf727b64469ull},  {"csa_4_4", 0xe1da222f623aa72dull},
+    {"csa_6_2", 0x1e02efd2c3bc78e1ull},  {"csa_6_3", 0x674f5e0f772ba757ull},
+    {"csa_8_2", 0x2d8ffc3dd0bfcccbull},  {"csa_8_4", 0x26786b3bed619c46ull},
+    {"csa_16_4", 0x736596f9ca3a6637ull}, {"csa_4_2_x3", 0x933ee535907aef55ull},
+    {"s5xp1", 0x87c8d504ce932d43ull},    {"sclip", 0x832d9951eea67088ull},
+    {"sduke2", 0x816d2aa32db53ce2ull},   {"sf51m", 0x8ff56b0097d12775ull},
+    {"smisex1", 0x43600cf33e1f947bull},  {"smisex2", 0xdaaf182a578ae5b5ull},
+    {"srd73", 0xa7588d8ebe771e75ull},    {"ssao2", 0x1c73463610e234c7ull},
+    {"sz4ml", 0x9d391995eaa20375ull},    {"counter2", 0x04ec75b2ef430c65ull},
+    {"fulladder", 0x996dd30a62e1a916ull}, {"parity4", 0x449efc871888134bull},
+    {"statred", 0x605665a4c3ff777bull},
+};
+
+void PrintTo(const Pinned& p, std::ostream* os) { *os << p.name; }
+
+/// Input BLIF of a pinned circuit, as `kmscli irr` reads it.
+std::string input_blif(const std::string& name) {
+  if (name.rfind("csa_", 0) == 0) {
+    std::size_t bits = 0, block = 0;
+    char sep = 0;
+    std::istringstream in(name.substr(4));
+    in >> bits >> sep >> block;
+    const Network adder = carry_skip_adder(bits, block);
+    return write_blif_string(name.ends_with("_x3") ? replicate_blocks(adder, 3)
+                                                   : adder);
+  }
+  if (name[0] == 's' && name != "statred")
+    return write_blif_string(build_suite_circuit(suite_spec(name)));
+  std::ifstream in(std::string(EXAMPLES_DIR) + "/" + name + ".blif");
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+class OutputDigestTest : public testing::TestWithParam<Pinned> {};
+
+TEST_P(OutputDigestTest, MatchesPinnedAtJobs1And4) {
+  const Pinned& p = GetParam();
+  const std::string blif = input_blif(p.name);
+  for (const std::uint64_t jobs : {1u, 4u}) {
+    serve::JobSpec spec;
+    spec.kind = serve::JobKind::kIrr;
+    spec.blif = blif;
+    spec.jobs = jobs;
+    ResourceGovernor gov;
+    const serve::JobReport rep = serve::run_job(spec, gov);
+    ASSERT_EQ(rep.verdict, "ok") << p.name << ": " << rep.error;
+    EXPECT_EQ(rep.output_digest, proof::digest_bytes(rep.output_blif));
+    EXPECT_EQ(rep.output_digest, p.digest)
+        << p.name << " at jobs " << jobs << std::hex << ": got 0x"
+        << rep.output_digest;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, OutputDigestTest, testing::ValuesIn(kPinned),
+                         [](const testing::TestParamInfo<Pinned>& info) {
+                           return std::string(info.param.name);
+                         });
+
+}  // namespace
+}  // namespace kms

@@ -197,5 +197,65 @@ TEST(SatTest, IncrementalSolvesWithGrowingClauses) {
   EXPECT_TRUE(s.model_bool(c));
 }
 
+TEST(SatTest, ModelReuseKeepsVerdicts) {
+  // The delay search's traffic: assumption sets that grow and shrink
+  // like a DFS spine, with literals of both polarities, and clauses
+  // added between solves. A solver that answers from its previous model
+  // must reach the verdicts of one that searches every time, and leave
+  // a model satisfying the assumptions whenever it answers kSat.
+  Rng rng(2024);
+  std::size_t reused = 0;
+  for (int round = 0; round < 20; ++round) {
+    const int nv = 24;
+    Solver fresh, reuse;
+    reuse.set_model_reuse(true);
+    std::vector<std::vector<Lit>> cnf;
+    const auto random_lit = [&] {
+      return mk_lit(static_cast<Var>(rng.next_below(nv)), rng.next_bool());
+    };
+    const auto add = [&] {
+      std::vector<Lit> clause;
+      for (int k = 0; k < 3; ++k) clause.push_back(random_lit());
+      cnf.push_back(clause);
+      fresh.add_clause(clause);
+      reuse.add_clause(clause);
+    };
+    for (int i = 0; i < nv; ++i) {
+      fresh.new_var();
+      reuse.new_var();
+    }
+    for (int c = 0; c < 2 * nv; ++c) add();
+    std::vector<Lit> assumptions;
+    for (int step = 0; step < 200; ++step) {
+      const std::uint64_t move = rng.next_below(8);
+      if (move < 4 || assumptions.empty()) {
+        assumptions.push_back(random_lit());
+      } else if (move < 7) {
+        assumptions.resize(rng.next_below(assumptions.size()));
+      } else {
+        add();
+      }
+      const std::uint64_t decisions = reuse.stats().decisions;
+      const std::uint64_t propagations = reuse.stats().propagations;
+      const Result want = fresh.solve(assumptions);
+      const Result got = reuse.solve(assumptions);
+      ASSERT_EQ(got, want) << "round " << round << " step " << step;
+      if (got != Result::kSat) continue;
+      if (reuse.stats().decisions == decisions &&
+          reuse.stats().propagations == propagations)
+        ++reused;
+      for (Lit a : assumptions)
+        EXPECT_NE(reuse.model_bool(a.var()), a.sign());
+      for (const auto& clause : cnf) {
+        bool satisfied = false;
+        for (Lit l : clause)
+          if (reuse.model_bool(l.var()) != l.sign()) satisfied = true;
+        EXPECT_TRUE(satisfied);
+      }
+    }
+  }
+  EXPECT_GT(reused, 100u);
+}
+
 }  // namespace
 }  // namespace kms::sat

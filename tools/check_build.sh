@@ -104,6 +104,15 @@ ctest --preset checked -L timing --output-on-failure
 echo "== faultsim-labelled tests (checked preset) =="
 ctest --preset checked -L faultsim --output-on-failure
 
+# Pinned-output stage: the `digest` label runs `kmscli irr` (run_job) at
+# jobs 1 and 4 on carry-skip adders, a replicated datapath, the MCNC
+# substitutes and the example netlists, and compares each output BLIF's
+# FNV-1a digest with the value pinned in tests/output_digest_test.cpp.
+# Run it by name so a change to the engine's output is called out in CI
+# output even when a filter in "$@" skipped it above.
+echo "== pinned output digests (checked preset) =="
+ctest --preset checked -L digest --output-on-failure
+
 # Bench-smoke stage: run removal on the quick circuit at lane counts
 # 1, 2 and 4. bench_atpg exits 2 unless every lane count reproduces
 # the one-lane removed count and result digest bit for bit.

@@ -56,6 +56,7 @@
 
 #include "src/base/durable.hpp"
 #include "src/base/governor.hpp"
+#include "src/base/strings.hpp"
 #include "src/check/hooks.hpp"
 #include "src/serve/job.hpp"
 #include "src/serve/runner.hpp"
@@ -120,13 +121,22 @@ void print_irr_summary(const JobSpec& spec, const JobReport& r) {
                  static_cast<unsigned long long>(r.steps_checked),
                  static_cast<unsigned long long>(r.certificates_checked),
                  static_cast<unsigned long long>(r.deletions_verified));
+  // A computed delay the search could not finish is the topological
+  // upper bound, not a measurement: mark it so a degraded run never
+  // shows an apparent delay increase as if it were measured.
+  const auto computed = [](double d, bool exact) {
+    return exact ? str_format("%.3f", d) : str_format("%.3f (upper bound)", d);
+  };
   std::fprintf(stderr,
                "gates %llu -> %llu, delay %.3f -> %.3f (computed "
-               "%.3f -> %.3f), %llu loop transforms, %llu removals\n",
+               "%s -> %s), %llu loop transforms, %llu removals\n",
                static_cast<unsigned long long>(r.initial_gates),
                static_cast<unsigned long long>(r.final_gates),
                r.initial_topo_delay, r.final_topo_delay,
-               r.initial_computed_delay, r.final_computed_delay,
+               computed(r.initial_computed_delay, r.initial_computed_exact)
+                   .c_str(),
+               computed(r.final_computed_delay, r.final_computed_exact)
+                   .c_str(),
                static_cast<unsigned long long>(r.constants_set),
                static_cast<unsigned long long>(r.redundancies_removed));
   std::fprintf(
