@@ -10,7 +10,6 @@
 namespace kms {
 
 using sat::Lit;
-using sat::Solver;
 using sat::Var;
 
 void AtpgStats::accumulate(const AtpgStats& other) {
@@ -26,7 +25,7 @@ void AtpgStats::accumulate(const AtpgStats& other) {
 }
 
 Atpg::Atpg(const Network& net, ResourceGovernor* governor)
-    : net_(net), governor_(governor) {}
+    : net_(net), governor_(governor), good_(net, solver_, {}) {}
 
 void Atpg::mark_fault_cone(const Fault& f) {
   cone_outputs_.clear();
@@ -52,11 +51,13 @@ void Atpg::mark_fault_cone(const Fault& f) {
     if (cone_[o.value()] == stamp_) cone_outputs_.push_back(o);
 }
 
-void Atpg::mark_support(GateId extra_root) {
+void Atpg::collect_support(GateId extra_root) {
+  support_.clear();
   stack_.clear();
   auto push = [&](GateId g) {
-    if (!subset_[g.value()]) {
-      subset_[g.value()] = true;
+    if (in_support_[g.value()] != stamp_) {
+      in_support_[g.value()] = stamp_;
+      support_.push_back(g);
       stack_.push_back(g);
     }
   };
@@ -67,6 +68,9 @@ void Atpg::mark_support(GateId extra_root) {
     stack_.pop_back();
     for (ConnId c : net_.gate(g).fanins) push(net_.conn(c).from);
   }
+  std::sort(support_.begin(), support_.end(), [&](GateId a, GateId b) {
+    return topo_rank_[a.value()] < topo_rank_[b.value()];
+  });
 }
 
 TestResult Atpg::generate_test(const Fault& fault) {
@@ -75,9 +79,9 @@ TestResult Atpg::generate_test(const Fault& fault) {
   const std::uint32_t cap = net_.gate_capacity();
   if (cone_.size() < cap) {
     cone_.resize(cap, 0);
+    in_support_.resize(cap, 0);
     faulty_.resize(cap, -1);
   }
-  subset_.assign(cap, false);
   ++stamp_;
   mark_fault_cone(fault);
 
@@ -93,78 +97,86 @@ TestResult Atpg::generate_test(const Fault& fault) {
     return TestResult{TestOutcome::kUntestable, std::nullopt};
   }
 
+  if (topo_rank_.empty()) {
+    topo_rank_.assign(cap, 0);
+    const std::vector<GateId> order = net_.topo_order();
+    for (std::uint32_t i = 0; i < order.size(); ++i)
+      topo_rank_[order[i].value()] = i;
+  }
+
   // Cone-of-influence restriction: encode only the transitive fanin of
   // the cone's outputs (plus the fault source, needed for activation)
   // instead of the whole network. The verdict is unchanged — no gate
   // outside that support can influence activation or detection.
   const GateId src_gate = fault_source(net_, fault);
-  mark_support(src_gate);
+  collect_support(src_gate);
 
-  Solver solver;
+  solver_.reset();
   proof::DratTrace trace;
-  if (capture_) solver.set_proof(&trace);
-  if (governor_) solver.set_governor(governor_);
-  CircuitEncoding good(net_, solver, subset_);
+  if (capture_) solver_.set_proof(&trace);
+  if (governor_) solver_.set_governor(governor_);
+  good_.reencode(support_);
   ++stats_.sat_solves;
-  stats_.cone_gates_encoded += good.encoded_gates();
+  stats_.cone_gates_encoded += good_.encoded_gates();
   stats_.max_cone_gates =
-      std::max<std::uint64_t>(stats_.max_cone_gates, good.encoded_gates());
+      std::max<std::uint64_t>(stats_.max_cone_gates, good_.encoded_gates());
 
   // A literal fixed to the stuck value, used to inject the fault.
-  const Var stuck_var = solver.new_var();
+  const Var stuck_var = solver_.new_var();
   const Lit stuck_lit = sat::mk_lit(stuck_var, /*negated=*/!fault.stuck);
-  solver.add_clause(stuck_lit);
+  solver_.add_clause(stuck_lit);
 
-  // Faulty copies for the encoded cone gates. A cone gate outside the
-  // support cannot reach any cone output and needs no copy.
-  for (GateId g : net_.topo_order()) {
-    if (cone_[g.value()] != stamp_ || !subset_[g.value()]) continue;
+  // Faulty copies for the encoded cone gates, in topological order. A
+  // cone gate outside the support cannot reach any cone output and
+  // needs no copy.
+  for (GateId g : support_) {
+    if (cone_[g.value()] != stamp_) continue;
     const Gate& gt = net_.gate(g);
-    const Var fv = solver.new_var();
+    const Var fv = solver_.new_var();
     faulty_[g.value()] = fv;
     if (fault.site == Fault::Site::kStem && g == fault.gate) {
       // Inject: the faulty stem is the stuck constant.
-      solver.add_clause(sat::mk_lit(fv, !fault.stuck));
+      solver_.add_clause(sat::mk_lit(fv, !fault.stuck));
       continue;
     }
-    std::vector<Lit> in;
-    in.reserve(gt.fanins.size());
+    in_.clear();
     for (ConnId c : gt.fanins) {
       if (fault.site == Fault::Site::kBranch && c == fault.conn) {
-        in.push_back(sat::mk_lit(stuck_var));
+        in_.push_back(sat::mk_lit(stuck_var));
         continue;
       }
       const GateId src = net_.conn(c).from;
       const Var sv = cone_[src.value()] == stamp_ ? faulty_[src.value()]
-                                                  : good.var_of(src);
+                                                  : good_.var_of(src);
       assert(sv >= 0);
-      in.push_back(sat::mk_lit(sv));
+      in_.push_back(sat::mk_lit(sv));
     }
-    encode_gate(solver, gt.kind, fv, in);
+    encode_gate(solver_, gt.kind, fv, in_, clause_);
   }
 
   // Activation: the good value at the fault site must differ from the
   // stuck value (otherwise the fault is invisible by construction).
-  solver.add_clause(good.lit_of(src_gate, /*negated=*/fault.stuck));
+  solver_.add_clause(good_.lit_of(src_gate, /*negated=*/fault.stuck));
 
   // Detection: some primary output in the cone differs.
-  std::vector<Lit> diffs;
+  diffs_.clear();
   for (GateId o : cone_outputs_) {
-    const Lit g = good.lit_of(o);
+    const Lit g = good_.lit_of(o);
     const Lit fl = sat::mk_lit(faulty_[o.value()]);
-    const Lit d = sat::mk_lit(solver.new_var());
-    solver.add_clause(~d, g, fl);
-    solver.add_clause(~d, ~g, ~fl);
-    solver.add_clause(d, ~g, fl);
-    solver.add_clause(d, g, ~fl);
-    diffs.push_back(d);
+    const Lit d = sat::mk_lit(solver_.new_var());
+    solver_.add_clause(~d, g, fl);
+    solver_.add_clause(~d, ~g, ~fl);
+    solver_.add_clause(d, ~g, fl);
+    solver_.add_clause(d, g, ~fl);
+    diffs_.push_back(d);
   }
-  solver.add_clause(diffs);
+  solver_.add_clause(diffs_);
 
-  const sat::Result r = solver.solve();
+  const sat::Result r = solver_.solve();
+  solver_.set_proof(nullptr);  // the trace dies with this call
   // Conflicts of every solve count, aborted ones included: the work was
   // done whether or not it produced a verdict.
-  stats_.sat_conflicts += solver.stats().conflicts;
+  stats_.sat_conflicts += solver_.stats().conflicts;
   TestResult res;
   res.outcome = test_outcome_of(r);  // the one sat::Result mapping point
   switch (res.outcome) {
@@ -185,7 +197,7 @@ TestResult Atpg::generate_test(const Fault& fault) {
       // Resource exhaustion or an injected abort: NOT a redundancy proof.
       break;
     case TestOutcome::kTestable:
-      res.vector = good.model_inputs();
+      res.vector = good_.model_inputs();
       break;
   }
   if (res.outcome == TestOutcome::kUntestable) ++stats_.untestable;

@@ -18,6 +18,7 @@
 
 #include "src/atpg/fault.hpp"
 #include "src/base/governor.hpp"
+#include "src/cnf/encoder.hpp"
 #include "src/core/verdict.hpp"
 #include "src/netlist/network.hpp"
 #include "src/sat/solver.hpp"
@@ -86,6 +87,9 @@ class Atpg {
   /// kUnknown. One Atpg is single-threaded; the removal engine builds
   /// one per lane.
   explicit Atpg(const Network& net, ResourceGovernor* governor = nullptr);
+  // The encoding refers to the owned solver.
+  Atpg(const Atpg&) = delete;
+  Atpg& operator=(const Atpg&) = delete;
 
   /// Proof-capture mode: generate_test records each kUntestable
   /// verdict's DRAT certificate into TestResult::certificate and
@@ -113,25 +117,36 @@ class Atpg {
   /// Stamp `cone_[g] = stamp_` for the forward closure of the fault
   /// site and collect the primary outputs it reaches.
   void mark_fault_cone(const Fault& fault);
-  /// Set `subset_[g]` for the transitive fanin of the stamped cone's
-  /// outputs plus `extra_root` — the fanin-closed encoding subset.
-  void mark_support(GateId extra_root);
+  /// Collect into `support_`, in topological order, the transitive fanin
+  /// of the stamped cone's outputs plus `extra_root` — the fanin-closed
+  /// encoding list.
+  void collect_support(GateId extra_root);
 
   const Network& net_;
   ResourceGovernor* governor_ = nullptr;
   bool capture_ = false;  ///< see set_proof_capture
   AtpgStats stats_;
 
-  // Per-query scratch, hoisted out of generate_test and reset by stamp
-  // comparison instead of reallocation: a removal pass issues thousands
-  // of queries against the same network and must not churn the
-  // allocator. Grown (never shrunk) to gate_capacity() on each query.
+  // Per-query state, kept across queries and reset instead of rebuilt:
+  // a removal pass issues thousands of small queries against the same
+  // network, each on the storage of the last. The solver is reset per
+  // query, the scratch by stamp comparison or clear(); per-gate tables
+  // grow (never shrink) to gate_capacity(). The network is frozen for
+  // this object's lifetime, so its topological ranks are computed once,
+  // at the first solve.
+  sat::Solver solver_;
+  CircuitEncoding good_;                   ///< good-circuit support
+  std::vector<std::uint32_t> topo_rank_;   ///< position in topo_order()
   std::uint32_t stamp_ = 0;
-  std::vector<std::uint32_t> cone_;  ///< stamp: gate is in the fault cone
-  std::vector<bool> subset_;         ///< encoding support, as the mask
-  std::vector<sat::Var> faulty_;        ///< faulty-copy var per cone gate
-  std::vector<GateId> stack_;           ///< DFS worklist
-  std::vector<GateId> cone_outputs_;    ///< primary outputs in the cone
+  std::vector<std::uint32_t> cone_;        ///< stamp: gate in fault cone
+  std::vector<std::uint32_t> in_support_;  ///< stamp: gate in support_
+  std::vector<GateId> support_;            ///< encoding list, topological
+  std::vector<sat::Var> faulty_;           ///< faulty-copy var per gate
+  std::vector<GateId> stack_;              ///< DFS worklist
+  std::vector<GateId> cone_outputs_;       ///< primary outputs in the cone
+  std::vector<sat::Lit> in_;               ///< one faulty gate's fanins
+  std::vector<sat::Lit> clause_;           ///< encode_gate scratch
+  std::vector<sat::Lit> diffs_;            ///< detection clause
 };
 
 /// All *proved* untestable faults from the collapsed fault list.

@@ -10,7 +10,7 @@ using sat::Solver;
 using sat::Var;
 
 void encode_gate(Solver& s, GateKind kind, Var out,
-                 const std::vector<Lit>& in) {
+                 const std::vector<Lit>& in, std::vector<Lit>& big) {
   const Lit o = sat::mk_lit(out);
   switch (kind) {
     case GateKind::kConst0:
@@ -35,8 +35,7 @@ void encode_gate(Solver& s, GateKind kind, Var out,
       const bool inv = kind == GateKind::kNand;
       const Lit y = inv ? ~o : o;
       // y -> each input; (all inputs) -> y.
-      std::vector<Lit> big;
-      big.reserve(in.size() + 1);
+      big.clear();
       for (Lit l : in) {
         s.add_clause(~y, l);
         big.push_back(~l);
@@ -49,8 +48,7 @@ void encode_gate(Solver& s, GateKind kind, Var out,
     case GateKind::kNor: {
       const bool inv = kind == GateKind::kNor;
       const Lit y = inv ? ~o : o;
-      std::vector<Lit> big;
-      big.reserve(in.size() + 1);
+      big.clear();
       for (Lit l : in) {
         s.add_clause(y, ~l);
         big.push_back(l);
@@ -107,34 +105,29 @@ CircuitEncoding::CircuitEncoding(const Network& net, Solver& solver)
 }
 
 CircuitEncoding::CircuitEncoding(const Network& net, Solver& solver,
-                                 const std::vector<bool>& gate_subset)
+                                 const std::vector<GateId>& order)
     : net_(net), solver_(solver), vars_(net.gate_capacity(), -1) {
-  assert(gate_subset.size() >= net.gate_capacity());
-  std::vector<GateId> order = net.topo_order();
-  std::erase_if(order, [&](GateId g) { return !gate_subset[g.value()]; });
   encode(order);
 }
 
-CircuitEncoding::CircuitEncoding(const Network& net, Solver& solver,
-                                 const std::vector<GateId>& order)
-    : net_(net), solver_(solver), vars_(net.gate_capacity(), -1) {
+void CircuitEncoding::reencode(const std::vector<GateId>& order) {
+  vars_.assign(net_.gate_capacity(), -1);
   encode(order);
 }
 
 void CircuitEncoding::encode(const std::vector<GateId>& order) {
   for (GateId g : order) vars_[g.value()] = solver_.new_var();
   encoded_gates_ = order.size();
-  std::vector<Lit> in;
   for (GateId g : order) {
     const Gate& gt = net_.gate(g);
     if (gt.kind == GateKind::kInput) continue;
-    in.clear();
+    in_.clear();
     for (ConnId c : gt.fanins) {
       const Var sv = vars_[net_.conn(c).from.value()];
-      assert(sv >= 0 && "gate subset must be fanin-closed and ordered");
-      in.push_back(sat::mk_lit(sv));
+      assert(sv >= 0 && "gate list must be fanin-closed and ordered");
+      in_.push_back(sat::mk_lit(sv));
     }
-    encode_gate(solver_, gt.kind, vars_[g.value()], in);
+    encode_gate(solver_, gt.kind, vars_[g.value()], in_, clause_);
   }
 }
 

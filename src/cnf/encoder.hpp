@@ -29,34 +29,31 @@ class CircuitEncoding {
   /// Encode every live gate of `net` into `solver`.
   CircuitEncoding(const Network& net, sat::Solver& solver);
 
-  /// Encode only the gates `g` with `gate_subset[g.value()]` set — the
-  /// cone-of-influence restriction used by ATPG, where only the
-  /// transitive fanin of the fault cone's outputs matters. The subset
-  /// must be fanin-closed: every fanin source of an included non-input
-  /// gate must itself be included (asserted).
-  CircuitEncoding(const Network& net, sat::Solver& solver,
-                  const std::vector<bool>& gate_subset);
-
   /// Encode exactly the gates of `order`, allocating variables and
   /// emitting clauses in that sequence. The list must be fanin-closed
   /// and topologically ordered (every fanin source of a listed non-input
-  /// gate listed earlier; asserted). The other constructors build this
-  /// list from topo_order(); the path-scoped sensitizer passes the DFS
+  /// gate listed earlier; asserted). ATPG passes its cone-of-influence
+  /// support in topo_order(); the path-scoped sensitizer passes the DFS
   /// post-order of a fanin closure.
   CircuitEncoding(const Network& net, sat::Solver& solver,
                   const std::vector<GateId>& order);
+
+  /// Forget every variable and encode `order` as the list constructor
+  /// would, into the solver (which the caller has reset). The var table
+  /// keeps its storage.
+  void reencode(const std::vector<GateId>& order);
 
   sat::Var var_of(GateId g) const { return vars_[g.value()]; }
   sat::Lit lit_of(GateId g, bool negated = false) const {
     return sat::Lit(var_of(g), negated);
   }
 
-  /// True if `g` was part of the encoded subset (always true for the
+  /// True if `g` was part of the encoded list (always true for the
   /// whole-network constructor).
   bool encoded(GateId g) const { return vars_[g.value()] >= 0; }
 
-  /// Number of gates actually encoded (= subset size, or every live
-  /// gate for the whole-network constructor).
+  /// Number of gates actually encoded (= list size, or every live gate
+  /// for the whole-network constructor).
   std::size_t encoded_gates() const { return encoded_gates_; }
 
   const Network& network() const { return net_; }
@@ -64,7 +61,7 @@ class CircuitEncoding {
 
   /// Extract the primary-input assignment from the solver's model
   /// (after a kSat solve), in net.inputs() order. Inputs outside the
-  /// encoded subset have no solver variable and read as false — any
+  /// encoded list have no solver variable and read as false — any
   /// value is valid there, since they cannot influence the encoded cone.
   std::vector<bool> model_inputs() const;
 
@@ -75,12 +72,17 @@ class CircuitEncoding {
   sat::Solver& solver_;
   std::vector<sat::Var> vars_;
   std::size_t encoded_gates_ = 0;
+  std::vector<sat::Lit> in_;      ///< encode scratch: one gate's fanins
+  std::vector<sat::Lit> clause_;  ///< encode_gate scratch
 };
 
 /// Add clauses constraining `out_var` to equal gate function `kind` over
-/// `fanin_lits`. Shared by all encodings.
+/// `fanin_lits`. Shared by all encodings. `scratch` holds the one wide
+/// clause of an AND/OR-family gate; its owner keeps it across calls so
+/// encoding allocates nothing once it is warm.
 void encode_gate(sat::Solver& solver, GateKind kind, sat::Var out_var,
-                 const std::vector<sat::Lit>& fanin_lits);
+                 const std::vector<sat::Lit>& fanin_lits,
+                 std::vector<sat::Lit>& scratch);
 
 /// Governed equivalence miter (three-valued). kUnsat = equivalent,
 /// kSat = inequivalent (*counterexample, if non-null, receives a

@@ -223,6 +223,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   // O(capacity) copy each time); its completion bounds ride the
   // engine's suffix table, repaired in place.
   std::optional<PathEnumerator> en;
+  std::optional<Sensitizer> sens;
   while (run_loop && stats.iterations < opts.max_iterations) {
     // Bounded run: stop transforming the moment the governor trips.
     // Exiting the loop at any iteration is safe — the delay invariant
@@ -258,14 +259,18 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
       break;  // no IO-paths left at all
     }
     const Path path = std::move(*chosen);
-    // One fresh Sensitizer per path, encoding only the fanin closure of
-    // the side inputs the path constrains. With a session it captures
-    // the certificate instead of journalling it, so the verdict reaches
-    // the journal below only once it licenses a transform.
-    Sensitizer sens(net, opts.mode, path, gov, /*session=*/nullptr,
-                    &sta.arrival(), /*capture=*/session != nullptr);
-    const SensitizeResult sres = sens.check(path);
-    stats.sensitization_queries += sens.queries();
+    // One Sensitizer for the loop, retargeted per path: it encodes only
+    // the fanin closure of the side inputs the path constrains, into
+    // solver storage kept from the previous path. With a session it
+    // captures the certificate instead of journalling it, so the verdict
+    // reaches the journal below only once it licenses a transform.
+    if (!sens)
+      sens.emplace(net, opts.mode, path, gov, /*session=*/nullptr,
+                   &sta.arrival(), /*capture=*/session != nullptr);
+    else
+      sens->retarget(path);
+    const SensitizeResult sres = sens->check(path);
+    stats.sensitization_queries += sens->queries();
     // Only a *proved* kUnsat licenses the transformation (Theorem 7.2's
     // premise is that P is not sensitizable). kSat is the natural exit;
     // kUnknown degrades the same way — treat the path as sensitizable

@@ -25,6 +25,40 @@ std::uint64_t luby(std::uint64_t i) {
 
 Solver::Solver() = default;
 
+void Solver::reset() {
+  ok_ = true;
+  arena_.clear();
+  clauses_.clear();
+  learnts_.clear();
+  // Lists past 2 * num_vars() are already empty (emptied by an earlier
+  // reset or never used); the inner vectors keep their storage.
+  for (std::size_t i = 0; i < 2 * assigns_.size(); ++i) watches_[i].clear();
+  assigns_.clear();
+  polarity_.clear();
+  level_.clear();
+  reason_.clear();
+  trail_.clear();
+  trail_lim_.clear();
+  qhead_ = 0;
+  activity_.clear();
+  var_inc_ = 1.0;
+  cla_inc_ = 1.0;
+  heap_pos_.clear();
+  heap_.clear();
+  assumptions_.clear();
+  model_.clear();
+  seen_.clear();
+  reuse_model_ = false;
+  model_current_ = false;
+  conflict_budget_ = -1;
+  governor_ = nullptr;
+  proof_ = nullptr;
+  solve_conflicts_base_ = 0;
+  charged_propagations_ = 0;
+  max_learnts_ = 0;
+  stats_ = SolverStats{};
+}
+
 Var Solver::new_var() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(Value::kUnknown);
@@ -35,8 +69,8 @@ Var Solver::new_var() {
   heap_pos_.push_back(-1);
   seen_.push_back(0);
   model_.push_back(Value::kUnknown);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  if (watches_.size() < 2 * assigns_.size())
+    watches_.resize(2 * assigns_.size());
   heap_insert(v);
   return v;
 }
@@ -79,8 +113,8 @@ void Solver::detach_clause(CRef c) {
 void Solver::remove_clause(CRef c) {
   if (proof_) {
     const Lit* lits = clause_lits(c);
-    proof_->on_delete(
-        std::vector<Lit>(lits, lits + header(c).size));
+    deleted_.assign(lits, lits + header(c).size);
+    proof_->on_delete(deleted_);
   }
   detach_clause(c);
   header(c).reloced = 1;  // tombstone; arena space is not reclaimed
@@ -202,15 +236,15 @@ void Solver::bump_clause(CRef c) {
   }
 }
 
-bool Solver::lit_redundant(Lit l, std::uint32_t ab_levels,
-                           std::vector<Var>& to_clear) {
+bool Solver::lit_redundant(Lit l, std::uint32_t ab_levels) {
   // Stack-based check whether l is implied by other literals marked in
   // seen_ — standard learned-clause minimization. On success the marks
-  // added here are kept (memoization) and recorded in to_clear; on
+  // added here are kept (memoization) and recorded in to_clear_; on
   // failure they are undone so a failed proof can't poison later checks.
   analyze_stack_.clear();
   analyze_stack_.push_back(l);
-  std::vector<Var> added;
+  std::vector<Var>& added = redundant_added_;
+  added.clear();
   while (!analyze_stack_.empty()) {
     const Lit q = analyze_stack_.back();
     analyze_stack_.pop_back();
@@ -237,7 +271,7 @@ bool Solver::lit_redundant(Lit l, std::uint32_t ab_levels,
       analyze_stack_.push_back(p);
     }
   }
-  to_clear.insert(to_clear.end(), added.begin(), added.end());
+  to_clear_.insert(to_clear_.end(), added.begin(), added.end());
   return true;
 }
 
@@ -248,7 +282,8 @@ void Solver::analyze(CRef conflict, std::vector<Lit>& learnt, int& out_level) {
   Lit p = Lit::from_index(-2);
   CRef reason = conflict;
   std::size_t index = trail_.size();
-  std::vector<Var> to_clear;
+  std::vector<Var>& to_clear = to_clear_;
+  to_clear.clear();
 
   do {
     assert(reason != kNullCRef);
@@ -282,7 +317,7 @@ void Solver::analyze(CRef conflict, std::vector<Lit>& learnt, int& out_level) {
   std::size_t out = 1;
   for (std::size_t i = 1; i < learnt.size(); ++i) {
     if (reason_[learnt[i].var()] == kNullCRef ||
-        !lit_redundant(learnt[i], ab_levels, to_clear))
+        !lit_redundant(learnt[i], ab_levels))
       learnt[out++] = learnt[i];
   }
   learnt.resize(out);
@@ -326,7 +361,8 @@ Lit Solver::pick_branch() {
 void Solver::reduce_db() {
   // Sort learned clauses by activity and drop the lower half, keeping
   // clauses that are reasons for current assignments and binary clauses.
-  std::vector<CRef> live;
+  std::vector<CRef>& live = reduce_live_;
+  live.clear();
   for (CRef c : learnts_)
     if (!header(c).reloced) live.push_back(c);
   std::sort(live.begin(), live.end(), [this](CRef a, CRef b) {
@@ -352,7 +388,7 @@ void Solver::reduce_db() {
 Result Solver::search() {
   std::uint64_t conflicts_this_restart = 0;
   std::uint64_t restart_limit = 100 * luby(stats_.restarts);
-  std::vector<Lit> learnt;
+  std::vector<Lit>& learnt = learnt_;
 
   for (;;) {
     const CRef conflict = propagate();

@@ -97,6 +97,15 @@ class Solver {
  public:
   Solver();
 
+  /// Return to the freshly constructed state: no variables, clauses or
+  /// learnts; no governor, proof sink, model reuse or conflict budget;
+  /// zeroed stats and activity increments. Every buffer keeps its
+  /// capacity (clause arena, watch lists, per-variable arrays, heap,
+  /// trail, scratch), so an owner that asks many small questions pays
+  /// for its storage once. A reset solver numbers variables, stores
+  /// clauses and searches exactly as a new one.
+  void reset();
+
   /// Allocate a fresh variable; returns its index.
   Var new_var();
   std::size_t num_vars() const { return assigns_.size(); }
@@ -204,8 +213,7 @@ class Solver {
   void enqueue(Lit l, CRef reason);
   CRef propagate();
   void analyze(CRef conflict, std::vector<Lit>& learnt, int& out_level);
-  bool lit_redundant(Lit l, std::uint32_t ab_levels,
-                     std::vector<Var>& to_clear);
+  bool lit_redundant(Lit l, std::uint32_t ab_levels);
   void cancel_until(int level);
   Lit pick_branch();
   Result search();
@@ -226,7 +234,9 @@ class Solver {
   std::vector<std::uint32_t> arena_;
   std::vector<CRef> clauses_;
   std::vector<CRef> learnts_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index()
+  /// Indexed by Lit::index(). May hold more lists than 2 * num_vars():
+  /// reset() keeps the lists it empties for new_var to hand out again.
+  std::vector<std::vector<Watcher>> watches_;
   std::vector<Value> assigns_;
   std::vector<bool> polarity_;  // saved phases
   std::vector<int> level_;
@@ -248,6 +258,11 @@ class Solver {
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> add_sorted_;  ///< add_clause scratch: sorted input
   std::vector<Lit> add_kept_;    ///< add_clause scratch: simplified clause
+  std::vector<Lit> learnt_;      ///< search scratch: the learned clause
+  std::vector<Var> to_clear_;    ///< analyze scratch: marks to undo
+  std::vector<Var> redundant_added_;  ///< lit_redundant scratch
+  std::vector<CRef> reduce_live_;     ///< reduce_db scratch
+  std::vector<Lit> deleted_;          ///< remove_clause scratch for the sink
 
   bool reuse_model_ = false;
   bool model_current_ = false;  ///< model_ satisfies the clause database

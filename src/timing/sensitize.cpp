@@ -14,12 +14,15 @@ namespace kms {
 Sensitizer::Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
                        ResourceGovernor* governor, proof::ProofSession* session,
                        const std::vector<double>* arrival_seed, bool capture)
-    : net_(net), mode_(mode), session_(session), capture_(capture) {
-  // Only viability smoothing reads arrival times.
-  if (arrival_seed == nullptr && mode_ == SensitizationMode::kViability)
-    own_arrival_ = compute_arrival(net);
-  arrival_ = arrival_seed ? arrival_seed : &own_arrival_;
-  if (governor) solver_.set_governor(governor);
+    : net_(net),
+      mode_(mode),
+      session_(session),
+      capture_(capture),
+      arrival_(arrival_seed ? arrival_seed : &own_arrival_),
+      governor_(governor) {}
+
+void Sensitizer::arm() {
+  if (governor_) solver_.set_governor(governor_);
   if (session_ || capture_) {
     trace_ = std::make_unique<proof::DratTrace>();
     solver_.set_proof(trace_.get());
@@ -37,8 +40,12 @@ Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
                        const std::vector<double>* arrival_seed, bool capture)
     : Sensitizer(Unencoded{}, net, mode, governor, session, arrival_seed,
                  capture) {
+  // Only viability smoothing reads arrival times.
+  if (arrival_ == &own_arrival_ && mode_ == SensitizationMode::kViability)
+    own_arrival_ = compute_arrival(net_);
   // Encode only after the trace is listening: the certificate's formula
   // must contain every clause the network contributed.
+  arm();
   enc_.emplace(net_, solver_);
 }
 
@@ -48,35 +55,49 @@ Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
                        const std::vector<double>* arrival_seed, bool capture)
     : Sensitizer(Unencoded{}, net, mode, governor, session, arrival_seed,
                  capture) {
+  retarget(path);
+}
+
+void Sensitizer::retarget(const Path& path) {
+  // An unseeded arrival table follows the network as it is now.
+  if (arrival_ == &own_arrival_ && mode_ == SensitizationMode::kViability)
+    own_arrival_ = compute_arrival(net_);
   // DFS post-order over the fanin closure of the constrained side
   // inputs, roots in assumption order and fanins in pin order: every
-  // gate follows its fanins, which is all the encoder needs.
-  std::vector<GateId> order;
-  std::vector<char> seen(net_.gate_capacity(), 0);
-  struct Frame {
-    GateId gate;
-    std::size_t pin;
-  };
-  std::vector<Frame> stack;
+  // gate follows its fanins, which is all the encoder needs. Built
+  // before the solver is touched, so a path this mode rejects (a MUX on
+  // it throws) leaves the previous target intact.
+  if (seen_.size() < net_.gate_capacity())
+    seen_.resize(net_.gate_capacity(), 0);
+  ++stamp_;
+  order_.clear();
+  stack_.clear();
   for_each_path_constraint(path, [&](GateId root, bool) {
-    if (seen[root.value()]) return;
-    seen[root.value()] = 1;
-    stack.push_back({root, 0});
-    while (!stack.empty()) {
-      Frame& f = stack.back();
+    if (seen_[root.value()] == stamp_) return;
+    seen_[root.value()] = stamp_;
+    stack_.push_back({root, 0});
+    while (!stack_.empty()) {
+      Frame& f = stack_.back();
       const std::vector<ConnId>& fanins = net_.gate(f.gate).fanins;
       if (f.pin == fanins.size()) {
-        order.push_back(f.gate);
-        stack.pop_back();
+        order_.push_back(f.gate);
+        stack_.pop_back();
         continue;
       }
       const GateId src = net_.conn(fanins[f.pin++]).from;
-      if (seen[src.value()]) continue;
-      seen[src.value()] = 1;
-      stack.push_back({src, 0});
+      if (seen_[src.value()] == stamp_) continue;
+      seen_[src.value()] = stamp_;
+      stack_.push_back({src, 0});
     }
   });
-  enc_.emplace(net_, solver_, order);
+  solver_.reset();
+  arm();
+  if (enc_)
+    enc_->reencode(order_);
+  else
+    enc_.emplace(net_, solver_, order_);
+  queries_ = 0;
+  aborted_ = false;
 }
 
 Sensitizer::~Sensitizer() = default;

@@ -101,13 +101,8 @@ class Sensitizer {
              const std::vector<double>* arrival_seed = nullptr,
              bool capture = false);
 
-  /// Path-scoped: encodes only the fanin closure of the side inputs
-  /// check(`path`) constrains under `mode` and the arrival table, in DFS
-  /// post-order from those side inputs. Gates outside that closure
-  /// cannot influence a constrained side input, so check(`path`)
-  /// returns the verdict the whole-network encoding would, from a
-  /// smaller formula (and so a smaller certificate). Only `path` may be
-  /// checked. Other parameters as above.
+  /// Path-scoped: retarget(`path`) on an empty sensitizer. Only `path`
+  /// may be checked. Other parameters as above.
   Sensitizer(const Network& net, SensitizationMode mode, const Path& path,
              ResourceGovernor* governor = nullptr,
              proof::ProofSession* session = nullptr,
@@ -145,15 +140,32 @@ class Sensitizer {
 
   SensitizationMode mode() const { return mode_; }
 
+  /// Re-encode for `path` on the network as it is now, as a path-scoped
+  /// sensitizer constructed with this one's parameters would: only the
+  /// fanin closure of the side inputs check(`path`) constrains under the
+  /// mode and the arrival table, in DFS post-order from those side
+  /// inputs. Gates outside that closure cannot influence a constrained
+  /// side input, so check(`path`) returns the verdict the whole-network
+  /// encoding would, from a smaller formula (and so a smaller
+  /// certificate). Only `path` may be checked afterwards. The solver,
+  /// encoding and closure scratch keep their storage, so a loop that
+  /// asks one question per path pays for setting it up once; queries()
+  /// and aborted() restart from zero.
+  void retarget(const Path& path);
+
   /// Number of gates the encoding covers.
   std::size_t encoded_gates() const { return enc_->encoded_gates(); }
 
  private:
-  /// Everything but the encoding, which the public constructors add.
+  /// The parameters only: the public constructors arm the solver and
+  /// encode (retarget does both for the path constructor).
   struct Unencoded {};
   Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
              ResourceGovernor* governor, proof::ProofSession* session,
              const std::vector<double>* arrival_seed, bool capture);
+  /// Attach the governor, a fresh proof trace (if proofs are wanted) and
+  /// model reuse to a new or reset solver, before anything is encoded.
+  void arm();
 
   /// Visit the side inputs entering `g` through `entering` constrains
   /// (see side_constraints): fn(source gate, negated literal?).
@@ -176,6 +188,17 @@ class Sensitizer {
   std::optional<CircuitEncoding> enc_;
   std::vector<double> own_arrival_;  ///< computed when no seed was given
   const std::vector<double>* arrival_ = nullptr;
+  ResourceGovernor* governor_ = nullptr;
+  // retarget scratch: the closure in encoding order, its DFS stack and
+  // its visited marks.
+  struct Frame {
+    GateId gate;
+    std::size_t pin;
+  };
+  std::vector<GateId> order_;
+  std::vector<Frame> stack_;
+  std::vector<std::uint32_t> seen_;  ///< == stamp_: visited this call
+  std::uint32_t stamp_ = 0;
   std::size_t queries_ = 0;
   bool aborted_ = false;
 };

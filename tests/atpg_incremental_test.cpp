@@ -1,7 +1,7 @@
 // Removal engine tests: SAT/simulation cross-checks, equivalence with
 // the reference removal scan (tests/reference_removal.hpp), cache
-// behaviour, governed fault simulation, and the solver-call accounting
-// fix.
+// behaviour, governed fault simulation, the solver-call accounting
+// fix, and an Atpg reused across queries against a fresh one per fault.
 #include <algorithm>
 #include <filesystem>
 #include <map>
@@ -20,11 +20,13 @@
 #include "src/gen/random_logic.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
+#include "src/proof/drat.hpp"
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
 #include "src/serve/runner.hpp"
 #include "src/sim/simulator.hpp"
 #include "tests/reference_removal.hpp"
+#include "tests/test_networks.hpp"
 
 namespace kms {
 namespace {
@@ -389,6 +391,70 @@ TEST(AtpgIncrementalTest, RemovalOrdersStillConvergeIncrementally) {
     EXPECT_EQ(count_redundancies(net), 0u);
     EXPECT_TRUE(exhaustive_equiv(orig, net).equivalent);
   }
+}
+
+/// Every AtpgStats counter, for equality checks.
+std::vector<std::uint64_t> counters(const AtpgStats& s) {
+  return {s.queries,         s.testable,
+          s.untestable,      s.unknown_queries,
+          s.sat_conflicts,   s.sat_solves,
+          s.structural_shortcuts, s.cone_gates_encoded,
+          s.max_cone_gates};
+}
+
+std::string certificate_bytes(const TestResult& t) {
+  if (!t.certificate) return "";
+  std::ostringstream bytes;
+  proof::write_cnf(*t.certificate, bytes);
+  proof::write_drat(*t.certificate, bytes);
+  return bytes.str();
+}
+
+// One Atpg answers a pass's queries from solver storage reset per
+// query. It must answer each exactly as a fresh Atpg would: outcome,
+// test vector, certificate bytes and counters, with proof capture on
+// and off, and across governor stops (every seventh query is aborted
+// at entry, so a stopped query is followed by unstopped ones).
+TEST(AtpgIncrementalTest, ReusedAtpgMatchesFreshPerFault) {
+  std::vector<Network> nets = test_networks();
+  for (const auto& [bits, block] : {std::pair{4, 2}, std::pair{8, 4}}) {
+    nets.push_back(carry_skip_adder(bits, block));
+    decompose_to_simple(nets.back());
+  }
+  std::size_t untestable = 0, unknown = 0, certified = 0;
+  for (const Network& net : nets) {
+    const auto faults = collapsed_faults(net);
+    for (const bool capture : {false, true}) {
+      std::vector<std::uint64_t> stopped;
+      for (std::uint64_t q = 3; q < 4 * faults.size(); q += 7)
+        stopped.push_back(q);
+      ResourceGovernor reused_gov, fresh_gov;
+      reused_gov.set_injector(FaultInjector::at_indices(stopped));
+      fresh_gov.set_injector(FaultInjector::at_indices(stopped));
+      Atpg reused(net, &reused_gov);
+      reused.set_proof_capture(capture);
+      AtpgStats fresh_total;
+      for (const Fault& f : faults) {
+        const std::string ctx = net.name() + " " + format_fault(net, f) +
+                                (capture ? " capture" : "");
+        Atpg fresh(net, &fresh_gov);
+        fresh.set_proof_capture(capture);
+        const TestResult want = fresh.generate_test(f);
+        const TestResult got = reused.generate_test(f);
+        fresh_total.accumulate(fresh.stats());
+        ASSERT_EQ(got.outcome, want.outcome) << ctx;
+        EXPECT_EQ(got.vector, want.vector) << ctx;
+        EXPECT_EQ(certificate_bytes(got), certificate_bytes(want)) << ctx;
+        ASSERT_EQ(counters(reused.stats()), counters(fresh_total)) << ctx;
+        untestable += got.outcome == TestOutcome::kUntestable;
+        unknown += got.outcome == TestOutcome::kUnknown;
+        certified += got.certificate != nullptr;
+      }
+    }
+  }
+  EXPECT_GT(untestable, 0u);
+  EXPECT_GT(unknown, 0u);
+  EXPECT_GT(certified, 0u);
 }
 
 }  // namespace

@@ -59,7 +59,8 @@ TEST(CnfExhaustiveTest, EncodeGateMatchesEvalGateAllArities) {
         in_lits.push_back(mk_lit(in.back()));
       }
       const Var out = solver.new_var();
-      encode_gate(solver, ka.kind, out, in_lits);
+      std::vector<sat::Lit> scratch;
+      encode_gate(solver, ka.kind, out, in_lits, scratch);
       for (std::uint32_t row = 0; row < (1u << n); ++row) {
         const bool expect = eval_gate(ka.kind, row, n);
         std::vector<sat::Lit> assume;

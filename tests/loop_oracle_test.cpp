@@ -6,6 +6,8 @@
 //    verdict in both modes, from a formula no larger, and its
 //    certificates check (also on the first paths of every corpus
 //    network);
+//  * one Sensitizer retargeted per path answers as a fresh path-scoped
+//    one: verdict, witness, formula size and certificate bytes;
 //  * worklist constant propagation, buffer collapsing and the order-free
 //    sweep produce the write_blif bytes of the whole-network topological
 //    sweeps in tests/reference_surgery.hpp;
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -151,6 +154,91 @@ TEST(LoopOracleTest, ScopedVerdictsMatchWholeNetworkOnRandomNetworks) {
   }
   EXPECT_GT(checked, 100u);
   EXPECT_GT(unsat, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+std::string certificate_bytes(const SensitizeResult& r) {
+  if (!r.certificate) return "";
+  std::ostringstream bytes;
+  proof::write_cnf(*r.certificate, bytes);
+  proof::write_drat(*r.certificate, bytes);
+  return bytes.str();
+}
+
+/// Check `path` on both; returns the verdict of `got`.
+sat::Result expect_same_answer(Sensitizer& got, Sensitizer& want,
+                               const Path& path, const std::string& ctx) {
+  const SensitizeResult a = got.check(path);
+  const SensitizeResult b = want.check(path);
+  EXPECT_EQ(a.verdict, b.verdict) << ctx;
+  EXPECT_EQ(a.witness, b.witness) << ctx;
+  EXPECT_EQ(got.encoded_gates(), want.encoded_gates()) << ctx;
+  EXPECT_EQ(got.queries(), want.queries()) << ctx;
+  EXPECT_EQ(certificate_bytes(a), certificate_bytes(b)) << ctx;
+  return a.verdict;
+}
+
+TEST(LoopOracleTest, RetargetedSensitizerMatchesFresh) {
+  // The loop keeps one Sensitizer and retargets it per path. Here it
+  // starts as a whole-network sensitizer of the input, so even the
+  // first iteration is a retarget over used solver storage.
+  for (const SensitizationMode mode : kModes) {
+    for (const auto& [name, original] : loop_circuits()) {
+      Network net = original;
+      Sensitizer reused(net, mode, nullptr, nullptr, nullptr,
+                        /*capture=*/true);
+      std::size_t unsat = 0;
+      walk_loop(net, mode,
+                [&, &name = name](const Network& n, const Path& path,
+                                  std::size_t it) {
+                  reused.retarget(path);
+                  Sensitizer fresh(n, mode, path, nullptr, nullptr, nullptr,
+                                   /*capture=*/true);
+                  const std::string ctx =
+                      name + " iteration " + std::to_string(it);
+                  unsat += expect_same_answer(reused, fresh, path, ctx) ==
+                           sat::Result::kUnsat;
+                });
+      EXPECT_GT(unsat, 0u) << name;
+    }
+  }
+}
+
+TEST(LoopOracleTest, RetargetedSensitizerMatchesFreshOnRandomNetworks) {
+  // Corpus paths in sequence on one Sensitizer per network and mode. A
+  // path with a MUX on it throws, and must leave the previous target
+  // answering as before.
+  std::size_t checked = 0, rejected = 0;
+  for (const Network& net : test_networks()) {
+    for (const SensitizationMode mode : kModes) {
+      Sensitizer reused(net, mode, nullptr, nullptr, nullptr,
+                        /*capture=*/true);
+      std::optional<Path> previous;
+      PathEnumerator en(net);
+      for (int k = 0; k < 6; ++k) {
+        const std::optional<Path> path = en.next();
+        if (!path) break;
+        const std::string ctx = net.name() + " path " + std::to_string(k);
+        try {
+          reused.retarget(*path);
+        } catch (const std::invalid_argument&) {
+          ++rejected;
+          if (!previous) continue;
+          Sensitizer fresh(net, mode, *previous, nullptr, nullptr, nullptr,
+                           /*capture=*/true);
+          fresh.check(*previous);  // one query already asked of reused
+          expect_same_answer(reused, fresh, *previous, ctx + " (kept)");
+          continue;
+        }
+        Sensitizer fresh(net, mode, *path, nullptr, nullptr, nullptr,
+                         /*capture=*/true);
+        expect_same_answer(reused, fresh, *path, ctx);
+        previous = path;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100u);
   EXPECT_GT(rejected, 0u);
 }
 

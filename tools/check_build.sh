@@ -19,6 +19,15 @@ ctest --preset checked -j "$(nproc)" "$@"
 echo "== fault-injection property tests (checked preset) =="
 ctest --preset checked -R "FaultInjection" --output-on-failure
 
+# SAT stage: the `sat` label covers the CDCL solver (random cross-checks
+# against DPLL, and the property test that a reset solver behaves as a
+# fresh one), the CNF encoder and ATPG. The KMS loop's sensitizer and
+# every ATPG lane reset one solver per query instead of building a new
+# one, so a reset that leaks state (a stale watch list, a dangling
+# governor or proof sink) is named here, under the sanitizers.
+echo "== sat-labelled tests (checked preset) =="
+ctest --preset checked -L sat --output-on-failure
+
 # Certificate pipeline stage: run the whole proof surface (DRAT checker,
 # journal, session verification, encoder cross-check) under the
 # sanitizers, then certify a real run over every example netlist with the
