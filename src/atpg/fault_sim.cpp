@@ -48,19 +48,30 @@ std::uint64_t eval_word(GateKind kind, std::uint32_t pins, Pin pin) {
 
 }  // namespace
 
-FaultSimulator::FaultSimulator(const Network& net)
-    : net_(net),
-      kind_(net.gate_capacity(), GateKind::kInput),
-      fanin_begin_(net.gate_capacity() + 1, 0),
-      fanout_begin_(net.gate_capacity() + 1, 0),
-      level_(net.gate_capacity(), 0),
-      is_output_(net.gate_capacity(), 0),
-      good_(net.gate_capacity(), 0),
-      faulty_(net.gate_capacity(), 0),
-      stamp_(net.gate_capacity(), 0),
-      queued_(net.gate_capacity(), 0) {
-  // CSR ranges are laid out in gate-id order; dead gates get empty ones.
+FaultSimulator::FaultSimulator(const Network& net) : net_(net) { reset(); }
+
+void FaultSimulator::reset() {
+  // assign() and clear() keep each buffer's capacity: a simulator reset
+  // once per removal pass allocates only when the network has grown.
+  const Network& net = net_;
   const std::uint32_t cap = net.gate_capacity();
+  kind_.assign(cap, GateKind::kInput);
+  fanin_begin_.assign(cap + 1, 0);
+  fanout_begin_.assign(cap + 1, 0);
+  level_.assign(cap, 0);
+  is_output_.assign(cap, 0);
+  good_.assign(cap, 0);
+  faulty_.assign(cap, 0);
+  stamp_.assign(cap, 0);
+  queued_.assign(cap, 0);
+  fanin_src_.clear();
+  fanin_conn_.clear();
+  fanout_sink_.clear();
+  eval_order_.clear();
+  stored_count_ = 0;
+  current_stamp_ = 0;
+  top_level_ = 0;
+  // CSR ranges are laid out in gate-id order; dead gates get empty ones.
   for (std::uint32_t g = 0; g < cap; ++g) {
     fanin_begin_[g] = static_cast<std::uint32_t>(fanin_src_.size());
     fanout_begin_[g] = static_cast<std::uint32_t>(fanout_sink_.size());
@@ -99,7 +110,8 @@ void FaultSimulator::schedule(std::uint32_t g) {
   top_level_ = std::max(top_level_, level_[g]);
 }
 
-std::uint64_t FaultSimulator::propagate(const Fault& f) {
+std::uint64_t FaultSimulator::propagate(const Fault& f,
+                                        const std::uint64_t* good) {
   ++current_stamp_;
   top_level_ = 0;
   const std::uint64_t stuck_word = f.stuck ? ~0ull : 0;
@@ -109,14 +121,14 @@ std::uint64_t FaultSimulator::propagate(const Fault& f) {
   auto mark = [&](std::uint32_t g, std::uint64_t w) {
     faulty_[g] = w;
     stamp_[g] = current_stamp_;
-    if (is_output_[g]) detect |= w ^ good_[g];
+    if (is_output_[g]) detect |= w ^ good[g];
     for (std::uint32_t k = fanout_begin_[g]; k < fanout_begin_[g + 1]; ++k)
       schedule(fanout_sink_[k]);
   };
   std::uint32_t first_level;
   if (f.site == Fault::Site::kStem) {
     const std::uint32_t site = f.gate.value();
-    if (stuck_word == good_[site]) return 0;  // never excited
+    if (stuck_word == good[site]) return 0;  // never excited
     mark(site, stuck_word);
     first_level = level_[site] + 1;
   } else {
@@ -136,9 +148,9 @@ std::uint64_t FaultSimulator::propagate(const Fault& f) {
           kind_[g], fanin_begin_[g + 1] - base, [&](std::uint32_t k) {
             if (fanin_conn_[base + k] == branch) return stuck_word;
             const std::uint32_t src = fanin_src_[base + k];
-            return stamp_[src] == current_stamp_ ? faulty_[src] : good_[src];
+            return stamp_[src] == current_stamp_ ? faulty_[src] : good[src];
           });
-      if (w != good_[g]) mark(g, w);
+      if (w != good[g]) mark(g, w);
     }
     bucket.clear();
   }
@@ -146,27 +158,43 @@ std::uint64_t FaultSimulator::propagate(const Fault& f) {
 }
 
 void FaultSimulator::simulate_good(
-    const std::vector<std::uint64_t>& pi_words) {
+    const std::vector<std::uint64_t>& pi_words, std::uint64_t* good) {
   assert(pi_words.size() == net_.inputs().size());
   for (std::size_t i = 0; i < pi_words.size(); ++i)
-    good_[net_.inputs()[i].value()] = pi_words[i];
+    good[net_.inputs()[i].value()] = pi_words[i];
   for (const std::uint32_t g : eval_order_) {
     const std::uint32_t base = fanin_begin_[g];
-    good_[g] = eval_word(kind_[g], fanin_begin_[g + 1] - base,
-                         [&](std::uint32_t k) {
-                           return good_[fanin_src_[base + k]];
-                         });
+    good[g] = eval_word(kind_[g], fanin_begin_[g + 1] - base,
+                        [&](std::uint32_t k) {
+                          return good[fanin_src_[base + k]];
+                        });
   }
 }
 
 std::vector<std::uint64_t> FaultSimulator::detect_words(
     const std::vector<Fault>& faults,
     const std::vector<std::uint64_t>& pi_words) {
-  simulate_good(pi_words);
+  simulate_good(pi_words, good_.data());
   std::vector<std::uint64_t> result;
   result.reserve(faults.size());
-  for (const Fault& f : faults) result.push_back(propagate(f));
+  for (const Fault& f : faults) result.push_back(propagate(f, good_.data()));
   return result;
+}
+
+std::size_t FaultSimulator::store_words(
+    const std::vector<std::uint64_t>& pi_words) {
+  // simulate_good writes every live gate, and propagate reads no other,
+  // so storage kept from before a reset needs no clearing.
+  const std::size_t cap = good_.size();
+  if (stored_.size() < (stored_count_ + 1) * cap)
+    stored_.resize((stored_count_ + 1) * cap);
+  simulate_good(pi_words, stored_.data() + stored_count_ * cap);
+  return stored_count_++;
+}
+
+std::uint64_t FaultSimulator::detect_stored(const Fault& f, std::size_t w) {
+  assert(w < stored_count_);
+  return propagate(f, stored_.data() + w * good_.size());
 }
 
 std::uint64_t FaultSimulator::detect_new(
@@ -177,11 +205,11 @@ std::uint64_t FaultSimulator::detect_new(
   // Nothing left to detect: skip the good-circuit pass too.
   if (std::find(detected.begin(), detected.end(), false) == detected.end())
     return 0;
-  simulate_good(pi_words);
+  simulate_good(pi_words, good_.data());
   std::uint64_t first = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (detected[i]) continue;
-    const std::uint64_t m = propagate(faults[i]) & patterns;
+    const std::uint64_t m = propagate(faults[i], good_.data()) & patterns;
     if (m == 0) continue;
     detected[i] = true;
     first |= m & (~m + 1);

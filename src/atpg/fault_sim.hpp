@@ -23,14 +23,30 @@ class FaultSimulator {
  public:
   /// Flattens the network's live structure (fanins in pin order, live
   /// fanout sinks, topological levels) once. The network must not change
-  /// while the simulator is in use.
+  /// while the simulator is in use, except right before a reset().
   explicit FaultSimulator(const Network& net);
+
+  /// Re-flatten the network, which may have been edited since, and drop
+  /// the stored sets. Afterwards the simulator behaves exactly as a
+  /// freshly constructed one, but every buffer keeps its storage.
+  void reset();
 
   /// Simulate one 64-pattern word set and return, for each fault, the
   /// mask of patterns that detect it (bit k set = pattern k detects).
   std::vector<std::uint64_t> detect_words(
       const std::vector<Fault>& faults,
       const std::vector<std::uint64_t>& pi_words);
+
+  /// Simulate one 64-pattern word set against the good circuit and keep
+  /// its values as stored set number stored_count() (the value
+  /// returned). Each stored set holds gate_capacity() words.
+  std::size_t store_words(const std::vector<std::uint64_t>& pi_words);
+  std::size_t stored_count() const { return stored_count_; }
+
+  /// Detection mask of `f` against stored set `w`: equal to
+  /// detect_words({f}, pi_words)[0] for the pi_words that stored it.
+  /// Costs only the fault's event-driven sweep, no good-circuit pass.
+  std::uint64_t detect_stored(const Fault& f, std::size_t w);
 
   /// Fault dropping, one word at a time: simulate `pi_words` against
   /// only the faults not yet set in `detected`, and set those that a
@@ -64,10 +80,12 @@ class FaultSimulator {
                                   std::size_t* words_done = nullptr);
 
  private:
-  /// Load `pi_words` and evaluate the good circuit.
-  void simulate_good(const std::vector<std::uint64_t>& pi_words);
-  /// Detection mask of one fault against the current good values.
-  std::uint64_t propagate(const Fault& f);
+  /// Load `pi_words` and evaluate the good circuit into `good`
+  /// (gate_capacity() words).
+  void simulate_good(const std::vector<std::uint64_t>& pi_words,
+                     std::uint64_t* good);
+  /// Detection mask of one fault against the good values `good`.
+  std::uint64_t propagate(const Fault& f, const std::uint64_t* good);
   /// Queue `g` for re-evaluation in this fault's sweep (once).
   void schedule(std::uint32_t g);
 
@@ -83,7 +101,9 @@ class FaultSimulator {
   std::vector<std::uint32_t> level_;
   std::vector<std::uint8_t> is_output_;
   // Per-word and per-fault scratch.
-  std::vector<std::uint64_t> good_;
+  std::vector<std::uint64_t> good_;    ///< the last detect_words/new set
+  std::vector<std::uint64_t> stored_;  ///< stored sets, end to end
+  std::size_t stored_count_ = 0;
   std::vector<std::uint64_t> faulty_;
   std::vector<std::uint32_t> stamp_;   ///< faulty_ validity stamp
   std::vector<std::uint32_t> queued_;  ///< scheduled-in-sweep stamp

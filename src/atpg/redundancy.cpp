@@ -61,52 +61,115 @@ std::vector<std::size_t> scan_order(std::size_t n, RemovalOrder order,
 /// kUndecided entries ever reach a solver.
 enum FaultState : std::uint8_t {
   kUndecided = 0,
-  kKnownTestable,     ///< cache hit or random-sim pre-drop
+  kKnownTestable,     ///< cache hit or random-word pre-drop
   kSatTestable,       ///< this pass's SAT model
-  kWitnessTestable,   ///< dropped by replaying another fault's witness
+  kWitnessTestable,   ///< detected by a stored SAT witness
   kProvedUntestable,  ///< exact UNSAT verdict (certificate if proving)
   kUnknownVerdict,    ///< solve stopped by the governor; fault kept
 };
 
-/// Mark cache hits and run the random-simulation pre-drop for one pass.
-/// Mutates `state` (kUndecided -> kKnownTestable), the cache, and the
-/// coordinator-side counters. Consumes main-rng draws dependent only on
-/// (inputs, random_words). The simulator it builds is left in `sim` for
-/// the pass's witness replays.
-void predrop_pass(const Network& net, const std::vector<Fault>& faults,
-                  const RedundancyRemovalOptions& opts, ResourceGovernor* gov,
-                  ShardedFaultCache& cache, Rng& rng,
-                  std::vector<std::uint8_t>& state,
-                  std::optional<FaultSimulator>& sim,
-                  RedundancyRemovalResult& result) {
+/// One lane's speculative output for one fault, written only by the
+/// ticket's owner (the coordinator marks cache hits before the lanes
+/// start); the pool barrier publishes it to the coordinator.
+struct Speculation {
+  std::uint8_t state = kUndecided;
+  TestResult result;  ///< owner-written; meaningful once state is final
+};
+
+/// Word sets a lane simulates per pass, at most: the pass's random
+/// words, the run-wide witness store and the lane's own witnesses all
+/// count, so a lane's stored good values stay within this many
+/// gate_capacity() arrays. Sets past the bound are not tried, which
+/// only leaves more faults to SAT. The largest count the forward scan
+/// reached on the MCNC substitutes and carry-skip adders was 113
+/// (sduke2); see EXPERIMENTS.md §16.
+constexpr std::size_t kMaxStoredSets = 128;
+
+/// Run-wide store of exact SAT witnesses, packed 64 patterns to a word
+/// set, pass by pass in scan order. Witnesses are input assignments,
+/// valid on any later network (removal keeps the inputs); the store is
+/// not checkpointed, so a resumed run restarts it empty.
+struct WitnessStore {
+  std::vector<std::vector<std::uint64_t>> words;
+  unsigned fill = 64;  ///< patterns used in words.back()
+
+  void add(const std::vector<bool>& vector) {
+    if (fill == 64) {
+      words.emplace_back(vector.size(), 0);
+      fill = 0;
+    }
+    // Unused patterns stay all-zero: an input assignment like any other,
+    // so a detection there is as genuine as one by a stored witness.
+    for (std::size_t i = 0; i < vector.size(); ++i)
+      if (vector[i]) words.back()[i] |= 1ull << fill;
+    ++fill;
+  }
+};
+
+/// The word sets a lane tries on each undecided ticket before SAT, in
+/// order: the pass's random words, the run-wide witness store, then the
+/// perturbed witnesses of the lane's earlier SAT verdicts this pass.
+/// Candidate c is the simulator's stored set c: each is simulated the
+/// first time a ticket gets that far, so a pass whose scan ends early
+/// simulates only the sets its faults needed.
+struct LaneReplay {
+  const std::vector<std::vector<std::uint64_t>>& random;
+  const std::vector<std::vector<std::uint64_t>>& store;
+  std::vector<std::vector<std::uint64_t>> own;
+
+  std::size_t size() const {
+    return random.size() + store.size() + own.size();
+  }
+
+  /// Index of the first candidate that detects `f`, or size() if none
+  /// within kMaxStoredSets does.
+  std::size_t first_detecting(FaultSimulator& sim, const Fault& f) {
+    for (std::size_t c = 0; c < size(); ++c) {
+      if (c == sim.stored_count()) {
+        if (c == kMaxStoredSets) break;
+        sim.store_words(candidate(c));
+      }
+      if (sim.detect_stored(f, c) != 0) return c;
+    }
+    return size();
+  }
+
+ private:
+  const std::vector<std::uint64_t>& candidate(std::size_t c) const {
+    if (c < random.size()) return random[c];
+    c -= random.size();
+    return c < store.size() ? store[c] : own[c - store.size()];
+  }
+};
+
+/// Mark the pass's cache hits and draw its random pre-drop words. Words
+/// are drawn only when some fault is not a cache hit: up to
+/// opts.random_words of them, the governor polled before each, every
+/// one from the main rng — the draws the kRandom scan order and a
+/// checkpoint's rng state follow. The lanes simulate them lazily, only
+/// against the faults their tickets reach.
+std::vector<std::vector<std::uint64_t>> prepare_pass(
+    const Network& net, const std::vector<Fault>& faults,
+    const RedundancyRemovalOptions& opts, ResourceGovernor* gov,
+    const ShardedFaultCache& cache, Rng& rng, std::vector<Speculation>& spec,
+    RedundancyRemovalResult& result) {
+  bool pending = false;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (cache.contains(faults[i])) {
-      state[i] = kKnownTestable;
+      spec[i].state = kKnownTestable;
       ++result.cache_hits;
+    } else {
+      pending = true;
     }
   }
-  if (!opts.use_fault_sim || faults.empty() || net.inputs().empty()) return;
-  const auto t0 = Clock::now();
-  sim.emplace(net);
-  std::vector<Fault> pending;
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (state[i] != kUndecided) continue;
-    pending.push_back(faults[i]);
-    idx.push_back(i);
+  std::vector<std::vector<std::uint64_t>> words;
+  if (!opts.use_fault_sim || !pending || net.inputs().empty()) return words;
+  for (std::size_t w = 0; w < opts.random_words; ++w) {
+    if (gov && gov->should_stop()) break;
+    std::vector<std::uint64_t>& pi = words.emplace_back(net.inputs().size());
+    for (auto& x : pi) x = rng.next_u64();
   }
-  if (!pending.empty()) {
-    const std::vector<bool> detected =
-        sim->detect_random(pending, opts.random_words, rng, gov);
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      if (!detected[k]) continue;
-      state[idx[k]] = kKnownTestable;
-      ++result.sim_dropped;
-      // A simulated detection is a testability witness: cache it.
-      cache.insert(pending[k], fault_source(net, pending[k]));
-    }
-  }
-  result.sim_seconds += Seconds(Clock::now() - t0).count();
+  return words;
 }
 
 /// Journal one committed untestable verdict plus the deletion citing
@@ -153,14 +216,6 @@ void commit_pass(const RunContext& ctx, const Network& net, const Rng& rng,
 
 // ---- the removal engine --------------------------------------------------
 
-/// One lane's speculative output for one fault, written exclusively by
-/// the ticket owner; the pool barrier publishes it to the coordinator.
-/// `state` is the only cross-lane field (witness droppers CAS it).
-struct Speculation {
-  std::atomic<std::uint8_t> state{kUndecided};
-  TestResult result;  ///< owner-written; meaningful once state is final
-};
-
 /// Every removal pass classifies faults on `jobs` lanes of a pool (one
 /// lane runs inline on the caller: no thread is spawned) and commits
 /// the scan-order-first untestable fault at the pass barrier.
@@ -173,8 +228,13 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
   proof::ProofSession* const session = ctx.session;
   Rng rng(opts.seed);
   ShardedFaultCache cache;  // persists across passes
+  WitnessStore store;       // persists across passes
   if (opts.resume != nullptr) apply_resume(*opts.resume, result, rng, cache);
   ThreadPool pool(jobs);
+  // One simulator per lane for the whole run, reset at the lane's first
+  // replay in a pass: its scratch is per thread, and a reset keeps the
+  // stored sets' storage.
+  std::vector<std::optional<FaultSimulator>> lane_sims(pool.size());
   for (;;) {
     if (gov && gov->should_stop()) {
       result.aborted = true;
@@ -183,17 +243,10 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     ++result.passes;
     const auto faults = collapsed_faults(net);
     const std::size_t n = faults.size();
-    std::vector<std::uint8_t> seed_state(n, kUndecided);
-    // The pre-drop's simulator goes to lane 0, the coordinator's own;
-    // the other lanes build theirs, since its scratch is per thread.
-    std::optional<FaultSimulator> predrop_sim;
-    predrop_pass(net, faults, opts, gov, cache, rng, seed_state, predrop_sim,
-                 result);
-    const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
-
     std::vector<Speculation> spec(n);
-    for (std::size_t i = 0; i < n; ++i)
-      spec[i].state.store(seed_state[i], std::memory_order_relaxed);
+    const std::vector<std::vector<std::uint64_t>> random_words =
+        prepare_pass(net, faults, opts, gov, cache, rng, spec, result);
+    const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
 
     // Lowest scan rank proved untestable so far. Only ever decreases, so
     // a lane may safely skip any ticket ranked above it: that fault can
@@ -213,8 +266,8 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
       Atpg atpg(net, gov);
       if (session) atpg.set_proof_capture(true);
       Rng wrng = witness_rng(opts.seed, passes_now, w);
-      std::optional<FaultSimulator> sim;
-      if (w == 0 && predrop_sim) sim.emplace(std::move(*predrop_sim));
+      LaneReplay replay{random_words, store.words, {}};
+      FaultSimulator* sim = nullptr;  // lane_sims[w], once reset this pass
       for (;;) {
         const std::size_t k = tickets.next();
         if (k >= n) break;
@@ -224,7 +277,33 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
         if (k > best_rank.load(std::memory_order_relaxed)) continue;
         const std::size_t i = order[k];
         Speculation& s = spec[i];
-        if (s.state.load(std::memory_order_acquire) != kUndecided) continue;
+        if (s.state != kUndecided) continue;
+        // Replay the stored word sets first. Any detection is positive
+        // proof of testability, so the fault never reaches the solver;
+        // the sets a lane holds cannot change which fault commits.
+        if (replay.size() != 0) {
+          const auto t0 = Clock::now();
+          if (!sim) {
+            if (lane_sims[w])
+              lane_sims[w]->reset();
+            else
+              lane_sims[w].emplace(net);
+            sim = &*lane_sims[w];
+          }
+          const std::size_t c = replay.first_detecting(*sim, faults[i]);
+          ws.sim_seconds += Seconds(Clock::now() - t0).count();
+          if (c < replay.size()) {
+            if (c < random_words.size()) {
+              s.state = kKnownTestable;
+              ++ws.sim_dropped;
+            } else {
+              s.state = kWitnessTestable;
+              ++ws.witness_dropped;
+            }
+            cache.insert(faults[i], fault_source(net, faults[i]));
+            continue;
+          }
+        }
         if (gov && gov->should_stop()) {
           aborted.store(true, std::memory_order_relaxed);
           break;
@@ -236,65 +315,27 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
           // Aborted query: the fault might be testable; keep it (and
           // never cache it — an abort is not a verdict).
           ++ws.unknown_queries;
-          std::uint8_t expected = kUndecided;
-          s.state.compare_exchange_strong(expected, kUnknownVerdict,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed);
+          s.state = kUnknownVerdict;
           continue;
         }
         if (test.outcome == TestOutcome::kUntestable) {
           s.result = std::move(test);
-          s.state.store(kProvedUntestable, std::memory_order_release);
+          s.state = kProvedUntestable;
           std::size_t cur = best_rank.load(std::memory_order_relaxed);
           while (k < cur && !best_rank.compare_exchange_weak(
                                 cur, k, std::memory_order_relaxed))
             ;
           continue;
         }
-        // Testable: publish, cache, then sweep the undecided remainder
-        // with the witness: replay the model (plus 63 random
-        // perturbations of it) against every undecided fault. Any
-        // detection is positive proof of testability, so those faults
-        // never reach the solver; the lane-local rng and simulator
+        // Testable: cache it, and let the model plus 63 random
+        // perturbations of it join the sets the lane's later tickets
+        // try (pattern 0 keeps the exact witness). The lane-local rng
         // cannot change which fault commits.
-        s.result = std::move(test);
-        std::uint8_t expected = kUndecided;
-        s.state.compare_exchange_strong(expected, kSatTestable,
-                                        std::memory_order_release,
-                                        std::memory_order_relaxed);
+        s.state = kSatTestable;
         cache.insert(faults[i], fault_source(net, faults[i]));
-        if (!s.result.vector) continue;
-        // A stopped run skips the replay: dropping fewer faults is
-        // sound, and the next poll ends the pass.
-        if (gov && gov->should_stop()) continue;
-        if (!sim && !net.inputs().empty()) sim.emplace(net);
-        if (!sim) continue;
-        const auto t1 = Clock::now();
-        std::vector<Fault> pending;
-        std::vector<std::size_t> idx;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (spec[j].state.load(std::memory_order_relaxed) != kUndecided)
-            continue;
-          pending.push_back(faults[j]);
-          idx.push_back(j);
-        }
-        if (!pending.empty()) {
-          const std::vector<std::uint64_t> pi =
-              witness_words(*s.result.vector, wrng);
-          const std::vector<std::uint64_t> masks =
-              sim->detect_words(pending, pi);
-          for (std::size_t m = 0; m < pending.size(); ++m) {
-            if (masks[m] == 0) continue;
-            std::uint8_t undecided = kUndecided;
-            if (spec[idx[m]].state.compare_exchange_strong(
-                    undecided, kWitnessTestable, std::memory_order_release,
-                    std::memory_order_relaxed)) {
-              ++ws.witness_dropped;
-              cache.insert(pending[m], fault_source(net, pending[m]));
-            }
-          }
-        }
-        ws.sim_seconds += Seconds(Clock::now() - t1).count();
+        if (test.vector && replay.size() < kMaxStoredSets)
+          replay.own.push_back(witness_words(*test.vector, wrng));
+        s.result = std::move(test);
       }
       ws.atpg = atpg.stats();
     });
@@ -302,12 +343,13 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     // ---- pass barrier: the single stats merge point ----
     for (std::size_t w = 0; w < wstats.size(); ++w)
       result.merge_worker(wstats[w]);
-    if (session) {
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = order[k];
-        if (spec[i].state.load(std::memory_order_relaxed) == kUnknownVerdict)
-          session->journal.add_fault_unknown(format_fault(net, faults[i]));
-      }
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = order[k];
+      // Every exact model of the pass joins the run-wide store.
+      if (spec[i].state == kSatTestable && spec[i].result.vector)
+        store.add(*spec[i].result.vector);
+      if (session && spec[i].state == kUnknownVerdict)
+        session->journal.add_fault_unknown(format_fault(net, faults[i]));
     }
     // The scan-order-first untestable fault commits once every fault
     // ranked before it has a verdict (kUnknown included: such a fault
@@ -320,8 +362,7 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     const std::size_t best = best_rank.load(std::memory_order_relaxed);
     bool commit = best < n;
     for (std::size_t k = 0; commit && k < best; ++k)
-      commit = spec[order[k]].state.load(std::memory_order_relaxed) !=
-               kUndecided;
+      commit = spec[order[k]].state != kUndecided;
     if (!commit) {
       result.aborted = aborted.load(std::memory_order_relaxed) ||
                        (gov && gov->should_stop());
@@ -332,8 +373,7 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     // whatever the lane count ----
     const std::size_t chosen = order[best];
     const Fault& fault = faults[chosen];
-    assert(spec[chosen].state.load(std::memory_order_relaxed) ==
-           kProvedUntestable);
+    assert(spec[chosen].state == kProvedUntestable);
     if (session)
       journal_deletion(*session, format_fault(net, fault),
                        spec[chosen].result);
@@ -358,6 +398,7 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
 
 void RedundancyRemovalResult::merge_worker(const RemovalWorkerStats& w) {
   atpg.accumulate(w.atpg);
+  sim_dropped += w.sim_dropped;
   witness_dropped += w.witness_dropped;
   unknown_queries += w.unknown_queries;
   sim_seconds += w.sim_seconds;

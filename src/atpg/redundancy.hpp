@@ -15,13 +15,16 @@
 //
 // One engine runs every removal. Three mechanisms avoid SAT queries
 // whose outcome is already known:
-//  1. SAT-witness fault dropping: each testable verdict's model is
-//     packed into a 64-pattern word (exact witness + 63 random
-//     perturbations) and fault-simulated against the whole remaining
-//     list, marking other faults testable without solver calls;
-//  2. a cross-pass fault-status cache: testable verdicts (from SAT,
-//     random simulation, or witness dropping) persist across removal
-//     passes keyed by fault identity (GateId/ConnId are stable);
+//  1. per-ticket replay of stored word sets: a pass classifies a fault
+//     only when a lane's ticket reaches it, first against the pass's
+//     random words, then a run-wide store of exact SAT witnesses
+//     (packed 64 to a word), then the witnesses of the lane's earlier
+//     SAT verdicts in the pass, each packed with 63 random
+//     perturbations. A pass needs verdicts only up to its first
+//     untestable fault, so faults behind it are never simulated;
+//  2. a cross-pass fault-status cache: testable verdicts (from SAT or
+//     a replay) persist across removal passes keyed by fault identity
+//     (GateId/ConnId are stable);
 //  3. cone-scoped invalidation: a removal invalidates only cached
 //     verdicts whose fault region intersects the edited gates, which
 //     TransformTrace records (including severed old edges, so the
@@ -71,25 +74,26 @@ enum class RemovalOrder { kForward, kReverse, kRandom };
 struct RemovalResume;
 
 struct RedundancyRemovalOptions {
-  /// Use random-pattern fault simulation to pre-drop detectable faults
-  /// before exact ATPG (no effect on the removed set). With fault
-  /// dropping between its words it pays for itself: `e2ebench/run.py
-  /// --trace 1` (seed 3, 4-thread x86 host) puts the removal phase at
-  /// 404 ms with it and 819 ms without on the certify workload, and at
-  /// 286 and 706 ms on csa. Without it, SAT queries grow 2.1x and 3.7x.
-  /// `kmscli irr` end to end, with / without: csa_16_4 1.77 / 1.74 s,
-  /// sduke2 2.88 / 2.81 s, smisex2 0.24 / 0.53 s, csa_8_2 x8 15.3 /
-  /// 16.0 s.
+  /// Replay random-pattern words against each fault a ticket reaches
+  /// before exact ATPG (no effect on the removed set). Without them the
+  /// run-wide witness store and the lanes' own witnesses still drop
+  /// most faults, but they pay: `e2ebench/run.py --trace 1` (seed 3,
+  /// 4-thread x86 host) puts the removal phase at about 170 ms with
+  /// them and 274 ms without on csa, and at about 227 and 406 ms on
+  /// certify, where SAT queries grow 2.5x and 2.1x without them.
+  /// `kmscli irr` end to end, with / without (min of 3): csa_16_4
+  /// 0.220 / 0.255 s, smisex2 0.052 / 0.063 s, sduke2 0.99 / 1.00 s,
+  /// csa_8_2 x8 1.37 / 1.60 s.
   bool use_fault_sim = true;
-  /// Number of 64-pattern words of random stimulus for the pre-drop.
+  /// Number of 64-pattern words of random stimulus each pass draws.
   std::size_t random_words = 8;
   RemovalOrder order = RemovalOrder::kForward;
   std::uint64_t seed = 0x5EEDull;
 
   /// Execution context of the run: resource governor (a fault whose
   /// ATPG query it stops is conservatively kept — kUnknown is never a
-  /// deletion licence — and the loop stops on exhaustion; the random-
-  /// simulation pre-drop honours it word by word), proof session (every
+  /// deletion licence — and the loop stops on exhaustion; a pass polls
+  /// it before drawing each random word), proof session (every
   /// untestable verdict carries a DRAT certificate and every removal is
   /// journalled citing it, in commit order; witness drops are not
   /// journalled, since at jobs > 1 they depend on worker timing; an
@@ -112,6 +116,7 @@ struct RedundancyRemovalOptions {
 /// ever incremented racily in place.
 struct RemovalWorkerStats {
   AtpgStats atpg;
+  std::size_t sim_dropped = 0;
   std::size_t witness_dropped = 0;
   std::size_t unknown_queries = 0;
   double sim_seconds = 0.0;

@@ -29,6 +29,7 @@
 #include "src/base/durable.hpp"
 #include "src/core/kms.hpp"
 #include "src/gen/adders.hpp"
+#include "src/gen/suite.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
@@ -159,35 +160,56 @@ class CrashResumeTest : public ::testing::Test {
 
 /// The core property at jobs=1, checkpoint every commit: crash at every
 /// reachable kill point, resume, require bit-identical output AND
-/// byte-identical journal, and a verifying artifact directory.
-TEST_F(CrashResumeTest, EveryKillPointResumesIdenticallyJobs1) {
-  const std::string source = carry_skip_source();
-  dir_ = temp_dir("crash_resume_j1");
-  fs::remove_all(dir_);
-
+/// byte-identical journal, and a verifying artifact directory. `stats`
+/// receives the uninterrupted run's counters.
+void expect_every_kill_point_resumes_identically(const std::string& source,
+                                                 const std::string& dir,
+                                                 KmsStats* stats = nullptr) {
+  fs::remove_all(dir);
   kill_points_configure(KillMode::kCount);
-  const RunResult ref = run_fresh(dir_, source, /*jobs=*/1, /*every=*/1);
+  const RunResult ref = run_fresh(dir, source, /*jobs=*/1, /*every=*/1);
   const std::uint64_t total = kill_points_seen();
   kill_points_configure(KillMode::kOff);
   ASSERT_FALSE(ref.crashed);
   ASSERT_GT(total, 10u);
-  const std::string ref_journal = slurp(dir_ + "/journal.txt");
+  if (stats) *stats = ref.stats;
+  const std::string ref_journal = slurp(dir + "/journal.txt");
   ASSERT_FALSE(ref_journal.empty());
-  ASSERT_TRUE(proof::verify_artifact_dir(dir_).ok);
+  ASSERT_TRUE(proof::verify_artifact_dir(dir).ok);
 
   for (std::uint64_t k = 1; k <= total; ++k) {
-    fs::remove_all(dir_);
+    fs::remove_all(dir);
     kill_points_configure(KillMode::kThrow, k);
-    const RunResult crashed = run_fresh(dir_, source, 1, 1);
+    const RunResult crashed = run_fresh(dir, source, 1, 1);
     kill_points_configure(KillMode::kOff);
     ASSERT_TRUE(crashed.crashed) << "kill point " << k << " not reached";
-    const std::string out = finish_after_crash(dir_, source, 1, 1);
+    const std::string out = finish_after_crash(dir, source, 1, 1);
     EXPECT_EQ(out, ref.output) << "output diverged after crash at " << k;
-    EXPECT_EQ(slurp(dir_ + "/journal.txt"), ref_journal)
+    EXPECT_EQ(slurp(dir + "/journal.txt"), ref_journal)
         << "journal diverged after crash at " << k;
-    const proof::VerifyReport rep = proof::verify_artifact_dir(dir_);
+    const proof::VerifyReport rep = proof::verify_artifact_dir(dir);
     EXPECT_TRUE(rep.ok) << "crash at " << k << ": " << rep.error;
   }
+}
+
+TEST_F(CrashResumeTest, EveryKillPointResumesIdenticallyJobs1) {
+  dir_ = temp_dir("crash_resume_j1");
+  expect_every_kill_point_resumes_identically(carry_skip_source(), dir_);
+}
+
+/// The removal phase's run-wide store of SAT witnesses is not
+/// checkpointed: a resumed run restarts it empty, so its passes drop
+/// other faults by simulation and send others to SAT. Drops only ever
+/// mark testable faults, so output and journal must not move. smisex1
+/// drops faults by witness replay in every one of its removal passes.
+TEST_F(CrashResumeTest, ResumesIdenticallyWithoutWitnessStore) {
+  dir_ = temp_dir("crash_resume_witness");
+  KmsStats ref;
+  expect_every_kill_point_resumes_identically(
+      write_blif_string(build_suite_circuit(suite_spec("smisex1"))), dir_,
+      &ref);
+  EXPECT_GT(ref.removal.passes, 1u);
+  EXPECT_GT(ref.removal.witness_dropped, 0u);
 }
 
 /// Same property at jobs=4 (checkpoint every 2 commits for cadence

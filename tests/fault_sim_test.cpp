@@ -168,6 +168,78 @@ TEST(FaultSimTest, EventDrivenMatchesWholeOrderReference) {
     expect_matches_reference(net, seed++);
 }
 
+// ---- stored word sets ---------------------------------------------------
+//
+// detect_stored replays one fault against a word set kept by an earlier
+// store_words call. Fresh detect_words calls, which reload the live good
+// values, run between the stores and the replays, and each replayed mask
+// must equal the one detect_words gives for that set's words.
+
+TEST(FaultSimTest, DetectStoredMatchesDetectWords) {
+  std::uint64_t seed = 300;
+  for (const Network& net : test_networks()) {
+    SCOPED_TRACE(net.name());
+    const std::vector<Fault> faults = every_site_fault(net);
+    FaultSimulator sim(net);
+    Rng rng(seed++);
+    auto random_words = [&] {
+      std::vector<std::uint64_t> pi(net.inputs().size());
+      for (auto& x : pi) x = rng.next_u64();
+      return pi;
+    };
+    std::vector<std::vector<std::uint64_t>> sets;
+    sets.emplace_back(net.inputs().size(), 0ull);
+    sets.emplace_back(net.inputs().size(), ~0ull);
+    for (int k = 0; k < 4; ++k) sets.push_back(random_words());
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      ASSERT_EQ(sim.store_words(sets[k]), k);
+      sim.detect_words(faults, random_words());
+      std::vector<std::vector<std::uint64_t>> want;
+      for (std::size_t w = 0; w <= k; ++w)
+        want.push_back(sim.detect_words(faults, sets[w]));
+      sim.detect_words(faults, random_words());
+      for (std::size_t w = 0; w <= k; ++w)
+        for (std::size_t i = 0; i < faults.size(); ++i)
+          ASSERT_EQ(sim.detect_stored(faults[i], w), want[w][i])
+              << "set " << w << " after " << k + 1 << " stores: "
+              << format_fault(net, faults[i]);
+    }
+    EXPECT_EQ(sim.stored_count(), sets.size());
+  }
+}
+
+// A simulator reset after removal edits must answer as a fresh one on
+// the edited network, stored sets included.
+TEST(FaultSimTest, ResetAfterEditsEqualsFresh) {
+  Network net = carry_skip_adder(4, 2);
+  decompose_to_simple(net);
+  FaultSimulator sim(net);
+  Rng rng(301);
+  auto random_words = [&] {
+    std::vector<std::uint64_t> pi(net.inputs().size());
+    for (auto& x : pi) x = rng.next_u64();
+    return pi;
+  };
+  for (std::size_t step = 0; step < 4; ++step) {
+    sim.store_words(random_words());
+    sim.store_words(random_words());
+    const auto faults = collapsed_faults(net);
+    apply_redundancy_removal(net, faults[(step * 7 + 3) % faults.size()]);
+    simplify(net);
+    sim.reset();
+    ASSERT_EQ(sim.stored_count(), 0u);
+    FaultSimulator fresh(net);
+    const std::vector<Fault> sites = every_site_fault(net);
+    const auto pi = random_words();
+    EXPECT_EQ(sim.detect_words(sites, pi), fresh.detect_words(sites, pi));
+    ASSERT_EQ(sim.store_words(pi), 0u);
+    ASSERT_EQ(fresh.store_words(pi), 0u);
+    for (const Fault& f : sites)
+      EXPECT_EQ(sim.detect_stored(f, 0), fresh.detect_stored(f, 0))
+          << "step " << step << ": " << format_fault(net, f);
+  }
+}
+
 // ---- reference oracle: detect_random without fault dropping -----------
 //
 // The multi-word loop detect_random replaced: every word is simulated

@@ -5,13 +5,21 @@
 // KMS loop's path-scoped rewrite (worklist surgery, repaired STA order,
 // path-scoped sensitization, model reuse in computed_delay); any change
 // to a digest is a change to the engine's output and must be deliberate.
+//
+// A second table pins the two other removal scan orders. kRandom draws
+// its scan order from the removal phase's main rng right after the
+// pass's random pre-drop words, so its digests also pin how many words
+// each pass draws, and when; kReverse pins the pre-drop and witness
+// replay under a scan that starts from the other end of the fault list.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "src/atpg/redundancy.hpp"
 #include "src/base/governor.hpp"
+#include "src/core/kms.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/suite.hpp"
 #include "src/netlist/blif.hpp"
@@ -87,6 +95,51 @@ INSTANTIATE_TEST_SUITE_P(Circuits, OutputDigestTest, testing::ValuesIn(kPinned),
                          [](const testing::TestParamInfo<Pinned>& info) {
                            return std::string(info.param.name);
                          });
+
+struct PinnedOrder {
+  const char* name;
+  RemovalOrder order;
+  std::uint64_t digest;
+};
+
+// Taken from a build before the removal pass classified faults per
+// ticket (pre-drop words simulated up front, eager witness sweeps).
+constexpr PinnedOrder kPinnedOrders[] = {
+    {"csa_4_2", RemovalOrder::kRandom, 0x1b779a2622436074ull},
+    {"csa_6_3", RemovalOrder::kRandom, 0xc338da2e085bcc06ull},
+    {"csa_4_2_x3", RemovalOrder::kRandom, 0x8287214118841a3bull},
+    {"csa_4_4", RemovalOrder::kReverse, 0x31590dfc1cea79b1ull},
+    {"csa_6_2", RemovalOrder::kReverse, 0x1bf17e81a35e5f5full},
+    {"statred", RemovalOrder::kReverse, 0x5189ce03a818d707ull},
+};
+
+void PrintTo(const PinnedOrder& p, std::ostream* os) { *os << p.name; }
+
+class OrderDigestTest : public testing::TestWithParam<PinnedOrder> {};
+
+TEST_P(OrderDigestTest, MatchesPinnedAtJobs1And4) {
+  const PinnedOrder& p = GetParam();
+  const std::string blif = input_blif(p.name);
+  for (const unsigned jobs : {1u, 4u}) {
+    BlifSequential model = read_blif_sequential_string(blif);
+    KmsOptions opts;
+    opts.removal.order = p.order;
+    opts.context.jobs = jobs;
+    kms_make_irredundant(model.comb, opts);
+    const std::uint64_t digest =
+        proof::digest_bytes(write_blif_string(model.comb));
+    EXPECT_EQ(digest, p.digest) << p.name << " at jobs " << jobs << std::hex
+                                << ": got 0x" << digest;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orders, OrderDigestTest, testing::ValuesIn(kPinnedOrders),
+    [](const testing::TestParamInfo<PinnedOrder>& info) {
+      return std::string(info.param.name) +
+             (info.param.order == RemovalOrder::kRandom ? "_random"
+                                                        : "_reverse");
+    });
 
 }  // namespace
 }  // namespace kms

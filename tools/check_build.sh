@@ -107,8 +107,10 @@ ctest --preset checked -L timing --output-on-failure
 # Fault-simulation stage: the `faultsim` label covers the event-driven
 # simulator against its whole-order reference, fault dropping against
 # the full-list loop it replaced (detections, words simulated and rng
-# draws, under governors that stop mid-run), and generate_test_set
-# pinned vector for vector. Run it by name so a regression in detection
+# draws, under governors that stop mid-run), replays against stored
+# word sets against fresh simulation, generate_test_set pinned vector
+# for vector, and the removal engine's per-ticket pre-drop and witness
+# replay (redundancy_test). Run it by name so a regression in detection
 # masks or dropping is called out in CI output.
 echo "== faultsim-labelled tests (checked preset) =="
 ctest --preset checked -L faultsim --output-on-failure
