@@ -40,7 +40,12 @@ void audit(const std::string& name, Network net) {
   FaultSimulator sim(net);
   Rng rng(1);
   bench::Timer t_sim;
-  const auto detected = sim.detect_random(faults, 16, rng);
+  std::vector<bool> detected(faults.size(), false);
+  std::vector<std::uint64_t> pi(net.inputs().size());
+  for (int w = 0; w < 16; ++w) {
+    for (auto& x : pi) x = rng.next_u64();
+    sim.detect_new(faults, pi, detected);
+  }
   const double sim_secs = t_sim.seconds();
   std::size_t dropped = 0;
   for (bool d : detected)

@@ -42,7 +42,7 @@ int main() {
   std::printf("  computed delay        : %.0f gate delays\n", after.delay);
   std::printf("  loop iterations       : %zu\n", stats.iterations);
   std::printf("  gates duplicated      : %zu\n", stats.duplicated_gates);
-  std::printf("  residual removals     : %zu\n", stats.redundancies_removed);
+  std::printf("  residual removals     : %zu\n", stats.removal.removed);
   std::printf("  still equivalent      : %s\n",
               sat_equivalent(original, net) ? "yes" : "NO (bug!)");
   return 0;

@@ -4,8 +4,10 @@
 // before deciding whether redundancy removal is safe for timing.
 //
 //   $ ./redundancy_audit [circuit.blif]
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/atpg/atpg.hpp"
 #include "src/atpg/fault_sim.hpp"
@@ -40,10 +42,16 @@ int main(int argc, char** argv) {
   std::printf("\nfault universe   : %zu collapsed faults (%zu raw)\n",
               faults.size(), enumerate_faults(net).size());
 
-  // Phase 1: random-pattern fault simulation.
+  // Phase 1: random-pattern fault simulation, 16 words of 64 patterns,
+  // dropping each fault at its first detection.
   FaultSimulator sim(net);
   Rng rng(1);
-  const auto detected = sim.detect_random(faults, 16, rng);
+  std::vector<bool> detected(faults.size(), false);
+  std::vector<std::uint64_t> pi(net.inputs().size());
+  for (int w = 0; w < 16; ++w) {
+    for (auto& x : pi) x = rng.next_u64();
+    sim.detect_new(faults, pi, detected);
+  }
   std::size_t easy = 0;
   for (bool d : detected)
     if (d) ++easy;

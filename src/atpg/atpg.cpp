@@ -12,18 +12,6 @@ namespace kms {
 using sat::Lit;
 using sat::Var;
 
-void AtpgStats::accumulate(const AtpgStats& other) {
-  queries += other.queries;
-  testable += other.testable;
-  untestable += other.untestable;
-  unknown_queries += other.unknown_queries;
-  sat_conflicts += other.sat_conflicts;
-  sat_solves += other.sat_solves;
-  structural_shortcuts += other.structural_shortcuts;
-  cone_gates_encoded += other.cone_gates_encoded;
-  max_cone_gates = std::max(max_cone_gates, other.max_cone_gates);
-}
-
 Atpg::Atpg(const Network& net, ResourceGovernor* governor)
     : net_(net), governor_(governor), good_(net, solver_, {}) {}
 

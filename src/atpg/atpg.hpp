@@ -19,6 +19,7 @@
 #include "src/atpg/fault.hpp"
 #include "src/base/governor.hpp"
 #include "src/cnf/encoder.hpp"
+#include "src/core/counters.hpp"
 #include "src/core/verdict.hpp"
 #include "src/netlist/network.hpp"
 #include "src/sat/solver.hpp"
@@ -29,32 +30,14 @@ namespace proof {
 struct DratCertificate;
 }  // namespace proof
 
+/// The ATPG group of the run's counters (src/core/counters.hpp).
 struct AtpgStats {
-  std::uint64_t queries = 0;
-  std::uint64_t testable = 0;
-  std::uint64_t untestable = 0;
-  /// Queries the governor stopped before a verdict. These faults are
-  /// conservatively treated as testable — an aborted query is never
-  /// evidence of redundancy.
-  std::uint64_t unknown_queries = 0;
-  /// Conflicts aggregated across every SAT solve, including aborted
-  /// ones (an exhausted budget still did — and reports — its work).
-  std::uint64_t sat_conflicts = 0;
-  /// Queries that actually reached the SAT solver. queries ==
-  /// sat_solves + structural_shortcuts.
-  std::uint64_t sat_solves = 0;
-  /// Untestable verdicts proved structurally (the fault cone reaches no
-  /// primary output), with no solver involved.
-  std::uint64_t structural_shortcuts = 0;
-  /// Gates encoded into CNF, summed over all SAT solves (good-circuit
-  /// support; the measure of the cone-of-influence restriction — the
-  /// whole-network encoding would contribute count_gates() per solve).
-  std::uint64_t cone_gates_encoded = 0;
-  /// Largest single-query support set.
-  std::uint64_t max_cone_gates = 0;
+  KMS_ATPG_COUNTERS(KMS_COUNTER_DECL)
 
-  /// Fold `other` into this (used to aggregate per-pass engines).
-  void accumulate(const AtpgStats& other);
+  /// Fold `other` into this by each counter's merge rule.
+  void accumulate(const AtpgStats& other) {
+    KMS_ATPG_COUNTERS(KMS_COUNTER_MERGE)
+  }
 };
 
 // TestOutcome lives in src/core/verdict.hpp (included above) together

@@ -235,24 +235,6 @@ bool FaultSimulator::detect_tests(const std::vector<Fault>& faults,
   return any;
 }
 
-std::vector<bool> FaultSimulator::detect_random(
-    const std::vector<Fault>& faults, std::size_t words, Rng& rng,
-    ResourceGovernor* governor, std::size_t* words_done) {
-  std::vector<bool> detected(faults.size(), false);
-  std::vector<std::uint64_t> pi(net_.inputs().size());
-  std::size_t done = 0;
-  for (; done < words; ++done) {
-    // The deadline the rest of the pipeline honors binds here too: a
-    // large word budget must not run past it. Stopping between words
-    // yields a partial-but-sound result (fewer pre-dropped faults).
-    if (governor && governor->should_stop()) break;
-    for (auto& x : pi) x = rng.next_u64();
-    detect_new(faults, pi, detected);
-  }
-  if (words_done) *words_done = done;
-  return detected;
-}
-
 std::vector<std::uint64_t> witness_words(const std::vector<bool>& vector,
                                          Rng& rng) {
   std::vector<std::uint64_t> pi(vector.size());

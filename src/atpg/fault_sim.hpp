@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/atpg/fault.hpp"
-#include "src/base/governor.hpp"
 #include "src/base/rng.hpp"
 #include "src/netlist/network.hpp"
 
@@ -65,19 +64,6 @@ class FaultSimulator {
   bool detect_tests(const std::vector<Fault>& faults,
                     const std::vector<std::vector<bool>>& tests,
                     std::vector<bool>& detected);
-
-  /// Convenience: which of `faults` are detected by `words` sets of 64
-  /// random patterns each, with fault dropping between words. An
-  /// optional governor is consulted before every word: on exhaustion the
-  /// simulation stops early and the partial detection set is returned
-  /// (sound — every mark is a real detection; an unsimulated word can
-  /// only cost extra exact-ATPG effort later). Every word simulated
-  /// draws its patterns from `rng`, even once all faults are detected.
-  /// `words_done`, if non-null, receives the number of words simulated.
-  std::vector<bool> detect_random(const std::vector<Fault>& faults,
-                                  std::size_t words, Rng& rng,
-                                  ResourceGovernor* governor = nullptr,
-                                  std::size_t* words_done = nullptr);
 
  private:
   /// Load `pi_words` and evaluate the good circuit into `good`

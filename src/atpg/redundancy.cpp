@@ -254,13 +254,13 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     std::atomic<std::size_t> best_rank{n};
     std::atomic<bool> aborted{false};
     TicketQueue tickets(n);
-    std::vector<RemovalWorkerStats> wstats(pool.size());
+    std::vector<RedundancyRemovalResult> lane_stats(pool.size());
 
     // Snapshot the pass index for lane rng seeding: lanes must not read
     // the coordinator-owned result struct.
     const std::size_t passes_now = result.passes;
     pool.run([&](unsigned w) {
-      RemovalWorkerStats& ws = wstats[w];
+      RedundancyRemovalResult& ws = lane_stats[w];
       // Same governor (thread-safe), never the session: lanes capture
       // certificates; only the coordinator journals.
       Atpg atpg(net, gov);
@@ -314,7 +314,6 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
         if (test.outcome == TestOutcome::kUnknown) {
           // Aborted query: the fault might be testable; keep it (and
           // never cache it — an abort is not a verdict).
-          ++ws.unknown_queries;
           s.state = kUnknownVerdict;
           continue;
         }
@@ -341,8 +340,7 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     });
 
     // ---- pass barrier: the single stats merge point ----
-    for (std::size_t w = 0; w < wstats.size(); ++w)
-      result.merge_worker(wstats[w]);
+    for (const RedundancyRemovalResult& lane : lane_stats) result.merge(lane);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = order[k];
       // Every exact model of the pass joins the run-wide store.
@@ -395,15 +393,6 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
 }
 
 }  // namespace
-
-void RedundancyRemovalResult::merge_worker(const RemovalWorkerStats& w) {
-  atpg.accumulate(w.atpg);
-  sim_dropped += w.sim_dropped;
-  witness_dropped += w.witness_dropped;
-  unknown_queries += w.unknown_queries;
-  sim_seconds += w.sim_seconds;
-  sat_seconds += w.sat_seconds;
-}
 
 void apply_redundancy_removal(Network& net, const Fault& fault,
                               TransformTrace* trace) {

@@ -56,6 +56,7 @@
 #include "src/atpg/fault.hpp"
 #include "src/base/governor.hpp"
 #include "src/core/context.hpp"
+#include "src/core/counters.hpp"
 #include "src/netlist/network.hpp"
 #include "src/netlist/transform.hpp"
 
@@ -109,44 +110,19 @@ struct RedundancyRemovalOptions {
   const RemovalResume* resume = nullptr;
 };
 
-/// Pass-local counters owned by one classification worker. Workers
-/// mutate only their own instance — never the shared result — and the
-/// coordinator folds each into RedundancyRemovalResult::merge_worker()
-/// at the pass barrier: the single stats merge point, so no counter is
-/// ever incremented racily in place.
-struct RemovalWorkerStats {
-  AtpgStats atpg;
-  std::size_t sim_dropped = 0;
-  std::size_t witness_dropped = 0;
-  std::size_t unknown_queries = 0;
-  double sim_seconds = 0.0;
-  double sat_seconds = 0.0;
-};
-
+/// The removal group of the run's counters (src/core/counters.hpp),
+/// with the ATPG group of every query the run made. Each lane counts
+/// into its own instance and the coordinator merges them at the pass
+/// barrier, so no lane writes shared state.
 struct RedundancyRemovalResult {
-  std::size_t removed = 0;  ///< redundant faults asserted constant
-  std::size_t passes = 0;   ///< full fault-list scans
-  std::size_t unknown_queries = 0;  ///< queries aborted by the governor
-  bool aborted = false;  ///< loop stopped early on governor exhaustion
-
-  // Query-avoidance observability.
-  std::size_t sim_dropped = 0;      ///< pre-dropped by random simulation
-  std::size_t witness_dropped = 0;  ///< dropped by SAT-witness replay
-  std::size_t cache_hits = 0;       ///< faults skipped via the cross-pass cache
-  std::size_t cache_invalidated = 0;  ///< cached verdicts killed by removals
-  /// Time in fault simulation / exact ATPG (incl. shortcuts). Under a
-  /// parallel run these sum per-worker time and so can exceed the
-  /// wall clock — they measure work, not latency.
-  double sim_seconds = 0.0;
-  double sat_seconds = 0.0;
-  /// Aggregate ATPG-engine counters across all passes and workers: the
-  /// one copy of the SAT solve count (atpg.sat_solves), the structural
-  /// shortcuts, cone sizes and conflicts.
+  KMS_REMOVAL_COUNTERS(KMS_COUNTER_DECL)
   AtpgStats atpg;
 
-  /// Fold one worker's pass-local counters in. The only place worker
-  /// observations reach this struct.
-  void merge_worker(const RemovalWorkerStats& w);
+  /// Fold `other` into this by each counter's merge rule.
+  void merge(const RedundancyRemovalResult& other) {
+    KMS_REMOVAL_COUNTERS(KMS_COUNTER_MERGE)
+    atpg.accumulate(other.atpg);
+  }
 };
 
 /// Pass-boundary state of a crashed removal run, as restored by the

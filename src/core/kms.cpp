@@ -133,7 +133,6 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   checkpoint("kms:input");
   proof::ProofSession* const session = ctx.session;
   const KmsResumeState* const res = opts.resume;
-  std::size_t base_unknown = 0;
   if (res != nullptr) {
     // Resumed run: the caller already replayed the journal prefix onto
     // `net` (decomposition included) and restored the committed
@@ -141,7 +140,6 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     // initial delay/size columns were measured before the crash and
     // travel in the restored stats.
     stats = res->stats;
-    base_unknown = stats.unknown_queries;
   } else {
     stats.decomposed_complex = decompose_to_simple(net);
     checkpoint("kms:decompose_to_simple");
@@ -171,34 +169,24 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     *exact = r.exact;
   };
   // The engine's counters flow into stats continuously (they serialize
-  // into every loop-phase checkpoint, not just the final result):
-  // `sta_restored` carries the totals a resumed run starts from,
-  // `sta_base` subtracts what this instance had counted when it came up
-  // — for a resumed run that is the attach-time constructor rebuild,
-  // which the uninterrupted run never performed and which therefore
-  // must not inflate the restored totals.
-  struct StaBase {
-    std::size_t applies = 0, rebuilds = 0, repaired = 0, full = 0;
-  };
-  const StaBase sta_restored{stats.sta_applies, stats.sta_rebuilds,
-                             stats.sta_gates_repaired, stats.sta_full_visits};
-  StaBase sta_base;
+  // into every loop-phase checkpoint, not just the final result). A
+  // resumed run hands the engine its restored totals, replacing the
+  // attach-time constructor rebuild, which the uninterrupted run never
+  // performed.
   if (res != nullptr) {
-    const IncrementalSta::Stats& ss = sta.stats();
-    sta_base = {static_cast<std::size_t>(ss.applies),
-                static_cast<std::size_t>(ss.rebuilds),
-                static_cast<std::size_t>(ss.repaired()),
-                static_cast<std::size_t>(ss.full_equivalent)};
+    IncrementalSta::Stats restored;
+    restored.applies = stats.sta_applies;
+    restored.rebuilds = stats.sta_rebuilds;
+    restored.forward_repaired = stats.sta_gates_repaired;
+    restored.full_equivalent = stats.sta_full_visits;
+    sta.restore_stats(restored);
   }
   const auto sync_sta = [&] {
     const IncrementalSta::Stats& ss = sta.stats();
-    stats.sta_applies = sta_restored.applies + (ss.applies - sta_base.applies);
-    stats.sta_rebuilds =
-        sta_restored.rebuilds + (ss.rebuilds - sta_base.rebuilds);
-    stats.sta_gates_repaired =
-        sta_restored.repaired + (ss.repaired() - sta_base.repaired);
-    stats.sta_full_visits =
-        sta_restored.full + (ss.full_equivalent - sta_base.full);
+    stats.sta_applies = ss.applies;
+    stats.sta_rebuilds = ss.rebuilds;
+    stats.sta_gates_repaired = ss.repaired();
+    stats.sta_full_visits = ss.full_equivalent;
   };
   if (res == nullptr) {
     stats.initial_gates = net.count_gates();
@@ -363,9 +351,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
       cp.kms = &stats;
       ctx.sink->checkpoint(cp);
     }
-    const RedundancyRemovalResult r = remove_redundancies(net, removal);
-    stats.redundancies_removed = r.removed;
-    stats.removal = r;
+    stats.removal = remove_redundancies(net, removal);
     checkpoint("kms:remove_redundancies");
     // The removal phase edits through its own (per-fault) traces that
     // are not aggregated here; one full rebuild resynchronizes the
@@ -379,16 +365,12 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   stats.final_max_fanout = net.max_fanout();
   measure(&stats.final_topo_delay, &stats.final_computed_delay,
           &stats.final_computed_exact);
-  // Final synchronization of the engine counters. sync_sta diffs
-  // against the restored totals and this instance's attach-time base,
-  // so a resumed run reports exactly what the uninterrupted run would.
   sync_sta();
   if (gov) {
     const GovernorReport gr = gov->report();
-    // base_unknown carries a resumed run's pre-crash count; OR-ing the
-    // flags likewise keeps degradation observed before the crash.
-    stats.unknown_queries =
-        base_unknown + (gr.unknown_results - gov_base.unknown_results);
+    // Added to a resumed run's restored count; OR-ing the flags likewise
+    // keeps degradation observed before the crash.
+    stats.unknown_queries += gr.unknown_results - gov_base.unknown_results;
     stats.deadline_hit = stats.deadline_hit || gr.deadline_hit;
     stats.budget_exhausted = stats.budget_exhausted || gr.budget_exhausted;
     stats.interrupted = stats.interrupted || gr.interrupted;

@@ -22,6 +22,7 @@
 
 #include "src/atpg/redundancy.hpp"
 #include "src/core/context.hpp"
+#include "src/core/counters.hpp"
 #include "src/netlist/network.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/timing/sensitize.hpp"
@@ -84,67 +85,12 @@ struct KmsOptions {
   const KmsResumeState* resume = nullptr;
 };
 
+/// The loop group of the run's counters (src/core/counters.hpp), with
+/// the removal group of the final phase (zero-valued when
+/// remove_remaining was off).
 struct KmsStats {
-  std::size_t iterations = 0;        ///< while-loop transformations
-  std::size_t duplicated_gates = 0;  ///< gates copied by the duplication step
-  std::size_t constants_set = 0;     ///< first edges asserted constant
-  std::size_t redundancies_removed = 0;  ///< final-phase removals
-  /// Full observability record of the final removal phase (query/drop/
-  /// cache counters, cone sizes, wall time); zero-valued when
-  /// remove_remaining was off.
+  KMS_LOOP_COUNTERS(KMS_COUNTER_DECL)
   RedundancyRemovalResult removal;
-  std::size_t sensitization_queries = 0;
-  std::size_t decomposed_complex = 0;
-  bool path_cap_hit = false;       ///< sensitization query budget exhausted
-  bool iteration_cap_hit = false;  ///< loop stopped by max_iterations
-
-  /// Why the while-loop stopped: "" while it is still running (or for a
-  /// run resumed past it before it recorded an exit), "sat" for the
-  /// natural exit (some longest path proved sensitizable), "unknown"
-  /// for a resource-degraded exit (the verdict was conservatively
-  /// treated as sensitizable — `degraded` is set alongside), "governor"
-  /// when should_stop() tripped between iterations, "no-paths" when no
-  /// IO-path remained, "iteration-cap" when max_iterations hit. Before
-  /// this field existed a kUnknown exit was indistinguishable from a
-  /// natural kSat exit in the stats.
-  std::string loop_exit;
-
-  // Graceful-degradation bookkeeping (set only when a governor ran,
-  // except `degraded`, which a proofless kUnknown exit also sets).
-  std::size_t unknown_queries = 0;  ///< SAT solves stopped before a verdict
-  bool deadline_hit = false;        ///< wall-clock limit reached
-  bool budget_exhausted = false;    ///< global conflict/propagation budget
-  bool interrupted = false;         ///< cooperative cancellation (SIGINT)
-  /// Any of the above forced a conservative fallback somewhere.
-  bool degraded = false;
-
-  // Before/after bookkeeping (Table I columns).
-  std::size_t initial_gates = 0, final_gates = 0;
-  double initial_topo_delay = 0, final_topo_delay = 0;
-  double initial_computed_delay = 0, final_computed_delay = 0;
-  /// False when that computed delay is the topological upper bound
-  /// computed_delay() fell back to (query budget or governor exhausted)
-  /// rather than the measured value.
-  bool initial_computed_exact = true, final_computed_exact = true;
-  std::size_t initial_max_fanout = 0, final_max_fanout = 0;
-
-  // Incremental-STA observability (src/timing/incremental.hpp).
-  std::size_t sta_applies = 0;       ///< per-edit dirty-cone repairs
-  std::size_t sta_rebuilds = 0;      ///< full rebuilds (ctor + removal)
-  std::size_t sta_gates_repaired = 0;  ///< gate visits by the repairs
-  /// Gate visits the per-edit full recomputes would have made instead
-  /// (two passes over every live gate per repair) — the denominator of
-  /// the repaired fraction.
-  std::size_t sta_full_visits = 0;
-  /// Seed passes of the loop's persistent PathEnumerator — one per loop
-  /// iteration, the initial construction included (so resumed totals
-  /// match the uninterrupted run's). The enumerator is constructed once
-  /// and cheaply re-seeded per iteration instead of rebuilt from
-  /// scratch.
-  std::size_t sta_enum_reseeds = 0;
-  /// Gate visits spent by those (re)seeding passes — the per-iteration
-  /// enumerator cost that replaced a full suffix recompute + copy.
-  std::size_t sta_enum_seed_visits = 0;
 };
 
 /// Committed mid-run state of a previous kms_make_irredundant call, as

@@ -78,19 +78,11 @@ struct FieldTable {
   std::map<std::string, std::function<void(const std::string&)>> in;  // parser
   bool writing = false;
 
-  void u64(const std::string& key, std::uint64_t* f) {
+  void field(const std::string& key, std::uint64_t* f) {
     if (writing)
       out.emplace_back(key, fmt_u64(*f));
     else
       in[key] = [f, key](const std::string& v) { *f = parse_u64(v, key); };
-  }
-  void sz(const std::string& key, std::size_t* f) {
-    if (writing)
-      out.emplace_back(key, fmt_u64(*f));
-    else
-      in[key] = [f, key](const std::string& v) {
-        *f = static_cast<std::size_t>(parse_u64(v, key));
-      };
   }
   void hex(const std::string& key, std::uint64_t* f) {
     if (writing)
@@ -98,20 +90,20 @@ struct FieldTable {
     else
       in[key] = [f, key](const std::string& v) { *f = parse_hex(v, key); };
   }
-  void dbl(const std::string& key, double* f) {
+  void field(const std::string& key, double* f) {
     if (writing)
       out.emplace_back(key, fmt_dbl(*f));
     else
       in[key] = [f, key](const std::string& v) { *f = parse_dbl(v, key); };
   }
-  void flag(const std::string& key, bool* f) {
+  void field(const std::string& key, bool* f) {
     if (writing)
       out.emplace_back(key, *f ? "1" : "0");
     else
       in[key] = [f, key](const std::string& v) { *f = parse_flag(v, key); };
   }
   /// A string value spanning the rest of the line; "" serialized as "-".
-  void str(const std::string& key, std::string* f) {
+  void field(const std::string& key, std::string* f) {
     if (writing)
       out.emplace_back(key, f->empty() ? "-" : *f);
     else
@@ -119,67 +111,30 @@ struct FieldTable {
   }
 
   void bind(Checkpoint& c) {
-    str("phase", &c.phase);
-    u64("cursor", &c.cursor);
-    u64("steps", &c.steps);
-    u64("drat-certs", &c.drat_certs);
+    field("phase", &c.phase);
+    field("cursor", &c.cursor);
+    field("steps", &c.steps);
+    field("drat-certs", &c.drat_certs);
     hex("net-digest", &c.net_digest);
-    str("rng", &c.rng_state);
-
-    KmsStats& k = c.stats;
-    sz("kms.iterations", &k.iterations);
-    sz("kms.duplicated_gates", &k.duplicated_gates);
-    sz("kms.constants_set", &k.constants_set);
-    sz("kms.redundancies_removed", &k.redundancies_removed);
-    sz("kms.sensitization_queries", &k.sensitization_queries);
-    sz("kms.decomposed_complex", &k.decomposed_complex);
-    flag("kms.path_cap_hit", &k.path_cap_hit);
-    flag("kms.iteration_cap_hit", &k.iteration_cap_hit);
-    sz("kms.unknown_queries", &k.unknown_queries);
-    flag("kms.deadline_hit", &k.deadline_hit);
-    flag("kms.budget_exhausted", &k.budget_exhausted);
-    flag("kms.interrupted", &k.interrupted);
-    flag("kms.degraded", &k.degraded);
-    sz("kms.initial_gates", &k.initial_gates);
-    sz("kms.final_gates", &k.final_gates);
-    dbl("kms.initial_topo_delay", &k.initial_topo_delay);
-    dbl("kms.final_topo_delay", &k.final_topo_delay);
-    dbl("kms.initial_computed_delay", &k.initial_computed_delay);
-    dbl("kms.final_computed_delay", &k.final_computed_delay);
-    flag("kms.initial_computed_exact", &k.initial_computed_exact);
-    flag("kms.final_computed_exact", &k.final_computed_exact);
-    sz("kms.initial_max_fanout", &k.initial_max_fanout);
-    sz("kms.final_max_fanout", &k.final_max_fanout);
-    sz("kms.sta_applies", &k.sta_applies);
-    sz("kms.sta_rebuilds", &k.sta_rebuilds);
-    sz("kms.sta_gates_repaired", &k.sta_gates_repaired);
-    sz("kms.sta_full_visits", &k.sta_full_visits);
-    sz("kms.sta_enum_reseeds", &k.sta_enum_reseeds);
-    sz("kms.sta_enum_seed_visits", &k.sta_enum_seed_visits);
-    str("kms.loop_exit", &k.loop_exit);
-
-    RedundancyRemovalResult& r = k.removal;
-    sz("rm.removed", &r.removed);
-    sz("rm.passes", &r.passes);
-    sz("rm.unknown_queries", &r.unknown_queries);
-    flag("rm.aborted", &r.aborted);
-    sz("rm.sim_dropped", &r.sim_dropped);
-    sz("rm.witness_dropped", &r.witness_dropped);
-    sz("rm.cache_hits", &r.cache_hits);
-    sz("rm.cache_invalidated", &r.cache_invalidated);
-    dbl("rm.sim_seconds", &r.sim_seconds);
-    dbl("rm.sat_seconds", &r.sat_seconds);
-
-    AtpgStats& a = r.atpg;
-    u64("atpg.queries", &a.queries);
-    u64("atpg.testable", &a.testable);
-    u64("atpg.untestable", &a.untestable);
-    u64("atpg.unknown_queries", &a.unknown_queries);
-    u64("atpg.sat_conflicts", &a.sat_conflicts);
-    u64("atpg.sat_solves", &a.sat_solves);
-    u64("atpg.structural_shortcuts", &a.structural_shortcuts);
-    u64("atpg.cone_gates_encoded", &a.cone_gates_encoded);
-    u64("atpg.max_cone_gates", &a.max_cone_gates);
+    field("rng", &c.rng_state);
+    // Every counter of the three groups, keyed <group>.<member>.
+#define KMS_BIND(member, ...) field(group + #member, &counters.member);
+    {
+      const std::string group = "kms.";
+      KmsStats& counters = c.stats;
+      KMS_LOOP_COUNTERS(KMS_BIND)
+    }
+    {
+      const std::string group = "rm.";
+      RedundancyRemovalResult& counters = c.stats.removal;
+      KMS_REMOVAL_COUNTERS(KMS_BIND)
+    }
+    {
+      const std::string group = "atpg.";
+      AtpgStats& counters = c.stats.removal.atpg;
+      KMS_ATPG_COUNTERS(KMS_BIND)
+    }
+#undef KMS_BIND
   }
 };
 

@@ -456,10 +456,7 @@ void DurableSession::append_checkpoint(const CommitPoint& point) {
     // Removal-phase commits carry only the removal result; compose it
     // with the stats snapshot from the phase boundary.
     c.stats = last_kms_;
-    if (point.removal != nullptr) {
-      c.stats.removal = *point.removal;
-      c.stats.redundancies_removed = point.removal->removed;
-    }
+    if (point.removal != nullptr) c.stats.removal = *point.removal;
   }
   wal_.append(std::string(kCkptTag) + write_checkpoint(c));
   commits_since_ckpt_ = 0;

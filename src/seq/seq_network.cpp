@@ -57,7 +57,7 @@ SeqKmsResult kms_on_sequential(SeqNetwork& seq, SensitizationMode mode) {
   opts.mode = mode;
   const KmsStats stats = kms_make_irredundant(seq.comb(), opts);
   result.redundancies_removed =
-      stats.constants_set + stats.redundancies_removed;
+      stats.constants_set + stats.removal.removed;
   result.cycle_after = seq.cycle_time(mode);
   return result;
 }

@@ -49,6 +49,20 @@ void check_schema(const Json& doc, const char* what, const char* want) {
                    "\")");
 }
 
+// Typed JSON value writers and readers for the report's field tables.
+void append_value(std::string* out, const std::string& v) {
+  json_append_quoted(out, v);
+}
+void append_value(std::string* out, std::uint64_t v) {
+  *out += std::to_string(v);
+}
+void append_value(std::string* out, double v) { *out += json_double(v); }
+void append_value(std::string* out, bool v) { *out += v ? "true" : "false"; }
+void read_value(const Json& v, std::string* f) { *f = v.as_string(); }
+void read_value(const Json& v, std::uint64_t* f) { *f = v.as_u64(); }
+void read_value(const Json& v, double* f) { *f = v.as_double(); }
+void read_value(const Json& v, bool* f) { *f = v.as_bool(); }
+
 }  // namespace
 
 const char* job_kind_name(JobKind kind) {
@@ -187,25 +201,16 @@ std::string JobReport::to_json() const {
   json_append_quoted(&out, schema);
   append_key(&out, "exit_code", &first);
   out += std::to_string(exit_code);
-#define KMS_EMIT(name, dflt)        \
+#define KMS_EMIT(name, type, dflt)  \
   append_key(&out, #name, &first);  \
-  json_append_quoted(&out, name);
-  KMS_JOB_REPORT_STRING_FIELDS(KMS_EMIT)
+  append_value(&out, name);
+  KMS_JOB_REPORT_FIELDS(KMS_EMIT)
 #undef KMS_EMIT
-#define KMS_EMIT(name, dflt)        \
-  append_key(&out, #name, &first);  \
-  out += std::to_string(name);
-  KMS_JOB_REPORT_U64_FIELDS(KMS_EMIT)
-#undef KMS_EMIT
-#define KMS_EMIT(name, dflt)        \
-  append_key(&out, #name, &first);  \
-  out += json_double(name);
-  KMS_JOB_REPORT_F64_FIELDS(KMS_EMIT)
-#undef KMS_EMIT
-#define KMS_EMIT(name, dflt)        \
-  append_key(&out, #name, &first);  \
-  out += name ? "true" : "false";
-  KMS_JOB_REPORT_BOOL_FIELDS(KMS_EMIT)
+#define KMS_EMIT(member, type, rule, ...)                                   \
+  append_key(&out, KMS_COUNTER_STR(KMS_COUNTER_KEY(member, __VA_ARGS__)),  \
+             &first);                                                       \
+  append_value(&out, KMS_COUNTER_KEY(member, __VA_ARGS__));
+  KMS_JOB_REPORT_COUNTERS(KMS_EMIT)
 #undef KMS_EMIT
   append_key(&out, "diagnostics", &first);
   out.push_back('[');
@@ -242,34 +247,20 @@ JobReport parse_job_report(const std::string& json_text) {
         rep.diagnostics.push_back(item.as_string());
       return true;
     }
-#define KMS_READ_STR(name, dflt)  \
-  if (key == #name) {             \
-    rep.name = v.as_string();     \
-    return true;                  \
+#define KMS_READ(name, type, dflt) \
+  if (key == #name) {              \
+    read_value(v, &rep.name);      \
+    return true;                   \
   }
-    KMS_JOB_REPORT_STRING_FIELDS(KMS_READ_STR)
-#undef KMS_READ_STR
-#define KMS_READ_U64(name, dflt)  \
-  if (key == #name) {             \
-    rep.name = v.as_u64();        \
-    return true;                  \
+    KMS_JOB_REPORT_FIELDS(KMS_READ)
+#undef KMS_READ
+#define KMS_READ(member, type, rule, ...)                                  \
+  if (key == KMS_COUNTER_STR(KMS_COUNTER_KEY(member, __VA_ARGS__))) {     \
+    read_value(v, &rep.KMS_COUNTER_KEY(member, __VA_ARGS__));             \
+    return true;                                                           \
   }
-    KMS_JOB_REPORT_U64_FIELDS(KMS_READ_U64)
-#undef KMS_READ_U64
-#define KMS_READ_F64(name, dflt)  \
-  if (key == #name) {             \
-    rep.name = v.as_double();     \
-    return true;                  \
-  }
-    KMS_JOB_REPORT_F64_FIELDS(KMS_READ_F64)
-#undef KMS_READ_F64
-#define KMS_READ_BOOL(name, dflt) \
-  if (key == #name) {             \
-    rep.name = v.as_bool();       \
-    return true;                  \
-  }
-    KMS_JOB_REPORT_BOOL_FIELDS(KMS_READ_BOOL)
-#undef KMS_READ_BOOL
+    KMS_JOB_REPORT_COUNTERS(KMS_READ)
+#undef KMS_READ
     return false;
   });
   return rep;

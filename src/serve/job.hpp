@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "src/core/counters.hpp"
+
 namespace kms::serve {
 
 inline constexpr const char* kJobSchemaV1 = "kms-job-v1";
@@ -111,71 +113,51 @@ struct JobSpec {
 /// execution (run_job).
 JobSpec parse_job_spec(const std::string& json_text);
 
-// JobReport field tables. The counters mirror KmsStats /
-// RedundancyRemovalResult / AtpgStats / GovernorReport so a report
-// carries the whole observability surface of the run it describes.
-#define KMS_JOB_REPORT_STRING_FIELDS(X)                                     \
-  X(kind, "")            /* job_kind_name of the spec                  */   \
-  X(verdict, "")         /* "ok" | "degraded" | "error" | "rejected"   */   \
-  X(error, "")           /* diagnostic when verdict is error/rejected  */   \
-  X(loop_exit, "")       /* KmsStats::loop_exit                        */   \
-  X(text, "")            /* formatted report body (stdout payload)     */   \
-  X(output_blif, "")     /* result netlist (irr, when want_output)     */
+// JobReport fields. The run's counters come from the one counter table
+// (src/core/counters.hpp), under their report keys; the fields below are
+// the report's own: identity, verdict, digests, the governor's charged
+// budgets, the certification, audit, lint and daemon results.
+#define KMS_JOB_REPORT_FIELDS(X)                                            \
+  X(kind, std::string, "")        /* job_kind_name of the spec          */ \
+  X(verdict, std::string, "")     /* "ok"|"degraded"|"error"|"rejected" */ \
+  X(error, std::string, "")       /* diagnostic when error/rejected     */ \
+  X(text, std::string, "")        /* formatted report body (stdout)     */ \
+  X(output_blif, std::string, "") /* result netlist (irr, want_output)  */ \
+  /* FNV-1a over BLIF bytes */                                              \
+  X(input_digest, std::uint64_t, 0) X(output_digest, std::uint64_t, 0)      \
+  X(gov_queries, std::uint64_t, 0) X(gov_unknown, std::uint64_t, 0)         \
+  X(gov_conflicts, std::uint64_t, 0) X(gov_propagations, std::uint64_t, 0)  \
+  /* always 0 (no static pre-pass); e2ebench/driver.cpp reads it */         \
+  X(removal_static_discharged, std::uint64_t, 0)                            \
+  X(steps_checked, std::uint64_t, 0)                                        \
+  X(certificates_checked, std::uint64_t, 0)                                 \
+  X(deletions_verified, std::uint64_t, 0)                                   \
+  X(audit_faults, std::uint64_t, 0) X(audit_redundant, std::uint64_t, 0)    \
+  X(audit_unknown, std::uint64_t, 0)                                        \
+  X(audit_sat_conflicts, std::uint64_t, 0)                                  \
+  X(lint_errors, std::uint64_t, 0) X(lint_findings, std::uint64_t, 0)       \
+  X(daemon_served, std::uint64_t, 0) X(daemon_cache_hits, std::uint64_t, 0) \
+  X(daemon_cache_entries, std::uint64_t, 0)                                 \
+  X(daemon_rejected, std::uint64_t, 0) X(daemon_queued, std::uint64_t, 0)   \
+  X(daemon_running, std::uint64_t, 0)                                       \
+  X(wall_seconds, double, 0.0)                                              \
+  X(cache_hit, bool, false)       /* served from the daemon's cache     */ \
+  X(certified, bool, false) X(certify_partial, bool, false)
 
-#define KMS_JOB_REPORT_U64_FIELDS(X)                                        \
-  X(input_digest, 0) X(output_digest, 0) /* FNV-1a over BLIF bytes */       \
-  X(unknown_queries, 0)                                                     \
-  X(gov_queries, 0) X(gov_unknown, 0) X(gov_conflicts, 0)                   \
-  X(gov_propagations, 0)                                                    \
-  X(iterations, 0) X(duplicated_gates, 0) X(constants_set, 0)               \
-  X(redundancies_removed, 0)                                                \
-  X(initial_gates, 0) X(final_gates, 0)                                     \
-  X(initial_max_fanout, 0) X(final_max_fanout, 0)                           \
-  X(removal_passes, 0) X(removal_sat_queries, 0)                            \
-  X(removal_structural_shortcuts, 0)                                        \
-  /* always 0 (no static pre-pass); e2ebench/driver.cpp reads it */          \
-  X(removal_static_discharged, 0)                                           \
-  X(removal_sim_dropped, 0) X(removal_witness_dropped, 0)                   \
-  X(removal_cache_hits, 0) X(removal_cache_invalidated, 0)                  \
-  X(removal_cone_gates, 0) X(removal_max_cone_gates, 0)                     \
-  X(sta_applies, 0) X(sta_rebuilds, 0) X(sta_gates_repaired, 0)             \
-  X(sta_full_visits, 0)                                                     \
-  X(steps_checked, 0) X(certificates_checked, 0) X(deletions_verified, 0)   \
-  X(audit_faults, 0) X(audit_redundant, 0) X(audit_unknown, 0)              \
-  X(audit_sat_conflicts, 0)                                                 \
-  X(lint_errors, 0) X(lint_findings, 0)                                     \
-  X(daemon_served, 0) X(daemon_cache_hits, 0) X(daemon_cache_entries, 0)    \
-  X(daemon_rejected, 0) X(daemon_queued, 0) X(daemon_running, 0)
-
-#define KMS_JOB_REPORT_F64_FIELDS(X)                                        \
-  X(initial_topo_delay, 0.0) X(final_topo_delay, 0.0)                       \
-  X(initial_computed_delay, 0.0) X(final_computed_delay, 0.0)               \
-  X(removal_sim_seconds, 0.0) X(removal_sat_seconds, 0.0)                   \
-  X(wall_seconds, 0.0)
-
-#define KMS_JOB_REPORT_BOOL_FIELDS(X)                                       \
-  X(cache_hit, false)    /* served from the daemon's digest cache      */   \
-  X(degraded, false) X(deadline_hit, false) X(budget_exhausted, false)      \
-  X(interrupted, false)                                                     \
-  X(certified, false) X(certify_partial, false)                            \
-  /* false: that computed delay is the topological upper bound */          \
-  X(initial_computed_exact, true) X(final_computed_exact, true)
+/// Every counter of the run, as KMS_COUNTER_KEY(member, ...) report keys.
+#define KMS_JOB_REPORT_COUNTERS(X) \
+  KMS_LOOP_COUNTERS(X) KMS_REMOVAL_COUNTERS(X) KMS_ATPG_COUNTERS(X)
 
 struct JobReport {
   std::string schema = kReportSchemaV1;
   int exit_code = 0;  ///< the kmscli exit-code contract: 0/1/2/3
 
-#define KMS_DECL(name, dflt) std::string name = dflt;
-  KMS_JOB_REPORT_STRING_FIELDS(KMS_DECL)
+#define KMS_DECL(name, type, dflt) type name = dflt;
+  KMS_JOB_REPORT_FIELDS(KMS_DECL)
 #undef KMS_DECL
-#define KMS_DECL(name, dflt) std::uint64_t name = dflt;
-  KMS_JOB_REPORT_U64_FIELDS(KMS_DECL)
-#undef KMS_DECL
-#define KMS_DECL(name, dflt) double name = dflt;
-  KMS_JOB_REPORT_F64_FIELDS(KMS_DECL)
-#undef KMS_DECL
-#define KMS_DECL(name, dflt) bool name = dflt;
-  KMS_JOB_REPORT_BOOL_FIELDS(KMS_DECL)
+#define KMS_DECL(member, type, rule, ...) \
+  type KMS_COUNTER_KEY(member, __VA_ARGS__) = counter::rule::identity<type>();
+  KMS_JOB_REPORT_COUNTERS(KMS_DECL)
 #undef KMS_DECL
 
   /// Structured diagnostics: one entry per checker/lint finding or

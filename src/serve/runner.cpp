@@ -28,6 +28,28 @@
 #include "src/timing/sta.hpp"
 
 namespace kms::serve {
+
+// Copy a counter group, and the groups it nests, into the report, each
+// counter under its report key.
+#define KMS_FILL(member, type, rule, ...) \
+  rep->KMS_COUNTER_KEY(member, __VA_ARGS__) = counters.member;
+
+static void fill_counters(const AtpgStats& counters, JobReport* rep) {
+  KMS_ATPG_COUNTERS(KMS_FILL)
+}
+
+static void fill_counters(const RedundancyRemovalResult& counters,
+                          JobReport* rep) {
+  KMS_REMOVAL_COUNTERS(KMS_FILL)
+  fill_counters(counters.atpg, rep);
+}
+
+void fill_counters(const KmsStats& counters, JobReport* rep) {
+  KMS_LOOP_COUNTERS(KMS_FILL)
+  fill_counters(counters.removal, rep);
+}
+#undef KMS_FILL
+
 namespace {
 
 void appendf(std::string* out, const char* fmt, ...) {
@@ -284,49 +306,7 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
   rep->audit_redundant = redundant;
   rep->audit_unknown = unresolved;
   rep->audit_sat_conflicts = as.sat_conflicts;
-  rep->removal_sat_queries = as.sat_solves;
-  rep->removal_structural_shortcuts = as.structural_shortcuts;
-  rep->removal_cone_gates = as.cone_gates_encoded;
-  rep->removal_max_cone_gates = as.max_cone_gates;
-}
-
-void fill_kms_stats(const KmsStats& stats, JobReport* rep) {
-  rep->iterations = stats.iterations;
-  rep->duplicated_gates = stats.duplicated_gates;
-  rep->constants_set = stats.constants_set;
-  rep->redundancies_removed = stats.redundancies_removed;
-  rep->initial_gates = stats.initial_gates;
-  rep->final_gates = stats.final_gates;
-  rep->initial_max_fanout = stats.initial_max_fanout;
-  rep->final_max_fanout = stats.final_max_fanout;
-  rep->initial_topo_delay = stats.initial_topo_delay;
-  rep->final_topo_delay = stats.final_topo_delay;
-  rep->initial_computed_delay = stats.initial_computed_delay;
-  rep->final_computed_delay = stats.final_computed_delay;
-  rep->initial_computed_exact = stats.initial_computed_exact;
-  rep->final_computed_exact = stats.final_computed_exact;
-  rep->loop_exit = stats.loop_exit;
-  rep->unknown_queries = stats.unknown_queries;
-  rep->degraded = rep->degraded || stats.degraded;
-  rep->deadline_hit = rep->deadline_hit || stats.deadline_hit;
-  rep->budget_exhausted = rep->budget_exhausted || stats.budget_exhausted;
-  rep->interrupted = rep->interrupted || stats.interrupted;
-  const RedundancyRemovalResult& r = stats.removal;
-  rep->removal_passes = r.passes;
-  rep->removal_sat_queries = r.atpg.sat_solves;
-  rep->removal_structural_shortcuts = r.atpg.structural_shortcuts;
-  rep->removal_sim_dropped = r.sim_dropped;
-  rep->removal_witness_dropped = r.witness_dropped;
-  rep->removal_cache_hits = r.cache_hits;
-  rep->removal_cache_invalidated = r.cache_invalidated;
-  rep->removal_cone_gates = r.atpg.cone_gates_encoded;
-  rep->removal_max_cone_gates = r.atpg.max_cone_gates;
-  rep->removal_sim_seconds = r.sim_seconds;
-  rep->removal_sat_seconds = r.sat_seconds;
-  rep->sta_applies = stats.sta_applies;
-  rep->sta_rebuilds = stats.sta_rebuilds;
-  rep->sta_gates_repaired = stats.sta_gates_repaired;
-  rep->sta_full_visits = stats.sta_full_visits;
+  fill_counters(as, rep);
 }
 
 void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
@@ -403,7 +383,7 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
   if (dur) opts.context.sink = &*dur;
   const KmsStats stats = kms_make_irredundant(model.comb, opts);
   check_stage(spec, rep, model.comb, "kms_make_irredundant");
-  fill_kms_stats(stats, rep);
+  fill_counters(stats, rep);
   const std::string proof_output =
       proving ? write_blif_string(model.comb) : std::string();
   if (proving) {

@@ -18,11 +18,19 @@
 #include "src/base/governor.hpp"
 #include "src/serve/job.hpp"
 
+namespace kms {
+struct KmsStats;
+}  // namespace kms
+
 namespace kms::serve {
 
 /// Execute one job to completion. `governor` must outlive the call and
 /// should be fresh (limits are armed from the spec; a tripped governor
 /// degrades the run exactly like a CLI ^C).
 JobReport run_job(const JobSpec& spec, ResourceGovernor& governor);
+
+/// Copy every counter of a run (the three groups of
+/// src/core/counters.hpp) into the report, each under its report key.
+void fill_counters(const KmsStats& stats, JobReport* rep);
 
 }  // namespace kms::serve

@@ -78,6 +78,9 @@ class IncrementalSta {
   const std::vector<double>& suffix() const { return suffix_; }
   double delay() const { return delay_; }
   const Stats& stats() const { return stats_; }
+  /// Continue from `totals` (a resumed run's restored counters) instead
+  /// of this engine's own count so far.
+  void restore_stats(const Stats& totals) { stats_ = totals; }
   /// The repair heaps' topological key (see key_); audited by NL028.
   const std::vector<std::uint32_t>& topo_key() const { return key_; }
 

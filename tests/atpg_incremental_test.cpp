@@ -91,6 +91,20 @@ TEST(AtpgIncrementalTest, SatWitnessIsDetectedBySimulator) {
   }
 }
 
+/// Which of `faults` `words` sets of 64 random patterns detect, with
+/// fault dropping between words.
+std::vector<bool> random_detections(FaultSimulator& sim, const Network& net,
+                                    const std::vector<Fault>& faults,
+                                    std::size_t words, Rng& rng) {
+  std::vector<bool> detected(faults.size(), false);
+  std::vector<std::uint64_t> pi(net.inputs().size());
+  for (std::size_t w = 0; w < words; ++w) {
+    for (auto& x : pi) x = rng.next_u64();
+    sim.detect_new(faults, pi, detected);
+  }
+  return detected;
+}
+
 // ...and the other direction: every fault the random simulation detects
 // must be SAT-testable. A sim detection of an untestable fault would
 // mean the simulator and the encoder disagree on the fault semantics.
@@ -100,7 +114,7 @@ TEST(AtpgIncrementalTest, SimDetectedFaultIsSatTestable) {
     const auto faults = collapsed_faults(net);
     FaultSimulator sim(net);
     Rng rng(11);
-    const auto detected = sim.detect_random(faults, 4, rng);
+    const auto detected = random_detections(sim, net, faults, 4, rng);
     Atpg atpg(net);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       if (!detected[i]) continue;
@@ -160,26 +174,6 @@ TEST(AtpgIncrementalTest, IncrementalSavesQueriesOnCarrySkip) {
   EXPECT_GT(inc_r.cache_hits, 0u);
   EXPECT_GT(inc_r.witness_dropped, 0u);
   EXPECT_LT(inc_r.atpg.sat_solves, ref.sat_queries);
-}
-
-TEST(AtpgIncrementalTest, GovernedDetectRandomReportsPartialResult) {
-  Network net = carry_skip_adder(4, 2);
-  decompose_to_simple(net);
-  const auto faults = collapsed_faults(net);
-  FaultSimulator sim(net);
-  Rng rng(3);
-  std::size_t words_done = 123;
-  // Ungoverned: all requested words run.
-  const auto full = sim.detect_random(faults, 4, rng, nullptr, &words_done);
-  EXPECT_EQ(words_done, 4u);
-  EXPECT_NE(std::count(full.begin(), full.end(), true), 0);
-  // Exhausted governor: the simulation must stop before the first word
-  // and report it, returning the (empty) partial detection set.
-  ResourceGovernor gov;
-  gov.request_interrupt();
-  const auto part = sim.detect_random(faults, 4, rng, &gov, &words_done);
-  EXPECT_EQ(words_done, 0u);
-  EXPECT_EQ(std::count(part.begin(), part.end(), true), 0);
 }
 
 TEST(AtpgIncrementalTest, StructuralShortcutAccounting) {
@@ -300,7 +294,7 @@ TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
     const auto faults = collapsed_faults(net);
     FaultSimulator sim(net);
     Rng rng(17);
-    std::vector<bool> detected = sim.detect_random(faults, 8, rng);
+    std::vector<bool> detected = random_detections(sim, net, faults, 8, rng);
     Atpg atpg(net);
     for (const Fault& f : faults) {
       const TestResult t = atpg.generate_test(f);
@@ -395,11 +389,9 @@ TEST(AtpgIncrementalTest, RemovalOrdersStillConvergeIncrementally) {
 
 /// Every AtpgStats counter, for equality checks.
 std::vector<std::uint64_t> counters(const AtpgStats& s) {
-  return {s.queries,         s.testable,
-          s.untestable,      s.unknown_queries,
-          s.sat_conflicts,   s.sat_solves,
-          s.structural_shortcuts, s.cone_gates_encoded,
-          s.max_cone_gates};
+#define KMS_GET(member, ...) s.member,
+  return {KMS_ATPG_COUNTERS(KMS_GET)};
+#undef KMS_GET
 }
 
 std::string certificate_bytes(const TestResult& t) {

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -34,6 +35,7 @@
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
 #include "src/recover/session.hpp"
+#include "tests/counter_table.hpp"
 
 namespace kms {
 namespace {
@@ -275,12 +277,10 @@ TEST_F(CrashResumeTest, DoubleCrashStillConverges) {
   }
 }
 
-/// Loop-accounting equivalence: a resumed run's incremental-STA and
-/// enumerator-seed counters must equal the uninterrupted run's. Before
-/// the continuous sync, loop-phase checkpoints serialized zeros for the
-/// sta_* fields (they were only folded in at the very end) and a resume
-/// then double-counted the attach-time constructor rebuild on top of
-/// whatever the restored stats carried.
+/// Loop-accounting equivalence: every loop-group counter of a resumed
+/// run (src/core/counters.hpp) must equal the uninterrupted run's. The
+/// STA totals are the delicate ones: a resume must continue the restored
+/// totals, not count the attach-time constructor rebuild on top of them.
 TEST_F(CrashResumeTest, ResumedStaTotalsEqualUninterrupted) {
   const std::string source = carry_skip_source();
   dir_ = temp_dir("crash_resume_sta");
@@ -311,20 +311,68 @@ TEST_F(CrashResumeTest, ResumedStaTotalsEqualUninterrupted) {
     }
     ASSERT_FALSE(resumed.crashed);
     EXPECT_EQ(resumed.output, ref.output) << "kill point " << k;
-    EXPECT_EQ(resumed.stats.sta_applies, ref.stats.sta_applies) << k;
-    EXPECT_EQ(resumed.stats.sta_rebuilds, ref.stats.sta_rebuilds) << k;
-    EXPECT_EQ(resumed.stats.sta_gates_repaired, ref.stats.sta_gates_repaired)
-        << k;
-    EXPECT_EQ(resumed.stats.sta_full_visits, ref.stats.sta_full_visits) << k;
-    EXPECT_EQ(resumed.stats.sta_enum_reseeds, ref.stats.sta_enum_reseeds)
-        << k;
-    EXPECT_EQ(resumed.stats.sta_enum_seed_visits,
-              ref.stats.sta_enum_seed_visits)
-        << k;
-    EXPECT_EQ(resumed.stats.iterations, ref.stats.iterations) << k;
+    // Every loop-group counter. The removal group's work counters are
+    // left out: the run-wide witness store is not checkpointed, so a
+    // resumed removal phase may simulate and solve differently.
+    testing_counters::expect_loop_counters_equal(
+        resumed.stats, ref.stats, "kill point " + std::to_string(k));
     ++compared;
   }
   EXPECT_GT(compared, 0u) << "no kill point produced a resumable session";
+}
+
+/// Records the network and counters the engine announces at one loop
+/// commit, as a checkpoint would.
+class LoopSnapshotSink : public recover::CommitSink {
+ public:
+  explicit LoopSnapshotSink(std::uint64_t cursor) : cursor_(cursor) {}
+  void commit(const recover::CommitPoint& p) override { take(p); }
+  void checkpoint(const recover::CommitPoint& p) override { take(p); }
+
+  std::optional<Network> net;
+  KmsStats stats;
+
+ private:
+  void take(const recover::CommitPoint& p) {
+    if (net || p.kms == nullptr || std::string(p.phase) != "loop" ||
+        p.cursor != cursor_)
+      return;
+    net = *p.net;
+    stats = *p.kms;
+  }
+  std::uint64_t cursor_;
+};
+
+/// A durable session starts from BLIF, whose covers elaborate to simple
+/// gates, so its decomposed_complex is always 0. Resume the engine in
+/// process on a generated adder with XOR gates instead: continue from
+/// the network and counters of a loop commit, and every loop-group
+/// counter must equal the uninterrupted run's.
+TEST(LoopResumeTest, EveryLoopCounterEqualsUninterruptedOnComplexGates) {
+  const Network adder = carry_skip_adder(6, 3);
+  Network ref_net = adder;
+  const KmsStats ref = kms_make_irredundant(ref_net, KmsOptions{});
+  ASSERT_GT(ref.decomposed_complex, 0u);
+  ASSERT_GT(ref.iterations, 1u);
+  for (const std::uint64_t cursor : {std::uint64_t{0}, ref.iterations / 2}) {
+    Network net = adder;
+    LoopSnapshotSink sink(cursor);
+    KmsOptions opts;
+    opts.context.sink = &sink;
+    kms_make_irredundant(net, opts);
+    ASSERT_TRUE(sink.net.has_value()) << cursor;
+    KmsResumeState state;
+    state.phase = "loop";
+    state.cursor = cursor;
+    state.stats = sink.stats;
+    KmsOptions resume_opts;
+    resume_opts.resume = &state;
+    Network resumed = *sink.net;
+    const KmsStats got = kms_make_irredundant(resumed, resume_opts);
+    EXPECT_EQ(write_blif_string(resumed), write_blif_string(ref_net));
+    testing_counters::expect_loop_counters_equal(
+        got, ref, "cursor " + std::to_string(cursor));
+  }
 }
 
 /// Resume must reject a session whose source file was swapped out.

@@ -203,7 +203,7 @@ TEST(FaultInjectionTest, InjectedAbortNeverEmitsVacuousUnsatProof) {
   opts.context.session = &session;
   const RedundancyRemovalResult r = remove_redundancies(net, opts);
   EXPECT_EQ(r.removed, 0u);
-  EXPECT_GT(r.unknown_queries, 0u);
+  EXPECT_GT(r.atpg.unknown_queries, 0u);
   EXPECT_TRUE(session.certificates().empty());
   EXPECT_TRUE(session.journal.partial());
   ASSERT_FALSE(session.journal.steps().empty());
@@ -274,7 +274,7 @@ TEST(FaultInjectionTest, GovernorTripRightAfterUntestableProofStillRemoves) {
   const RedundancyRemovalResult r = run(gov, net, nullptr, session);
   EXPECT_TRUE(gov.report().budget_exhausted);
   EXPECT_TRUE(r.aborted);
-  EXPECT_EQ(r.unknown_queries, 0u);
+  EXPECT_EQ(r.atpg.unknown_queries, 0u);
   EXPECT_EQ(r.removed, 1u);
   const std::string output_blif = write_blif_string(net);
   EXPECT_EQ(output_blif, probe.blif());
@@ -369,7 +369,7 @@ TEST(FaultInjectionTest, UninjectedGovernorMatchesUngovernedResult) {
 
   EXPECT_FALSE(gs.degraded);
   EXPECT_EQ(gs.final_gates, ps.final_gates);
-  EXPECT_EQ(gs.redundancies_removed, ps.redundancies_removed);
+  EXPECT_EQ(gs.removal.removed, ps.removal.removed);
   EXPECT_EQ(gs.iterations, ps.iterations);
   EXPECT_TRUE(equivalent(governed, plain));
 }

@@ -240,78 +240,56 @@ TEST(FaultSimTest, ResetAfterEditsEqualsFresh) {
   }
 }
 
-// ---- reference oracle: detect_random without fault dropping -----------
-//
-// The multi-word loop detect_random replaced: every word is simulated
-// against the whole fault list and the masks ORed. Fault dropping must
-// not change the detections, the words simulated, or the rng draws.
+/// Which of `faults` `words` sets of 64 random patterns detect, with
+/// fault dropping between words: detect_new once per word.
+std::vector<bool> random_detections(FaultSimulator& sim,
+                                    const std::vector<Fault>& faults,
+                                    std::size_t words, Rng& rng,
+                                    std::size_t inputs) {
+  std::vector<bool> detected(faults.size(), false);
+  std::vector<std::uint64_t> pi(inputs);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (auto& x : pi) x = rng.next_u64();
+    sim.detect_new(faults, pi, detected);
+  }
+  return detected;
+}
 
-std::vector<bool> reference_detect_random(const Network& net,
-                                          const std::vector<Fault>& faults,
-                                          std::size_t words, Rng& rng,
-                                          ResourceGovernor* governor,
-                                          std::size_t* words_done) {
+// ---- reference oracle: the multi-word loop without fault dropping ------
+//
+// Every word is simulated against the whole fault list and the masks
+// ORed. Fault dropping must not change the detections or the rng draws.
+
+std::vector<bool> reference_random_detections(const Network& net,
+                                              const std::vector<Fault>& faults,
+                                              std::size_t words, Rng& rng) {
   FaultSimulator sim(net);
   std::vector<bool> detected(faults.size(), false);
   std::vector<std::uint64_t> pi(net.inputs().size());
-  std::size_t done = 0;
-  for (; done < words; ++done) {
-    if (governor && governor->should_stop()) break;
+  for (std::size_t w = 0; w < words; ++w) {
     for (auto& x : pi) x = rng.next_u64();
     const auto masks = sim.detect_words(faults, pi);
     for (std::size_t i = 0; i < faults.size(); ++i)
       if (masks[i] != 0) detected[i] = true;
   }
-  *words_done = done;
   return detected;
 }
 
-/// Arm `gov` so that should_stop() first returns true at its (k+1)-th
-/// poll from now, k < 16. The deadline probe reads the clock on the
-/// first poll and on every 16th after: prime 16 - k polls against a far
-/// deadline, then move the deadline into the past. The callers check
-/// words_done, so a change to the probe schedule fails loudly.
-void stop_after_polls(ResourceGovernor& gov, unsigned k) {
-  gov.set_time_limit(3600.0);
-  for (unsigned p = 0; p < 16 - k; ++p) ASSERT_FALSE(gov.should_stop());
-  gov.set_time_limit(1e-9);
-}
-
-TEST(FaultSimTest, DetectRandomDroppingMatchesFullListReference) {
+TEST(FaultSimTest, DetectNewDroppingMatchesFullListReference) {
   std::uint64_t seed = 7;
   for (const Network& net : test_networks()) {
     const std::vector<Fault> faults = every_site_fault(net);
     FaultSimulator sim(net);  // reused across calls: stale state would show
     for (const std::size_t words : {1, 3, 8}) {
-      // -1: no governor; otherwise stop after that many words.
-      for (const int stop : {-1, 0, 1, 2, 5}) {
-        SCOPED_TRACE(net.name() + " words=" + std::to_string(words) +
-                     " stop=" + std::to_string(stop));
-        Rng got_rng(seed), want_rng(seed);
-        ++seed;
-        ResourceGovernor got_gov, want_gov;
-        ResourceGovernor* got_gp = nullptr;
-        ResourceGovernor* want_gp = nullptr;
-        if (stop >= 0) {
-          stop_after_polls(got_gov, static_cast<unsigned>(stop));
-          stop_after_polls(want_gov, static_cast<unsigned>(stop));
-          got_gp = &got_gov;
-          want_gp = &want_gov;
-        }
-        std::size_t got_done = 123, want_done = 456;
-        const auto got =
-            sim.detect_random(faults, words, got_rng, got_gp, &got_done);
-        const auto want = reference_detect_random(net, faults, words,
-                                                  want_rng, want_gp,
-                                                  &want_done);
-        const std::size_t expect_done =
-            stop < 0 ? words
-                     : std::min(words, static_cast<std::size_t>(stop));
-        EXPECT_EQ(want_done, expect_done);
-        EXPECT_EQ(got_done, want_done);
-        EXPECT_EQ(got, want);
-        EXPECT_EQ(got_rng.save_state(), want_rng.save_state());
-      }
+      SCOPED_TRACE(net.name() + " words=" + std::to_string(words));
+      Rng got_rng(seed), want_rng(seed);
+      ++seed;
+      const auto got = random_detections(sim, faults, words, got_rng,
+                                         net.inputs().size());
+      const auto want =
+          reference_random_detections(net, faults, words, want_rng);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(got_rng.save_state(), want_rng.save_state());
     }
   }
 }
@@ -376,7 +354,8 @@ TEST(FaultSimTest, DetectsEasyFaultsQuickly) {
   const auto faults = collapsed_faults(net);
   FaultSimulator sim(net);
   Rng rng(5);
-  const auto detected = sim.detect_random(faults, 16, rng);
+  const auto detected =
+      random_detections(sim, faults, 16, rng, net.inputs().size());
   std::size_t count = 0;
   for (bool d : detected)
     if (d) ++count;
@@ -391,7 +370,8 @@ TEST(FaultSimTest, NeverDetectsRedundantFaults) {
   Atpg atpg(net);
   FaultSimulator sim(net);
   Rng rng(6);
-  const auto detected = sim.detect_random(faults, 32, rng);
+  const auto detected =
+      random_detections(sim, faults, 32, rng, net.inputs().size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (detected[i])
       EXPECT_TRUE(atpg.is_testable(faults[i]))

@@ -66,7 +66,7 @@ TEST(KmsTest, RippleAdderUnchangedDelay) {
   KmsOptions opts;
   const KmsStats stats = kms_make_irredundant(net, opts);
   EXPECT_EQ(stats.constants_set, 0u);
-  EXPECT_EQ(stats.redundancies_removed, 0u);
+  EXPECT_EQ(stats.removal.removed, 0u);
   EXPECT_DOUBLE_EQ(stats.final_topo_delay, stats.initial_topo_delay);
 }
 

@@ -264,7 +264,7 @@ TEST(ParallelRemovalTest, StatsMergeMatchesSequentialTotals) {
     EXPECT_EQ(r.atpg.queries, r.atpg.testable + r.atpg.untestable +
                                   r.atpg.unknown_queries)
         << "jobs=" << jobs;
-    EXPECT_EQ(r.unknown_queries, 0u) << "jobs=" << jobs;
+    EXPECT_EQ(r.atpg.unknown_queries, 0u) << "jobs=" << jobs;
     EXPECT_GT(r.removed, 0u);
   }
 }
@@ -294,7 +294,7 @@ TEST(ParallelRemovalTest, GovernorInterruptUnderParallelismStaysSound) {
       // completed and had no per-query aborts: an injected kUnknown
       // conservatively keeps the fault, so a degraded-but-not-stopped
       // run may leave redundancies behind (never remove them wrongly).
-      if (!r.aborted && r.unknown_queries == 0) {
+      if (!r.aborted && r.atpg.unknown_queries == 0) {
         EXPECT_EQ(count_redundancies(net), 0u)
             << "jobs=" << jobs << " abort_after=" << abort_after;
       }

@@ -309,7 +309,7 @@ CertifiedRun certified_consensus_run() {
 
 TEST(VerifySessionTest, CertifiedKmsRunVerifies) {
   CertifiedRun run = certified_consensus_run();
-  ASSERT_GT(run.stats.redundancies_removed, 0u);
+  ASSERT_GT(run.stats.removal.removed, 0u);
   const VerifyReport rep =
       verify_session(run.session, run.input, run.output);
   EXPECT_TRUE(rep.ok) << rep.error;

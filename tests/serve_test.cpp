@@ -16,10 +16,12 @@
 
 #include "src/base/governor.hpp"
 #include "src/proof/journal.hpp"
+#include "src/recover/checkpoint.hpp"
 #include "src/serve/cache.hpp"
 #include "src/serve/job.hpp"
 #include "src/serve/json.hpp"
 #include "src/serve/runner.hpp"
+#include "tests/counter_table.hpp"
 
 namespace {
 
@@ -102,21 +104,22 @@ JobSpec fuzz_spec(std::mt19937_64* rng) {
   return spec;
 }
 
+void fuzz_value(std::mt19937_64* rng, std::string* v) { *v = fuzz_string(rng); }
+void fuzz_value(std::mt19937_64* rng, std::uint64_t* v) { *v = (*rng)(); }
+void fuzz_value(std::mt19937_64* rng, double* v) {
+  *v = std::uniform_real_distribution<double>(-1e9, 1e9)(*rng);
+}
+void fuzz_value(std::mt19937_64* rng, bool* v) { *v = ((*rng)() & 1) != 0; }
+
 JobReport fuzz_report(std::mt19937_64* rng) {
   JobReport rep;
   rep.exit_code = static_cast<int>((*rng)() % 4);
-#define KMS_FUZZ(name, dflt) rep.name = fuzz_string(rng);
-  KMS_JOB_REPORT_STRING_FIELDS(KMS_FUZZ)
+#define KMS_FUZZ(name, type, dflt) fuzz_value(rng, &rep.name);
+  KMS_JOB_REPORT_FIELDS(KMS_FUZZ)
 #undef KMS_FUZZ
-#define KMS_FUZZ(name, dflt) rep.name = (*rng)();
-  KMS_JOB_REPORT_U64_FIELDS(KMS_FUZZ)
-#undef KMS_FUZZ
-#define KMS_FUZZ(name, dflt) \
-  rep.name = std::uniform_real_distribution<double>(-1e9, 1e9)(*rng);
-  KMS_JOB_REPORT_F64_FIELDS(KMS_FUZZ)
-#undef KMS_FUZZ
-#define KMS_FUZZ(name, dflt) rep.name = ((*rng)() & 1) != 0;
-  KMS_JOB_REPORT_BOOL_FIELDS(KMS_FUZZ)
+#define KMS_FUZZ(member, type, rule, ...) \
+  fuzz_value(rng, &rep.KMS_COUNTER_KEY(member, __VA_ARGS__));
+  KMS_JOB_REPORT_COUNTERS(KMS_FUZZ)
 #undef KMS_FUZZ
   const int diags = static_cast<int>((*rng)() % 4);
   for (int i = 0; i < diags; ++i)
@@ -148,6 +151,38 @@ TEST(JobReportTest, EveryFieldSurvivesTheRoundTripFuzzed) {
     ASSERT_EQ(back, rep) << rep.to_json();
     ASSERT_EQ(back.to_json(), rep.to_json());
   }
+}
+
+// Every counter of the table, set to a distinct non-default value,
+// survives a checkpoint, the copy into a JobReport and the report's JSON
+// round trip, under its report key.
+TEST(JobReportTest, EveryCounterSurvivesCheckpointReportAndJson) {
+  recover::Checkpoint c;
+  c.phase = "removal";
+  c.stats = testing_counters::distinct_counters();
+  const KmsStats restored =
+      recover::read_checkpoint(recover::write_checkpoint(c)).stats;
+  testing_counters::expect_counters_equal(restored, c.stats, "checkpoint");
+  JobReport rep;
+  fill_counters(restored, &rep);
+  const JobReport back = parse_job_report(rep.to_json());
+  EXPECT_EQ(back, rep);
+#define KMS_EXPECT_KEY(member, type, rule, ...)                        \
+  EXPECT_EQ(back.KMS_COUNTER_KEY(member, __VA_ARGS__), counters.member) \
+      << KMS_COUNTER_STR(KMS_COUNTER_KEY(member, __VA_ARGS__));
+  {
+    const KmsStats& counters = c.stats;
+    KMS_LOOP_COUNTERS(KMS_EXPECT_KEY)
+  }
+  {
+    const RedundancyRemovalResult& counters = c.stats.removal;
+    KMS_REMOVAL_COUNTERS(KMS_EXPECT_KEY)
+  }
+  {
+    const AtpgStats& counters = c.stats.removal.atpg;
+    KMS_ATPG_COUNTERS(KMS_EXPECT_KEY)
+  }
+#undef KMS_EXPECT_KEY
 }
 
 TEST(JobSpecTest, AllKindNamesRoundTrip) {

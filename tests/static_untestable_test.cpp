@@ -225,7 +225,7 @@ TEST(StaticUntestableTest, StatredCertifiedRunProvesEveryRemovalWithSat) {
   const std::string output = write_blif_string(net);
   session.journal.set_output_digest(proof::digest_bytes(output));
 
-  EXPECT_EQ(stats.redundancies_removed, 8u);
+  EXPECT_EQ(stats.removal.removed, 8u);
   EXPECT_EQ(count_steps(session, JournalStep::Kind::kFaultUntestable), 8u);
   EXPECT_EQ(count_steps(session, JournalStep::Kind::kDelete), 8u);
   EXPECT_EQ(session.certificates().size(), 8u);

@@ -17,6 +17,7 @@
 #include "src/recover/checkpoint.hpp"
 #include "src/recover/session.hpp"
 #include "src/recover/wal.hpp"
+#include "tests/counter_table.hpp"
 
 namespace kms::recover {
 namespace {
@@ -248,23 +249,7 @@ Checkpoint sample_checkpoint() {
   c.rng_state = "0123456789abcdef:fedcba9876543210:0000000000000001:"
                 "00000000000000ff";
   c.cache_state = "000000000000002a:0000001f\n00000000000000ff:00000003\n";
-  c.stats.iterations = 3;
-  c.stats.duplicated_gates = 11;
-  c.stats.constants_set = 3;
-  c.stats.redundancies_removed = 9;
-  c.stats.sensitization_queries = 17;
-  c.stats.unknown_queries = 1;
-  c.stats.degraded = true;
-  c.stats.initial_computed_delay = 12.342345678901234;
-  c.stats.final_computed_delay = 8.0000000000000071;
-  c.stats.removal.removed = 9;
-  c.stats.removal.passes = 7;
-  c.stats.removal.sim_seconds = 0.25;
-  c.stats.removal.sat_seconds = 1.5e-3;
-  c.stats.removal.atpg.queries = 321;
-  c.stats.removal.atpg.sat_solves = 123;
-  c.stats.removal.atpg.sat_conflicts = 999;
-  c.stats.removal.atpg.max_cone_gates = 64;
+  c.stats = testing_counters::distinct_counters();
   return c;
 }
 
@@ -276,15 +261,31 @@ TEST(CheckpointTest, RoundTripsExactly) {
   EXPECT_EQ(d.phase, c.phase);
   EXPECT_EQ(d.cursor, c.cursor);
   EXPECT_EQ(d.steps, c.steps);
+  EXPECT_EQ(d.drat_certs, c.drat_certs);
   EXPECT_EQ(d.net_digest, c.net_digest);
   EXPECT_EQ(d.rng_state, c.rng_state);
   EXPECT_EQ(d.cache_state, c.cache_state);
-  EXPECT_EQ(d.stats.removal.atpg.sat_conflicts, 999u);
-  EXPECT_EQ(d.stats.removal.atpg.sat_solves, 123u);
-  EXPECT_DOUBLE_EQ(d.stats.initial_computed_delay,
-                   c.stats.initial_computed_delay);
-  EXPECT_DOUBLE_EQ(d.stats.removal.sat_seconds, c.stats.removal.sat_seconds);
-  EXPECT_TRUE(d.stats.degraded);
+  testing_counters::expect_counters_equal(d.stats, c.stats, "checkpoint");
+}
+
+// Every counter of the table is one checkpoint key, kms.<member>,
+// rm.<member> or atpg.<member>.
+TEST(CheckpointTest, EveryCounterIsOneKey) {
+  const std::string text = write_checkpoint(sample_checkpoint());
+#define KMS_KEY(group, member) \
+  EXPECT_NE(text.find(std::string("\n") + group + #member + " "), \
+            std::string::npos)                                     \
+      << group #member;
+#define KMS_LOOP_KEY(member, ...) KMS_KEY("kms.", member)
+#define KMS_REMOVAL_KEY(member, ...) KMS_KEY("rm.", member)
+#define KMS_ATPG_KEY(member, ...) KMS_KEY("atpg.", member)
+  KMS_LOOP_COUNTERS(KMS_LOOP_KEY)
+  KMS_REMOVAL_COUNTERS(KMS_REMOVAL_KEY)
+  KMS_ATPG_COUNTERS(KMS_ATPG_KEY)
+#undef KMS_ATPG_KEY
+#undef KMS_REMOVAL_KEY
+#undef KMS_LOOP_KEY
+#undef KMS_KEY
 }
 
 TEST(CheckpointTest, RejectsTampering) {
@@ -332,6 +333,22 @@ TEST(CheckpointTest, RejectsRetiredStaticAndCounterCopyKeys) {
   for (const char* key :
        {"static-certs", "rm.sat_queries", "rm.structural_shortcuts",
         "rm.static_discharged", "atpg.static_discharged"}) {
+    EXPECT_EQ(text.find(std::string("\n") + key + " "), std::string::npos)
+        << key;
+    EXPECT_THROW(read_checkpoint(std::string(key) + " 0\n" + text),
+                 std::runtime_error)
+        << key;
+  }
+}
+
+// Checkpoints written while the loop stats kept a copy of the removal
+// count, a never-written path-cap flag, or the removal result a copy of
+// the ATPG unknown count carry keys no engine produces any more.
+TEST(CheckpointTest, RejectsDeletedCounterKeys) {
+  const std::string text = write_checkpoint(sample_checkpoint());
+  EXPECT_NO_THROW(read_checkpoint(text));
+  for (const char* key :
+       {"kms.redundancies_removed", "kms.path_cap_hit", "rm.unknown_queries"}) {
     EXPECT_EQ(text.find(std::string("\n") + key + " "), std::string::npos)
         << key;
     EXPECT_THROW(read_checkpoint(std::string(key) + " 0\n" + text),

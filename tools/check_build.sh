@@ -130,9 +130,11 @@ ctest --preset checked -L digest --output-on-failure
 echo "== bench smoke: bench_atpg --jobs 4 --quick (checked preset) =="
 "$BUILD_DIR/bench/bench_atpg" --jobs 4 --quick
 
-# Serving surface: the JobSpec/JobReport round-trip + run_job suite and
-# the kmsd end-to-end tests (real daemon, real socket: kmscli byte-
-# identity, cache hits, admission rejections, SIGTERM drain), then a
+# Serving surface: the JobSpec/JobReport round-trip + run_job suite,
+# the kmscli end-to-end tests (its stderr summary pinned byte for byte
+# against the JobReport it renders) and the kmsd end-to-end tests (real
+# daemon, real socket: kmscli byte-identity, cache hits, admission
+# rejections, SIGTERM drain), then a
 # load smoke — a few hundred mixed jobs from concurrent clients over
 # the socket of a freshly spawned checked-build kmsd. The validator
 # fails on schema violations, on any job without a terminal event, and
