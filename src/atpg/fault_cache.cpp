@@ -1,10 +1,5 @@
 #include "src/atpg/fault_cache.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <stdexcept>
-#include <utility>
-
 namespace kms {
 
 std::vector<bool> edit_region(const Network& net,
@@ -57,82 +52,22 @@ std::vector<bool> edit_region(const Network& net,
   return region;
 }
 
-std::size_t ShardedFaultCache::invalidate(const Network& net,
-                                          const TransformTrace& trace) {
-  if (trace.empty()) return 0;
-  bool empty = true;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (!s.map.empty()) {
-      empty = false;
-      break;
-    }
-  }
-  if (empty) return 0;
+std::size_t FaultCache::invalidate(const Network& net,
+                                  const TransformTrace& trace) {
+  if (trace.empty() || map_.empty()) return 0;
   const std::vector<bool> region = edit_region(net, trace);
   const std::uint32_t cap = net.gate_capacity();
   std::size_t killed = 0;
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    for (auto it = s.map.begin(); it != s.map.end();) {
-      const std::uint32_t src = it->second.value();
-      if (src < cap && region[src]) {
-        it = s.map.erase(it);
-        ++killed;
-      } else {
-        ++it;
-      }
+  for (auto it = map_.begin(); it != map_.end();) {
+    const std::uint32_t src = it->second.value();
+    if (src < cap && region[src]) {
+      it = map_.erase(it);
+      ++killed;
+    } else {
+      ++it;
     }
   }
   return killed;
-}
-
-std::string ShardedFaultCache::save_state() const {
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    for (const auto& [key, source] : s.map)
-      entries.emplace_back(key, source.value());
-  }
-  std::sort(entries.begin(), entries.end());
-  std::string out;
-  out.reserve(entries.size() * 26);
-  char line[64];
-  for (const auto& [key, source] : entries) {
-    std::snprintf(line, sizeof(line), "%016llx:%08x\n",
-                  static_cast<unsigned long long>(key), source);
-    out += line;
-  }
-  return out;
-}
-
-void ShardedFaultCache::load_state(const std::string& state) {
-  std::vector<std::pair<std::uint64_t, GateId>> entries;
-  std::size_t pos = 0;
-  while (pos < state.size()) {
-    std::size_t nl = state.find('\n', pos);
-    if (nl == std::string::npos) nl = state.size();
-    const std::string line = state.substr(pos, nl - pos);
-    unsigned long long key = 0;
-    unsigned source = 0;
-    char tail = '\0';
-    if (line.size() != 25 ||
-        std::sscanf(line.c_str(), "%16llx:%8x%c", &key, &source, &tail) != 2) {
-      throw std::runtime_error("ShardedFaultCache::load_state: bad line '" +
-                               line + "'");
-    }
-    entries.emplace_back(key, GateId(source));
-    pos = nl + 1;
-  }
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.map.clear();
-  }
-  for (const auto& [key, source] : entries) {
-    Shard& s = shard_of(key);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.map.emplace(key, source);
-  }
 }
 
 }  // namespace kms

@@ -61,7 +61,8 @@ std::vector<std::size_t> scan_order(std::size_t n, RemovalOrder order,
 /// kUndecided entries ever reach a solver.
 enum FaultState : std::uint8_t {
   kUndecided = 0,
-  kKnownTestable,     ///< cache hit or random-word pre-drop
+  kCachedTestable,    ///< cross-pass cache hit
+  kKnownTestable,     ///< random-word pre-drop
   kSatTestable,       ///< this pass's SAT model
   kWitnessTestable,   ///< detected by a stored SAT witness
   kProvedUntestable,  ///< exact UNSAT verdict (certificate if proving)
@@ -70,7 +71,8 @@ enum FaultState : std::uint8_t {
 
 /// One lane's speculative output for one fault, written only by the
 /// ticket's owner (the coordinator marks cache hits before the lanes
-/// start); the pool barrier publishes it to the coordinator.
+/// start); the pool barrier publishes it to the coordinator, which
+/// fills the cache from it.
 struct Speculation {
   std::uint8_t state = kUndecided;
   TestResult result;  ///< owner-written; meaningful once state is final
@@ -151,12 +153,12 @@ struct LaneReplay {
 std::vector<std::vector<std::uint64_t>> prepare_pass(
     const Network& net, const std::vector<Fault>& faults,
     const RedundancyRemovalOptions& opts, ResourceGovernor* gov,
-    const ShardedFaultCache& cache, Rng& rng, std::vector<Speculation>& spec,
+    const FaultCache& cache, Rng& rng, std::vector<Speculation>& spec,
     RedundancyRemovalResult& result) {
   bool pending = false;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (cache.contains(faults[i])) {
-      spec[i].state = kKnownTestable;
+      spec[i].state = kCachedTestable;
       ++result.cache_hits;
     } else {
       pending = true;
@@ -187,21 +189,19 @@ void journal_deletion(proof::ProofSession& session, const std::string& what,
 }
 
 /// Restore a committed pass-boundary state into the engine-local
-/// (result, rng, cache) triple. A cleared `aborted` lets the resumed run
-/// finish what the crashed one could not.
+/// (result, rng) pair. A cleared `aborted` lets the resumed run finish
+/// what the crashed one could not.
 void apply_resume(const RemovalResume& resume, RedundancyRemovalResult& result,
-                  Rng& rng, ShardedFaultCache& cache) {
+                  Rng& rng) {
   result = resume.base;
   result.aborted = false;
   if (!resume.rng_state.empty()) rng.load_state(resume.rng_state);
-  cache.load_state(resume.cache_state);
 }
 
 /// Announce one committed removal pass to the durability layer. Called
 /// only between passes (coordinator thread, no worker running), so the
-/// sink may serialize the cache and walk the network freely.
+/// sink may walk the network freely.
 void commit_pass(const RunContext& ctx, const Network& net, const Rng& rng,
-                 const ShardedFaultCache& cache,
                  const RedundancyRemovalResult& result) {
   if (ctx.sink == nullptr) return;
   recover::CommitPoint cp;
@@ -209,7 +209,6 @@ void commit_pass(const RunContext& ctx, const Network& net, const Rng& rng,
   cp.phase = "removal";
   cp.cursor = result.passes;
   cp.rng = &rng;
-  cp.cache = &cache;
   cp.removal = &result;
   ctx.sink->commit(cp);
 }
@@ -227,9 +226,9 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
   ResourceGovernor* const gov = ctx.governor;
   proof::ProofSession* const session = ctx.session;
   Rng rng(opts.seed);
-  ShardedFaultCache cache;  // persists across passes
-  WitnessStore store;       // persists across passes
-  if (opts.resume != nullptr) apply_resume(*opts.resume, result, rng, cache);
+  FaultCache cache;    // persists across passes; coordinator-only
+  WitnessStore store;  // persists across passes
+  if (opts.resume != nullptr) apply_resume(*opts.resume, result, rng);
   ThreadPool pool(jobs);
   // One simulator per lane for the whole run, reset at the lane's first
   // replay in a pass: its scratch is per thread, and a reset keeps the
@@ -300,7 +299,6 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
               s.state = kWitnessTestable;
               ++ws.witness_dropped;
             }
-            cache.insert(faults[i], fault_source(net, faults[i]));
             continue;
           }
         }
@@ -312,8 +310,8 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
         TestResult test = atpg.generate_test(faults[i]);
         ws.sat_seconds += Seconds(Clock::now() - t0).count();
         if (test.outcome == TestOutcome::kUnknown) {
-          // Aborted query: the fault might be testable; keep it (and
-          // never cache it — an abort is not a verdict).
+          // Aborted query: the fault might be testable; keep it (the
+          // barrier never caches it — an abort is not a verdict).
           s.state = kUnknownVerdict;
           continue;
         }
@@ -326,12 +324,11 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
             ;
           continue;
         }
-        // Testable: cache it, and let the model plus 63 random
-        // perturbations of it join the sets the lane's later tickets
-        // try (pattern 0 keeps the exact witness). The lane-local rng
-        // cannot change which fault commits.
+        // Testable: let the model plus 63 random perturbations of it
+        // join the sets the lane's later tickets try (pattern 0 keeps
+        // the exact witness). The lane-local rng cannot change which
+        // fault commits.
         s.state = kSatTestable;
-        cache.insert(faults[i], fault_source(net, faults[i]));
         if (test.vector && replay.size() < kMaxStoredSets)
           replay.own.push_back(witness_words(*test.vector, wrng));
         s.result = std::move(test);
@@ -343,10 +340,15 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     for (const RedundancyRemovalResult& lane : lane_stats) result.merge(lane);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = order[k];
-      // Every exact model of the pass joins the run-wide store.
-      if (spec[i].state == kSatTestable && spec[i].result.vector)
+      const std::uint8_t state = spec[i].state;
+      // Every new testable verdict of the pass joins the cache, and
+      // every exact model the run-wide store.
+      if (state == kKnownTestable || state == kWitnessTestable ||
+          state == kSatTestable)
+        cache.insert(faults[i], fault_source(net, faults[i]));
+      if (state == kSatTestable && spec[i].result.vector)
         store.add(*spec[i].result.vector);
-      if (session && spec[i].state == kUnknownVerdict)
+      if (session && state == kUnknownVerdict)
         session->journal.add_fault_unknown(format_fault(net, faults[i]));
     }
     // The scan-order-first untestable fault commits once every fault
@@ -387,7 +389,7 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     // Commit point: pass barrier passed, removal applied, journal
     // written — and no lane is running, so the sink sees quiescent
     // state (a checkpoint can never land mid-speculation).
-    commit_pass(ctx, net, rng, cache, result);
+    commit_pass(ctx, net, rng, result);
   }
   return result;
 }

@@ -24,7 +24,8 @@
 //     untestable fault, so faults behind it are never simulated;
 //  2. a cross-pass fault-status cache: testable verdicts (from SAT or
 //     a replay) persist across removal passes keyed by fault identity
-//     (GateId/ConnId are stable);
+//     (GateId/ConnId are stable). The coordinator fills it at each pass
+//     barrier; lanes never touch it;
 //  3. cone-scoped invalidation: a removal invalidates only cached
 //     verdicts whose fault region intersects the edited gates, which
 //     TransformTrace records (including severed old edges, so the
@@ -126,15 +127,15 @@ struct RedundancyRemovalResult {
 };
 
 /// Pass-boundary state of a crashed removal run, as restored by the
-/// resume path: the committed counters plus the serialized scan rng and
-/// cross-pass fault cache. The engine picks up at the next pass; since
-/// every skip the cache licenses is backed by positive testability
-/// evidence and the rng stream resumes exactly where it stopped, the
-/// continued run removes the identical fault sequence at any job count.
+/// resume path: the committed counters plus the serialized scan rng.
+/// The engine picks up at the next pass with an empty fault cache and
+/// witness store; since every skip they license is backed by positive
+/// testability evidence and the rng stream resumes exactly where it
+/// stopped, the continued run removes the identical fault sequence at
+/// any job count.
 struct RemovalResume {
   RedundancyRemovalResult base;  ///< counters as of the committed pass
   std::string rng_state;         ///< Rng::save_state() at the boundary
-  std::string cache_state;       ///< ShardedFaultCache::save_state()
 };
 
 /// Remove every single stuck-at redundancy from `net` (in first-found

@@ -29,7 +29,6 @@ namespace kms {
 
 class ResourceGovernor;
 class Rng;
-class ShardedFaultCache;
 class Network;
 struct KmsStats;
 struct RedundancyRemovalResult;
@@ -50,11 +49,10 @@ struct CommitPoint {
   const Network* net = nullptr;
   const char* phase = "";     ///< "loop" | "removal"
   std::uint64_t cursor = 0;   ///< loop iterations done | removal passes done
-  /// Removal-phase scan rng and cross-pass fault cache; null in the
-  /// loop phase (which draws no randomness and caches nothing). The
-  /// sink serializes them only when it actually takes a checkpoint.
+  /// Removal-phase scan rng; null in the loop phase (which draws no
+  /// randomness). The sink serializes it only when it actually takes a
+  /// checkpoint.
   const Rng* rng = nullptr;
-  const ShardedFaultCache* cache = nullptr;
   const KmsStats* kms = nullptr;  ///< loop/boundary stats, if at that level
   const RedundancyRemovalResult* removal = nullptr;  ///< removal stats
 };

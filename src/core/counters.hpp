@@ -74,8 +74,6 @@ struct Set {
   X(constants_set, std::uint64_t, Sum)    /* first edges asserted constant */\
   /* SAT queries of the loop's path checks (Sensitizer::queries()) */        \
   X(sensitization_queries, std::uint64_t, Sum)                               \
-  /* complex gates expanded by decompose_to_simple */                        \
-  X(decomposed_complex, std::uint64_t, Sum)                                  \
   X(iteration_cap_hit, bool, Or)          /* loop stopped by max_iterations */\
   /* Why the loop stopped: "" while it runs (or for a run resumed past it  \
      before it recorded an exit), "sat" for the natural exit (some longest \

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "src/base/log.hpp"
 #include "src/check/checker.hpp"
@@ -15,6 +16,22 @@
 
 namespace kms {
 namespace {
+
+/// Section VI: the algorithm runs on simple gates only. Name the first
+/// XOR/XNOR/MUX instead of transforming around it.
+void require_simple_gates(const Network& net) {
+  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
+    const Gate& gt = net.gate(GateId(i));
+    if (gt.dead || (gt.kind != GateKind::kXor && gt.kind != GateKind::kXnor &&
+                    gt.kind != GateKind::kMux))
+      continue;
+    throw std::invalid_argument(
+        "kms_make_irredundant: complex gate " +
+        (gt.name.empty() ? "g" + std::to_string(i) : gt.name) + " (" +
+        std::string(gate_kind_name(gt.kind)) +
+        "); decompose_to_simple first");
+  }
+}
 
 std::size_t live_fanout(const Network& net, GateId g) {
   std::size_t n = 0;
@@ -131,24 +148,17 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     if (checking) enforce_invariants(net, phase);
   };
   checkpoint("kms:input");
+  require_simple_gates(net);
   proof::ProofSession* const session = ctx.session;
   const KmsResumeState* const res = opts.resume;
-  if (res != nullptr) {
-    // Resumed run: the caller already replayed the journal prefix onto
-    // `net` (decomposition included) and restored the committed
-    // counters; skip straight to where the crashed run left off. The
-    // initial delay/size columns were measured before the crash and
-    // travel in the restored stats.
-    stats = res->stats;
-  } else {
-    stats.decomposed_complex = decompose_to_simple(net);
-    checkpoint("kms:decompose_to_simple");
-    if (session && stats.decomposed_complex > 0)
-      session->journal.add_decompose(stats.decomposed_complex);
-  }
+  // Resumed run: the caller already replayed the journal prefix onto
+  // `net` and restored the committed counters; skip straight to where
+  // the crashed run left off. The initial delay/size columns were
+  // measured before the crash and travel in the restored stats.
+  if (res != nullptr) stats = res->stats;
 
-  // The loop's timing engine: constructed once after decomposition (or
-  // after the caller's replay, for resumed runs) and repaired in place
+  // The loop's timing engine: constructed once on the input (or after
+  // the caller's replay, for resumed runs) and repaired in place
   // per edit. Every timing consumer below — the initial/final delay
   // columns, PathEnumerator's completion bounds, the sensitizer's
   // viability arrivals — reads these tables.
@@ -194,7 +204,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     measure(&stats.initial_topo_delay, &stats.initial_computed_delay,
             &stats.initial_computed_exact);
     if (ctx.sink != nullptr) {
-      // First resumable state: decomposed, measured, zero iterations.
+      // First resumable state: measured, zero iterations.
       sync_sta();
       recover::CommitPoint cp;
       cp.net = &net;
@@ -335,7 +345,6 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     if (res != nullptr && res->phase == "removal" && res->cursor > 0) {
       rr.base = res->stats.removal;
       rr.rng_state = res->rng_state;
-      rr.cache_state = res->cache_state;
       removal.resume = &rr;
     }
     if (ctx.sink != nullptr &&

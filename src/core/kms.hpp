@@ -66,8 +66,8 @@ struct KmsOptions {
   ///    because Theorems 7.1/7.2 are per-iteration invariants), and an
   ///    undecided fault is kept, never removed. The result is always an
   ///    equivalent network.
-  ///  * session — every transformation (decomposition, duplication,
-  ///    constant assertion, removal) is journalled, and every UNSAT
+  ///  * session — every transformation (duplication, constant
+  ///    assertion, removal) is journalled, and every UNSAT
   ///    verdict that licenses one carries a DRAT certificate. A
   ///    degraded run finalizes the journal as partial. See src/proof/.
   ///  * check_invariants — run the netlist invariant checker
@@ -97,18 +97,19 @@ struct KmsStats {
 /// reconstructed by the resume path (src/recover/session.cpp): the
 /// caller has already replayed the journal prefix onto the network and
 /// hands the engine the restored counters plus the removal-phase rng
-/// and fault-cache state. The run continues from here and produces a
-/// final result bit-identical to the uninterrupted run.
+/// state. The run continues from here and produces a final result
+/// bit-identical to the uninterrupted run.
 struct KmsResumeState {
   std::string phase;         ///< "loop" | "removal"
   std::uint64_t cursor = 0;  ///< loop iterations done | removal passes done
   KmsStats stats;            ///< counters as of the checkpoint
-  std::string rng_state;   ///< removal scan rng (Rng::save_state); "" = fresh
-  std::string cache_state; ///< fault cache (ShardedFaultCache::save_state)
+  std::string rng_state;     ///< removal scan rng (Rng::save_state); "" = fresh
 };
 
 /// Make `net` fully single-stuck-at testable without increasing its
-/// computed delay. Complex gates are decomposed first (Section VI).
+/// computed delay. `net` must consist of simple gates (Section VI; see
+/// decompose_to_simple): throws std::invalid_argument naming the first
+/// XOR/XNOR/MUX gate otherwise.
 KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts = {});
 
 /// What one structural loop-iteration replay changed, for cross-checking

@@ -128,7 +128,10 @@ std::size_t decompose_to_simple(Network& net) {
           expand_xor2(net, g);
           ++expanded;
         } else {
+          // The chain's XORs are appended, so the loop expands them
+          // later; g itself is left a 2-input parity gate.
           chain_wide_parity(net, g);
+          expand_xor2(net, g);
           ++expanded;
         }
         break;

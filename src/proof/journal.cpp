@@ -16,7 +16,6 @@ struct KindName {
 };
 
 constexpr KindName kKindNames[] = {
-    {JournalStep::Kind::kDecompose, "decompose"},
     {JournalStep::Kind::kPathUnsens, "path-unsens"},
     {JournalStep::Kind::kPathGiveup, "path-giveup"},
     {JournalStep::Kind::kDuplicate, "duplicate"},
@@ -50,9 +49,6 @@ void TransformJournal::add(JournalStep step) {
   steps_.push_back(std::move(step));
 }
 
-void TransformJournal::add_decompose(std::uint64_t gates) {
-  add({JournalStep::Kind::kDecompose, -1, {}, gates});
-}
 void TransformJournal::add_path_unsens(std::string path, std::int64_t proof) {
   add({JournalStep::Kind::kPathUnsens, proof, std::move(path), 0});
 }

@@ -28,7 +28,6 @@ namespace kms::proof {
 
 struct JournalStep {
   enum class Kind : std::uint8_t {
-    kDecompose,        ///< complex gates expanded to simple ones
     kPathUnsens,       ///< longest path proven unsensitizable (proof id)
     kPathGiveup,       ///< loop exit: path sat ("sat") or aborted ("unknown")
     kDuplicate,        ///< path prefix duplicated (count = gates copied)
@@ -68,7 +67,6 @@ class TransformJournal {
   void add(JournalStep step);
 
   /// Convenience appenders used by the pipeline.
-  void add_decompose(std::uint64_t gates);
   void add_path_unsens(std::string path, std::int64_t proof);
   void add_path_giveup(std::string reason);
   void add_duplicate(std::uint64_t gates);

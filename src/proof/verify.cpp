@@ -74,8 +74,6 @@ VerifyReport verify_session(const ProofSession& session,
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const JournalStep& s = steps[i];
     switch (s.kind) {
-      case JournalStep::Kind::kDecompose:
-        break;
       case JournalStep::Kind::kPathUnsens:
         if (s.proof < 0) {
           rep.error = str_format(

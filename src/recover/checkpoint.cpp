@@ -146,9 +146,6 @@ std::string write_checkpoint(const Checkpoint& c) {
   t.bind(const_cast<Checkpoint&>(c));
   std::ostringstream out;
   for (const auto& [key, value] : t.out) out << key << ' ' << value << '\n';
-  // The cache state is raw multi-line data, so it goes last, preceded by
-  // its exact byte count.
-  out << "cache " << c.cache_state.size() << '\n' << c.cache_state;
   return out.str();
 }
 
@@ -159,7 +156,6 @@ Checkpoint read_checkpoint(const std::string& text) {
 
   std::size_t pos = 0;
   std::size_t seen = 0;
-  bool cache_seen = false;
   std::map<std::string, bool> assigned;
   while (pos < text.size()) {
     const std::size_t eol = text.find('\n', pos);
@@ -172,15 +168,6 @@ Checkpoint read_checkpoint(const std::string& text) {
       throw std::runtime_error("checkpoint: malformed line '" + line + "'");
     const std::string key = line.substr(0, sp);
     const std::string value = line.substr(sp + 1);
-    if (key == "cache") {
-      const std::uint64_t n = parse_u64(value, "cache");
-      if (text.size() - pos != n)
-        throw std::runtime_error("checkpoint: cache length mismatch");
-      c.cache_state = text.substr(pos);
-      pos = text.size();
-      cache_seen = true;
-      break;
-    }
     const auto it = t.in.find(key);
     if (it == t.in.end())
       throw std::runtime_error("checkpoint: unknown key '" + key + "'");
@@ -190,7 +177,6 @@ Checkpoint read_checkpoint(const std::string& text) {
     it->second(value);
     ++seen;
   }
-  if (!cache_seen) throw std::runtime_error("checkpoint: missing cache block");
   if (seen != t.in.size())
     throw std::runtime_error("checkpoint: missing fields (" +
                              std::to_string(seen) + " of " +

@@ -3,7 +3,7 @@
 // A checkpoint is everything the resume path cannot re-derive from the
 // journal prefix alone: the phase cursor, the committed counters
 // (KmsStats with the nested removal and ATPG stats), the removal-phase
-// scan rng and cross-pass fault-cache state, the proof-session sizes
+// scan rng state, the proof-session sizes
 // (journal steps / certificate count the prefix is truncated to), and
 // the FNV-1a digest of the exact network structure — the cross-check
 // that the deterministic journal replay reconstructed the bit-identical
@@ -28,9 +28,8 @@ struct Checkpoint {
   std::uint64_t steps = 0;   ///< journal steps committed at this point
   std::uint64_t drat_certs = 0;  ///< DRAT certificates registered
   std::uint64_t net_digest = 0;  ///< structure digest (src/recover/session.cpp)
-  std::string rng_state;    ///< removal scan rng; "" in the loop phase
-  std::string cache_state;  ///< fault cache; "" in the loop phase
-  KmsStats stats;           ///< full committed counters
+  std::string rng_state;  ///< removal scan rng; "" in the loop phase
+  KmsStats stats;         ///< full committed counters
 };
 
 /// Serialize as the payload of a "ckpt" WAL record.

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "src/atpg/fault.hpp"
-#include "src/atpg/fault_cache.hpp"
 #include "src/atpg/redundancy.hpp"
 #include "src/base/durable.hpp"
 #include "src/base/rng.hpp"
@@ -137,14 +136,6 @@ void replay_steps(Network& net, const std::vector<proof::JournalStep>& steps,
   std::uint64_t pending_dup = 0;
   for (const proof::JournalStep& s : steps) {
     switch (s.kind) {
-      case Kind::kDecompose: {
-        const std::size_t n = decompose_to_simple(net);
-        if (n != s.count)
-          throw std::runtime_error(
-              "resume: decompose replay expanded " + std::to_string(n) +
-              " gates, journal recorded " + std::to_string(s.count));
-        break;
-      }
       case Kind::kDuplicate:
         if (have_dup)
           throw std::runtime_error(
@@ -373,7 +364,6 @@ ResumeSetup prepare_resume(const std::string& dir) {
   rs.state.cursor = rs.info.ckpt.cursor;
   rs.state.stats = rs.info.ckpt.stats;
   rs.state.rng_state = rs.info.ckpt.rng_state;
-  rs.state.cache_state = rs.info.ckpt.cache_state;
   return rs;
 }
 
@@ -448,7 +438,6 @@ void DurableSession::append_checkpoint(const CommitPoint& point) {
   c.drat_certs = persisted_drat_;
   c.net_digest = net_digest(*point.net);
   if (point.rng != nullptr) c.rng_state = point.rng->save_state();
-  if (point.cache != nullptr) c.cache_state = point.cache->save_state();
   if (point.kms != nullptr) {
     c.stats = *point.kms;
     last_kms_ = *point.kms;

@@ -17,7 +17,6 @@
 #include "src/check/diagnostics.hpp"
 #include "src/core/kms.hpp"
 #include "src/netlist/blif.hpp"
-#include "src/netlist/transform.hpp"
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
 #include "src/recover/session.hpp"
@@ -172,8 +171,6 @@ void run_delay(const JobSpec& spec, ResourceGovernor& governor,
                JobReport* rep) {
   BlifSequential model = load_payload(spec, nullptr);
   check_stage(spec, rep, model.comb, "input");
-  decompose_to_simple(model.comb);
-  check_stage(spec, rep, model.comb, "decompose_to_simple");
   const SensitizationMode mode = spec.mode == "viability"
                                      ? SensitizationMode::kViability
                                      : SensitizationMode::kStatic;
@@ -202,8 +199,6 @@ void run_delay(const JobSpec& spec, ResourceGovernor& governor,
 void run_analyze(const JobSpec& spec, ResourceGovernor&, JobReport* rep) {
   BlifSequential model = load_payload(spec, nullptr);
   check_stage(spec, rep, model.comb, "input");
-  decompose_to_simple(model.comb);
-  check_stage(spec, rep, model.comb, "decompose_to_simple");
   const analysis::AnalysisReport report = analysis::run_analysis(model.comb);
   std::ostringstream ss;
   if (spec.json)
@@ -260,8 +255,6 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
                JobReport* rep) {
   BlifSequential model = load_payload(spec, nullptr);
   check_stage(spec, rep, model.comb, "input");
-  decompose_to_simple(model.comb);
-  check_stage(spec, rep, model.comb, "decompose_to_simple");
   const auto faults = collapsed_faults(model.comb);
   Atpg atpg(model.comb, &governor);
   std::size_t redundant = 0;

@@ -262,24 +262,26 @@ TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
       proof::verify_session(session, input, output);
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.deletions_verified, r.removed);
-  // The retired fault-sim-testable step is no longer a step kind: a
-  // journal carrying it is rejected as an unknown kind, like the retired
-  // static steps.
-  std::string text = session.journal.to_text();
-  const std::size_t end = text.find("output-digest ");
-  ASSERT_NE(end, std::string::npos);
-  text.insert(end, "step fault-sim-testable what=\"g1(and)/SA0\"\n");
-  std::istringstream in(text);
-  try {
-    proof::TransformJournal::read(in);
-    ADD_FAILURE() << "retired step kind parsed";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown step kind"),
-              std::string::npos)
-        << e.what();
+  // The retired fault-sim-testable and decompose steps are no longer
+  // step kinds: a journal carrying either is rejected as an unknown
+  // kind, like the retired static steps.
+  for (const std::string step :
+       {"fault-sim-testable what=\"g1(and)/SA0\"", "decompose count=3"}) {
+    std::string text = session.journal.to_text();
+    const std::size_t end = text.find("output-digest ");
+    ASSERT_NE(end, std::string::npos);
+    text.insert(end, "step " + step + "\n");
+    std::istringstream in(text);
+    try {
+      proof::TransformJournal::read(in);
+      ADD_FAILURE() << "retired step kind parsed: " << step;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown step kind"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(proof::parse_step(step), std::runtime_error) << step;
   }
-  EXPECT_THROW(proof::parse_step("fault-sim-testable what=\"g1(and)/SA0\""),
-               std::runtime_error);
 }
 
 // A soundness cross-check of the static verdicts lint and `kmscli
@@ -321,8 +323,8 @@ TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
 
 // A certify job's artifacts — output BLIF, journal and DRAT
 // certificates — are byte-identical at jobs 1 and 4. Only the WAL is
-// left out: its checkpoints serialize the fault cache, whose contents
-// at jobs > 1 depend on which worker's witness dropped a fault first.
+// left out: its checkpoints carry the removal work counters, which at
+// jobs > 1 depend on which worker's witness dropped a fault first.
 TEST(AtpgIncrementalTest, CertifyArtifactsByteIdenticalAtJobs1And4) {
   const std::string dir_base =
       (fs::temp_directory_path() / "atpg_incremental_certify_").string();

@@ -22,10 +22,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/base/durable.hpp"
 #include "src/core/kms.hpp"
@@ -35,6 +38,7 @@
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
 #include "src/recover/session.hpp"
+#include "src/recover/wal.hpp"
 #include "tests/counter_table.hpp"
 
 namespace kms {
@@ -343,16 +347,15 @@ class LoopSnapshotSink : public recover::CommitSink {
   std::uint64_t cursor_;
 };
 
-/// A durable session starts from BLIF, whose covers elaborate to simple
-/// gates, so its decomposed_complex is always 0. Resume the engine in
-/// process on a generated adder with XOR gates instead: continue from
-/// the network and counters of a loop commit, and every loop-group
-/// counter must equal the uninterrupted run's.
+/// Resume the engine in process on a generated adder whose XOR and MUX
+/// gates were decomposed in process rather than elaborated from BLIF
+/// covers: continue from the network and counters of a loop commit, and
+/// every loop-group counter must equal the uninterrupted run's.
 TEST(LoopResumeTest, EveryLoopCounterEqualsUninterruptedOnComplexGates) {
-  const Network adder = carry_skip_adder(6, 3);
+  Network adder = carry_skip_adder(6, 3);
+  ASSERT_GT(decompose_to_simple(adder), 0u);
   Network ref_net = adder;
   const KmsStats ref = kms_make_irredundant(ref_net, KmsOptions{});
-  ASSERT_GT(ref.decomposed_complex, 0u);
   ASSERT_GT(ref.iterations, 1u);
   for (const std::uint64_t cursor : {std::uint64_t{0}, ref.iterations / 2}) {
     Network net = adder;
@@ -372,6 +375,62 @@ TEST(LoopResumeTest, EveryLoopCounterEqualsUninterruptedOnComplexGates) {
     EXPECT_EQ(write_blif_string(resumed), write_blif_string(ref_net));
     testing_counters::expect_loop_counters_equal(
         got, ref, "cursor " + std::to_string(cursor));
+  }
+}
+
+/// The "ckpt" records of a session's WAL, each read line by line as a
+/// key -> rest-of-line map (a line without a space maps to "").
+std::vector<std::map<std::string, std::string>> checkpoint_maps(
+    const std::string& dir) {
+  const recover::WalReadResult wal = recover::read_wal(dir + "/wal.log");
+  EXPECT_TRUE(wal.ok) << wal.error;
+  std::vector<std::map<std::string, std::string>> out;
+  const std::string tag = "ckpt\n";
+  for (const recover::WalRecord& r : wal.records) {
+    if (r.payload.rfind(tag, 0) != 0) continue;
+    std::map<std::string, std::string>& m = out.emplace_back();
+    std::istringstream in(r.payload.substr(tag.size()));
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::size_t sp = line.find(' ');
+      m[line.substr(0, sp)] =
+          sp == std::string::npos ? "" : line.substr(sp + 1);
+    }
+  }
+  return out;
+}
+
+/// Checkpoints hold only what a lane count cannot change: at jobs 1 and
+/// 4, record for record, every key is equal except the removal and ATPG
+/// work counters, which follow worker timing. csa_40_20 commits 23
+/// removal passes after 10 loop iterations, each one checkpoint, and at
+/// jobs 4 its lanes classify faults past a pass's first untestable one.
+TEST_F(CrashResumeTest, CheckpointsAgreeAcrossJobCounts) {
+  const std::string source = write_blif_string(carry_skip_adder(40, 20));
+  dir_ = temp_dir("crash_resume_ckpt_jobs");
+  std::vector<std::vector<std::map<std::string, std::string>>> runs;
+  for (const unsigned jobs : {1u, 4u}) {
+    fs::remove_all(dir_);
+    ASSERT_FALSE(run_fresh(dir_, source, jobs, /*every=*/1).crashed) << jobs;
+    runs.push_back(checkpoint_maps(dir_));
+  }
+  ASSERT_GT(runs[0].size(), 10u);
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  const auto timing_dependent = [](const std::string& key) {
+    if (key == "rm.removed" || key == "rm.passes" || key == "rm.aborted")
+      return false;
+    return key.rfind("rm.", 0) == 0 || key.rfind("atpg.", 0) == 0;
+  };
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    std::map<std::string, std::string> a = runs[0][i];
+    std::map<std::string, std::string> b = runs[1][i];
+    ASSERT_TRUE(a.count("rm.removed") && a.count("rm.passes") &&
+                a.count("rm.aborted"))
+        << "record " << i;
+    for (auto* m : {&a, &b})
+      for (auto it = m->begin(); it != m->end();)
+        it = timing_dependent(it->first) ? m->erase(it) : std::next(it);
+    EXPECT_EQ(a, b) << "checkpoint record " << i << " differs";
   }
 }
 

@@ -90,6 +90,7 @@ TEST(FaultInjectionTest, MidLoopCancellationLeavesEquivalentNetwork) {
   // Simulate a SIGINT landing a few queries into the KMS loop: the
   // injector schedules a governor-wide interrupt after 5 solves.
   Network net = carry_skip_adder(6, 3);
+  decompose_to_simple(net);
   const Network original = net;
   ResourceGovernor gov;
   gov.set_injector(
@@ -137,6 +138,7 @@ TEST_P(FaultInjectionScheduleTest, PreservesEquivalence) {
       net = comparator(3 + seed % 3);
       break;
   }
+  decompose_to_simple(net);
   const Network original = net;
 
   ResourceGovernor gov;
@@ -359,6 +361,7 @@ TEST(FaultInjectionTest, DeletionWithoutProofIdIsRejected) {
 TEST(FaultInjectionTest, UninjectedGovernorMatchesUngovernedResult) {
   // Sanity: a governor with no limits must not change the algorithm.
   Network governed = carry_skip_adder(4, 2);
+  decompose_to_simple(governed);
   Network plain = governed;
 
   ResourceGovernor gov;

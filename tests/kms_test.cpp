@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/atpg/atpg.hpp"
 #include "src/cnf/encoder.hpp"
 #include "src/gen/adders.hpp"
@@ -109,6 +112,27 @@ TEST(KmsTest, MaxFanoutGrowthIsModest) {
   apply_unit_delays(net);
   const KmsStats stats = kms_make_irredundant(net, {});
   EXPECT_LE(stats.final_max_fanout, stats.initial_max_fanout + 1);
+}
+
+// Section VI: the algorithm runs on simple gates. A network that still
+// holds an XOR, XNOR or MUX is rejected by name, not transformed.
+TEST(KmsTest, RejectsComplexGates) {
+  Network net("cx");
+  const GateId a = net.add_input("a");
+  const GateId b = net.add_input("b");
+  const GateId s = net.add_input("s");
+  const GateId x = net.add_gate(GateKind::kXor, {a, b}, 1.0, "x1");
+  const GateId m = net.add_gate(GateKind::kMux, {s, a, x}, 1.0, "m1");
+  net.add_output("f", m);
+  try {
+    kms_make_irredundant(net, {});
+    ADD_FAILURE() << "complex gates accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("x1 (xor)"), std::string::npos)
+        << e.what();
+  }
+  decompose_to_simple(net);
+  EXPECT_NO_THROW(kms_make_irredundant(net, {}));
 }
 
 TEST(KmsTest, LoopDisabledLeavesRedundancies) {

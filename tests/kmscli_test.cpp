@@ -17,6 +17,7 @@
 #include "src/atpg/atpg.hpp"
 #include "src/cnf/encoder.hpp"
 #include "src/gen/adders.hpp"
+#include "src/gen/suite.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/sim/simulator.hpp"
@@ -46,26 +47,49 @@ int run_cli_status(const std::string& args) {
 
 // The irr summary kmscli prints to stderr, formatted from the JobReport,
 // is pinned byte for byte with its two timings masked: a counter that
-// drifts between the engine, the report and the CLI shows here.
-TEST(KmscliTest, IrrStderrSummaryIsPinnedOnCsa82) {
+// drifts between the engine, the report and the CLI shows here. csa_8_2
+// runs the KMS loop before its removal passes; smisex2 runs removal
+// only, 61 passes that hit the cross-pass fault cache.
+TEST(KmscliTest, IrrStderrSummaryIsPinned) {
+  struct Case {
+    const char* name;
+    Network net;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"csa_8_2", carry_skip_adder(8, 2),
+       "gates 124 -> 169, delay 27.000 -> 14.000 (computed 17.000 -> "
+       "14.000), 378 loop transforms, 47 removals\n"
+       "removal: 48 passes, 53 sat queries (+0 structural), 5538 "
+       "sim-dropped, 8 witness-dropped, 4144 cache hits (5184 "
+       "invalidated), cone avg 125.6 max 444, sim *s sat *s\n"
+       "timing: incremental sta, 378 repairs + 2 rebuilds touched 8448 "
+       "gates (per-iteration full recompute: 285950)\n"},
+      {"smisex2", build_suite_circuit(suite_spec("smisex2")),
+       "gates 140 -> 129, delay 5.000 -> 5.000 (computed 5.000 -> 5.000), "
+       "0 loop transforms, 60 removals\n"
+       "removal: 61 passes, 148 sat queries (+0 structural), 16729 "
+       "sim-dropped, 1189 witness-dropped, 15737 cache hits (17336 "
+       "invalidated), cone avg 78.6 max 126, sim *s sat *s\n"
+       "timing: incremental sta, 0 repairs + 2 rebuilds touched 0 gates "
+       "(per-iteration full recompute: 0)\n"},
+  };
   const std::string in_path = temp_path("kmscli_pin.blif");
   const std::string err_path = temp_path("kmscli_pin.err");
-  write_blif_file(carry_skip_adder(8, 2), in_path);
-  ASSERT_EQ(run_cli_status("irr " + in_path + " --jobs 1 > /dev/null 2> " +
-                           err_path),
-            0);
-  std::ifstream in(err_path);
-  const std::string err((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  EXPECT_EQ(std::regex_replace(err, std::regex("sim [0-9.]+s sat [0-9.]+s"),
-                               "sim *s sat *s"),
-            "gates 124 -> 169, delay 27.000 -> 14.000 (computed 17.000 -> "
-            "14.000), 378 loop transforms, 47 removals\n"
-            "removal: 48 passes, 53 sat queries (+0 structural), 5538 "
-            "sim-dropped, 8 witness-dropped, 4144 cache hits (5184 "
-            "invalidated), cone avg 125.6 max 444, sim *s sat *s\n"
-            "timing: incremental sta, 378 repairs + 2 rebuilds touched 8448 "
-            "gates (per-iteration full recompute: 285950)\n");
+  for (const Case& c : cases) {
+    write_blif_file(c.net, in_path);
+    ASSERT_EQ(run_cli_status("irr " + in_path + " --jobs 1 > /dev/null 2> " +
+                             err_path),
+              0)
+        << c.name;
+    std::ifstream in(err_path);
+    const std::string err((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(std::regex_replace(err, std::regex("sim [0-9.]+s sat [0-9.]+s"),
+                                 "sim *s sat *s"),
+              c.expected)
+        << c.name;
+  }
   std::remove(in_path.c_str());
   std::remove(err_path.c_str());
 }

@@ -158,6 +158,7 @@ TEST(KmsloopSpeculationTest, InterruptedRunMarksTheFinalDelayAsABound) {
 TEST(KmsloopSpeculationTest, LoopExitReasonsCoverTheNaturalCases) {
   {
     Network net = carry_skip_adder(4, 2);
+    decompose_to_simple(net);
     const KmsStats stats = kms_make_irredundant(net);
     EXPECT_TRUE(stats.loop_exit == "sat" || stats.loop_exit == "no-paths")
         << stats.loop_exit;
@@ -165,6 +166,7 @@ TEST(KmsloopSpeculationTest, LoopExitReasonsCoverTheNaturalCases) {
   }
   {
     Network net = carry_skip_adder(4, 2);
+    decompose_to_simple(net);
     KmsOptions opts;
     opts.max_iterations = 0;
     const KmsStats stats = kms_make_irredundant(net, opts);

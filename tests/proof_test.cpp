@@ -221,7 +221,6 @@ TEST(JournalTest, TextRoundTrip) {
   j.set_model("weird \"name\" with \\ chars");
   j.set_input_digest(0x0123456789abcdefull);
   j.set_output_digest(0xfedcba9876543210ull);
-  j.add_decompose(3);
   j.add_path_unsens("a -> g1(and) -> f", 0);
   j.add_duplicate(2);
   j.add_constant(17);

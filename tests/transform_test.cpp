@@ -62,9 +62,17 @@ TEST(TransformTest, DecomposeWideParity) {
     net.add_output("p", x);
     net.add_output("np", xn);
     Network orig = net;
+    const double before = topological_delay(net);
     decompose_to_simple(net);
     EXPECT_EQ(net.check(), "");
     EXPECT_TRUE(exhaustive_equiv(orig, net).equivalent);
+    EXPECT_DOUBLE_EQ(topological_delay(net), before) << n;
+    for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
+      const Gate& g = net.gate(GateId{i});
+      if (!g.dead) {
+        EXPECT_TRUE(!is_logic(g.kind) || is_simple(g.kind)) << n;
+      }
+    }
   }
 }
 

@@ -51,10 +51,10 @@ done
 
 # ThreadSanitizer stage: rebuild under -fsanitize=thread and run the
 # parallel-labelled tests — the work-stealing removal engine's ticket
-# queue, commit protocol, sharded cache, and its jobs={1,2,4,8}
-# determinism suite — plus the kmsloop label: the KMS pipeline's
-# byte-identity suite at jobs 1 and 4, whose removal phase runs on the
-# same pool. TSan and ASan cannot share a build, hence the
+# queue, commit protocol (the coordinator alone fills the fault cache,
+# at the pass barrier), and its jobs={1,2,4,8} determinism suite —
+# plus the kmsloop label: the KMS pipeline's byte-identity suite at
+# jobs 1 and 4, whose removal phase runs on the same pool. TSan and ASan cannot share a build, hence the
 # separate preset/tree. Any data race in the worker/coordinator
 # handshake fails CI here.
 echo "== ThreadSanitizer: parallel-labelled tests (tsan preset) =="
@@ -78,7 +78,8 @@ ctest --preset checked -L 'parallel|kmsloop|crash|serve' \
 # WAL framing with torn-tail/bit-flip fuzzing, checkpoint serialization
 # round-trips, the kill-point property suite (simulated crash at every
 # reachable fsync/commit/checkpoint boundary, resume, bit-identical
-# result at jobs 1 and 4), and the real-process e2e that sweeps
+# result at jobs 1 and 4), checkpoints equal at jobs 1 and 4 but for
+# work counters, and the real-process e2e that sweeps
 # KMS_CRASH_AT over kmscli and lands genuine SIGKILLs, auditing every
 # resumed directory with kmsproof. Runs under the sanitizer build so a
 # resume-path memory bug fails CI here, named.
