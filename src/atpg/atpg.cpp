@@ -5,7 +5,6 @@
 
 #include "src/cnf/encoder.hpp"
 #include "src/core/verdict.hpp"
-#include "src/proof/drat.hpp"
 
 namespace kms {
 
@@ -100,8 +99,10 @@ TestResult Atpg::generate_test(const Fault& fault) {
   collect_support(src_gate);
 
   solver_.reset();
-  proof::DratTrace trace;
-  if (capture_) solver_.set_proof(&trace);
+  if (capture_) {
+    trace_.reset();
+    solver_.set_proof(&trace_);
+  }
   if (governor_) solver_.set_governor(governor_);
   good_.reencode(support_);
   ++stats_.sat_solves;
@@ -161,7 +162,7 @@ TestResult Atpg::generate_test(const Fault& fault) {
   solver_.add_clause(diffs_);
 
   const sat::Result r = solver_.solve();
-  solver_.set_proof(nullptr);  // the trace dies with this call
+  solver_.set_proof(nullptr);
   // Conflicts of every solve count, aborted ones included: the work was
   // done whether or not it produced a verdict.
   stats_.sat_conflicts += solver_.stats().conflicts;
@@ -170,7 +171,7 @@ TestResult Atpg::generate_test(const Fault& fault) {
   switch (res.outcome) {
     case TestOutcome::kUntestable: {
       if (!capture_) break;
-      auto cert = trace.last_unsat_certificate();
+      auto cert = trace_.last_unsat_certificate();
       if (!cert) {
         // A kUnsat verdict always certifies; treat its absence as an
         // aborted query rather than license an unproved deletion.

@@ -22,13 +22,10 @@
 #include "src/core/counters.hpp"
 #include "src/core/verdict.hpp"
 #include "src/netlist/network.hpp"
+#include "src/proof/drat.hpp"
 #include "src/sat/solver.hpp"
 
 namespace kms {
-
-namespace proof {
-struct DratCertificate;
-}  // namespace proof
 
 /// The ATPG group of the run's counters (src/core/counters.hpp).
 struct AtpgStats {
@@ -118,6 +115,7 @@ class Atpg {
   // this object's lifetime, so its topological ranks are computed once,
   // at the first solve.
   sat::Solver solver_;
+  proof::DratTrace trace_;                 ///< attached under capture_
   CircuitEncoding good_;                   ///< good-circuit support
   std::vector<std::uint32_t> topo_rank_;   ///< position in topo_order()
   std::uint32_t stamp_ = 0;

@@ -267,7 +267,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
                    &sta.arrival(), /*capture=*/session != nullptr);
     else
       sens->retarget(path);
-    const SensitizeResult sres = sens->check(path);
+    SensitizeResult sres = sens->check(path);
     stats.sensitization_queries += sens->queries();
     // Only a *proved* kUnsat licenses the transformation (Theorem 7.2's
     // premise is that P is not sensitizable). kSat is the natural exit;
@@ -288,7 +288,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     if (session) {
       std::int64_t proof_id = -1;
       if (sres.certificate)
-        proof_id = session->add_certificate(*sres.certificate);
+        proof_id = session->add_certificate(std::move(*sres.certificate));
       session->journal.add_path_unsens(format_path(net, path), proof_id);
     }
     KMS_LOG(kDebug) << "kms: transforming longest path (len=" << path.length

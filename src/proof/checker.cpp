@@ -1,8 +1,10 @@
 #include "src/proof/checker.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <map>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/strings.hpp"
@@ -10,17 +12,49 @@
 namespace kms::proof {
 namespace {
 
-/// Literal value under the current assignment: +1 true, -1 false,
-/// 0 unassigned.
-class Rup {
- public:
-  explicit Rup(std::int32_t max_var)
-      : value_(static_cast<std::size_t>(max_var) + 1, 0),
-        reason_(static_cast<std::size_t>(max_var) + 1, kNoReason) {}
+using Lits = std::span<const std::int32_t>;
 
+/// FNV-1a over the literals, in order: equal clauses hash equal.
+std::uint64_t clause_hash(Lits lits) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::int32_t l : lits) {
+    h ^= static_cast<std::uint32_t>(l);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+}  // namespace
+
+/// The checker's state. Every clause's literals sit in one arena; the
+/// watch lists and per-variable arrays keep their storage from one
+/// certificate to the next.
+class DratChecker::Rup {
+ public:
   static constexpr std::uint32_t kNoReason = 0xffffffffu;
   static constexpr std::uint32_t kPremise = 0xfffffffeu;  // assumption/unit
 
+  /// Empty database and assignment over variables 1..max_var.
+  void reset(std::int32_t max_var) {
+    const std::size_t vars = static_cast<std::size_t>(max_var) + 1;
+    value_.assign(vars, 0);
+    reason_.assign(vars, kNoReason);
+    // Lists past the previous certificate's range were emptied before
+    // it and not touched since.
+    for (std::size_t i = 0; i < watches_used_; ++i) watches_[i].clear();
+    watches_used_ = 2 * vars + 2;
+    if (watches_.size() < watches_used_) watches_.resize(watches_used_);
+    lits_.clear();
+    clauses_.clear();
+    index_.clear();
+    indexed_ = false;
+    trail_.clear();
+    qhead_ = 0;
+    conflict_ = false;
+  }
+
+  /// Literal value under the current assignment: +1 true, -1 false,
+  /// 0 unassigned.
   int value_of(std::int32_t lit) const {
     const int v = value_[static_cast<std::size_t>(std::abs(lit))];
     return lit > 0 ? v : -v;
@@ -31,28 +65,40 @@ class Rup {
   /// Add a clause to the database (watched if size >= 2). `root` steps
   /// may extend the permanent root assignment. Returns false only on a
   /// malformed clause (never happens for parsed certificates).
-  void add_clause(Clause lits) {
+  void add_clause(Lits lits) {
     const std::uint32_t id = static_cast<std::uint32_t>(clauses_.size());
-    clauses_.push_back({std::move(lits), 0, 0, true});
-    index_[clauses_[id].lits].push_back(id);
+    clauses_.push_back({static_cast<std::uint32_t>(lits_.size()),
+                        static_cast<std::uint32_t>(lits.size()), 0, 0, true});
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
+    if (indexed_) index_clause(id);
     attach(id);
   }
 
   /// drat-trim-style deletion. Returns: +1 deleted, 0 skipped (clause is
   /// the reason of a root assignment), -1 not found.
-  int delete_clause(const Clause& lits) {
-    auto it = index_.find(lits);
-    if (it == index_.end() || it->second.empty()) return -1;
+  int delete_clause(Lits lits) {
+    if (!indexed_) {
+      // The first deletion: the database is every clause added so far.
+      for (std::uint32_t id = 0; id < clauses_.size(); ++id) index_clause(id);
+      indexed_ = true;
+    }
+    const auto it = index_.find(clause_hash(lits));
+    if (it == index_.end()) return -1;
+    std::vector<std::uint32_t>& ids = it->second;
     // Prefer an instance that is not a root reason; if every instance is
     // a reason, skip the deletion entirely.
-    for (std::size_t i = 0; i < it->second.size(); ++i) {
-      const std::uint32_t id = it->second[i];
-      if (is_root_reason(id)) continue;
-      clauses_[id].active = false;
-      it->second.erase(it->second.begin() + static_cast<std::ptrdiff_t>(i));
+    bool found = false;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const Lits c = lits_of(ids[i]);
+      if (!std::equal(lits.begin(), lits.end(), c.begin(), c.end()))
+        continue;  // another clause with the same hash
+      found = true;
+      if (is_root_reason(ids[i])) continue;
+      clauses_[ids[i]].active = false;
+      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(i));
       return 1;
     }
-    return 0;
+    return found ? 0 : -1;
   }
 
   /// Assert `lit` as a permanent root fact and propagate to fixpoint.
@@ -71,7 +117,7 @@ class Rup {
   /// literal; propagation must derive a conflict. The root state is
   /// restored before returning (unless the root itself is conflicted,
   /// in which case everything is trivially RUP).
-  bool rup(const Clause& clause) {
+  bool rup(Lits clause) {
     if (conflict_) return true;
     const std::size_t mark = trail_.size();
     bool hit = false;
@@ -95,19 +141,27 @@ class Rup {
 
  private:
   struct Cls {
-    Clause lits;
-    // Watched literal slots (indices into lits); meaningful only when
-    // lits.size() >= 2.
+    std::uint32_t begin, size;  // literals in lits_
+    // Watched literal slots (indices into the clause); meaningful only
+    // when size >= 2.
     std::uint32_t w0, w1;
     bool active;
   };
 
+  Lits lits_of(std::uint32_t id) const {
+    return Lits(lits_.data() + clauses_[id].begin, clauses_[id].size);
+  }
+
+  void index_clause(std::uint32_t id) {
+    index_[clause_hash(lits_of(id))].push_back(id);
+  }
+
   bool is_root_reason(std::uint32_t id) const {
-    const Cls& c = clauses_[id];
-    if (c.lits.size() == 1)
-      return value_of(c.lits[0]) > 0 &&
-             reason_[static_cast<std::size_t>(std::abs(c.lits[0]))] != kNoReason;
-    for (const std::int32_t l : c.lits)
+    const Lits lits = lits_of(id);
+    if (lits.size() == 1)
+      return value_of(lits[0]) > 0 &&
+             reason_[static_cast<std::size_t>(std::abs(lits[0]))] != kNoReason;
+    for (const std::int32_t l : lits)
       if (value_of(l) > 0 &&
           reason_[static_cast<std::size_t>(std::abs(l))] == id)
         return true;
@@ -121,54 +175,46 @@ class Rup {
 
   void attach(std::uint32_t id) {
     Cls& c = clauses_[id];
-    if (c.lits.empty()) {
+    const Lits lits = lits_of(id);
+    if (c.size == 0) {
       conflict_ = true;
       return;
     }
-    if (c.lits.size() == 1) {
-      enqueue(c.lits[0], kPremise);
+    if (c.size == 1) {
+      enqueue(lits[0], kPremise);
       return;
     }
     // Pick two non-false literals to watch when possible; a clause that
     // is already unit/conflicting under the root state is handled by
     // enqueueing / flagging here so the watch invariant stays intact.
-    std::uint32_t nf0 = c.lits.size(), nf1 = c.lits.size();
-    for (std::uint32_t i = 0; i < c.lits.size(); ++i) {
-      if (value_of(c.lits[i]) >= 0) {
-        if (nf0 == c.lits.size()) {
+    std::uint32_t nf0 = c.size, nf1 = c.size;
+    for (std::uint32_t i = 0; i < c.size; ++i) {
+      if (value_of(lits[i]) >= 0) {
+        if (nf0 == c.size) {
           nf0 = i;
-        } else if (nf1 == c.lits.size()) {
+        } else if (nf1 == c.size) {
           nf1 = i;
           break;
         }
       }
     }
-    if (nf0 == c.lits.size()) {
+    if (nf0 == c.size) {
       conflict_ = true;  // all literals false under the root state
       return;
     }
-    if (nf1 == c.lits.size()) {
+    if (nf1 == c.size) {
       // Unit under the root state: watch arbitrarily and enqueue.
       c.w0 = nf0;
       c.w1 = (nf0 == 0) ? 1 : 0;
-      if (widx(c.lits[c.w0]) >= watches_.size() ||
-          widx(c.lits[c.w1]) >= watches_.size())
-        grow_watches();
-      watches_[widx(c.lits[c.w0])].push_back(id);
-      watches_[widx(c.lits[c.w1])].push_back(id);
-      enqueue(c.lits[nf0], id);
+      watches_[widx(lits[c.w0])].push_back(id);
+      watches_[widx(lits[c.w1])].push_back(id);
+      enqueue(lits[nf0], id);
       return;
     }
     c.w0 = nf0;
     c.w1 = nf1;
-    grow_watches();
-    watches_[widx(c.lits[c.w0])].push_back(id);
-    watches_[widx(c.lits[c.w1])].push_back(id);
-  }
-
-  void grow_watches() {
-    const std::size_t need = 2 * value_.size() + 2;
-    if (watches_.size() < need) watches_.resize(need);
+    watches_[widx(lits[c.w0])].push_back(id);
+    watches_[widx(lits[c.w1])].push_back(id);
   }
 
   /// Assign lit true. Returns false on contradiction (sets conflict_ for
@@ -193,7 +239,6 @@ class Rup {
 
   /// Unit propagation from qhead_. Returns false on conflict.
   bool propagate_temp() {
-    grow_watches();
     while (qhead_ < trail_.size()) {
       const std::int32_t p = trail_[qhead_++];
       auto& ws = watches_[widx(-p)];
@@ -202,15 +247,16 @@ class Rup {
         const std::uint32_t id = ws[i];
         Cls& c = clauses_[id];
         if (!c.active) continue;  // lazily drop deleted clauses
+        const Lits lits = lits_of(id);
         // Identify the watch slot holding -p and the other watch.
         std::uint32_t* slot = nullptr;
         std::int32_t other = 0;
-        if (c.lits[c.w0] == -p) {
+        if (lits[c.w0] == -p) {
           slot = &c.w0;
-          other = c.lits[c.w1];
-        } else if (c.lits[c.w1] == -p) {
+          other = lits[c.w1];
+        } else if (lits[c.w1] == -p) {
           slot = &c.w1;
-          other = c.lits[c.w0];
+          other = lits[c.w0];
         } else {
           ws[keep++] = id;  // stale entry from an old watch move
           continue;
@@ -221,11 +267,11 @@ class Rup {
         }
         // Look for a replacement literal that is not false.
         bool moved = false;
-        for (std::uint32_t k = 0; k < c.lits.size(); ++k) {
+        for (std::uint32_t k = 0; k < c.size; ++k) {
           if (k == c.w0 || k == c.w1) continue;
-          if (value_of(c.lits[k]) >= 0) {
+          if (value_of(lits[k]) >= 0) {
             *slot = k;
-            watches_[widx(c.lits[k])].push_back(id);
+            watches_[widx(lits[k])].push_back(id);
             moved = true;
             break;
           }
@@ -246,21 +292,28 @@ class Rup {
     return true;
   }
 
+  std::vector<std::int32_t> lits_;  // every clause's literals, in order
   std::vector<Cls> clauses_;
-  std::map<Clause, std::vector<std::uint32_t>> index_;
+  // Clause hash -> ids of the active clauses with exactly those
+  // literals, in insertion order; built at the first deletion.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
+  bool indexed_ = false;
   std::vector<std::vector<std::uint32_t>> watches_;
-  std::vector<int> value_;             // by variable
+  std::size_t watches_used_ = 0;  // lists this certificate may fill
+  std::vector<std::int8_t> value_;     // by variable
   std::vector<std::uint32_t> reason_;  // by variable; root reasons only
   std::vector<std::int32_t> trail_;
   std::size_t qhead_ = 0;
   bool conflict_ = false;
 };
 
-}  // namespace
+DratChecker::DratChecker() : rup_(std::make_unique<Rup>()) {}
+DratChecker::~DratChecker() = default;
 
-DratCheckResult check_drat(const DratCertificate& cert) {
+DratCheckResult DratChecker::check(const DratCertificate& cert) {
   DratCheckResult res;
-  Rup rup(cert.max_var());
+  Rup& rup = *rup_;
+  rup.reset(cert.max_var());
   for (const Clause& c : cert.formula) rup.add_clause(c);
   for (const std::int32_t a : cert.assumptions) rup.assume(a);
   rup.close_root();
@@ -296,6 +349,10 @@ DratCheckResult check_drat(const DratCertificate& cert) {
   }
   res.ok = true;
   return res;
+}
+
+DratCheckResult check_drat(const DratCertificate& cert) {
+  return DratChecker().check(cert);
 }
 
 }  // namespace kms::proof

@@ -17,9 +17,16 @@
 // (performing it would leave the checker trusting a no-longer-derivable
 // literal — unsound); deleting a clause not in the database is an error
 // here (stricter than drat-trim, to catch forged traces).
+//
+// Storage is flat and reused: one literal arena with plain clause
+// records, and watch lists and per-variable arrays that a DratChecker
+// keeps across certificates (a session checks hundreds). The
+// exact-match index deletions need is built only at a certificate's
+// first deletion.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 
 #include "src/proof/drat.hpp"
@@ -35,8 +42,23 @@ struct DratCheckResult {
   explicit operator bool() const { return ok; }
 };
 
-/// Verify `cert`. ok iff every lemma is RUP and the certificate derives
-/// the empty clause under the recorded assumptions.
+/// Forward RUP checker whose storage outlives one certificate.
+class DratChecker {
+ public:
+  DratChecker();
+  ~DratChecker();
+
+  /// Verify `cert`. ok iff every lemma is RUP and the certificate
+  /// derives the empty clause under the recorded assumptions. The result
+  /// does not depend on what was checked before.
+  DratCheckResult check(const DratCertificate& cert);
+
+ private:
+  class Rup;
+  std::unique_ptr<Rup> rup_;
+};
+
+/// One-shot check: DratChecker().check(cert).
 DratCheckResult check_drat(const DratCertificate& cert);
 
 }  // namespace kms::proof

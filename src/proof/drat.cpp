@@ -9,7 +9,7 @@
 
 namespace kms::proof {
 
-Clause to_dimacs(const std::vector<sat::Lit>& lits) {
+Clause to_dimacs(std::span<const sat::Lit> lits) {
   Clause out;
   out.reserve(lits.size());
   for (const sat::Lit l : lits) {
@@ -34,23 +34,30 @@ std::int32_t DratCertificate::max_var() const {
   return m;
 }
 
+void DratTrace::append(Entry kind, const std::vector<sat::Lit>& clause) {
+  lits_.insert(lits_.end(), clause.begin(), clause.end());
+  ends_.push_back(static_cast<std::uint32_t>(lits_.size()));
+  kinds_.push_back(kind);
+}
+
 void DratTrace::on_original(const std::vector<sat::Lit>& clause) {
-  formula_.push_back(to_dimacs(clause));
+  append(Entry::kOriginal, clause);
+  ++formula_size_;
 }
 
 void DratTrace::on_learn(const std::vector<sat::Lit>& clause) {
-  steps_.push_back({DratStep::Kind::kLearn, to_dimacs(clause)});
+  append(Entry::kLearn, clause);
 }
 
 void DratTrace::on_delete(const std::vector<sat::Lit>& clause) {
-  steps_.push_back({DratStep::Kind::kDelete, to_dimacs(clause)});
+  append(Entry::kDelete, clause);
 }
 
 void DratTrace::on_solve_begin(const std::vector<sat::Lit>& assumptions) {
   // Per-solve reset: whatever the previous query concluded, it is not
   // this query's conclusion. Only the lemma/deletion stream carries over.
   concluded_unsat_ = false;
-  assumptions_ = to_dimacs(assumptions);
+  assumptions_ = assumptions;
   ++solves_;
 }
 
@@ -62,10 +69,33 @@ std::optional<DratCertificate> DratTrace::last_unsat_certificate() const {
   if (!concluded_unsat_) return std::nullopt;
   DratCertificate cert;
   cert.query = solves_;
-  cert.formula = formula_;
-  cert.assumptions = assumptions_;
-  cert.steps = steps_;
+  cert.formula.reserve(formula_size_);
+  cert.steps.reserve(step_count());
+  std::uint32_t begin = 0;
+  for (std::size_t i = 0; i < kinds_.size(); ++i) {
+    Clause c = to_dimacs(
+        std::span<const sat::Lit>(lits_.data() + begin, ends_[i] - begin));
+    begin = ends_[i];
+    if (kinds_[i] == Entry::kOriginal)
+      cert.formula.push_back(std::move(c));
+    else
+      cert.steps.push_back({kinds_[i] == Entry::kLearn
+                                ? DratStep::Kind::kLearn
+                                : DratStep::Kind::kDelete,
+                            std::move(c)});
+  }
+  cert.assumptions = to_dimacs(assumptions_);
   return cert;
+}
+
+void DratTrace::reset() {
+  lits_.clear();
+  ends_.clear();
+  kinds_.clear();
+  formula_size_ = 0;
+  assumptions_.clear();
+  solves_ = 0;
+  concluded_unsat_ = false;
 }
 
 namespace {

@@ -9,6 +9,11 @@
 // independent checker (src/proof/checker.hpp) can verify with no help
 // from the solver.
 //
+// Capture is flat: each clause's solver literals are appended to one
+// buffer, and DIMACS clauses are built only when a certificate is asked
+// for. Most queries end kSat and never pay for the conversion; reset()
+// lets one trace serve a solver that is reset per query.
+//
 // Conclusions are deliberately never appended to the shared step list:
 // the empty clause of query N is valid only under query N's assumptions,
 // so a reused solver's next query must not inherit it. on_solve_begin
@@ -23,6 +28,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,8 +40,8 @@ namespace kms::proof {
 /// by (variable, sign) so deletion matching is order-insensitive.
 using Clause = std::vector<std::int32_t>;
 
-/// Convert a solver literal vector to a canonical DIMACS clause.
-Clause to_dimacs(const std::vector<sat::Lit>& lits);
+/// Convert solver literals to a canonical DIMACS clause.
+Clause to_dimacs(std::span<const sat::Lit> lits);
 
 struct DratStep {
   enum class Kind : std::uint8_t { kLearn, kDelete };
@@ -74,14 +80,24 @@ class DratTrace final : public sat::ProofSink {
   /// begun.
   std::optional<DratCertificate> last_unsat_certificate() const;
 
+  /// Return to the freshly constructed state, keeping the storage.
+  void reset();
+
   std::uint64_t solves() const { return solves_; }
-  std::size_t formula_size() const { return formula_.size(); }
-  std::size_t step_count() const { return steps_.size(); }
+  std::size_t formula_size() const { return formula_size_; }
+  std::size_t step_count() const { return kinds_.size() - formula_size_; }
 
  private:
-  std::vector<Clause> formula_;
-  std::vector<DratStep> steps_;
-  Clause assumptions_;
+  enum class Entry : std::uint8_t { kOriginal, kLearn, kDelete };
+  void append(Entry kind, const std::vector<sat::Lit>& clause);
+
+  // Every clause the solver reported, in order: its literals end at
+  // ends_[i] in lits_ and kinds_[i] says what it was.
+  std::vector<sat::Lit> lits_;
+  std::vector<std::uint32_t> ends_;
+  std::vector<Entry> kinds_;
+  std::size_t formula_size_ = 0;
+  std::vector<sat::Lit> assumptions_;
   std::uint64_t solves_ = 0;
   bool concluded_unsat_ = false;
 };

@@ -43,9 +43,11 @@ VerifyReport verify_session(const ProofSession& session,
     return rep;
   }
 
-  // Verify each referenced certificate exactly once, on first use.
+  // Verify each referenced certificate exactly once, on first use, all
+  // on one checker's storage.
   const auto& certs = session.certificates();
   std::vector<bool> cert_ok(certs.size(), false);
+  DratChecker checker;
   const auto check_cert = [&](std::size_t step, std::int64_t id) {
     if (id < 0 || static_cast<std::size_t>(id) >= certs.size()) {
       rep.error = str_format(
@@ -54,7 +56,8 @@ VerifyReport verify_session(const ProofSession& session,
       return false;
     }
     if (!cert_ok[static_cast<std::size_t>(id)]) {
-      const DratCheckResult r = check_drat(certs[static_cast<std::size_t>(id)]);
+      const DratCheckResult r =
+          checker.check(certs[static_cast<std::size_t>(id)]);
       if (!r) {
         rep.error = str_format("certificate %lld rejected: %s",
                                static_cast<long long>(id), r.error.c_str());

@@ -474,9 +474,12 @@ void DurableSession::finalize(const std::string& input_blif,
                               const std::string& output_blif) {
   persist_new_certificates();
   flush_steps();
-  atomic_write_file(dir_ + "/journal.txt", session_->journal.to_text());
+  // The journal goes last, so a directory that has one also has the
+  // netlists it brackets, even when the process dies before the final
+  // record below.
   atomic_write_file(dir_ + "/input.blif", input_blif);
   atomic_write_file(dir_ + "/output.blif", output_blif);
+  atomic_write_file(dir_ + "/journal.txt", session_->journal.to_text());
   // The final record is the completion commit point: only after it is
   // durable does the directory stop being "a crashed session".
   std::ostringstream fin;

@@ -24,7 +24,10 @@ Sensitizer::Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
 void Sensitizer::arm() {
   if (governor_) solver_.set_governor(governor_);
   if (session_ || capture_) {
-    trace_ = std::make_unique<proof::DratTrace>();
+    if (trace_)
+      trace_->reset();
+    else
+      trace_ = std::make_unique<proof::DratTrace>();
     solver_.set_proof(trace_.get());
   }
   // Consecutive queries of the delay search differ by a few added side

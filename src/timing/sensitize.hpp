@@ -163,7 +163,7 @@ class Sensitizer {
   Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
              ResourceGovernor* governor, proof::ProofSession* session,
              const std::vector<double>* arrival_seed, bool capture);
-  /// Attach the governor, a fresh proof trace (if proofs are wanted) and
+  /// Attach the governor, an empty proof trace (if proofs are wanted) and
   /// model reuse to a new or reset solver, before anything is encoded.
   void arm();
 

@@ -26,6 +26,7 @@
 #include "src/serve/runner.hpp"
 #include "src/sim/simulator.hpp"
 #include "tests/reference_removal.hpp"
+#include "tests/temp_path.hpp"
 #include "tests/test_networks.hpp"
 
 namespace kms {
@@ -326,8 +327,6 @@ TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
 // left out: its checkpoints carry the removal work counters, which at
 // jobs > 1 depend on which worker's witness dropped a fault first.
 TEST(AtpgIncrementalTest, CertifyArtifactsByteIdenticalAtJobs1And4) {
-  const std::string dir_base =
-      (fs::temp_directory_path() / "atpg_incremental_certify_").string();
   std::vector<Network> nets;
   nets.push_back(carry_skip_adder(8, 2));
   nets.push_back(carry_skip_adder(4, 2));
@@ -335,8 +334,9 @@ TEST(AtpgIncrementalTest, CertifyArtifactsByteIdenticalAtJobs1And4) {
     const std::string blif = write_blif_string(nets[c]);
     std::map<std::string, std::string> base;
     for (const unsigned jobs : {1u, 4u}) {
-      const fs::path dir =
-          dir_base + std::to_string(c) + "_j" + std::to_string(jobs);
+      const fs::path dir = temp_path("atpg_incremental_certify_" +
+                                     std::to_string(c) + "_j" +
+                                     std::to_string(jobs));
       fs::remove_all(dir);
       serve::JobSpec spec;
       spec.kind = serve::JobKind::kCertify;

@@ -40,16 +40,12 @@
 #include "src/recover/session.hpp"
 #include "src/recover/wal.hpp"
 #include "tests/counter_table.hpp"
+#include "tests/temp_path.hpp"
 
 namespace kms {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -199,7 +195,7 @@ void expect_every_kill_point_resumes_identically(const std::string& source,
 }
 
 TEST_F(CrashResumeTest, EveryKillPointResumesIdenticallyJobs1) {
-  dir_ = temp_dir("crash_resume_j1");
+  dir_ = temp_path("crash_resume_j1");
   expect_every_kill_point_resumes_identically(carry_skip_source(), dir_);
 }
 
@@ -209,7 +205,7 @@ TEST_F(CrashResumeTest, EveryKillPointResumesIdenticallyJobs1) {
 /// mark testable faults, so output and journal must not move. smisex1
 /// drops faults by witness replay in every one of its removal passes.
 TEST_F(CrashResumeTest, ResumesIdenticallyWithoutWitnessStore) {
-  dir_ = temp_dir("crash_resume_witness");
+  dir_ = temp_path("crash_resume_witness");
   KmsStats ref;
   expect_every_kill_point_resumes_identically(
       write_blif_string(build_suite_circuit(suite_spec("smisex1"))), dir_,
@@ -224,7 +220,7 @@ TEST_F(CrashResumeTest, ResumesIdenticallyWithoutWitnessStore) {
 /// directory that verifies — not journal byte-equality.
 TEST_F(CrashResumeTest, EveryKillPointResumesIdenticallyJobs4) {
   const std::string source = carry_skip_source();
-  dir_ = temp_dir("crash_resume_j4");
+  dir_ = temp_path("crash_resume_j4");
   fs::remove_all(dir_);
 
   kill_points_configure(KillMode::kCount);
@@ -250,7 +246,7 @@ TEST_F(CrashResumeTest, EveryKillPointResumesIdenticallyJobs4) {
 /// Crashing the RESUME run too (a double crash) still converges.
 TEST_F(CrashResumeTest, DoubleCrashStillConverges) {
   const std::string source = carry_skip_source();
-  dir_ = temp_dir("crash_resume_double");
+  dir_ = temp_path("crash_resume_double");
   fs::remove_all(dir_);
 
   kill_points_configure(KillMode::kCount);
@@ -287,7 +283,7 @@ TEST_F(CrashResumeTest, DoubleCrashStillConverges) {
 /// totals, not count the attach-time constructor rebuild on top of them.
 TEST_F(CrashResumeTest, ResumedStaTotalsEqualUninterrupted) {
   const std::string source = carry_skip_source();
-  dir_ = temp_dir("crash_resume_sta");
+  dir_ = temp_path("crash_resume_sta");
   fs::remove_all(dir_);
 
   kill_points_configure(KillMode::kCount);
@@ -407,7 +403,7 @@ std::vector<std::map<std::string, std::string>> checkpoint_maps(
 /// jobs 4 its lanes classify faults past a pass's first untestable one.
 TEST_F(CrashResumeTest, CheckpointsAgreeAcrossJobCounts) {
   const std::string source = write_blif_string(carry_skip_adder(40, 20));
-  dir_ = temp_dir("crash_resume_ckpt_jobs");
+  dir_ = temp_path("crash_resume_ckpt_jobs");
   std::vector<std::vector<std::map<std::string, std::string>>> runs;
   for (const unsigned jobs : {1u, 4u}) {
     fs::remove_all(dir_);
@@ -437,7 +433,7 @@ TEST_F(CrashResumeTest, CheckpointsAgreeAcrossJobCounts) {
 /// Resume must reject a session whose source file was swapped out.
 TEST_F(CrashResumeTest, RejectsTamperedSource) {
   const std::string source = carry_skip_source();
-  dir_ = temp_dir("crash_resume_tamper");
+  dir_ = temp_path("crash_resume_tamper");
   fs::remove_all(dir_);
   kill_points_configure(KillMode::kCount);
   const RunResult ref = run_fresh(dir_, source, 1, 1);
@@ -457,7 +453,7 @@ TEST_F(CrashResumeTest, RejectsTamperedSource) {
 /// A completed session must refuse to resume.
 TEST_F(CrashResumeTest, RefusesToResumeCompletedSession) {
   const std::string source = carry_skip_source();
-  dir_ = temp_dir("crash_resume_done");
+  dir_ = temp_path("crash_resume_done");
   fs::remove_all(dir_);
   ASSERT_FALSE(run_fresh(dir_, source, 1, 1).crashed);
   try {

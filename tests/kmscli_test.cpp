@@ -21,6 +21,7 @@
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/sim/simulator.hpp"
+#include "tests/temp_path.hpp"
 
 #ifndef KMSCLI_PATH
 #error "KMSCLI_PATH must be defined by the build"
@@ -28,11 +29,6 @@
 
 namespace kms {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name;
-}
 
 int run_cli(const std::string& args) {
   const std::string cmd = std::string(KMSCLI_PATH) + " " + args;

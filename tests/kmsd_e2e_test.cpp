@@ -34,6 +34,7 @@
 #include "src/netlist/transform.hpp"
 #include "src/serve/job.hpp"
 #include "src/serve/json.hpp"
+#include "tests/temp_path.hpp"
 
 #ifndef KMSD_PATH
 #error "KMSD_PATH must be defined by the build"
@@ -51,12 +52,6 @@ namespace {
 using serve::JobKind;
 using serve::JobSpec;
 using serve::Json;
-
-std::string temp_path(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name + "." +
-         std::to_string(::getpid());
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -11,17 +11,14 @@
 #include <sstream>
 #include <string>
 
+#include "tests/temp_path.hpp"
+
 #ifndef KMSLINT_PATH
 #error "KMSLINT_PATH must be defined by the build"
 #endif
 
 namespace kms {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name;
-}
 
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path);

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -24,6 +23,7 @@
 #include "src/netlist/transform.hpp"
 #include "src/proof/journal.hpp"
 #include "src/proof/verify.hpp"
+#include "tests/temp_path.hpp"
 
 #ifndef KMSCLI_PATH
 #error "KMSCLI_PATH must be defined by the build"
@@ -176,12 +176,6 @@ TEST(KmsloopSpeculationTest, LoopExitReasonsCoverTheNaturalCases) {
 }
 
 // ---- Real-binary pipeline ------------------------------------------------
-
-std::string temp_path(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name + "." +
-         std::to_string(getpid());
-}
 
 int exit_code(const std::string& cmd) {
   const int raw = std::system((cmd + " >/dev/null 2>&1").c_str());

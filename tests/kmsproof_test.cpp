@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +16,7 @@
 #include "src/gen/adders.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
+#include "tests/temp_path.hpp"
 
 #ifndef KMSCLI_PATH
 #error "KMSCLI_PATH must be defined by the build"
@@ -27,15 +27,6 @@
 
 namespace kms {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  // Per-process suffix: ctest runs each case as its own process, and a
-  // parallel ctest (-j > 1) would otherwise have concurrent cases
-  // clobbering each other's fixture files.
-  return std::string(dir ? dir : "/tmp") + "/" + name + "." +
-         std::to_string(getpid());
-}
 
 int exit_code(const std::string& cmd) {
   const int raw = std::system((cmd + " >/dev/null 2>&1").c_str());

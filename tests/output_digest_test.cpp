@@ -11,8 +11,14 @@
 // pass's random pre-drop words, so its digests also pin how many words
 // each pass draws, and when; kReverse pins the pre-drop and witness
 // replay under a scan that starts from the other end of the fault list.
+//
+// A third table pins a certify job's proof artifacts, `kmscli irr
+// --certify --emit-proof` at --jobs 1 and 4: journal.txt followed by
+// every certificate's q<N>.cnf and q<N>.drat (write_cnf and write_drat
+// output), digested as one byte string.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +32,7 @@
 #include "src/proof/journal.hpp"
 #include "src/serve/job.hpp"
 #include "src/serve/runner.hpp"
+#include "tests/temp_path.hpp"
 
 namespace kms {
 namespace {
@@ -140,6 +147,64 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.order == RemovalOrder::kRandom ? "_random"
                                                         : "_reverse");
     });
+
+// Taken from a build before proof capture and checking went flat (one
+// literal buffer per trace, DIMACS clauses built only for UNSAT queries).
+constexpr Pinned kPinnedProofs[] = {
+    {"csa_4_2", 0xc7609c58bcd85307ull},
+    {"csa_8_4", 0x4b32d88c7f5d5834ull},
+    {"smisex1", 0xedb4dae5302526a9ull},
+    {"sduke2", 0x4896f6fb69cfcb21ull},
+};
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+class ProofDigestTest : public testing::TestWithParam<Pinned> {};
+
+TEST_P(ProofDigestTest, MatchesPinnedAtJobs1And4) {
+  namespace fs = std::filesystem;
+  const Pinned& p = GetParam();
+  const std::string blif = input_blif(p.name);
+  for (const unsigned jobs : {1u, 4u}) {
+    const fs::path dir = temp_path(std::string("output_digest_proof_") +
+                                   p.name + "_j" + std::to_string(jobs));
+    fs::remove_all(dir);
+    serve::JobSpec spec;
+    spec.kind = serve::JobKind::kIrr;
+    spec.certify = true;
+    spec.emit_proof = dir.string();
+    spec.blif = blif;
+    spec.jobs = jobs;
+    ResourceGovernor gov;
+    const serve::JobReport rep = serve::run_job(spec, gov);
+    ASSERT_EQ(rep.verdict, "ok") << p.name << ": " << rep.error;
+    EXPECT_TRUE(rep.certified) << p.name;
+    std::string bytes = slurp(dir / "journal.txt");
+    std::size_t certs = 0;
+    for (; fs::exists(dir / ("q" + std::to_string(certs) + ".cnf")); ++certs) {
+      const std::string q = "q" + std::to_string(certs);
+      bytes += slurp(dir / (q + ".cnf"));
+      bytes += slurp(dir / (q + ".drat"));
+    }
+    fs::remove_all(dir);
+    EXPECT_GT(certs, 0u) << p.name;
+    const std::uint64_t digest = proof::digest_bytes(bytes);
+    EXPECT_EQ(digest, p.digest) << p.name << " at jobs " << jobs << std::hex
+                                << ": got 0x" << digest;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Certify, ProofDigestTest,
+                         testing::ValuesIn(kPinnedProofs),
+                         [](const testing::TestParamInfo<Pinned>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace kms

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "src/core/kms.hpp"
 #include "src/netlist/blif.hpp"
@@ -84,6 +87,91 @@ TEST(DratCheckerTest, AssumptionsActAsPremises) {
   cert.assumptions = {1};
   const DratCheckResult r = check_drat(cert);
   EXPECT_TRUE(r.ok) << r.error;
+}
+
+// A DratChecker reused across certificates judges each one as a fresh
+// check does. The script mixes accepted and rejected certificates, grows
+// and shrinks max_var, and exercises every deletion rule; it runs
+// forwards and then backwards on one checker, so each certificate also
+// follows others of different shapes.
+TEST(DratCheckerTest, ReusedCheckerMatchesFresh) {
+  using K = DratStep::Kind;
+  struct Scripted {
+    const char* name;
+    DratCertificate cert;
+    bool ok;
+  };
+  const auto cert = [](std::vector<Clause> formula,
+                       std::vector<DratStep> steps, Clause assumptions = {}) {
+    DratCertificate c;
+    c.formula = std::move(formula);
+    c.steps = std::move(steps);
+    c.assumptions = std::move(assumptions);
+    return c;
+  };
+  // 1 -> 2 -> ... -> 40 -> -1, and (1|40) (1|-40): needs variables 1..40.
+  std::vector<Clause> chain;
+  for (std::int32_t v = 1; v < 40; ++v) chain.push_back({-v, v + 1});
+  chain.push_back({-40, -1});
+  chain.push_back({1, 40});
+  chain.push_back({1, -40});
+  const std::vector<Scripted> script = {
+      {"small", cert({{1, 2}, {1, -2}, {-1, 3}, {-1, -3}}, {{K::kLearn, {1}}}),
+       true},
+      // Right after "small": only (-1|3) is in the database, so (-1) is
+      // not RUP, whatever the previous certificate's watches held.
+      {"non-rup", cert({{-1, 3}}, {{K::kLearn, {-1}}}), false},
+      {"wide", cert(chain, {{K::kLearn, {-1}}}), true},
+      {"no-empty-clause", cert({{1, 2}, {-1, 2}}, {{K::kLearn, {2}}}), false},
+      {"unknown-deletion", cert({{1}, {-1}}, {{K::kDelete, {7, 8}}}), false},
+      // (1) and (-1|2) are the reasons of root facts 1 and 2: both
+      // deletions are skipped, and the proof still goes through.
+      {"root-reason-deletion",
+       cert({{1}, {-1, 2}, {-2, 3, 4}, {-2, 3, -4}, {-3, 5}, {-3, -5}},
+            {{K::kDelete, {1}}, {K::kDelete, {-1, 2}}, {K::kLearn, {3}}}),
+       true},
+      // Deleting one of two identical clauses leaves the other.
+      {"one-of-two-copies",
+       cert({{1, 2}, {1, 2}, {1, -2}, {-1, 3}, {-1, -3}},
+            {{K::kDelete, {1, 2}}, {K::kLearn, {1}}}),
+       true},
+      {"both-copies",
+       cert({{1, 2}, {1, 2}, {1, -2}, {-1, 3}, {-1, -3}},
+            {{K::kDelete, {1, 2}}, {K::kDelete, {1, 2}}, {K::kLearn, {1}}}),
+       false},
+      // Lemmas added before and after the first deletion are deleted
+      // again: the index built at that deletion must hold both.
+      {"lemma-deletions",
+       cert({{1, 2}, {1, -2}, {-1, 3, 4}, {-1, 3, -4}, {-1, -3, 5},
+             {-1, -3, -5}},
+            {{K::kLearn, {1, 3}},
+             {K::kDelete, {1, 3}},
+             {K::kLearn, {1, -3}},
+             {K::kDelete, {1, -3}},
+             {K::kLearn, {1}},
+             {K::kLearn, {3}}}),
+       true},
+      {"assumed", cert({{-1, 2}, {-1, -2}}, {}, {1}), true},
+  };
+
+  DratChecker reused;
+  const auto run = [&](const Scripted& s) {
+    const DratCheckResult fresh = check_drat(s.cert);
+    const DratCheckResult r = reused.check(s.cert);
+    EXPECT_EQ(fresh.ok, s.ok) << s.name << ": " << fresh.error;
+    EXPECT_EQ(r.ok, fresh.ok) << s.name << ": " << r.error;
+    EXPECT_EQ(r.error, fresh.error) << s.name;
+    EXPECT_EQ(r.lemmas_checked, fresh.lemmas_checked) << s.name;
+    EXPECT_EQ(r.deletions_applied, fresh.deletions_applied) << s.name;
+  };
+  for (const Scripted& s : script) run(s);
+  for (auto it = script.rbegin(); it != script.rend(); ++it) run(*it);
+
+  // The deletion rules as the script means them.
+  EXPECT_EQ(check_drat(script[5].cert).deletions_applied, 0u);
+  EXPECT_EQ(check_drat(script[6].cert).deletions_applied, 1u);
+  EXPECT_EQ(check_drat(script[8].cert).deletions_applied, 2u);
+  EXPECT_EQ(check_drat(script[8].cert).lemmas_checked, 4u);
 }
 
 // ---- solver-emitted certificates -----------------------------------------
@@ -171,6 +259,89 @@ TEST(DratTraceTest, SecondQueryOnReusedSolverDoesNotInheritProof) {
   EXPECT_EQ(cert->query, 3u);
   const DratCheckResult r = check_drat(*cert);
   EXPECT_TRUE(r.ok) << r.error;
+}
+
+void expect_same_certificate(const std::optional<DratCertificate>& a,
+                             const std::optional<DratCertificate>& b,
+                             const char* what) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << what;
+  if (!a) return;
+  EXPECT_EQ(a->query, b->query) << what;
+  EXPECT_EQ(a->formula, b->formula) << what;
+  EXPECT_EQ(a->assumptions, b->assumptions) << what;
+  ASSERT_EQ(a->steps.size(), b->steps.size()) << what;
+  for (std::size_t i = 0; i < a->steps.size(); ++i) {
+    EXPECT_EQ(a->steps[i].kind, b->steps[i].kind) << what << " step " << i;
+    EXPECT_EQ(a->steps[i].clause, b->steps[i].clause) << what << " step " << i;
+  }
+}
+
+// One trace reset per query, the way Atpg reuses its trace on a solver
+// it resets per query, records exactly what a fresh trace records.
+TEST(DratTraceTest, ResetTraceMatchesFresh) {
+  using Query = std::function<sat::Result(Solver&)>;
+  const Query pigeonhole = [](Solver& s) {
+    const int pigeons = 5, holes = 4;
+    std::vector<std::vector<Var>> p(pigeons, std::vector<Var>(holes));
+    for (auto& row : p)
+      for (auto& v : row) v = s.new_var();
+    for (int i = 0; i < pigeons; ++i) {
+      std::vector<sat::Lit> clause;
+      for (int h = 0; h < holes; ++h) clause.push_back(mk_lit(p[i][h]));
+      s.add_clause(clause);
+    }
+    for (int h = 0; h < holes; ++h)
+      for (int i = 0; i < pigeons; ++i)
+        for (int j = i + 1; j < pigeons; ++j)
+          s.add_clause(mk_lit(p[i][h], true), mk_lit(p[j][h], true));
+    return s.solve();
+  };
+  const Query satisfiable = [](Solver& s) {
+    const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
+    s.add_clause(mk_lit(a, true), mk_lit(b));
+    s.add_clause(mk_lit(b, true), mk_lit(c));
+    return s.solve({mk_lit(a)});
+  };
+  const Query odd_cycle = [](Solver& s) {
+    const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
+    const auto neq = [&](Var x, Var y) {
+      s.add_clause(mk_lit(x), mk_lit(y));
+      s.add_clause(mk_lit(x, true), mk_lit(y, true));
+    };
+    neq(a, b);
+    neq(b, c);
+    neq(c, a);
+    return s.solve({mk_lit(b, true)});
+  };
+  const std::vector<std::pair<const char*, Query>> queries = {
+      {"pigeonhole", pigeonhole},
+      {"satisfiable", satisfiable},
+      {"odd cycle", odd_cycle}};
+  const sat::Result expected[] = {sat::Result::kUnsat, sat::Result::kSat,
+                                  sat::Result::kUnsat};
+
+  Solver reused;
+  DratTrace trace;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto& [what, query] = queries[q];
+    reused.reset();
+    trace.reset();
+    reused.set_proof(&trace);
+    ASSERT_EQ(query(reused), expected[q]) << what;
+
+    Solver s;
+    DratTrace fresh;
+    s.set_proof(&fresh);
+    ASSERT_EQ(query(s), expected[q]) << what;
+    EXPECT_EQ(trace.solves(), fresh.solves()) << what;
+    EXPECT_EQ(trace.formula_size(), fresh.formula_size()) << what;
+    EXPECT_EQ(trace.step_count(), fresh.step_count()) << what;
+    expect_same_certificate(trace.last_unsat_certificate(),
+                            fresh.last_unsat_certificate(), what);
+    if (q == 0) {
+      EXPECT_GT(trace.step_count(), 0u);  // learning happened
+    }
+  }
 }
 
 TEST(DratTraceTest, RootContradictionYieldsTrivialCertificate) {

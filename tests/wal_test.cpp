@@ -18,14 +18,10 @@
 #include "src/recover/session.hpp"
 #include "src/recover/wal.hpp"
 #include "tests/counter_table.hpp"
+#include "tests/temp_path.hpp"
 
 namespace kms::recover {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/" + name;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -120,6 +120,9 @@ ctest --preset checked -L faultsim --output-on-failure
 # jobs 1 and 4 on carry-skip adders, a replicated datapath, the MCNC
 # substitutes and the example netlists, and compares each output BLIF's
 # FNV-1a digest with the value pinned in tests/output_digest_test.cpp.
+# On four of them it also runs the certify job with --emit-proof and
+# pins one digest over journal.txt and every q<N>.cnf and q<N>.drat, so
+# a change to the certificate bytes is called out too.
 # Run it by name so a change to the engine's output is called out in CI
 # output even when a filter in "$@" skipped it above.
 echo "== pinned output digests (checked preset) =="
