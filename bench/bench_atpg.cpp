@@ -14,6 +14,11 @@
 //                                   digest bit-for-bit
 //   bench_atpg --jobs <n> --quick   same, smallest circuit only (the CI
 //                                   bench-smoke stage)
+//
+// The scaling table runs the production removal configuration: the
+// random-pattern pre-drop, witness replay and the cross-pass cache all
+// on, as in run_job. It still runs on a clone_compact() copy, whose
+// fault order can differ from the network a production run sees.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -97,10 +102,6 @@ EngineRun run_engine(const Network& net, unsigned jobs) {
   Network copy = net.clone_compact();
   RedundancyRemovalOptions opts;
   opts.context.jobs = jobs;
-  // Random-pattern pre-drop off: it hides the exact-ATPG load behind
-  // stimulus luck. Witness dropping and the cross-pass cache take over
-  // the drop role from targeted, not random, stimulus.
-  opts.use_fault_sim = false;
   bench::Timer t;
   EngineRun run;
   run.r = remove_redundancies(copy, opts);

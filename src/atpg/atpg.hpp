@@ -130,14 +130,8 @@ class Atpg {
   std::vector<sat::Lit> diffs_;            ///< detection clause
 };
 
-/// All *proved* untestable faults from the collapsed fault list.
-/// `limit` stops early once that many have been found (0 = no limit).
-/// Under a governor, kUnknown verdicts are skipped (conservative).
-std::vector<Fault> find_redundancies(const Network& net, std::size_t limit = 0,
-                                     ResourceGovernor* governor = nullptr);
-
-/// Count of untestable collapsed faults (the "No. Red." column of
-/// Table I).
+/// Count of *proved* untestable collapsed faults (the "No. Red." column
+/// of Table I).
 std::size_t count_redundancies(const Network& net);
 
 }  // namespace kms

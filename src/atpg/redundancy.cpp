@@ -87,6 +87,18 @@ struct Speculation {
 /// (sduke2); see EXPERIMENTS.md §16.
 constexpr std::size_t kMaxStoredSets = 128;
 
+/// 64-pattern words of random stimulus each pass draws, replayed against
+/// each fault a ticket reaches before exact ATPG (no effect on the
+/// removed set). Without them the run-wide witness store and the lanes'
+/// own witnesses still drop most faults, but they pay:
+/// `e2ebench/run.py --trace 1` (seed 3, 4-thread x86 host) puts the
+/// removal phase at about 170 ms with them and 274 ms without on csa,
+/// and at about 227 and 406 ms on certify, where SAT queries grow 2.5x
+/// and 2.1x without them. `kmscli irr` end to end, with / without (min
+/// of 3): csa_16_4 0.220 / 0.255 s, smisex2 0.052 / 0.063 s, sduke2
+/// 0.99 / 1.00 s, csa_8_2 x8 1.37 / 1.60 s.
+constexpr std::size_t kRandomWords = 8;
+
 /// Run-wide store of exact SAT witnesses, packed 64 patterns to a word
 /// set, pass by pass in scan order. Witnesses are input assignments,
 /// valid on any later network (removal keeps the inputs); the store is
@@ -146,15 +158,14 @@ struct LaneReplay {
 
 /// Mark the pass's cache hits and draw its random pre-drop words. Words
 /// are drawn only when some fault is not a cache hit: up to
-/// opts.random_words of them, the governor polled before each, every
+/// kRandomWords of them, the governor polled before each, every
 /// one from the main rng — the draws the kRandom scan order and a
 /// checkpoint's rng state follow. The lanes simulate them lazily, only
 /// against the faults their tickets reach.
 std::vector<std::vector<std::uint64_t>> prepare_pass(
     const Network& net, const std::vector<Fault>& faults,
-    const RedundancyRemovalOptions& opts, ResourceGovernor* gov,
-    const FaultCache& cache, Rng& rng, std::vector<Speculation>& spec,
-    RedundancyRemovalResult& result) {
+    ResourceGovernor* gov, const FaultCache& cache, Rng& rng,
+    std::vector<Speculation>& spec, RedundancyRemovalResult& result) {
   bool pending = false;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (cache.contains(faults[i])) {
@@ -165,8 +176,8 @@ std::vector<std::vector<std::uint64_t>> prepare_pass(
     }
   }
   std::vector<std::vector<std::uint64_t>> words;
-  if (!opts.use_fault_sim || !pending || net.inputs().empty()) return words;
-  for (std::size_t w = 0; w < opts.random_words; ++w) {
+  if (!pending || net.inputs().empty()) return words;
+  for (std::size_t w = 0; w < kRandomWords; ++w) {
     if (gov && gov->should_stop()) break;
     std::vector<std::uint64_t>& pi = words.emplace_back(net.inputs().size());
     for (auto& x : pi) x = rng.next_u64();
@@ -243,8 +254,8 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
     const auto faults = collapsed_faults(net);
     const std::size_t n = faults.size();
     std::vector<Speculation> spec(n);
-    const std::vector<std::vector<std::uint64_t>> random_words =
-        prepare_pass(net, faults, opts, gov, cache, rng, spec, result);
+    const std::vector<std::vector<std::uint64_t>> random_stimulus =
+        prepare_pass(net, faults, gov, cache, rng, spec, result);
     const std::vector<std::size_t> order = scan_order(n, opts.order, rng);
 
     // Lowest scan rank proved untestable so far. Only ever decreases, so
@@ -265,7 +276,7 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
       Atpg atpg(net, gov);
       if (session) atpg.set_proof_capture(true);
       Rng wrng = witness_rng(opts.seed, passes_now, w);
-      LaneReplay replay{random_words, store.words, {}};
+      LaneReplay replay{random_stimulus, store.words, {}};
       FaultSimulator* sim = nullptr;  // lane_sims[w], once reset this pass
       for (;;) {
         const std::size_t k = tickets.next();
@@ -292,7 +303,7 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
           const std::size_t c = replay.first_detecting(*sim, faults[i]);
           ws.sim_seconds += Seconds(Clock::now() - t0).count();
           if (c < replay.size()) {
-            if (c < random_words.size()) {
+            if (c < random_stimulus.size()) {
               s.state = kKnownTestable;
               ++ws.sim_dropped;
             } else {

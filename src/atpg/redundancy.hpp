@@ -76,19 +76,6 @@ enum class RemovalOrder { kForward, kReverse, kRandom };
 struct RemovalResume;
 
 struct RedundancyRemovalOptions {
-  /// Replay random-pattern words against each fault a ticket reaches
-  /// before exact ATPG (no effect on the removed set). Without them the
-  /// run-wide witness store and the lanes' own witnesses still drop
-  /// most faults, but they pay: `e2ebench/run.py --trace 1` (seed 3,
-  /// 4-thread x86 host) puts the removal phase at about 170 ms with
-  /// them and 274 ms without on csa, and at about 227 and 406 ms on
-  /// certify, where SAT queries grow 2.5x and 2.1x without them.
-  /// `kmscli irr` end to end, with / without (min of 3): csa_16_4
-  /// 0.220 / 0.255 s, smisex2 0.052 / 0.063 s, sduke2 0.99 / 1.00 s,
-  /// csa_8_2 x8 1.37 / 1.60 s.
-  bool use_fault_sim = true;
-  /// Number of 64-pattern words of random stimulus each pass draws.
-  std::size_t random_words = 8;
   RemovalOrder order = RemovalOrder::kForward;
   std::uint64_t seed = 0x5EEDull;
 

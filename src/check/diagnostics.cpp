@@ -75,7 +75,7 @@ const std::vector<RuleInfo>& all_rules() {
       // NL022..NL028 are produced by the timing subsystem's checker
       // (src/timing/checker.cpp): NL022/NL023 by the lint-style declared-
       // data rules, NL024..NL028 by the timing-invariant audit that backs
-      // --audit-timing and the KMS phase checkpoints.
+      // --check and the KMS phase checkpoints.
       {"NL022", Severity::kError, "delay-sanity",
        "every live gate and connection must declare a finite, nonnegative "
        "delay (and every input a finite arrival) for timing analysis to "

@@ -167,8 +167,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   // the engine is synchronized (never between the surgery steps of one
   // iteration, where the tables are legitimately stale).
   const auto timing_checkpoint = [&](const char* phase) {
-    if (checking || opts.audit_timing)
-      enforce_timing_invariants(net, sta, phase);
+    if (checking) enforce_timing_invariants(net, sta, phase);
   };
   const auto measure = [&](double* topo, double* computed, bool* exact) {
     *topo = sta.delay();
@@ -260,11 +259,11 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     // One Sensitizer for the loop, retargeted per path: it encodes only
     // the fanin closure of the side inputs the path constrains, into
     // solver storage kept from the previous path. With a session it
-    // captures the certificate instead of journalling it, so the verdict
-    // reaches the journal below only once it licenses a transform.
+    // captures the certificate, and the verdict reaches the journal
+    // below only once it licenses a transform.
     if (!sens)
-      sens.emplace(net, opts.mode, path, gov, /*session=*/nullptr,
-                   &sta.arrival(), /*capture=*/session != nullptr);
+      sens.emplace(net, opts.mode, path, gov, &sta.arrival(),
+                   /*capture=*/session != nullptr);
     else
       sens->retarget(path);
     SensitizeResult sres = sens->check(path);

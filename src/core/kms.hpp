@@ -50,13 +50,6 @@ struct KmsOptions {
   /// Run the final removal phase (disable to study the loop alone).
   bool remove_remaining = true;
 
-  /// Audit the incremental engine's tables against a from-scratch
-  /// recompute after every repair (rules NL024–NL028), throwing
-  /// CheckFailure on any violation. Costs a full timing pass per
-  /// iteration — a debugging/CI mode, also implied by the
-  /// KMS_CHECK_INVARIANTS phase checkpoints.
-  bool audit_timing = false;
-
   /// Execution context of the run, shared by every phase:
   ///  * governor — shared wall-clock deadline, global conflict/
   ///    propagation budgets and cooperative interrupt across every SAT
@@ -71,9 +64,12 @@ struct KmsOptions {
   ///    verdict that licenses one carries a DRAT certificate. A
   ///    degraded run finalizes the journal as partial. See src/proof/.
   ///  * check_invariants — run the netlist invariant checker
-  ///    (src/check/) between loop phases and throw CheckFailure on a
-  ///    violation. Also enabled globally by the KMS_CHECK_INVARIANTS
-  ///    build option / environment toggle.
+  ///    (src/check/) between loop phases, and audit the incremental
+  ///    timing engine's tables against a from-scratch recompute after
+  ///    every repair (rules NL024–NL028); throw CheckFailure on a
+  ///    violation. Costs a full timing pass per iteration. Also enabled
+  ///    globally by the KMS_CHECK_INVARIANTS build option / environment
+  ///    toggle.
   ///  * jobs — worker count for the final removal phase (the loop
   ///    phases are sequential); removal.context.jobs is overridden by
   ///    this so one knob configures the whole run.

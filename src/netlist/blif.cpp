@@ -141,17 +141,20 @@ BlifModel parse_model(std::istream& in) {
   return model;
 }
 
+/// Delay of every gate a cover elaborates into: the paper's experiments
+/// use a unit gate-delay model.
+constexpr double kGateDelay = 1.0;
+
 /// Builds gates for one cover. Returns the gate driving the node output.
 class Elaborator {
  public:
-  Elaborator(Network& net, double gate_delay)
-      : net_(net), delay_(gate_delay) {}
+  explicit Elaborator(Network& net) : net_(net) {}
 
   GateId literal(GateId src, bool positive) {
     if (positive) return src;
     auto it = inverters_.find(src.value());
     if (it != inverters_.end()) return it->second;
-    GateId inv = net_.add_gate(GateKind::kNot, {src}, delay_);
+    GateId inv = net_.add_gate(GateKind::kNot, {src}, kGateDelay);
     inverters_.emplace(src.value(), inv);
     return inv;
   }
@@ -207,7 +210,7 @@ class Elaborator {
       }
       terms.push_back(lits.size() == 1
                           ? lits[0]
-                          : net_.add_gate(GateKind::kAnd, lits, delay_));
+                          : net_.add_gate(GateKind::kAnd, lits, kGateDelay));
     }
     if (terms.size() == 1) {
       if (phase == 1) {
@@ -215,15 +218,14 @@ class Elaborator {
         // node has a gate of its own (keeps names attachable).
         return terms[0];
       }
-      return net_.add_gate(GateKind::kNot, {terms[0]}, delay_);
+      return net_.add_gate(GateKind::kNot, {terms[0]}, kGateDelay);
     }
     return net_.add_gate(phase == 1 ? GateKind::kOr : GateKind::kNor, terms,
-                         delay_);
+                         kGateDelay);
   }
 
  private:
   Network& net_;
-  double delay_;
   std::unordered_map<std::uint32_t, GateId> inverters_;
 };
 
@@ -231,9 +233,9 @@ class Elaborator {
 
 namespace {
 
-Network elaborate_model(const BlifModel& model, const BlifReadOptions& opts) {
+Network elaborate_model(const BlifModel& model) {
   Network net(model.name.empty() ? "blif" : model.name);
-  Elaborator elab(net, opts.gate_delay);
+  Elaborator elab(net);
 
   std::unordered_map<std::string, GateId> signal;
   for (const std::string& i : model.inputs) {
@@ -322,41 +324,38 @@ Network elaborate_model(const BlifModel& model, const BlifReadOptions& opts) {
 
 }  // namespace
 
-Network read_blif(std::istream& in, const BlifReadOptions& opts) {
+Network read_blif(std::istream& in) {
   BlifModel model = parse_model(in);
   if (!model.latches.empty())
     throw BlifError(at_line(model.latches.front().line) +
                     "model contains latches; use read_blif_sequential "
                     "instead");
-  return elaborate_model(model, opts);
+  return elaborate_model(model);
 }
 
-BlifSequential read_blif_sequential(std::istream& in,
-                                    const BlifReadOptions& opts) {
+BlifSequential read_blif_sequential(std::istream& in) {
   BlifModel model = parse_model(in);
   BlifSequential seq;
-  seq.comb = elaborate_model(model, opts);
+  seq.comb = elaborate_model(model);
   for (const LatchDecl& latch : model.latches)
     seq.latch_init.push_back(latch.init);
   return seq;
 }
 
-BlifSequential read_blif_sequential_string(const std::string& text,
-                                           const BlifReadOptions& opts) {
+BlifSequential read_blif_sequential_string(const std::string& text) {
   std::istringstream in(text);
-  return read_blif_sequential(in, opts);
+  return read_blif_sequential(in);
 }
 
-Network read_blif_string(const std::string& text,
-                         const BlifReadOptions& opts) {
+Network read_blif_string(const std::string& text) {
   std::istringstream in(text);
-  return read_blif(in, opts);
+  return read_blif(in);
 }
 
-Network read_blif_file(const std::string& path, const BlifReadOptions& opts) {
+Network read_blif_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw BlifError("cannot open " + path);
-  return read_blif(in, opts);
+  return read_blif(in);
 }
 
 // ---- writer -----------------------------------------------------------------

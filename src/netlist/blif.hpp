@@ -19,19 +19,13 @@ struct BlifError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-struct BlifReadOptions {
-  /// Delay assigned to every logic gate created while elaborating covers
-  /// (the paper's experiments use a unit gate-delay model).
-  double gate_delay = 1.0;
-};
-
-/// Parse a combinational BLIF model into a network. Throws BlifError on
+/// Parse a combinational BLIF model into a network. Every logic gate
+/// created while elaborating covers gets unit delay (the paper's
+/// experiments use a unit gate-delay model). Throws BlifError on
 /// malformed input (including any .latch — see read_blif_sequential).
-Network read_blif(std::istream& in, const BlifReadOptions& opts = {});
-Network read_blif_string(const std::string& text,
-                         const BlifReadOptions& opts = {});
-Network read_blif_file(const std::string& path,
-                       const BlifReadOptions& opts = {});
+Network read_blif(std::istream& in);
+Network read_blif_string(const std::string& text);
+Network read_blif_file(const std::string& path);
 
 /// Serialize a network as BLIF. Gates with more than `max_sop_inputs`
 /// fanins are emitted as multi-line covers only for AND/OR-family kinds;
@@ -48,10 +42,8 @@ struct BlifSequential {
   Network comb;
   std::vector<bool> latch_init;  ///< one entry per latch ('2'/'3' -> 0)
 };
-BlifSequential read_blif_sequential(std::istream& in,
-                                    const BlifReadOptions& opts = {});
-BlifSequential read_blif_sequential_string(const std::string& text,
-                                           const BlifReadOptions& opts = {});
+BlifSequential read_blif_sequential(std::istream& in);
+BlifSequential read_blif_sequential_string(const std::string& text);
 
 /// Serialize a sequential core (SeqNetwork convention) with .latch
 /// lines for the trailing `num_latches` input/output pairs.

@@ -139,6 +139,12 @@ std::size_t balance(Network& net) {
 
 namespace {
 
+/// Delay of the three gates (two ANDs + OR) and the inverter realizing
+/// shannon_speedup's select MUX.
+constexpr double kMuxGateDelay = 1.0;
+/// Cones larger than this are not duplicated (area guard).
+constexpr std::size_t kMaxShannonCone = 2000;
+
 /// Copy the transitive-fanin cone of `root` with primary input `pivot`
 /// replaced by the constant `value`. Returns the copy of `root`.
 GateId copy_cone_with_pivot(Network& net, GateId root, GateId pivot,
@@ -185,25 +191,20 @@ std::size_t cone_size(const Network& net, GateId root) {
 
 }  // namespace
 
-bool shannon_speedup(Network& net, std::size_t output, GateId pivot,
-                     const ShannonOptions& opts) {
+bool shannon_speedup(Network& net, std::size_t output, GateId pivot) {
   const GateId po = net.outputs().at(output);
   const ConnId out_conn = net.gate(po).fanins[0];
   const GateId root = net.conn(out_conn).from;
   if (root == pivot) return false;  // output is the pivot itself
-  if (cone_size(net, root) > opts.max_cone) return false;
+  if (cone_size(net, root) > kMaxShannonCone) return false;
 
   std::unordered_map<std::uint32_t, GateId> memo1, memo0;
   const GateId f1 = copy_cone_with_pivot(net, root, pivot, true, &memo1);
   const GateId f0 = copy_cone_with_pivot(net, root, pivot, false, &memo0);
-  const GateId np =
-      net.add_gate(GateKind::kNot, {pivot}, opts.mux_gate_delay);
-  const GateId t1 =
-      net.add_gate(GateKind::kAnd, {pivot, f1}, opts.mux_gate_delay);
-  const GateId t0 = net.add_gate(GateKind::kAnd, {np, f0},
-                                 opts.mux_gate_delay);
-  const GateId mux =
-      net.add_gate(GateKind::kOr, {t1, t0}, opts.mux_gate_delay);
+  const GateId np = net.add_gate(GateKind::kNot, {pivot}, kMuxGateDelay);
+  const GateId t1 = net.add_gate(GateKind::kAnd, {pivot, f1}, kMuxGateDelay);
+  const GateId t0 = net.add_gate(GateKind::kAnd, {np, f0}, kMuxGateDelay);
+  const GateId mux = net.add_gate(GateKind::kOr, {t1, t0}, kMuxGateDelay);
   net.reroute_source(out_conn, mux);
   propagate_constants(net);
   collapse_buffers(net);
@@ -211,8 +212,7 @@ bool shannon_speedup(Network& net, std::size_t output, GateId pivot,
   return true;
 }
 
-std::size_t shannon_speedup_critical(Network& net,
-                                     const ShannonOptions& opts) {
+std::size_t shannon_speedup_critical(Network& net) {
   std::size_t applied = 0;
   const auto arrival = compute_arrival(net);
   // Latest-arriving primary input overall (ties: first).
@@ -233,7 +233,7 @@ std::size_t shannon_speedup_critical(Network& net,
     todo.push_back(o);
   }
   for (std::size_t o : todo)
-    if (shannon_speedup(net, o, pivot, opts)) ++applied;
+    if (shannon_speedup(net, o, pivot)) ++applied;
   return applied;
 }
 

@@ -34,23 +34,16 @@ std::size_t strash(Network& net);
 /// Returns the number of trees rebuilt.
 std::size_t balance(Network& net);
 
-struct ShannonOptions {
-  /// Delay of the three gates (two ANDs + OR) realizing the select MUX.
-  double mux_gate_delay = 1.0;
-  /// Cones larger than this are not duplicated (area guard).
-  std::size_t max_cone = 2000;
-};
-
 /// Shannon-cofactor the cone of output index `output` against primary
 /// input `pivot`: out = (pivot & cone[pivot=1]) | (!pivot & cone[pivot=0]).
-/// The two cofactor copies are constant-propagated. Returns true if the
-/// rewrite was applied.
-bool shannon_speedup(Network& net, std::size_t output, GateId pivot,
-                     const ShannonOptions& opts = {});
+/// The select MUX is built from unit-delay gates. The two cofactor
+/// copies are constant-propagated. Returns true if the rewrite was
+/// applied; a cone of more than 2000 gates is not duplicated (area
+/// guard).
+bool shannon_speedup(Network& net, std::size_t output, GateId pivot);
 
 /// Apply shannon_speedup to every output whose critical path starts at
 /// the latest-arriving reachable input. Returns rewrites applied.
-std::size_t shannon_speedup_critical(Network& net,
-                                     const ShannonOptions& opts = {});
+std::size_t shannon_speedup_critical(Network& net);
 
 }  // namespace kms

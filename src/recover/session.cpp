@@ -198,16 +198,13 @@ void reload_certificates(const std::string& dir, const Checkpoint& ckpt,
 }  // namespace
 
 SessionMeta make_meta(const std::string& model, const KmsOptions& opts,
-                      unsigned jobs, std::uint64_t checkpoint_every,
+                      std::uint64_t checkpoint_every,
                       std::uint64_t source_digest) {
   SessionMeta m;
   m.model = model;
   m.mode = opts.mode == SensitizationMode::kViability ? "viability" : "static";
   m.order = order_name(opts.removal.order);
-  m.jobs = jobs;
   m.seed = opts.removal.seed;
-  m.use_fault_sim = opts.removal.use_fault_sim;
-  m.random_words = opts.removal.random_words;
   m.remove_remaining = opts.remove_remaining;
   m.max_iterations = opts.max_iterations;
   m.max_queries = opts.max_queries;
@@ -223,8 +220,6 @@ void apply_meta(const SessionMeta& meta, KmsOptions* opts) {
   opts->max_queries = static_cast<std::size_t>(meta.max_queries);
   opts->remove_remaining = meta.remove_remaining;
   opts->removal.seed = meta.seed;
-  opts->removal.use_fault_sim = meta.use_fault_sim;
-  opts->removal.random_words = static_cast<std::size_t>(meta.random_words);
   opts->removal.order = meta.order == "reverse"   ? RemovalOrder::kReverse
                         : meta.order == "random" ? RemovalOrder::kRandom
                                                  : RemovalOrder::kForward;
@@ -235,10 +230,7 @@ std::string write_meta(const SessionMeta& m) {
   out << "model " << m.model << '\n'
       << "mode " << m.mode << '\n'
       << "order " << m.order << '\n'
-      << "jobs " << m.jobs << '\n'
       << "seed " << m.seed << '\n'
-      << "fault-sim " << (m.use_fault_sim ? 1 : 0) << '\n'
-      << "random-words " << m.random_words << '\n'
       << "remove-remaining " << (m.remove_remaining ? 1 : 0) << '\n'
       << "max-iterations " << m.max_iterations << '\n'
       << "max-queries " << m.max_queries << '\n'
@@ -264,11 +256,7 @@ SessionMeta read_meta(const std::string& text) {
     if (key == "model") m.model = value;
     else if (key == "mode") m.mode = value;
     else if (key == "order") m.order = value;
-    else if (key == "jobs")
-      m.jobs = static_cast<unsigned>(parse_u64_field(value, key));
     else if (key == "seed") m.seed = parse_u64_field(value, key);
-    else if (key == "fault-sim") m.use_fault_sim = parse_flag_field(value, key);
-    else if (key == "random-words") m.random_words = parse_u64_field(value, key);
     else if (key == "remove-remaining")
       m.remove_remaining = parse_flag_field(value, key);
     else if (key == "max-iterations")
@@ -281,9 +269,9 @@ SessionMeta read_meta(const std::string& text) {
     else
       throw std::runtime_error("meta: unknown key '" + key + "'");
   }
-  if (seen.size() != 12)
+  if (seen.size() != 9)
     throw std::runtime_error("meta: missing fields (" +
-                             std::to_string(seen.size()) + " of 12)");
+                             std::to_string(seen.size()) + " of 9)");
   if (m.mode != "static" && m.mode != "viability")
     throw std::runtime_error("meta: unknown mode '" + m.mode + "'");
   if (m.order != "forward" && m.order != "reverse" && m.order != "random")

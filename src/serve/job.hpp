@@ -37,7 +37,7 @@ class JobError : public std::runtime_error {
 };
 
 /// What the job asks the engine to do. kCertify is kIrr with the
-/// in-process proof audit forced on (spec.certify is implied); kStats
+/// in-process proof audit of its proof session; kStats
 /// with a payload summarizes the circuit, without one it reports the
 /// serving daemon's own counters.
 enum class JobKind { kIrr, kAudit, kCertify, kAnalyze, kLint, kDelay, kStats };
@@ -67,9 +67,7 @@ bool parse_job_kind(const std::string& name, JobKind* out);
   X(time_limit, 0.0)      /* wall-clock seconds; 0 = unlimited         */
 
 #define KMS_JOB_SPEC_BOOL_FIELDS(X)                                         \
-  X(check, false)         /* netlist invariant checker between stages  */   \
-  X(certify, false)       /* verify the proof session in-process       */   \
-  X(audit_timing, false)  /* NL024-NL028 cross-check per STA repair    */   \
+  X(check, false)         /* invariant checker + timing-table audit    */   \
   X(json, false)          /* analyze/lint: machine-readable text       */   \
   X(strict, false)        /* lint: warnings fail the job               */   \
   X(warnings, true)       /* lint: run warning-severity rules          */   \

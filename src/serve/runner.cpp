@@ -216,7 +216,9 @@ void run_lint(const JobSpec& spec, ResourceGovernor&, JobReport* rep) {
     copts.warnings = spec.warnings;
     diags = NetworkChecker(copts).run(model.comb);
     // The analysis-backed and timing rules assume the representation
-    // invariants hold; skip them on a structurally broken netlist.
+    // invariants hold; skip them on a structurally broken netlist. NL022
+    // is error-severity, so the timing rules run even without warnings
+    // (which only drops NL023 inside).
     if (diags.error_count() == 0) {
       if (spec.warnings) analysis::run_analysis_rules(model.comb, &diags);
       run_timing_rules(model.comb, &diags, 100, spec.warnings);
@@ -225,6 +227,9 @@ void run_lint(const JobSpec& spec, ResourceGovernor&, JobReport* rep) {
     Diagnostic d;
     d.rule = "NL900";
     std::string msg = e.what();
+    // Lift a parse error's "line N: " prefix into the line field, so JSON
+    // consumers get it structured and the text emitter does not print it
+    // twice.
     if (msg.rfind("line ", 0) == 0) {
       d.line = std::atoi(msg.c_str() + 5);
       const auto colon = msg.find(": ");
@@ -303,7 +308,7 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
 }
 
 void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
-  const bool certify = spec.certify || spec.kind == JobKind::kCertify;
+  const bool certify = spec.kind == JobKind::kCertify;
   const bool resuming = !spec.resume.empty();
   // An artifact directory makes the run a durable session: the journal
   // is write-ahead-logged and checkpointed so a killed run resumes.
@@ -323,8 +328,8 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
     model = std::move(rs.model);
     proof_input = rs.proof_input;
     // The session's recorded configuration wins: resume-time options
-    // must not silently change what the result bits depend on. jobs
-    // may differ — the result is worker-count invariant.
+    // must not silently change what the result bits depend on. The job
+    // count is the spec's — the result is worker-count invariant.
     recover::apply_meta(rs.info.meta, &opts);
     if (rs.info.has_checkpoint) opts.resume = &rs.state;
     dur.emplace(
@@ -356,8 +361,8 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
     }
     if (durable) {
       const recover::SessionMeta meta = recover::make_meta(
-          model.comb.name(), opts, static_cast<unsigned>(spec.jobs),
-          spec.checkpoint_every, proof::digest_bytes(source_bytes));
+          model.comb.name(), opts, spec.checkpoint_every,
+          proof::digest_bytes(source_bytes));
       dur.emplace(recover::DurableSession::create(spec.emit_proof, meta,
                                                   source_bytes, session));
     }
@@ -369,10 +374,6 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
   opts.context.session = proving ? session : nullptr;
   opts.context.check_invariants = spec.check;
   opts.context.jobs = static_cast<unsigned>(spec.jobs);
-  // A resumed run reuses the recorded worker count unless the spec
-  // overrides it (jobs is result-invariant, so both are legal).
-  if (resuming && spec.jobs == 1) opts.context.jobs = rs.info.meta.jobs;
-  opts.audit_timing = spec.audit_timing;
   if (dur) opts.context.sink = &*dur;
   const KmsStats stats = kms_make_irredundant(model.comb, opts);
   check_stage(spec, rep, model.comb, "kms_make_irredundant");

@@ -62,7 +62,7 @@ TimingAudit audit_incremental_sta(const Network& net,
 
 /// audit_incremental_sta + throw CheckFailure naming `where` when any
 /// error-severity finding fires — the timing arm of the
-/// KMS_CHECK_INVARIANTS phase checkpoints and of --audit-timing.
+/// KMS_CHECK_INVARIANTS phase checkpoints and of --check.
 void enforce_timing_invariants(const Network& net, const IncrementalSta& sta,
                                const char* where);
 

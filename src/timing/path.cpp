@@ -15,26 +15,6 @@ double path_length(const Network& net, const Path& p) {
   return len;
 }
 
-std::uint64_t path_signature(const Path& p) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  mix(p.source.value());
-  for (std::size_t i = 0; i < p.gates.size(); ++i) {
-    mix(p.conns[i].value());
-    mix(p.gates[i].value());
-  }
-  return h;
-}
-
-bool same_path(const Path& a, const Path& b) {
-  return a.source == b.source && a.conns == b.conns && a.gates == b.gates;
-}
-
 std::string format_path(const Network& net, const Path& p) {
   auto label = [&net](GateId g) {
     const Gate& gt = net.gate(g);
@@ -134,10 +114,6 @@ std::optional<Path> PathEnumerator::next() {
     expand(top.node);
   }
   return std::nullopt;
-}
-
-double PathEnumerator::peek_length() const {
-  return heap_.empty() ? minus_infinity() : heap_.front().bound;
 }
 
 std::vector<Path> longest_paths(const Network& net, double epsilon,

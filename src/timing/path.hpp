@@ -29,21 +29,12 @@ struct Path {
   std::vector<ConnId> conns;   ///< conns[i] feeds gates[i]
   std::vector<GateId> gates;   ///< gates along the path; back() is kOutput
   double length = 0.0;         ///< arrival(source) + sum of delays
+
+  bool operator==(const Path& other) const = default;
 };
 
 /// Recompute a path's length field from the network (for validation).
 double path_length(const Network& net, const Path& p);
-
-/// FNV-1a over the path's structural identity: the source gate id and
-/// the (conn id, gate id) sequence. GateId/ConnId are tombstoned and
-/// never reused, so equal signatures on the same network name the same
-/// structural path for the whole run. Length is deliberately excluded:
-/// it is derived state the ids already determine.
-std::uint64_t path_signature(const Path& p);
-
-/// Exact structural equality (source, conns, gates) — the collision
-/// check behind a signature match.
-bool same_path(const Path& a, const Path& b);
 
 /// Human-readable "a0 -> g3(and) -> ... -> c2" rendering.
 std::string format_path(const Network& net, const Path& p);
@@ -72,10 +63,6 @@ class PathEnumerator {
 
   /// Next path in non-increasing length order; nullopt when exhausted.
   std::optional<Path> next();
-
-  /// Upper bound on the length of the next path to be emitted (the
-  /// current best frontier rank); -infinity when exhausted.
-  double peek_length() const;
 
   /// Restart enumeration against the network's current state without
   /// reconstructing the enumerator: discards the frontier (keeping its

@@ -6,24 +6,22 @@
 
 #include "src/core/verdict.hpp"
 #include "src/proof/drat.hpp"
-#include "src/proof/journal.hpp"
 #include "src/timing/sta.hpp"
 
 namespace kms {
 
 Sensitizer::Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
-                       ResourceGovernor* governor, proof::ProofSession* session,
+                       ResourceGovernor* governor,
                        const std::vector<double>* arrival_seed, bool capture)
     : net_(net),
       mode_(mode),
-      session_(session),
       capture_(capture),
       arrival_(arrival_seed ? arrival_seed : &own_arrival_),
       governor_(governor) {}
 
 void Sensitizer::arm() {
   if (governor_) solver_.set_governor(governor_);
-  if (session_ || capture_) {
+  if (capture_) {
     if (trace_)
       trace_->reset();
     else
@@ -39,10 +37,9 @@ void Sensitizer::arm() {
 }
 
 Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
-                       ResourceGovernor* governor, proof::ProofSession* session,
+                       ResourceGovernor* governor,
                        const std::vector<double>* arrival_seed, bool capture)
-    : Sensitizer(Unencoded{}, net, mode, governor, session, arrival_seed,
-                 capture) {
+    : Sensitizer(Unencoded{}, net, mode, governor, arrival_seed, capture) {
   // Only viability smoothing reads arrival times.
   if (arrival_ == &own_arrival_ && mode_ == SensitizationMode::kViability)
     own_arrival_ = compute_arrival(net_);
@@ -54,10 +51,8 @@ Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
 
 Sensitizer::Sensitizer(const Network& net, SensitizationMode mode,
                        const Path& path, ResourceGovernor* governor,
-                       proof::ProofSession* session,
                        const std::vector<double>* arrival_seed, bool capture)
-    : Sensitizer(Unencoded{}, net, mode, governor, session, arrival_seed,
-                 capture) {
+    : Sensitizer(Unencoded{}, net, mode, governor, arrival_seed, capture) {
   retarget(path);
 }
 
@@ -184,18 +179,10 @@ SensitizeResult Sensitizer::check(const Path& path) {
   SensitizeResult out;
   out.verdict = solve(assumptions);
   if (out.verdict == sat::Result::kSat) out.witness = enc_->model_inputs();
-  if (out.verdict == sat::Result::kUnsat && (session_ || capture_)) {
+  if (out.verdict == sat::Result::kUnsat && capture_) {
     if (auto cert = trace_->last_unsat_certificate()) {
-      if (capture_) {
-        // Capture mode: hand the certificate back instead of touching
-        // the (thread-unsafe) session; the committing coordinator
-        // registers and journals it in commit order.
-        out.certificate =
-            std::make_shared<proof::DratCertificate>(std::move(*cert));
-      } else {
-        out.proof = session_->add_certificate(std::move(*cert));
-        session_->journal.add_path_unsens(format_path(net_, path), out.proof);
-      }
+      out.certificate =
+          std::make_shared<proof::DratCertificate>(std::move(*cert));
     } else {
       // Should be unreachable (a concluded kUnsat always certifies);
       // degrade rather than license a transformation without a proof.
@@ -209,8 +196,7 @@ DelayReport computed_delay(const Network& net, SensitizationMode mode,
                            std::size_t max_queries, ResourceGovernor* governor,
                            const StaSeed* seed) {
   DelayReport report;
-  Sensitizer sens(net, mode, governor, nullptr,
-                  seed ? seed->arrival : nullptr);
+  Sensitizer sens(net, mode, governor, seed ? seed->arrival : nullptr);
   std::vector<double> own_suffix;
   if (seed == nullptr || seed->suffix == nullptr)
     own_suffix = compute_suffix(net);

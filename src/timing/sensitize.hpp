@@ -31,7 +31,6 @@
 namespace kms {
 
 namespace proof {
-class ProofSession;
 class DratTrace;
 struct DratCertificate;
 }  // namespace proof
@@ -47,13 +46,10 @@ enum class SensitizationMode { kStatic, kViability };
 struct SensitizeResult {
   sat::Result verdict = sat::Result::kUnknown;
   std::optional<std::vector<bool>> witness;  ///< set iff verdict == kSat
-  /// Certificate id backing a kUnsat verdict when a proof session is
-  /// attached; -1 otherwise.
-  std::int64_t proof = -1;
   /// In capture mode (see the Sensitizer constructor): the DRAT
-  /// certificate backing a kUnsat verdict, held privately instead of
-  /// being registered with a session. The KMS loop registers and
-  /// journals it only once the verdict licenses a transform.
+  /// certificate backing a kUnsat verdict. The KMS loop registers it
+  /// with its proof session and journals it only once the verdict
+  /// licenses a transform.
   /// Certificates are self-contained (formula + assumptions + steps),
   /// so one captured against an older network state still verifies
   /// standalone when cited later.
@@ -79,25 +75,19 @@ struct StaSeed {
 /// proof trace outright and reads the network const; distinct instances
 /// over the same (un-mutated) network may run concurrently without
 /// synchronization. A single instance is not thread-safe. The shared
-/// ResourceGovernor is thread-safe; a shared ProofSession is NOT —
-/// concurrent users must pass capture mode instead and serialize into
-/// the session on one thread.
+/// ResourceGovernor is thread-safe.
 class Sensitizer {
  public:
-  /// With a proof session, every kUnsat verdict from check() carries a
-  /// DRAT certificate and is journalled as an unsensitizable-path step.
   /// `arrival_seed`, if non-null, supplies the arrival table (used by
   /// viability smoothing) instead of a fresh compute_arrival pass.
-  /// With `capture` set, proofs are recorded but the session (if any)
-  /// is never touched: check() returns the certificate by value in
-  /// SensitizeResult::certificate and journals nothing — the mode
-  /// worker threads must use (mirrors Atpg::set_proof_capture). A
-  /// kUnsat that fails to certify degrades to kUnknown in both modes.
+  /// With `capture` set, every kUnsat verdict from check() carries its
+  /// DRAT certificate in SensitizeResult::certificate (mirrors
+  /// Atpg::set_proof_capture); a kUnsat that fails to certify degrades
+  /// to kUnknown. The caller registers and journals the certificate.
   /// This constructor encodes the whole network, so any path may be
   /// checked; the branch-and-bound search in computed_delay() needs that.
   Sensitizer(const Network& net, SensitizationMode mode,
              ResourceGovernor* governor = nullptr,
-             proof::ProofSession* session = nullptr,
              const std::vector<double>* arrival_seed = nullptr,
              bool capture = false);
 
@@ -105,7 +95,6 @@ class Sensitizer {
   /// may be checked. Other parameters as above.
   Sensitizer(const Network& net, SensitizationMode mode, const Path& path,
              ResourceGovernor* governor = nullptr,
-             proof::ProofSession* session = nullptr,
              const std::vector<double>* arrival_seed = nullptr,
              bool capture = false);
   ~Sensitizer();
@@ -161,9 +150,9 @@ class Sensitizer {
   /// encode (retarget does both for the path constructor).
   struct Unencoded {};
   Sensitizer(Unencoded, const Network& net, SensitizationMode mode,
-             ResourceGovernor* governor, proof::ProofSession* session,
+             ResourceGovernor* governor,
              const std::vector<double>* arrival_seed, bool capture);
-  /// Attach the governor, an empty proof trace (if proofs are wanted) and
+  /// Attach the governor, an empty proof trace (in capture mode) and
   /// model reuse to a new or reset solver, before anything is encoded.
   void arm();
 
@@ -179,7 +168,6 @@ class Sensitizer {
   const Network& net_;
   SensitizationMode mode_;
   sat::Solver solver_;
-  proof::ProofSession* session_ = nullptr;
   bool capture_ = false;
   std::unique_ptr<proof::DratTrace> trace_;  ///< attached before encoding
   /// Deferred so the proof trace can be attached before the encoding's

@@ -18,6 +18,7 @@
 #include "src/base/rng.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
+#include "src/gen/suite.hpp"
 #include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/proof/drat.hpp"
@@ -160,20 +161,18 @@ TEST(AtpgIncrementalTest, IncrementalSavesQueriesOnCarrySkip) {
   decompose_to_simple(net);
   Network ref_net = net.clone_compact();
   Network inc_net = net.clone_compact();
-  // Random-sim pre-drop off: the comparison measures the exact-ATPG
-  // load witness dropping and the cross-pass cache are responsible for.
-  RedundancyRemovalOptions inc_opts;
-  inc_opts.use_fault_sim = false;
   const ReferenceRemoval ref = reference_remove_redundancies(ref_net);
-  const auto inc_r = remove_redundancies(inc_net, inc_opts);
+  const auto inc_r = remove_redundancies(inc_net);
   ASSERT_GT(inc_r.removed, 0u);
   EXPECT_EQ(ref.removed, inc_r.removed);
   EXPECT_EQ(write_blif_string(ref_net), write_blif_string(inc_net));
   // The carry-skip adder needs several passes; the cross-pass cache and
-  // witness dropping must both fire and must strictly reduce the exact
-  // ATPG load.
+  // the random pre-drop must both fire and must strictly reduce the
+  // exact ATPG load. (Every testable fault of a carry-skip adder falls
+  // to the random words, so witness replay never fires here; smisex1's
+  // WitnessDropsJournalledAndSessionVerifies covers it.)
   EXPECT_GT(inc_r.cache_hits, 0u);
-  EXPECT_GT(inc_r.witness_dropped, 0u);
+  EXPECT_GT(inc_r.sim_dropped, 0u);
   EXPECT_LT(inc_r.atpg.sat_solves, ref.sat_queries);
 }
 
@@ -230,16 +229,16 @@ TEST(AtpgIncrementalTest, RemovalResultCountsActualSolves) {
 }
 
 TEST(AtpgIncrementalTest, WitnessDropsJournalledAndSessionVerifies) {
-  Network net = carry_skip_adder(4, 2);
+  // SAT witnesses drop faults on this circuit in every removal pass,
+  // with the random pre-drop running, so the journal below is checked
+  // with drops happening.
+  Network net = build_suite_circuit(suite_spec("smisex1"));
   decompose_to_simple(net);
   const std::string input = write_blif_string(net);
   proof::ProofSession session;
   session.journal.set_model(net.name());
   session.journal.set_input_digest(proof::digest_bytes(input));
   RedundancyRemovalOptions opts;
-  // Without the random pre-drop, SAT witnesses drop faults on this
-  // circuit, so the journal below is checked with drops happening.
-  opts.use_fault_sim = false;
   opts.context.session = &session;
   const auto r = remove_redundancies(net, opts);
   ASSERT_GT(r.removed, 0u);

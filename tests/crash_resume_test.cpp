@@ -73,7 +73,7 @@ RunResult run_fresh(const std::string& dir, const std::string& source,
     session.journal.set_input_digest(proof::digest_bytes(proof_input));
     KmsOptions opts;
     const recover::SessionMeta meta =
-        recover::make_meta(model.comb.name(), opts, jobs, checkpoint_every,
+        recover::make_meta(model.comb.name(), opts, checkpoint_every,
                            proof::digest_bytes(source));
     recover::DurableSession dur =
         recover::DurableSession::create(dir, meta, source, &session);

@@ -175,13 +175,14 @@ TEST(KmscliTest, BadLimitArgumentsAreUsageErrors) {
 }
 
 TEST(KmscliTest, RetiredEngineFlagsAreUnknown) {
-  // --speculate-k and --sta selected engines that no longer exist.
+  // --speculate-k and --sta selected engines that no longer exist;
+  // --check now runs the timing audit --audit-timing asked for.
   Network net = carry_skip_adder(2, 2);
   const std::string in_path = temp_path("kmscli_retired.blif");
   const std::string err_path = temp_path("kmscli_retired.err");
   write_blif_file(net, in_path);
   for (const std::string flag : {"--speculate-k 1", "--sta full",
-                                 "--sta incremental"}) {
+                                 "--sta incremental", "--audit-timing"}) {
     EXPECT_EQ(run_cli_status("irr " + in_path + " " + flag + " >/dev/null 2>" +
                              err_path),
               1)
@@ -194,6 +195,33 @@ TEST(KmscliTest, RetiredEngineFlagsAreUnknown) {
               std::string::npos)
         << text;
   }
+  std::remove(in_path.c_str());
+  std::remove(err_path.c_str());
+}
+
+TEST(KmscliTest, CertifyIsOnlyForIrr) {
+  // --certify makes an irr run the certify job; no other command has one.
+  Network net = carry_skip_adder(2, 2);
+  decompose_to_simple(net);
+  const std::string in_path = temp_path("kmscli_certify.blif");
+  const std::string err_path = temp_path("kmscli_certify.err");
+  write_blif_file(net, in_path);
+  EXPECT_EQ(run_cli_status("audit " + in_path + " --certify >/dev/null 2>" +
+                           err_path),
+            1);
+  std::ifstream err(err_path);
+  const std::string text((std::istreambuf_iterator<char>(err)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("flag '--certify' is only meaningful for irr"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(run_cli_status("irr " + in_path + " --certify >/dev/null 2>" +
+                           err_path),
+            0);
+  std::ifstream err2(err_path);
+  const std::string summary((std::istreambuf_iterator<char>(err2)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NE(summary.find("certified: "), std::string::npos) << summary;
   std::remove(in_path.c_str());
   std::remove(err_path.c_str());
 }

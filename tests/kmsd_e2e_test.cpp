@@ -210,9 +210,8 @@ TEST(KmsdE2eTest, ArtifactsByteIdenticalToKmscliAtJobs1And4) {
   for (const std::uint64_t jobs : {1u, 4u}) {
     ++id;
     JobSpec spec;
-    spec.kind = JobKind::kIrr;
+    spec.kind = JobKind::kCertify;
     spec.blif = blif_bytes;
-    spec.certify = true;
     spec.jobs = jobs;
     spec.emit_proof = temp_path("kmsd_bi_d" + std::to_string(jobs));
     spec.output_path = temp_path("kmsd_bi_out" + std::to_string(jobs));

@@ -90,7 +90,7 @@ TEST(LoopOracleTest, ScopedVerdictsMatchWholeNetwork) {
           net, mode, [&](const Network& n, const Path& path, std::size_t it) {
             const std::string ctx = name + " iteration " + std::to_string(it);
             Sensitizer whole(n, mode);
-            Sensitizer scoped(n, mode, path, nullptr, nullptr, nullptr,
+            Sensitizer scoped(n, mode, path, nullptr, nullptr,
                               /*capture=*/true);
             const SensitizeResult want = whole.check(path);
             const SensitizeResult got = scoped.check(path);
@@ -132,7 +132,7 @@ TEST(LoopOracleTest, ScopedVerdictsMatchWholeNetworkOnRandomNetworks) {
         Sensitizer whole(net, mode);
         std::optional<Sensitizer> scoped;
         try {
-          scoped.emplace(net, mode, *path, nullptr, nullptr, nullptr,
+          scoped.emplace(net, mode, *path, nullptr, nullptr,
                          /*capture=*/true);
         } catch (const std::invalid_argument&) {
           EXPECT_THROW(whole.check(*path), std::invalid_argument) << ctx;
@@ -185,14 +185,14 @@ TEST(LoopOracleTest, RetargetedSensitizerMatchesFresh) {
   for (const SensitizationMode mode : kModes) {
     for (const auto& [name, original] : loop_circuits()) {
       Network net = original;
-      Sensitizer reused(net, mode, nullptr, nullptr, nullptr,
+      Sensitizer reused(net, mode, nullptr, nullptr,
                         /*capture=*/true);
       std::size_t unsat = 0;
       walk_loop(net, mode,
                 [&, &name = name](const Network& n, const Path& path,
                                   std::size_t it) {
                   reused.retarget(path);
-                  Sensitizer fresh(n, mode, path, nullptr, nullptr, nullptr,
+                  Sensitizer fresh(n, mode, path, nullptr, nullptr,
                                    /*capture=*/true);
                   const std::string ctx =
                       name + " iteration " + std::to_string(it);
@@ -211,7 +211,7 @@ TEST(LoopOracleTest, RetargetedSensitizerMatchesFreshOnRandomNetworks) {
   std::size_t checked = 0, rejected = 0;
   for (const Network& net : test_networks()) {
     for (const SensitizationMode mode : kModes) {
-      Sensitizer reused(net, mode, nullptr, nullptr, nullptr,
+      Sensitizer reused(net, mode, nullptr, nullptr,
                         /*capture=*/true);
       std::optional<Path> previous;
       PathEnumerator en(net);
@@ -224,13 +224,13 @@ TEST(LoopOracleTest, RetargetedSensitizerMatchesFreshOnRandomNetworks) {
         } catch (const std::invalid_argument&) {
           ++rejected;
           if (!previous) continue;
-          Sensitizer fresh(net, mode, *previous, nullptr, nullptr, nullptr,
+          Sensitizer fresh(net, mode, *previous, nullptr, nullptr,
                            /*capture=*/true);
           fresh.check(*previous);  // one query already asked of reused
           expect_same_answer(reused, fresh, *previous, ctx + " (kept)");
           continue;
         }
-        Sensitizer fresh(net, mode, *path, nullptr, nullptr, nullptr,
+        Sensitizer fresh(net, mode, *path, nullptr, nullptr,
                          /*capture=*/true);
         expect_same_answer(reused, fresh, *path, ctx);
         previous = path;
@@ -453,7 +453,7 @@ TEST(LoopOracleTest, ModelReuseMatchesFreshSolves) {
                   ASSERT_EQ(got.witness.has_value(), want.witness.has_value())
                       << ctx;
                   if (got.witness) {
-                    EXPECT_TRUE(same_path(*got.witness, *want.witness)) << ctx;
+                    EXPECT_EQ(*got.witness, *want.witness) << ctx;
                   }
                 });
     }

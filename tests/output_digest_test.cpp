@@ -176,8 +176,7 @@ TEST_P(ProofDigestTest, MatchesPinnedAtJobs1And4) {
                                    p.name + "_j" + std::to_string(jobs));
     fs::remove_all(dir);
     serve::JobSpec spec;
-    spec.kind = serve::JobKind::kIrr;
-    spec.certify = true;
+    spec.kind = serve::JobKind::kCertify;
     spec.emit_proof = dir.string();
     spec.blif = blif;
     spec.jobs = jobs;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
@@ -181,9 +180,7 @@ TEST(PathTest, ReseedReplaysTheExactSequence) {
     for (std::size_t i = 0; i < first.size(); ++i) {
       auto p = en.next();
       ASSERT_TRUE(p.has_value()) << "seeded=" << seeded << " i=" << i;
-      EXPECT_TRUE(same_path(*p, first[i])) << "seeded=" << seeded
-                                           << " i=" << i;
-      EXPECT_EQ(path_signature(*p), path_signature(first[i]));
+      EXPECT_EQ(*p, first[i]) << "seeded=" << seeded << " i=" << i;
     }
   };
   {
@@ -194,23 +191,6 @@ TEST(PathTest, ReseedReplaysTheExactSequence) {
     PathEnumerator en(net, suffix);
     check(en, true);
   }
-}
-
-TEST(PathTest, PathSignatureSeparatesDistinctPaths) {
-  // Not a collision-freeness proof — just that the signature actually
-  // depends on the route: across one circuit's full enumeration, all
-  // pairwise-distinct paths get distinct signatures.
-  Network net = carry_skip_adder(2, 2);
-  decompose_to_simple(net);
-  PathEnumerator en(net);
-  std::set<std::uint64_t> sigs;
-  std::size_t count = 0;
-  while (auto p = en.next()) {
-    EXPECT_TRUE(same_path(*p, *p));
-    sigs.insert(path_signature(*p));
-    if (++count >= 2000) break;
-  }
-  EXPECT_EQ(sigs.size(), count);
 }
 
 }  // namespace

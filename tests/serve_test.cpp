@@ -237,6 +237,14 @@ TEST(JobSpecTest, RetiredEngineKeysAreRejected) {
       parse_job_spec(
           R"({"schema":"kms-job-v1","kind":"irr","sta":"incremental"})"),
       JobError);
+  // --check runs the timing audit, and kind "certify" is the certified
+  // irr job.
+  EXPECT_THROW(parse_job_spec(
+                   R"({"schema":"kms-job-v1","kind":"irr","audit_timing":true})"),
+               JobError);
+  EXPECT_THROW(parse_job_spec(
+                   R"({"schema":"kms-job-v1","kind":"irr","certify":true})"),
+               JobError);
 }
 
 TEST(JobSpecTest, ValidateCatchesContradictorySpecs) {

@@ -204,15 +204,16 @@ struct RunOutcome {
   KmsStats stats;
 };
 
-/// With `audit`, every repair is checked against a from-scratch
-/// recompute (rules NL024–NL028) and any divergence throws.
+/// With `audit` (the run's invariant checkpoints, as --check sets them),
+/// every repair is checked against a from-scratch recompute (rules
+/// NL024–NL028) and any divergence throws.
 RunOutcome run_kms(Network net, bool audit, unsigned jobs) {
   proof::ProofSession session;
   session.journal.set_model(net.name());
   session.journal.set_input_digest(
       proof::digest_bytes(write_blif_string(net)));
   KmsOptions opts;
-  opts.audit_timing = audit;
+  opts.context.check_invariants = audit;
   opts.context.session = &session;
   opts.context.jobs = jobs;
   RunOutcome out;
@@ -224,7 +225,7 @@ RunOutcome run_kms(Network net, bool audit, unsigned jobs) {
 }
 
 TEST(IncrementalStaTest, KmsAuditTimingModePasses) {
-  // --audit-timing cross-checks the maintained tables against a full
+  // --check cross-checks the maintained tables against a full
   // recompute at every synced checkpoint, throwing on any divergence;
   // auditing changes nothing about the run, at jobs 1 or 4.
   for (Network seed_net :

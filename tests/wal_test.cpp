@@ -355,11 +355,8 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   m.model = "carry skip adder";  // spaces survive (rest-of-line value)
   m.mode = "viability";
   m.order = "random";
-  m.jobs = 4;
   m.seed = 0x5EEDull;
-  m.use_fault_sim = false;
-  m.random_words = 16;
-  m.remove_remaining = true;
+  m.remove_remaining = false;
   m.max_iterations = 100000;
   m.max_queries = 200000;
   m.checkpoint_every = 3;
@@ -370,8 +367,8 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   EXPECT_EQ(r.model, m.model);
   EXPECT_EQ(r.mode, "viability");
   EXPECT_EQ(r.order, "random");
-  EXPECT_EQ(r.jobs, 4u);
-  EXPECT_FALSE(r.use_fault_sim);
+  EXPECT_EQ(r.seed, m.seed);
+  EXPECT_FALSE(r.remove_remaining);
   EXPECT_EQ(r.source_digest, m.source_digest);
 }
 
@@ -383,6 +380,14 @@ TEST(SessionMetaTest, RejectsMalformedMeta) {
   EXPECT_THROW(read_meta("incremental 1\n" + text), std::runtime_error);
   EXPECT_EQ(text.find("static-prepass"), std::string::npos);
   EXPECT_THROW(read_meta("static-prepass 1\n" + text), std::runtime_error);
+  // So are the fault-sim switch, the random word count (both constants
+  // of the engine now) and the job count (the result does not depend
+  // on it): a session written by an older build is rejected at resume.
+  for (const std::string line : {"fault-sim 1", "random-words 8", "jobs 1"}) {
+    const std::string key = line.substr(0, line.find(' '));
+    EXPECT_EQ(text.find("\n" + key + " "), std::string::npos) << line;
+    EXPECT_THROW(read_meta(line + "\n" + text), std::runtime_error) << line;
+  }
   EXPECT_THROW(read_meta(text.substr(0, text.size() / 2)),
                std::runtime_error);
   std::string bad = text;

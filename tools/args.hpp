@@ -124,10 +124,15 @@ inline FlagResult parse_job_flag(const char* tool, int argc, char** argv,
   }
   if (a == "--check") return spec->check = true, FlagResult::kHandled;
   if (a == "--json") return spec->json = true, FlagResult::kHandled;
-  if (a == "--certify") return spec->certify = true, FlagResult::kHandled;
+  if (a == "--certify") {
+    // The certify job is the irr job with its proof session verified.
+    if (spec->kind != serve::JobKind::kIrr &&
+        spec->kind != serve::JobKind::kCertify)
+      return bad("is only meaningful for irr");
+    spec->kind = serve::JobKind::kCertify;
+    return FlagResult::kHandled;
+  }
   if (a == "--strict") return spec->strict = true, FlagResult::kHandled;
-  if (a == "--audit-timing")
-    return spec->audit_timing = true, FlagResult::kHandled;
   if (a == "--no-warn") return spec->warnings = false, FlagResult::kHandled;
   return FlagResult::kUnknown;
 }

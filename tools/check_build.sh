@@ -34,7 +34,9 @@ ctest --preset checked -L sat --output-on-failure
 # instrumented binaries: kmscli emits journal+DRAT artifacts and
 # self-verifies (--certify), and the independent kmsproof re-audits the
 # artifact directory from disk. Any deletion without a verified UNSAT
-# certificate fails CI here.
+# certificate fails CI here. --check runs the invariant checker between
+# stages and audits the incremental timing tables after every loop
+# edit; it is the only switch that runs that audit end to end.
 echo "== proof-labelled tests (checked preset) =="
 ctest --preset checked -L proof --output-on-failure
 echo "== certified pipeline over examples/*.blif (checked preset) =="
@@ -45,7 +47,7 @@ for blif in examples/*.blif; do
   name=$(basename "$blif" .blif)
   echo "-- certify: $name"
   "$BUILD_DIR/tools/kmscli" irr "$blif" -o "$CERT_DIR/$name.out.blif" \
-    --certify --emit-proof "$CERT_DIR/$name"
+    --certify --check --emit-proof "$CERT_DIR/$name"
   "$BUILD_DIR/tools/kmsproof" "$CERT_DIR/$name"
 done
 

@@ -25,14 +25,16 @@
 //                multi-file front end)
 //
 // The --check flag runs the netlist invariant checker (src/check/) on
-// the input and after each transform stage, printing diagnostics to
-// stderr; error-severity findings abort with exit code 2.
+// the input and after each transform stage, and (irr) audits the
+// incremental timing tables against a full recompute after every loop
+// edit, printing diagnostics to stderr; error-severity findings abort
+// with exit code 2.
 //
-// Proof-carrying mode (irr only): --certify runs the whole pipeline
-// under a proof session and verifies it in-process (src/proof/); a
-// verification failure exits 2. --emit-proof <dir> additionally (or
-// instead) writes the artifact set for offline checking with
-// `kmsproof <dir>`.
+// Proof-carrying mode (irr only): --certify makes the run a certify
+// job, which runs the whole pipeline under a proof session and verifies
+// it in-process (src/proof/); a verification failure exits 2.
+// --emit-proof <dir> additionally (or instead) writes the artifact set
+// for offline checking with `kmsproof <dir>`.
 //
 // Resource governance: --time-limit <sec> arms a wall-clock deadline and
 // --conflict-limit <n> a global SAT conflict budget; SIGINT or SIGTERM
@@ -79,7 +81,6 @@ int usage() {
                "[--jobs <n>]\n"
                "              [--certify] [--emit-proof <dir>] "
                "[--checkpoint-every <n>]   (irr only)\n"
-               "              [--audit-timing]   (irr only)\n"
                "       kmscli irr --resume <dir> [-o out.blif] [--certify] "
                "[--jobs <n>] ...\n"
                "--jobs: removal-phase worker threads (default 1; 0 = one "
@@ -87,9 +88,9 @@ int usage() {
                "        the result is bit-identical at any worker count\n"
                "--resume: continue a crashed --emit-proof session from its "
                "artifact directory\n"
-               "--audit-timing: cross-check the incremental timing tables "
-               "against a full recompute\n"
-               "               every iteration (rules NL024-NL028; exit 2 on "
+               "--check: run the invariant checker between stages and (irr) "
+               "audit the timing\n"
+               "         tables every iteration (rules NL024-NL028; exit 2 on "
                "divergence)\n"
                "exit codes: 0 ok, 1 usage, 2 error, 3 degraded "
                "(limit/SIGINT/SIGTERM; output still valid)\n");
@@ -165,7 +166,7 @@ void print_irr_summary(const JobSpec& spec, const JobReport& r) {
                static_cast<unsigned long long>(r.sta_rebuilds),
                static_cast<unsigned long long>(r.sta_gates_repaired),
                static_cast<unsigned long long>(r.sta_full_visits),
-               spec.audit_timing ? ", audited" : "");
+               spec.check ? ", audited" : "");
   if (r.degraded)
     std::fprintf(stderr,
                  "partial result (equivalent, conservatively degraded): "
@@ -227,7 +228,8 @@ int main(int argc, char** argv) {
   for (const std::string& d : rep.diagnostics)
     std::fprintf(stderr, "%s\n", d.c_str());
   if (!rep.error.empty()) std::fprintf(stderr, "error: %s\n", rep.error.c_str());
-  if ((spec.kind == JobKind::kIrr) && rep.exit_code != 1 && rep.error.empty())
+  if ((spec.kind == JobKind::kIrr || spec.kind == JobKind::kCertify) &&
+      rep.exit_code != 1 && rep.error.empty())
     print_irr_summary(spec, rep);
   if (!rep.text.empty()) std::fwrite(rep.text.data(), 1, rep.text.size(), stdout);
   if (!rep.output_blif.empty())

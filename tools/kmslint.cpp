@@ -12,28 +12,25 @@
 // error severity (or, with --strict, any findings) — so corrupt inputs
 // fail fast in scripts instead of producing wrong irredundant circuits.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/analysis/rules.hpp"
-#include "src/check/checker.hpp"
-#include "src/timing/checker.hpp"
 #include "src/check/diagnostics.hpp"
 #include "src/check/hooks.hpp"
-#include "src/netlist/blif.hpp"
 #include "src/serve/job.hpp"
+#include "src/serve/runner.hpp"
 #include "tools/args.hpp"
 
 namespace {
 
 using namespace kms;
 
-/// Options ride on a JobSpec (the shared flag table maps --json/
-/// --strict/--no-warn onto it), so kmslint's flags mean exactly what
-/// the same flags mean to kmscli lint and a kmsd lint job.
+/// Options ride on a lint JobSpec (the shared flag table maps --json/
+/// --strict/--no-warn onto it), and each file is one lint job through
+/// run_job, so kmslint's flags and findings are exactly those of
+/// kmscli lint and a kmsd lint job.
 struct Args {
   serve::JobSpec spec;
   bool list_rules = false;
@@ -48,6 +45,7 @@ int usage() {
 }
 
 bool parse_args(int argc, char** argv, Args* args) {
+  args->spec.kind = serve::JobKind::kLint;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--list-rules") {
@@ -78,75 +76,46 @@ int list_rules() {
   return 0;
 }
 
-/// Lint one file; appends findings (a parse failure becomes NL900).
-Diagnostics lint_file(const std::string& path, const Args& args) {
-  Diagnostics diags;
-  std::ifstream in(path);
-  if (!in) {
-    Diagnostic d;
-    d.rule = "NL900";
-    d.message = "cannot open " + path;
-    diags.add(std::move(d));
-    return diags;
-  }
-  try {
-    // Accept combinational and .latch models alike.
-    const BlifSequential model = read_blif_sequential(in);
-    CheckOptions opts;
-    opts.warnings = args.spec.warnings;
-    Diagnostics out = NetworkChecker(opts).run(model.comb);
-    // The analysis-backed rules (NL017-NL021, all warnings) and the
-    // timing rules (NL022/NL023) assume the representation invariants
-    // hold; skip them on a structurally broken netlist rather than
-    // crash inside the analysis engine. NL022 is error-severity, so the
-    // timing rules run regardless of --no-warn (which only drops the
-    // warning-severity NL023 inside).
-    if (out.error_count() == 0) {
-      if (args.spec.warnings) analysis::run_analysis_rules(model.comb, &out);
-      run_timing_rules(model.comb, &out, 100, args.spec.warnings);
-    }
-    return out;
-  } catch (const BlifError& e) {
-    Diagnostic d;
-    d.rule = "NL900";
-    std::string msg = e.what();
-    // Parse errors carry a "line N: " prefix; lift it into the line field
-    // so JSON consumers get it structured (and the text emitter does not
-    // print it twice).
-    if (msg.rfind("line ", 0) == 0) {
-      d.line = std::atoi(msg.c_str() + 5);
-      const auto colon = msg.find(": ");
-      if (colon != std::string::npos) msg.erase(0, colon + 2);
-    }
-    d.message = std::move(msg);
-    diags.add(std::move(d));
-    return diags;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, &args)) return usage();
   if (args.list_rules) return list_rules();
+  // Flags a lint job rejects (an artifact directory, a resume) are
+  // usage errors, caught before any output.
+  args.spec.blif_path = args.files.front();
+  if (const std::string problem = args.spec.validate(); !problem.empty()) {
+    std::fprintf(stderr, "kmslint: %s\n", problem.c_str());
+    return usage();
+  }
   install_invariant_self_checks();
 
   bool any_error = false, any_finding = false;
   if (args.spec.json) std::cout << "[";
   for (std::size_t i = 0; i < args.files.size(); ++i) {
     const std::string& path = args.files[i];
-    const Diagnostics diags = lint_file(path, args);
-    any_error |= diags.error_count() > 0;
-    any_finding |= !diags.empty();
+    serve::JobSpec spec = args.spec;
+    spec.blif_path = path;
+    ResourceGovernor governor;
+    const serve::JobReport rep = serve::run_job(spec, governor);
+    if (!rep.error.empty()) {
+      std::fprintf(stderr, "kmslint: %s: %s\n", path.c_str(),
+                   rep.error.c_str());
+      return 2;
+    }
+    any_error |= rep.lint_errors > 0;
+    any_finding |= rep.lint_findings > 0;
     if (args.spec.json) {
       if (i > 0) std::cout << ",";
-      std::cout << "{\"file\":\"" << json_escape(path) << "\",\"report\":";
-      diags.print_json(std::cout);
-      std::cout << "}";
+      std::cout << "{\"file\":\"" << json_escape(path)
+                << "\",\"report\":" << rep.text << "}";
     } else {
-      diags.print_text(std::cerr, path + ": ");
-      if (diags.empty())
+      std::istringstream lines(rep.text);
+      std::string line;
+      while (std::getline(lines, line))
+        std::cerr << path << ": " << line << '\n';
+      if (rep.lint_findings == 0)
         std::fprintf(stderr, "%s: clean (%zu rules)\n", path.c_str(),
                      all_rules().size());
     }
