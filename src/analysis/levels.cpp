@@ -24,15 +24,4 @@ std::vector<std::uint32_t> gate_levels(const Network& net) {
   return level;
 }
 
-std::vector<GateId> levelized_order(const Network& net) {
-  const std::vector<std::uint32_t> level = gate_levels(net);
-  std::vector<GateId> order = net.topo_order();
-  std::stable_sort(order.begin(), order.end(), [&](GateId a, GateId b) {
-    if (level[a.value()] != level[b.value()])
-      return level[a.value()] < level[b.value()];
-    return a.value() < b.value();
-  });
-  return order;
-}
-
 }  // namespace kms::analysis

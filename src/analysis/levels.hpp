@@ -18,8 +18,4 @@ namespace kms::analysis {
 /// Output markers take their driver's level (they add no logic depth).
 std::vector<std::uint32_t> gate_levels(const Network& net);
 
-/// Live gates sorted by (level, id): a topological order that is stable
-/// under any construction order of the network.
-std::vector<GateId> levelized_order(const Network& net);
-
 }  // namespace kms::analysis

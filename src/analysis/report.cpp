@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <limits>
 #include <ostream>
+#include <vector>
 
-#include "src/analysis/collapse.hpp"
 #include "src/analysis/dominators.hpp"
 #include "src/analysis/levels.hpp"
 #include "src/analysis/rules.hpp"
 #include "src/analysis/scoap.hpp"
 #include "src/analysis/static_untestable.hpp"
+#include "src/atpg/fault.hpp"
 #include "src/timing/checker.hpp"
 #include "src/timing/sta.hpp"
 
@@ -44,22 +45,24 @@ AnalysisReport run_analysis(const Network& net) {
       ++r.unobservable_gates;
   }
 
-  const FaultCollapse collapse(net);
-  r.total_faults = collapse.total_faults();
-  r.fault_classes = collapse.classes().size();
-  r.largest_class = collapse.classes().empty()
-                        ? 0
-                        : collapse.classes().front().members.size();
-  r.dominance_edges = collapse.dominance_edges();
+  // Structural collapsing: the ATPG layer's equivalence classes, largest
+  // first.
+  const std::vector<std::vector<Fault>> classes = fault_classes(net);
+  for (const std::vector<Fault>& cls : classes) r.total_faults += cls.size();
+  r.fault_classes = classes.size();
+  r.largest_class = classes.empty() ? 0 : classes.front().size();
+  // Dominance: a simple gate's output stuck at the noncontrolled
+  // response is detected by any test for an input stuck at the
+  // noncontrolling value — one edge per input.
+  for (GateId g : net.topo_order())
+    if (has_controlling_value(net.gate(g).kind))
+      r.dominance_edges += net.gate(g).fanins.size();
 
   // Static untestability over one representative per equivalence class —
   // the same universe the ATPG removal phase walks.
-  for (const FaultClass& cls : collapse.classes()) {
-    const FaultNode& f = cls.members.front();
-    const StaticVerdict v = f.branch ? stat.analyze_branch(f.conn, f.stuck)
-                                     : stat.analyze_stem(f.gate, f.stuck);
+  for (const std::vector<Fault>& cls : classes) {
     ++r.fault_sites;
-    switch (v) {
+    switch (stat.analyze(cls.front())) {
       case StaticVerdict::kUnobservable: ++r.unobservable; break;
       case StaticVerdict::kUnexcitable:  ++r.unexcitable;  break;
       case StaticVerdict::kBlocked:      ++r.blocked;      break;

@@ -2,46 +2,14 @@
 
 #include <string>
 
-#include "src/analysis/collapse.hpp"
 #include "src/analysis/implication.hpp"
 #include "src/analysis/static_untestable.hpp"
+#include "src/atpg/fault.hpp"
 #include "src/base/strings.hpp"
 #include "src/check/checker.hpp"
 
 namespace kms::analysis {
 namespace {
-
-std::size_t live_fanout(const Network& net, GateId g) {
-  std::size_t n = 0;
-  for (ConnId c : net.gate(g).fanouts)
-    if (!net.conn(c).dead) ++n;
-  return n;
-}
-
-bool faultable_gate(const Network& net, GateId g) {
-  const Gate& gt = net.gate(g);
-  return !gt.dead && gt.kind != GateKind::kOutput && !is_constant(gt.kind) &&
-         live_fanout(net, g) > 0;
-}
-
-std::vector<char> cone_of(const Network& net, GateId entry) {
-  std::vector<char> cone(net.gate_capacity(), 0);
-  std::vector<GateId> stack{entry};
-  cone[entry.value()] = 1;
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (ConnId c : net.gate(g).fanouts) {
-      if (net.conn(c).dead) continue;
-      const GateId to = net.conn(c).to;
-      if (!cone[to.value()]) {
-        cone[to.value()] = 1;
-        stack.push_back(to);
-      }
-    }
-  }
-  return cone;
-}
 
 /// Dense value view of a closure: -1 unknown, else 0/1.
 std::vector<std::int8_t> closure_values(const Network& net,
@@ -91,10 +59,12 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
   // matter.
   for (std::uint32_t i = 0; i < net.gate_capacity() && !emit.full(); ++i) {
     const GateId g{i};
-    if (!faultable_gate(net, g)) continue;
+    if (!is_fault_site(net, g)) continue;
     if (!stat.dominators().reaches_output(g)) continue;  // NL013 territory
-    const StaticVerdict sa0 = stat.analyze_stem(g, false);
-    const StaticVerdict sa1 = stat.analyze_stem(g, true);
+    const StaticVerdict sa0 =
+        stat.analyze(Fault{Fault::Site::kStem, g, ConnId::invalid(), false});
+    const StaticVerdict sa1 =
+        stat.analyze(Fault{Fault::Site::kStem, g, ConnId::invalid(), true});
     if (sa0 != StaticVerdict::kUnknown && sa1 != StaticVerdict::kUnknown)
       emit.add("NL017",
                gate_label(net, g) + " reaches an output but both stem faults"
@@ -129,10 +99,11 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
     const ConnId c{i};
     if (net.conn(c).dead) continue;
     const GateId src = net.conn(c).from;
-    if (!faultable_gate(net, src) || live_fanout(net, src) <= 1) continue;
+    if (!is_fault_site(net, src) || net.live_fanout(src) <= 1) continue;
     if (net.gate(net.conn(c).to).kind == GateKind::kOutput) continue;
     for (bool v : {false, true}) {
-      const StaticVerdict r = stat.analyze_branch(c, v);
+      const StaticVerdict r =
+          stat.analyze(Fault{Fault::Site::kBranch, GateId::invalid(), c, v});
       if (r != StaticVerdict::kUnknown) {
         emit.add("NL019",
                  "branch " + gate_label(net, src) + " -> " +
@@ -150,32 +121,27 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
   }
 
   // NL020: unusually large structural fault-equivalence classes.
-  {
-    const FaultCollapse collapse(net);
-    for (const FaultClass& cls : collapse.classes()) {
-      if (emit.full()) break;
-      if (cls.members.size() < kLargeFaultClass) break;  // sorted by size
-      const FaultNode& rep = cls.members.front();
-      emit.add("NL020",
-               str_format("fault equivalence class of %zu members "
-                          "(representative %s)",
-                          cls.members.size(),
-                          format_fault_node(net, rep).c_str()),
-               rep.branch ? net.conn(rep.conn).from : rep.gate);
-    }
+  for (const std::vector<Fault>& cls : fault_classes(net)) {
+    if (emit.full()) break;
+    if (cls.size() < kLargeFaultClass) break;  // sorted by size
+    emit.add("NL020",
+             str_format("fault equivalence class of %zu members "
+                        "(representative %s)",
+                        cls.size(), format_fault(net, cls.front()).c_str()),
+             fault_source(net, cls.front()));
   }
 
   // NL021: reconvergence gate implied to the same value under both stem
   // values — the reconvergent paths statically cancel.
   for (std::uint32_t i = 0; i < net.gate_capacity() && !emit.full(); ++i) {
     const GateId g{i};
-    if (!faultable_gate(net, g) || live_fanout(net, g) <= 1) continue;
+    if (!is_fault_site(net, g) || net.live_fanout(g) <= 1) continue;
     const Implications c0 = imp.propagate({{g, false}});
     const Implications c1 = imp.propagate({{g, true}});
     if (c0.conflict || c1.conflict) continue;  // NL018 territory
     const std::vector<std::int8_t> v0 = closure_values(net, c0);
     const std::vector<std::int8_t> v1 = closure_values(net, c1);
-    const std::vector<char> cone = cone_of(net, g);
+    const std::vector<char> cone = mark_cone(net, g);
     for (std::uint32_t j = 0; j < net.gate_capacity(); ++j) {
       const GateId r{j};
       if (!cone[j] || r == g || net.gate(r).dead) continue;

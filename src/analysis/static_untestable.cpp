@@ -4,11 +4,7 @@
 #include <vector>
 
 namespace kms::analysis {
-namespace {
 
-/// Mark `entry` and everything reachable from it through live
-/// connections. Gates in this set can differ between the good and the
-/// faulty circuit; everything outside holds its good value.
 std::vector<char> mark_cone(const Network& net, GateId entry) {
   std::vector<char> cone(net.gate_capacity(), 0);
   std::vector<GateId> stack{entry};
@@ -26,6 +22,8 @@ std::vector<char> mark_cone(const Network& net, GateId entry) {
   }
   return cone;
 }
+
+namespace {
 
 /// One side input of a dominator: the dominator and its source gate.
 struct Side {
@@ -69,22 +67,20 @@ std::string_view static_verdict_name(StaticVerdict v) {
 StaticUntestable::StaticUntestable(const Network& net)
     : net_(net), dom_(net), imp_(net) {}
 
-StaticVerdict StaticUntestable::analyze_stem(GateId g, bool stuck) const {
-  return analyze(g, g, ConnId::invalid(), stuck);
-}
+StaticVerdict StaticUntestable::analyze(const Fault& f) const {
+  // The fault enters the circuit at the stem's gate or at the branch's
+  // sink; a branch fault is a fault on that one connection.
+  const bool branch = f.site == Fault::Site::kBranch;
+  const GateId source = fault_source(net_, f);
+  const GateId entry = branch ? net_.conn(f.conn).to : f.gate;
+  const ConnId fault_conn = branch ? f.conn : ConnId::invalid();
 
-StaticVerdict StaticUntestable::analyze_branch(ConnId c, bool stuck) const {
-  return analyze(net_.conn(c).from, net_.conn(c).to, c, stuck);
-}
-
-StaticVerdict StaticUntestable::analyze(GateId source, GateId entry,
-                                        ConnId fault_conn, bool stuck) const {
   // Rule 1: no live path from the fault site to any primary output.
   if (!dom_.reaches_output(entry)) return StaticVerdict::kUnobservable;
 
   // Rule 2: the excitation value conflicts — the site is structurally
   // stuck at the fault value already.
-  const bool act = !stuck;
+  const bool act = !f.stuck;
   const Implications exc = imp_.propagate({{source, act}});
   if (exc.conflict) return StaticVerdict::kUnexcitable;
 

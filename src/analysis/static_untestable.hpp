@@ -31,12 +31,20 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "src/analysis/dominators.hpp"
 #include "src/analysis/implication.hpp"
+#include "src/atpg/fault.hpp"
 #include "src/netlist/network.hpp"
 
 namespace kms::analysis {
+
+/// Mark `entry` and everything reachable from it through live
+/// connections (indexed by gate id). Gates in this set can differ
+/// between the good and the faulty circuit; everything outside holds
+/// its good value.
+std::vector<char> mark_cone(const Network& net, GateId entry);
 
 enum class StaticVerdict : std::uint8_t {
   kUnknown,       ///< no rule fired; the fault needs the SAT engine
@@ -54,20 +62,14 @@ class StaticUntestable {
  public:
   explicit StaticUntestable(const Network& net);
 
-  /// Analyze the stem fault `g` stuck-at `stuck`. kUnknown means no
-  /// rule fired; any other verdict proves the fault untestable.
-  StaticVerdict analyze_stem(GateId g, bool stuck) const;
-
-  /// Analyze the branch fault on connection `c` stuck-at `stuck`.
-  StaticVerdict analyze_branch(ConnId c, bool stuck) const;
+  /// Analyze a stem or branch fault. kUnknown means no rule fired; any
+  /// other verdict proves the fault untestable.
+  StaticVerdict analyze(const Fault& f) const;
 
   const DominatorTree& dominators() const { return dom_; }
   const ImplicationEngine& implications() const { return imp_; }
 
  private:
-  StaticVerdict analyze(GateId source, GateId entry, ConnId fault_conn,
-                        bool stuck) const;
-
   const Network& net_;
   DominatorTree dom_;
   ImplicationEngine imp_;

@@ -1,27 +1,14 @@
 #include "src/atpg/fault.hpp"
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <utility>
 
 #include "src/base/strings.hpp"
 
 namespace kms {
 namespace {
-
-std::size_t live_fanout(const Network& net, GateId g) {
-  std::size_t n = 0;
-  for (ConnId c : net.gate(g).fanouts)
-    if (!net.conn(c).dead) ++n;
-  return n;
-}
-
-bool faultable_gate(const Network& net, GateId g) {
-  const Gate& gt = net.gate(g);
-  if (gt.dead) return false;
-  if (gt.kind == GateKind::kOutput) return false;
-  if (is_constant(gt.kind)) return false;
-  // A gate with no live fanout cannot affect any output.
-  return live_fanout(net, g) > 0;
-}
 
 /// Union-find over fault keys.
 class UnionFind {
@@ -29,6 +16,7 @@ class UnionFind {
   explicit UnionFind(std::size_t n) : parent_(n) {
     std::iota(parent_.begin(), parent_.end(), 0);
   }
+  std::size_t size() const { return parent_.size(); }
   std::size_t find(std::size_t x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
@@ -46,65 +34,35 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-}  // namespace
-
-GateId fault_source(const Network& net, const Fault& f) {
-  return f.site == Fault::Site::kStem ? f.gate : net.conn(f.conn).from;
+/// Fault keys: stem (g, v) is 2g + v; branch (c, v) is 2c + v after all
+/// the stem keys. Every live gate's stem has a key, fault site or not.
+std::size_t stem_key(GateId g, bool v) {
+  return 2 * static_cast<std::size_t>(g.value()) + (v ? 1 : 0);
 }
 
-std::string format_fault(const Network& net, const Fault& f) {
-  auto label = [&net](GateId g) {
-    const Gate& gt = net.gate(g);
-    std::string s =
-        gt.name.empty() ? "g" + std::to_string(g.value()) : gt.name;
-    s += "(";
-    s += gate_kind_name(gt.kind);
-    s += ")";
-    return s;
-  };
-  const char* sa = f.stuck ? "/SA1" : "/SA0";
-  if (f.site == Fault::Site::kStem) return label(f.gate) + sa;
-  const Conn& c = net.conn(f.conn);
-  return "conn " + label(c.from) + "->" + label(c.to) + sa;
+std::size_t branch_key(const Network& net, ConnId c, bool v) {
+  return 2 * static_cast<std::size_t>(net.gate_capacity()) +
+         2 * static_cast<std::size_t>(c.value()) + (v ? 1 : 0);
 }
 
-std::vector<Fault> enumerate_faults(const Network& net) {
-  std::vector<Fault> out;
-  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
-    const GateId g{i};
-    if (!faultable_gate(net, g)) continue;
-    for (bool v : {false, true})
-      out.push_back(Fault{Fault::Site::kStem, g, ConnId::invalid(), v});
-  }
-  for (std::uint32_t i = 0; i < net.conn_capacity(); ++i) {
-    const ConnId c{i};
-    const Conn& cn = net.conn(c);
-    if (cn.dead) continue;
-    if (!faultable_gate(net, cn.from)) continue;
-    if (live_fanout(net, cn.from) <= 1) continue;  // branch == stem
-    for (bool v : {false, true})
-      out.push_back(Fault{Fault::Site::kBranch, GateId::invalid(), c, v});
-  }
-  return out;
+std::size_t fault_key(const Network& net, const Fault& f) {
+  return f.site == Fault::Site::kStem ? stem_key(f.gate, f.stuck)
+                                      : branch_key(net, f.conn, f.stuck);
 }
 
-std::vector<Fault> collapsed_faults(const Network& net) {
-  const std::size_t gate_keys = 2 * net.gate_capacity();
-  const std::size_t total = gate_keys + 2 * net.conn_capacity();
-  auto stem_key = [](GateId g, bool v) {
-    return 2 * static_cast<std::size_t>(g.value()) + (v ? 1 : 0);
-  };
-  auto branch_key = [gate_keys](ConnId c, bool v) {
-    return gate_keys + 2 * static_cast<std::size_t>(c.value()) + (v ? 1 : 0);
-  };
+/// Unite the keys of structurally equivalent faults under the textbook
+/// gate rules. A class's root is its smallest key.
+UnionFind equivalences(const Network& net) {
   // Key of the fault equivalent to "pin of gate `to` via conn c stuck at v":
   // the branch site if the source has fanout > 1, else the source's stem.
-  auto input_site_key = [&](ConnId c, bool v) {
+  auto input_site_key = [&net](ConnId c, bool v) {
     const GateId src = net.conn(c).from;
-    return live_fanout(net, src) > 1 ? branch_key(c, v) : stem_key(src, v);
+    return net.live_fanout(src) > 1 ? branch_key(net, c, v)
+                                    : stem_key(src, v);
   };
 
-  UnionFind uf(total);
+  UnionFind uf(2 * static_cast<std::size_t>(net.gate_capacity()) +
+               2 * static_cast<std::size_t>(net.conn_capacity()));
   for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
     const GateId g{i};
     const Gate& gt = net.gate(g);
@@ -139,21 +97,85 @@ std::vector<Fault> collapsed_faults(const Network& net) {
         break;  // XOR/XNOR/MUX: no structural equivalences used
     }
   }
+  return uf;
+}
 
-  // Emit one representative per class, restricted to real fault sites.
-  std::vector<Fault> all = enumerate_faults(net);
-  std::vector<char> taken(total, 0);
+}  // namespace
+
+bool is_fault_site(const Network& net, GateId g) {
+  const Gate& gt = net.gate(g);
+  if (gt.dead) return false;
+  if (gt.kind == GateKind::kOutput) return false;
+  if (is_constant(gt.kind)) return false;
+  return net.live_fanout(g) > 0;
+}
+
+GateId fault_source(const Network& net, const Fault& f) {
+  return f.site == Fault::Site::kStem ? f.gate : net.conn(f.conn).from;
+}
+
+std::string format_fault(const Network& net, const Fault& f) {
+  auto label = [&net](GateId g) {
+    const Gate& gt = net.gate(g);
+    std::string s =
+        gt.name.empty() ? "g" + std::to_string(g.value()) : gt.name;
+    s += "(";
+    s += gate_kind_name(gt.kind);
+    s += ")";
+    return s;
+  };
+  const char* sa = f.stuck ? "/SA1" : "/SA0";
+  if (f.site == Fault::Site::kStem) return label(f.gate) + sa;
+  const Conn& c = net.conn(f.conn);
+  return "conn " + label(c.from) + "->" + label(c.to) + sa;
+}
+
+std::vector<Fault> enumerate_faults(const Network& net) {
   std::vector<Fault> out;
-  for (const Fault& f : all) {
-    const std::size_t key = f.site == Fault::Site::kStem
-                                ? stem_key(f.gate, f.stuck)
-                                : branch_key(f.conn, f.stuck);
-    const std::size_t root = uf.find(key);
+  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
+    const GateId g{i};
+    if (!is_fault_site(net, g)) continue;
+    for (bool v : {false, true})
+      out.push_back(Fault{Fault::Site::kStem, g, ConnId::invalid(), v});
+  }
+  for (std::uint32_t i = 0; i < net.conn_capacity(); ++i) {
+    const ConnId c{i};
+    const Conn& cn = net.conn(c);
+    if (cn.dead) continue;
+    if (!is_fault_site(net, cn.from)) continue;
+    if (net.live_fanout(cn.from) <= 1) continue;  // branch == stem
+    for (bool v : {false, true})
+      out.push_back(Fault{Fault::Site::kBranch, GateId::invalid(), c, v});
+  }
+  return out;
+}
+
+std::vector<Fault> collapsed_faults(const Network& net) {
+  UnionFind uf = equivalences(net);
+  std::vector<char> taken(uf.size(), 0);
+  std::vector<Fault> out;
+  for (const Fault& f : enumerate_faults(net)) {
+    const std::size_t root = uf.find(fault_key(net, f));
     if (taken[root]) continue;
     taken[root] = 1;
     out.push_back(f);
   }
   return out;
+}
+
+std::vector<std::vector<Fault>> fault_classes(const Network& net) {
+  UnionFind uf = equivalences(net);
+  std::map<std::size_t, std::vector<Fault>> by_root;
+  for (const Fault& f : enumerate_faults(net))
+    by_root[uf.find(fault_key(net, f))].push_back(f);
+  std::vector<std::vector<Fault>> classes;
+  classes.reserve(by_root.size());
+  for (auto& [root, members] : by_root) classes.push_back(std::move(members));
+  std::stable_sort(classes.begin(), classes.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.size() > b.size();
+                   });
+  return classes;
 }
 
 }  // namespace kms

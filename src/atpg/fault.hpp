@@ -29,6 +29,12 @@ struct Fault {
   }
 };
 
+/// True when `g` carries stem faults: a live gate, neither an output
+/// marker nor a constant, with live fanout (a gate with none cannot
+/// affect any output). Its connections are separate branch sites when
+/// it has more than one live fanout.
+bool is_fault_site(const Network& net, GateId g);
+
 /// The gate whose output the fault sits on (stem gate or branch source).
 GateId fault_source(const Network& net, const Fault& f);
 
@@ -41,8 +47,16 @@ std::string format_fault(const Network& net, const Fault& f);
 /// sites (the marker is not a gate).
 std::vector<Fault> enumerate_faults(const Network& net);
 
-/// Equivalence-collapsed fault list (one representative per structural
-/// equivalence class).
+/// Equivalence-collapsed fault list: the first member of each
+/// structural equivalence class, in enumerate_faults order.
 std::vector<Fault> collapsed_faults(const Network& net);
+
+/// The structural equivalence classes of enumerate_faults(net), each
+/// class's members in enumerate_faults order. Larger classes come
+/// first; equally large ones by their smallest fault key. That key can
+/// belong to a gate that is no fault site: a live gate without fanout
+/// still joins its inputs' classes, so a class can order before
+/// another whose first member comes earlier.
+std::vector<std::vector<Fault>> fault_classes(const Network& net);
 
 }  // namespace kms

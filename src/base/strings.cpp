@@ -49,4 +49,13 @@ std::string str_format(const char* fmt, ...) {
   return out;
 }
 
+std::uint64_t digest_bytes(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;  // FNV prime
+  }
+  return h;
+}
+
 }  // namespace kms

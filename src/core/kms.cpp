@@ -33,13 +33,6 @@ void require_simple_gates(const Network& net) {
   }
 }
 
-std::size_t live_fanout(const Network& net, GateId g) {
-  std::size_t n = 0;
-  for (ConnId c : net.gate(g).fanouts)
-    if (!net.conn(c).dead) ++n;
-  return n;
-}
-
 /// Duplicate the gates of `p` from its start up to and including index
 /// `n_index` (the gate closest to the output with fanout > 1), and move
 /// the on-path fanout edge of that gate to the duplicate. Returns the
@@ -113,7 +106,7 @@ KmsLoopTransform transform_path(Network& net, const Path& path,
        i >= 0; --i) {
     const GateId g = path.gates[static_cast<std::size_t>(i)];
     if (net.gate(g).kind == GateKind::kOutput) continue;
-    if (live_fanout(net, g) > 1) {
+    if (net.live_fanout(g) > 1) {
       n_index = i;
       break;
     }

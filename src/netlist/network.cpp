@@ -249,12 +249,10 @@ std::size_t Network::depth() const {
 
 std::size_t Network::max_fanout() const {
   std::size_t best = 0;
-  for (const Gate& g : gates_) {
+  for (std::uint32_t i = 0; i < gates_.size(); ++i) {
+    const Gate& g = gates_[i];
     if (g.dead || !is_logic(g.kind) || is_constant(g.kind)) continue;
-    std::size_t n = 0;
-    for (ConnId c : g.fanouts)
-      if (!conn(c).dead) ++n;
-    best = std::max(best, n);
+    best = std::max(best, live_fanout(GateId{i}));
   }
   return best;
 }

@@ -136,8 +136,16 @@ class Network {
   /// (Definition 4.12).
   std::size_t depth() const;
 
-  /// Maximum fanout (number of live outgoing connections) over live logic
-  /// gates; used to report the Section VI.2 fanout-growth discussion.
+  /// Number of live outgoing connections of `g`.
+  std::size_t live_fanout(GateId g) const {
+    std::size_t n = 0;
+    for (ConnId c : gate(g).fanouts)
+      if (!conn(c).dead) ++n;
+    return n;
+  }
+
+  /// Maximum live_fanout over live logic gates; used to report the
+  /// Section VI.2 fanout-growth discussion.
   std::size_t max_fanout() const;
 
   // ---- whole-network operations -------------------------------------------

@@ -11,13 +11,6 @@
 namespace kms {
 namespace {
 
-std::size_t live_fanout(const Network& net, GateId g) {
-  std::size_t n = 0;
-  for (ConnId c : net.gate(g).fanouts)
-    if (!net.conn(c).dead) ++n;
-  return n;
-}
-
 /// Replace every use of `from` with `to` (rerouting fanout connections).
 void replace_uses(Network& net, GateId from, GateId to) {
   auto fanouts = net.gate(from).fanouts;  // copy
@@ -96,7 +89,7 @@ std::size_t balance(Network& net) {
       for (ConnId c : net.gate(n).fanins) {
         const GateId src = net.conn(c).from;
         const Gate& sg = net.gate(src);
-        if (sg.kind == net.gate(g).kind && live_fanout(net, src) == 1 &&
+        if (sg.kind == net.gate(g).kind && net.live_fanout(src) == 1 &&
             sg.delay == net.gate(g).delay) {
           internal.push_back(src);
           stack.push_back(src);

@@ -248,13 +248,4 @@ std::int64_t ProofSession::add_certificate(DratCertificate cert) {
   return static_cast<std::int64_t>(certs_.size()) - 1;
 }
 
-std::uint64_t digest_bytes(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 }  // namespace kms::proof

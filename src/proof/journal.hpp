@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/strings.hpp"
 #include "src/proof/drat.hpp"
 
 namespace kms::proof {
@@ -117,8 +118,7 @@ class ProofSession {
   std::vector<DratCertificate> certs_;
 };
 
-/// FNV-1a over bytes; used to tie the journal to the exact BLIF
-/// serializations it brackets.
-std::uint64_t digest_bytes(const std::string& bytes);
+/// The journal's BLIF digests are src/base's FNV-1a.
+using kms::digest_bytes;
 
 }  // namespace kms::proof

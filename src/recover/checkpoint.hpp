@@ -9,10 +9,8 @@
 // that the deterministic journal replay reconstructed the bit-identical
 // structure before the run continues.
 //
-// Serialized as a line-oriented "key value" text block inside one WAL
-// record; parsing rejects unknown keys and malformed values outright (a
-// checkpoint that does not round-trip exactly must never silently
-// resume).
+// Serialized as a key-value record (src/recover/fields.hpp) inside one
+// WAL record.
 #pragma once
 
 #include <cstdint>

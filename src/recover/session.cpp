@@ -1,11 +1,7 @@
 #include "src/recover/session.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -18,6 +14,7 @@
 #include "src/netlist/transform.hpp"
 #include "src/proof/drat.hpp"
 #include "src/proof/verify.hpp"
+#include "src/recover/fields.hpp"
 
 namespace fs = std::filesystem;
 
@@ -33,35 +30,16 @@ bool has_prefix(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t parse_u64_field(const std::string& s, const std::string& key) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (s.empty() || errno != 0 || end != s.c_str() + s.size())
-    throw std::runtime_error("meta: bad integer for " + key + ": '" + s + "'");
-  return v;
-}
-
-std::uint64_t parse_hex_field(const std::string& s, const std::string& key) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 16);
-  if (s.size() != 16 || errno != 0 || end != s.c_str() + s.size())
-    throw std::runtime_error("meta: bad digest for " + key + ": '" + s + "'");
-  return v;
-}
-
-bool parse_flag_field(const std::string& s, const std::string& key) {
-  if (s == "0") return false;
-  if (s == "1") return true;
-  throw std::runtime_error("meta: bad flag for " + key + ": '" + s + "'");
+void bind(FieldTable& t, SessionMeta& m) {
+  t.field("model", &m.model);
+  t.field("mode", &m.mode);
+  t.field("order", &m.order);
+  t.field("seed", &m.seed);
+  t.field("remove-remaining", &m.remove_remaining);
+  t.field("max-iterations", &m.max_iterations);
+  t.field("max-queries", &m.max_queries);
+  t.field("checkpoint-every", &m.checkpoint_every);
+  t.hex("source-digest", &m.source_digest);
 }
 
 const char* order_name(RemovalOrder o) {
@@ -226,52 +204,16 @@ void apply_meta(const SessionMeta& meta, KmsOptions* opts) {
 }
 
 std::string write_meta(const SessionMeta& m) {
-  std::ostringstream out;
-  out << "model " << m.model << '\n'
-      << "mode " << m.mode << '\n'
-      << "order " << m.order << '\n'
-      << "seed " << m.seed << '\n'
-      << "remove-remaining " << (m.remove_remaining ? 1 : 0) << '\n'
-      << "max-iterations " << m.max_iterations << '\n'
-      << "max-queries " << m.max_queries << '\n'
-      << "checkpoint-every " << m.checkpoint_every << '\n'
-      << "source-digest " << hex16(m.source_digest) << '\n';
-  return out.str();
+  FieldTable t("meta");
+  bind(t, const_cast<SessionMeta&>(m));
+  return t.write();
 }
 
 SessionMeta read_meta(const std::string& text) {
   SessionMeta m;
-  std::map<std::string, bool> seen;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos)
-      throw std::runtime_error("meta: malformed line '" + line + "'");
-    const std::string key = line.substr(0, sp);
-    const std::string value = line.substr(sp + 1);
-    if (seen[key])
-      throw std::runtime_error("meta: duplicate key '" + key + "'");
-    seen[key] = true;
-    if (key == "model") m.model = value;
-    else if (key == "mode") m.mode = value;
-    else if (key == "order") m.order = value;
-    else if (key == "seed") m.seed = parse_u64_field(value, key);
-    else if (key == "remove-remaining")
-      m.remove_remaining = parse_flag_field(value, key);
-    else if (key == "max-iterations")
-      m.max_iterations = parse_u64_field(value, key);
-    else if (key == "max-queries") m.max_queries = parse_u64_field(value, key);
-    else if (key == "checkpoint-every")
-      m.checkpoint_every = parse_u64_field(value, key);
-    else if (key == "source-digest")
-      m.source_digest = parse_hex_field(value, key);
-    else
-      throw std::runtime_error("meta: unknown key '" + key + "'");
-  }
-  if (seen.size() != 9)
-    throw std::runtime_error("meta: missing fields (" +
-                             std::to_string(seen.size()) + " of 9)");
+  FieldTable t("meta");
+  bind(t, m);
+  t.read(text);
   if (m.mode != "static" && m.mode != "viability")
     throw std::runtime_error("meta: unknown mode '" + m.mode + "'");
   if (m.order != "forward" && m.order != "reverse" && m.order != "random")
@@ -343,9 +285,11 @@ ResumeSetup prepare_resume(const std::string& dir) {
   replay_steps(rs.model.comb, rs.info.steps, &rs.session.journal);
   const std::uint64_t got = net_digest(rs.model.comb);
   if (got != rs.info.ckpt.net_digest)
-    throw std::runtime_error(
-        "resume: replayed network digest " + hex16(got) +
-        " does not match checkpoint digest " + hex16(rs.info.ckpt.net_digest));
+    throw std::runtime_error(str_format(
+        "resume: replayed network digest %016llx does not match checkpoint "
+        "digest %016llx",
+        static_cast<unsigned long long>(got),
+        static_cast<unsigned long long>(rs.info.ckpt.net_digest)));
   reload_certificates(dir, rs.info.ckpt, &rs.session);
 
   rs.state.phase = rs.info.ckpt.phase;
@@ -470,11 +414,12 @@ void DurableSession::finalize(const std::string& input_blif,
   atomic_write_file(dir_ + "/journal.txt", session_->journal.to_text());
   // The final record is the completion commit point: only after it is
   // durable does the directory stop being "a crashed session".
-  std::ostringstream fin;
-  fin << kFinalTag << "output-digest "
-      << hex16(session_->journal.output_digest()) << '\n'
-      << "partial " << (session_->journal.partial() ? 1 : 0) << '\n';
-  wal_.append(fin.str());
+  std::uint64_t output_digest = session_->journal.output_digest();
+  bool partial = session_->journal.partial();
+  FieldTable fin("final");
+  fin.hex("output-digest", &output_digest);
+  fin.field("partial", &partial);
+  wal_.append(kFinalTag + fin.write());
   wal_.sync();
 }
 

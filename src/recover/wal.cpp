@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "src/base/durable.hpp"
+#include "src/base/strings.hpp"
 
 namespace kms::recover {
 namespace {
@@ -62,15 +63,6 @@ std::uint64_t get_u64(const std::string& s, std::size_t pos) {
 }
 
 }  // namespace
-
-std::uint64_t wal_checksum(const std::string& payload) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char c : payload) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 WalWriter::WalWriter(int fd, std::string path)
     : fd_(fd), path_(std::move(path)) {}
@@ -125,7 +117,7 @@ void WalWriter::append(const std::string& payload) {
   std::string frame;
   frame.reserve(kFrameLen + payload.size());
   put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u64(frame, wal_checksum(payload));
+  put_u64(frame, digest_bytes(payload));
   frame += payload;
   write_all(fd_, frame.data(), frame.size(), path_);
 }
@@ -167,7 +159,7 @@ WalReadResult read_wal(const std::string& path) {
     // A checksum mismatch ends the valid prefix: a torn rewrite and a
     // tampered record are indistinguishable here, and neither may ever
     // be surfaced as data.
-    if (wal_checksum(payload) != want) break;
+    if (digest_bytes(payload) != want) break;
     pos += kFrameLen + len;
     out.records.push_back(WalRecord{std::move(payload), pos});
     out.valid_bytes = pos;

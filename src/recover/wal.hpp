@@ -78,7 +78,4 @@ struct WalReadResult {
 /// header or unreadable file reports !ok with a precise error.
 WalReadResult read_wal(const std::string& path);
 
-/// FNV-1a over the payload, the per-record checksum.
-std::uint64_t wal_checksum(const std::string& payload);
-
 }  // namespace kms::recover

@@ -246,12 +246,6 @@ void run_lint(const JobSpec& spec, ResourceGovernor&, JobReport* rep) {
   else
     diags.print_text(ss, "");
   rep->text = ss.str();
-  {
-    std::istringstream lines(rep->text);
-    std::string line;
-    while (std::getline(lines, line))
-      if (!line.empty() && !spec.json) rep->diagnostics.push_back(line);
-  }
   if (diags.error_count() > 0 || (spec.strict && !diags.empty()))
     rep->exit_code = 2;
 }

@@ -1,16 +1,6 @@
 #include "src/timing/load_model.hpp"
 
 namespace kms {
-namespace {
-
-std::size_t live_fanout(const Network& net, GateId g) {
-  std::size_t n = 0;
-  for (ConnId c : net.gate(g).fanouts)
-    if (!net.conn(c).dead) ++n;
-  return n;
-}
-
-}  // namespace
 
 double LoadDelayModel::base(GateKind kind) const {
   switch (kind) {
@@ -45,14 +35,14 @@ void apply_load_delays(Network& net, const LoadDelayModel& model,
     const GateId g{i};
     Gate& gt = net.gate(g);
     if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
-    gt.delay = model.gate_delay(gt.kind, drives.get(g), live_fanout(net, g));
+    gt.delay = model.gate_delay(gt.kind, drives.get(g), net.live_fanout(g));
   }
 }
 
 std::vector<std::size_t> fanout_profile(const Network& net) {
   std::vector<std::size_t> profile(net.gate_capacity(), 0);
   for (std::uint32_t i = 0; i < net.gate_capacity(); ++i)
-    if (!net.gate(GateId{i}).dead) profile[i] = live_fanout(net, GateId{i});
+    if (!net.gate(GateId{i}).dead) profile[i] = net.live_fanout(GateId{i});
   return profile;
 }
 
@@ -64,7 +54,7 @@ std::size_t resize_for_fanout(Network& net, const LoadDelayModel& model,
     const GateId g{i};
     const Gate& gt = net.gate(g);
     if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
-    const std::size_t now = live_fanout(net, g);
+    const std::size_t now = net.live_fanout(g);
     const std::size_t ref = i < reference_fanout.size() ? reference_fanout[i]
                                                         : now;
     const Drive original = drives.get(g);

@@ -1,14 +1,14 @@
-// Static analysis subsystem unit tests: levelized traversal, the
-// post-dominator tree, implication learning, SCOAP metrics, fault
-// collapsing (and its agreement with the ATPG layer's collapsed list),
-// the NL017-NL021 rules and the aggregated report. The soundness property suite for the SAT-free
-// untestability verdicts lives in static_untestable_test.cpp.
+// Static analysis subsystem unit tests: gate levels, the
+// post-dominator tree, implication learning, SCOAP metrics, the ATPG
+// layer's fault equivalence classes the analysis reports, the
+// NL017-NL021 rules and the aggregated report. The soundness property
+// suite for the SAT-free untestability verdicts lives in
+// static_untestable_test.cpp.
 #include <algorithm>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/collapse.hpp"
 #include "src/analysis/dominators.hpp"
 #include "src/analysis/implication.hpp"
 #include "src/analysis/levels.hpp"
@@ -108,20 +108,6 @@ TEST(AnalysisLevelsTest, SourcesAtZeroAndMonotoneAlongConnections) {
         else
           EXPECT_GT(levels[g.value()], levels[src.value()]);
       }
-    }
-  }
-}
-
-TEST(AnalysisLevelsTest, LevelizedOrderIsTopologicalAndStable) {
-  for (const Network& net : property_circuits()) {
-    const auto order = analysis::levelized_order(net);
-    const auto levels = analysis::gate_levels(net);
-    EXPECT_EQ(order.size(), net.topo_order().size());
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      const auto a = levels[order[i - 1].value()];
-      const auto b = levels[order[i].value()];
-      EXPECT_TRUE(a < b || (a == b && order[i - 1].value() < order[i].value()))
-          << "order not sorted by (level, id) at position " << i;
     }
   }
 }
@@ -284,33 +270,49 @@ TEST(AnalysisScoapTest, UnreachableGatesAreUnobservable) {
 
 // ---- fault collapsing ----------------------------------------------------
 
-TEST(AnalysisCollapseTest, PartitionAgreesWithAtpgCollapsedList) {
+TEST(AnalysisCollapseTest, FaultClassesPartitionTheFaultList) {
   for (const Network& net : property_circuits()) {
-    const analysis::FaultCollapse fc(net);
     const auto full = enumerate_faults(net);
     const auto reps = collapsed_faults(net);
-    EXPECT_EQ(fc.total_faults(), full.size());
-    EXPECT_EQ(fc.classes().size(), reps.size())
-        << "analysis partition and ATPG representative list disagree";
-    std::size_t members = 0;
-    for (const auto& cls : fc.classes()) {
-      EXPECT_FALSE(cls.members.empty());
-      members += cls.members.size();
+    const auto classes = fault_classes(net);
+    // Every fault sits in exactly one class, and each class lists its
+    // members in enumerate_faults order.
+    std::vector<std::size_t> seen(full.size(), 0);
+    auto position = [&full](const Fault& f) {
+      return static_cast<std::size_t>(
+          std::find(full.begin(), full.end(), f) - full.begin());
+    };
+    for (const auto& cls : classes) {
+      ASSERT_FALSE(cls.empty());
+      for (std::size_t i = 0; i < cls.size(); ++i) {
+        const std::size_t at = position(cls[i]);
+        ASSERT_LT(at, full.size()) << format_fault(net, cls[i]);
+        ++seen[at];
+        if (i > 0) {
+          EXPECT_LT(position(cls[i - 1]), at);
+        }
+      }
     }
-    EXPECT_EQ(members, full.size());
+    for (std::size_t i = 0; i < full.size(); ++i)
+      EXPECT_EQ(seen[i], 1u) << format_fault(net, full[i]);
+    // The classes' first members are the collapsed list.
+    std::vector<std::size_t> firsts;
+    for (const auto& cls : classes) firsts.push_back(position(cls.front()));
+    std::sort(firsts.begin(), firsts.end());
+    ASSERT_EQ(firsts.size(), reps.size());
+    for (std::size_t i = 0; i < reps.size(); ++i)
+      EXPECT_EQ(full[firsts[i]], reps[i]) << format_fault(net, reps[i]);
     // Largest-first ordering is part of the contract (NL020 keys on it).
-    for (std::size_t i = 1; i < fc.classes().size(); ++i)
-      EXPECT_GE(fc.classes()[i - 1].members.size(),
-                fc.classes()[i].members.size());
+    for (std::size_t i = 1; i < classes.size(); ++i)
+      EXPECT_GE(classes[i - 1].size(), classes[i].size());
   }
 }
 
 TEST(AnalysisCollapseTest, SimpleGateHasDominanceEdges) {
-  // A lone AND gate contributes the textbook dominance pairs (output
-  // SA1 dominates each input SA1 for AND).
+  // Each input of an AND gate is one dominance pair (output SA1
+  // dominates the input's SA1): statred's two ANDs give four.
   const Network net = load(kStatredBlif);
-  const analysis::FaultCollapse fc(net);
-  EXPECT_GT(fc.dominance_edges(), 0u);
+  EXPECT_EQ(analysis::run_analysis(net).dominance_edges, 4u);
 }
 
 // ---- rules and report ----------------------------------------------------

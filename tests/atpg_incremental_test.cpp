@@ -308,10 +308,7 @@ TEST(AtpgIncrementalTest, SimulatedDetectionsAreNeverStaticallyUntestable) {
     const analysis::StaticUntestable engine(net);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Fault& f = faults[i];
-      const analysis::StaticVerdict v =
-          f.site == Fault::Site::kStem ? engine.analyze_stem(f.gate, f.stuck)
-                                       : engine.analyze_branch(f.conn, f.stuck);
-      if (v == analysis::StaticVerdict::kUnknown) continue;
+      if (engine.analyze(f) == analysis::StaticVerdict::kUnknown) continue;
       ++static_hits;
       EXPECT_FALSE(detected[i])
           << net.name() << ": simulation detects statically untestable "

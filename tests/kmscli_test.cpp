@@ -90,6 +90,38 @@ TEST(KmscliTest, IrrStderrSummaryIsPinned) {
   std::remove(err_path.c_str());
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// A lint job's findings are its text, printed once on stdout; stderr
+// carries only diagnostics about the run itself.
+TEST(KmscliTest, LintPrintsEachFindingOnce) {
+  const std::string out_path = temp_path("kmscli_lint.out");
+  const std::string err_path = temp_path("kmscli_lint.err");
+  ASSERT_EQ(run_cli_status("lint " + std::string(EXAMPLES_DIR) +
+                           "/statred.blif > " + out_path + " 2> " + err_path),
+            0);
+  EXPECT_EQ(slurp(out_path),
+            "warning NL019: branch gate 0 'a0' (input) -> gate 4 'x0' (and) "
+            "stuck-at-1 is statically untestable (blocked); connection "
+            "replaceable by constant 1\n"
+            "warning NL019: branch gate 0 'a0' (input) -> gate 5 'y0' (and) "
+            "stuck-at-1 is statically untestable (blocked); connection "
+            "replaceable by constant 1\n"
+            "warning NL019: branch gate 2 'a1' (input) -> gate 6 'x1' (and) "
+            "stuck-at-1 is statically untestable (blocked); connection "
+            "replaceable by constant 1\n"
+            "warning NL019: branch gate 2 'a1' (input) -> gate 7 'y1' (and) "
+            "stuck-at-1 is statically untestable (blocked); connection "
+            "replaceable by constant 1\n");
+  EXPECT_EQ(slurp(err_path), "");
+  std::remove(out_path.c_str());
+  std::remove(err_path.c_str());
+}
+
 TEST(KmscliTest, UsageErrorOnNoArgs) {
   EXPECT_NE(run_cli("") & 0xFF00, 0);  // nonzero exit
 }

@@ -77,11 +77,6 @@ Network mixed_redundancies() {
   return net;
 }
 
-StaticVerdict analyze(const StaticUntestable& engine, const Fault& f) {
-  return f.site == Fault::Site::kStem ? engine.analyze_stem(f.gate, f.stuck)
-                                      : engine.analyze_branch(f.conn, f.stuck);
-}
-
 /// The core soundness check: every static verdict on `net` must agree
 /// with the exact SAT engine. Returns the number of faults the rules
 /// prove untestable.
@@ -90,7 +85,7 @@ std::size_t check_soundness(const Network& net, const std::string& label) {
   Atpg exact(net);  // no governor: verdicts are exact
   std::size_t hits = 0;
   for (const Fault& f : collapsed_faults(net)) {
-    const StaticVerdict v = analyze(engine, f);
+    const StaticVerdict v = engine.analyze(f);
     if (v == StaticVerdict::kUnknown) continue;
     ++hits;
     EXPECT_EQ(exact.generate_test(f).outcome, TestOutcome::kUntestable)
@@ -139,7 +134,7 @@ TEST(StaticUntestableTest, AnalysisIsDeterministic) {
   const Network net = mixed_redundancies();
   const StaticUntestable a(net), b(net);
   for (const Fault& f : collapsed_faults(net))
-    EXPECT_EQ(analyze(a, f), analyze(b, f));
+    EXPECT_EQ(a.analyze(f), b.analyze(f));
 }
 
 std::size_t count_steps(const ProofSession& session, JournalStep::Kind kind) {

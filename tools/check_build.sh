@@ -89,10 +89,12 @@ echo "== crash-labelled tests (checked preset) =="
 ctest --preset checked -L crash --output-on-failure
 
 # Static-analysis engine stage: the `analysis` label covers the
-# structural subsystem (levels, dominators, implications, SCOAP, fault
-# collapsing) and the property suite that cross-checks every SAT-free
-# untestability verdict against the exact SAT engine on the example
-# corpus and random circuits. Run it by name so a soundness regression
+# structural subsystem (levels, dominators, implications, SCOAP), the
+# byte pins of `kmscli analyze` and NL017-NL021 output, the property
+# suite that cross-checks every SAT-free untestability verdict against
+# the exact SAT engine on the example corpus and random circuits, and
+# the soundness of the fault collapsing the analysis shares with ATPG
+# (collapse_soundness_test). Run it by name so a soundness regression
 # in the verdicts behind lint and `kmscli analyze` is called out even
 # when a filter in "$@" skipped it above.
 echo "== analysis-labelled tests (checked preset) =="
