@@ -11,6 +11,7 @@
 #include "src/analysis/scoap.hpp"
 #include "src/analysis/static_untestable.hpp"
 #include "src/atpg/fault.hpp"
+#include "src/base/strings.hpp"
 #include "src/timing/checker.hpp"
 #include "src/timing/sta.hpp"
 
@@ -119,7 +120,9 @@ void AnalysisReport::print_text(std::ostream& out) const {
 }
 
 void AnalysisReport::print_json(std::ostream& out) const {
-  out << "{\"model\":\"" << json_escape(model) << "\",";
+  std::string quoted_model;
+  json_append_quoted(&quoted_model, model);
+  out << "{\"model\":" << quoted_model << ",";
   out << "\"structure\":{\"gates\":" << gates << ",\"conns\":" << conns
       << ",\"depth\":" << depth << ",\"max_level\":" << max_level << "},";
   out << "\"dominators\":{\"dominated_gates\":" << dominated_gates << "},";

@@ -20,37 +20,11 @@ std::vector<std::int8_t> closure_values(const Network& net,
   return val;
 }
 
-class Emitter {
- public:
-  Emitter(Diagnostics* out, std::size_t cap) : out_(out), cap_(cap) {}
-
-  bool full() const { return out_->all().size() >= cap_; }
-
-  void add(const char* rule, std::string message,
-           GateId gate = GateId::invalid(), ConnId conn = ConnId::invalid()) {
-    if (full()) {
-      out_->mark_truncated();
-      return;
-    }
-    Diagnostic d;
-    d.rule = rule;
-    d.severity = Severity::kWarning;
-    d.message = std::move(message);
-    d.gate = gate;
-    d.conn = conn;
-    out_->add(std::move(d));
-  }
-
- private:
-  Diagnostics* out_;
-  std::size_t cap_;
-};
-
 }  // namespace
 
 void run_analysis_rules(const Network& net, Diagnostics* out,
                         std::size_t max_diagnostics) {
-  Emitter emit(out, max_diagnostics);
+  CappedEmitter emit(out, max_diagnostics);
   const StaticUntestable stat(net);
   const ImplicationEngine& imp = stat.implications();
 

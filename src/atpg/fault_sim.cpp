@@ -4,49 +4,6 @@
 #include <cassert>
 
 namespace kms {
-namespace {
-
-/// Output word of a gate of `kind` whose pin k reads `pin(k)`.
-template <class Pin>
-std::uint64_t eval_word(GateKind kind, std::uint32_t pins, Pin pin) {
-  switch (kind) {
-    case GateKind::kConst0:
-      return 0;
-    case GateKind::kConst1:
-      return ~0ull;
-    case GateKind::kInput:
-      assert(false && "inputs are not re-evaluated");
-      return 0;
-    case GateKind::kOutput:
-    case GateKind::kBuf:
-      return pin(0);
-    case GateKind::kNot:
-      return ~pin(0);
-    case GateKind::kAnd:
-    case GateKind::kNand: {
-      std::uint64_t w = ~0ull;
-      for (std::uint32_t k = 0; k < pins; ++k) w &= pin(k);
-      return kind == GateKind::kNand ? ~w : w;
-    }
-    case GateKind::kOr:
-    case GateKind::kNor: {
-      std::uint64_t w = 0;
-      for (std::uint32_t k = 0; k < pins; ++k) w |= pin(k);
-      return kind == GateKind::kNor ? ~w : w;
-    }
-    case GateKind::kXor:
-    case GateKind::kXnor: {
-      std::uint64_t w = 0;
-      for (std::uint32_t k = 0; k < pins; ++k) w ^= pin(k);
-      return kind == GateKind::kXnor ? ~w : w;
-    }
-    case GateKind::kMux:
-      return (pin(0) & pin(1)) | (~pin(0) & pin(2));
-  }
-  return 0;
-}
-
-}  // namespace
 
 FaultSimulator::FaultSimulator(const Network& net) : net_(net) { reset(); }
 

@@ -58,4 +58,29 @@ std::uint64_t digest_bytes(std::string_view bytes) {
   return h;
 }
 
+void json_append_quoted(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (const char raw : s) {
+    const unsigned char c = static_cast<unsigned char>(raw);
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(raw);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 }  // namespace kms

@@ -25,4 +25,7 @@ std::string str_format(const char* fmt, ...)
 /// that ties a journal to the exact BLIF serializations it brackets.
 std::uint64_t digest_bytes(std::string_view bytes);
 
+/// Append `s` as a quoted, escaped JSON string literal.
+void json_append_quoted(std::string* out, std::string_view s);
+
 }  // namespace kms

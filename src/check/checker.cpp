@@ -33,27 +33,16 @@ std::string id_label(const char* what, std::uint32_t v) {
 /// Collects diagnostics for one run, enforcing the cap.
 class Checker {
  public:
-  Checker(const Network& net, const CheckOptions& opts)
-      : net_(net), opts_(opts) {}
+  Checker(const Network& net, std::size_t cap)
+      : net_(net), emit_(&diags_, cap) {}
 
   Diagnostics take() && { return std::move(diags_); }
 
-  bool full() const { return diags_.all().size() >= opts_.max_diagnostics; }
+  bool full() const { return emit_.full(); }
 
   void add(const char* rule, std::string message,
            GateId gate = GateId::invalid(), ConnId conn = ConnId::invalid()) {
-    if (full()) {
-      diags_.mark_truncated();
-      return;
-    }
-    const RuleInfo* info = find_rule(rule);
-    Diagnostic d;
-    d.rule = rule;
-    d.severity = info ? info->severity : Severity::kError;
-    d.message = std::move(message);
-    d.gate = gate;
-    d.conn = conn;
-    diags_.add(std::move(d));
+    emit_.add(rule, std::move(message), gate, conn);
   }
 
   // ---- rules --------------------------------------------------------------
@@ -446,8 +435,8 @@ class Checker {
 
  private:
   const Network& net_;
-  const CheckOptions& opts_;
   Diagnostics diags_;
+  CappedEmitter emit_;
 };
 
 }  // namespace
@@ -462,7 +451,7 @@ std::string gate_label(const Network& net, GateId g) {
 }
 
 Diagnostics NetworkChecker::run(const Network& net) const {
-  Checker ck(net, opts_);
+  Checker ck(net, opts_.max_diagnostics);
   ck.check_connections();
   ck.check_gates();
   ck.check_markers();

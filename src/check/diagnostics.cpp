@@ -1,8 +1,9 @@
 #include "src/check/diagnostics.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "src/base/strings.hpp"
 
 namespace kms {
 
@@ -122,6 +123,22 @@ void Diagnostics::add(Diagnostic d) {
   diags_.push_back(std::move(d));
 }
 
+void CappedEmitter::add(const char* rule, std::string message, GateId gate,
+                        ConnId conn) {
+  if (out_->all().size() >= cap_) {
+    out_->mark_truncated();
+    return;
+  }
+  const RuleInfo* info = find_rule(rule);
+  Diagnostic d;
+  d.rule = rule;
+  d.severity = info ? info->severity : Severity::kError;
+  d.message = std::move(message);
+  d.gate = gate;
+  d.conn = conn;
+  out_->add(std::move(d));
+}
+
 void Diagnostics::print_text(std::ostream& out,
                              const std::string& prefix) const {
   for (const Diagnostic& d : diags_) {
@@ -140,61 +157,27 @@ std::string Diagnostics::to_text(const std::string& prefix) const {
   return out.str();
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void Diagnostics::print_json(std::ostream& out) const {
-  out << "{\"diagnostics\":[";
-  bool first = true;
-  for (const Diagnostic& d : diags_) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"rule\":\"" << json_escape(d.rule) << "\",\"severity\":\""
-        << severity_name(d.severity) << "\",\"message\":\""
-        << json_escape(d.message) << "\"";
-    if (d.gate.is_valid()) out << ",\"gate\":" << d.gate.value();
-    if (d.conn.is_valid()) out << ",\"conn\":" << d.conn.value();
-    if (d.line > 0) out << ",\"line\":" << d.line;
-    out << "}";
-  }
-  out << "],\"errors\":" << errors_ << ",\"warnings\":" << warnings_
-      << ",\"truncated\":" << (truncated_ ? "true" : "false") << "}";
-}
+void Diagnostics::print_json(std::ostream& out) const { out << to_json(); }
 
 std::string Diagnostics::to_json() const {
-  std::ostringstream out;
-  print_json(out);
-  return out.str();
+  std::string out = "{\"diagnostics\":[";
+  for (const Diagnostic& d : diags_) {
+    if (&d != &diags_.front()) out += ",";
+    out += "{\"rule\":";
+    json_append_quoted(&out, d.rule);
+    out += ",\"severity\":\"";
+    out += severity_name(d.severity);
+    out += "\",\"message\":";
+    json_append_quoted(&out, d.message);
+    if (d.gate.is_valid()) out += ",\"gate\":" + std::to_string(d.gate.value());
+    if (d.conn.is_valid()) out += ",\"conn\":" + std::to_string(d.conn.value());
+    if (d.line > 0) out += ",\"line\":" + std::to_string(d.line);
+    out += "}";
+  }
+  out += "],\"errors\":" + std::to_string(errors_) +
+         ",\"warnings\":" + std::to_string(warnings_) +
+         ",\"truncated\":" + (truncated_ ? "true" : "false") + "}";
+  return out;
 }
 
 }  // namespace kms

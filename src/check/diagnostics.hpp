@@ -81,7 +81,23 @@ class Diagnostics {
   bool truncated_ = false;
 };
 
-/// Escape a string for embedding in a JSON string literal (no quotes).
-std::string json_escape(std::string_view s);
+/// Appends findings to a Diagnostics until it holds `cap` in all. The
+/// first finding that does not fit is dropped and marks the report
+/// truncated, and only then does full() turn true: a scan that stops on
+/// full() has run past the cap far enough to know the report is
+/// incomplete. Each finding takes its rule's registered severity.
+class CappedEmitter {
+ public:
+  CappedEmitter(Diagnostics* out, std::size_t cap) : out_(out), cap_(cap) {}
+
+  bool full() const { return out_->truncated(); }
+
+  void add(const char* rule, std::string message,
+           GateId gate = GateId::invalid(), ConnId conn = ConnId::invalid());
+
+ private:
+  Diagnostics* out_;
+  std::size_t cap_;
+};
 
 }  // namespace kms

@@ -1,16 +1,11 @@
 // Tseitin encoding of logic networks into CNF.
 //
 // Every live gate gets a SAT variable constrained to equal the gate's
-// function of its fanin variables. On top of the plain encoding this
-// module provides the two composite encodings the library needs:
-//
-//  * miter(a, b)            — equivalence checking (Section VI safety net):
-//                             SAT iff some input distinguishes a and b.
-//  * GoodFaultyEncoding     — SAT-based ATPG (Section VI "remaining
-//                             redundancies are removed ... using any
-//                             redundancy removal scheme such as [22]"):
-//                             the fault's output cone is duplicated with
-//                             the fault injected; SAT iff a test exists.
+// function of its fanin variables. encode_gate is the one per-gate
+// clause kernel every encoding shares, the ATPG layer's good/faulty
+// dual encoding (src/atpg/atpg.hpp) included. On top of the plain
+// encoding this module provides the equivalence miter (Section VI
+// safety net): SAT iff some input distinguishes the two networks.
 #pragma once
 
 #include <optional>

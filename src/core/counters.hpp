@@ -107,9 +107,6 @@ struct Set {
   X(sta_applies, std::uint64_t, Sum)      /* per-edit dirty-cone repairs */  \
   X(sta_rebuilds, std::uint64_t, Sum)     /* full rebuilds (ctor+removal) */ \
   X(sta_gates_repaired, std::uint64_t, Sum) /* gate visits by repairs */     \
-  /* Gate visits the per-edit full recomputes would have made instead     \
-     (two per live gate per repair): the repaired fraction's denominator */  \
-  X(sta_full_visits, std::uint64_t, Sum)                                     \
   /* Seed passes of the loop's persistent PathEnumerator, one per         \
      iteration, the initial construction included (so a resumed run, which \
      constructs where the uninterrupted run re-seeded, reports the same    \

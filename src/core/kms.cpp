@@ -179,16 +179,14 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     IncrementalSta::Stats restored;
     restored.applies = stats.sta_applies;
     restored.rebuilds = stats.sta_rebuilds;
-    restored.forward_repaired = stats.sta_gates_repaired;
-    restored.full_equivalent = stats.sta_full_visits;
+    restored.repaired = stats.sta_gates_repaired;
     sta.restore_stats(restored);
   }
   const auto sync_sta = [&] {
     const IncrementalSta::Stats& ss = sta.stats();
     stats.sta_applies = ss.applies;
     stats.sta_rebuilds = ss.rebuilds;
-    stats.sta_gates_repaired = ss.repaired();
-    stats.sta_full_visits = ss.full_equivalent;
+    stats.sta_gates_repaired = ss.repaired;
   };
   if (res == nullptr) {
     stats.initial_gates = net.count_gates();

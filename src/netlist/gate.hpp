@@ -9,6 +9,7 @@
 // KMS algorithm runs.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 
@@ -101,5 +102,47 @@ constexpr bool is_inverting(GateKind kind) {
 /// Output value of a gate with all inputs known. `inputs` packs one bit
 /// per fanin, fanin 0 in bit 0. `n` is the fanin count.
 bool eval_gate(GateKind kind, std::uint32_t inputs, std::uint32_t n);
+
+/// Word-parallel output of a gate of `kind` with `pins` fanins whose pin
+/// k reads `pin(k)`: 64 patterns at once, one per bit. Inputs carry no
+/// function of their pins; their words come from the caller.
+template <class Pin>
+std::uint64_t eval_word(GateKind kind, std::uint32_t pins, Pin pin) {
+  switch (kind) {
+    case GateKind::kConst0:
+      return 0;
+    case GateKind::kConst1:
+      return ~0ull;
+    case GateKind::kInput:
+      assert(false && "inputs are not evaluated");
+      return 0;
+    case GateKind::kOutput:
+    case GateKind::kBuf:
+      return pin(0);
+    case GateKind::kNot:
+      return ~pin(0);
+    case GateKind::kAnd:
+    case GateKind::kNand: {
+      std::uint64_t w = ~0ull;
+      for (std::uint32_t k = 0; k < pins; ++k) w &= pin(k);
+      return kind == GateKind::kNand ? ~w : w;
+    }
+    case GateKind::kOr:
+    case GateKind::kNor: {
+      std::uint64_t w = 0;
+      for (std::uint32_t k = 0; k < pins; ++k) w |= pin(k);
+      return kind == GateKind::kNor ? ~w : w;
+    }
+    case GateKind::kXor:
+    case GateKind::kXnor: {
+      std::uint64_t w = 0;
+      for (std::uint32_t k = 0; k < pins; ++k) w ^= pin(k);
+      return kind == GateKind::kXnor ? ~w : w;
+    }
+    case GateKind::kMux:
+      return (pin(0) & pin(1)) | (~pin(0) & pin(2));
+  }
+  return 0;
+}
 
 }  // namespace kms

@@ -50,10 +50,8 @@ void Solver::reset() {
   seen_.clear();
   reuse_model_ = false;
   model_current_ = false;
-  conflict_budget_ = -1;
   governor_ = nullptr;
   proof_ = nullptr;
-  solve_conflicts_base_ = 0;
   charged_propagations_ = 0;
   max_learnts_ = 0;
   stats_ = SolverStats{};
@@ -419,10 +417,6 @@ Result Solver::search() {
       }
       decay_var_activity();
       cla_inc_ /= 0.999;
-      if (conflict_budget_ >= 0 &&
-          stats_.conflicts - solve_conflicts_base_ >=
-              static_cast<std::uint64_t>(conflict_budget_))
-        return Result::kUnknown;
       if (governor_) {
         governor_->charge(1, stats_.propagations - charged_propagations_);
         charged_propagations_ = stats_.propagations;
@@ -478,7 +472,6 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
     if (proof_) proof_->on_solve_end(Result::kUnsat);
     return Result::kUnsat;
   }
-  solve_conflicts_base_ = stats_.conflicts;
   charged_propagations_ = stats_.propagations;
   if (governor_) {
     const std::uint64_t q = governor_->begin_query();

@@ -98,7 +98,7 @@ class Solver {
   Solver();
 
   /// Return to the freshly constructed state: no variables, clauses or
-  /// learnts; no governor, proof sink, model reuse or conflict budget;
+  /// learnts; no governor, proof sink or model reuse;
   /// zeroed stats and activity increments. Every buffer keeps its
   /// capacity (clause arena, watch lists, per-variable arrays, heap,
   /// trail, scratch), so an owner that asks many small questions pays
@@ -129,21 +129,15 @@ class Solver {
     return add_clause(lits);
   }
 
-  /// Solve under the given assumptions. kUnknown only if a per-solve
-  /// conflict budget or an attached governor's resources were exhausted
-  /// (or the governor injected a test fault); the model is invalid and
-  /// callers must fall back conservatively — kUnknown is never evidence
-  /// of unsatisfiability.
+  /// Solve under the given assumptions. kUnknown only if an attached
+  /// governor's resources were exhausted (or the governor injected a
+  /// test fault); the model is invalid and callers must fall back
+  /// conservatively — kUnknown is never evidence of unsatisfiability.
   Result solve(const std::vector<Lit>& assumptions = {});
 
   /// Model access (valid after solve() returned kSat).
   Value model_value(Var v) const { return model_[v]; }
   bool model_bool(Var v) const { return model_[v] == Value::kTrue; }
-
-  /// Limit the number of conflicts of each subsequent solve() call
-  /// (-1 = unlimited). The budget is per solve: an incremental solver
-  /// reused across many queries gives every query the full allowance.
-  void set_conflict_budget(std::int64_t budget) { conflict_budget_ = budget; }
 
   /// Attach a resource governor (shared deadline, global budgets,
   /// cooperative interrupt, fault injection). Consulted at every solve()
@@ -266,10 +260,8 @@ class Solver {
 
   bool reuse_model_ = false;
   bool model_current_ = false;  ///< model_ satisfies the clause database
-  std::int64_t conflict_budget_ = -1;
   ResourceGovernor* governor_ = nullptr;
   ProofSink* proof_ = nullptr;
-  std::uint64_t solve_conflicts_base_ = 0;   // stats_.conflicts at solve()
   std::uint64_t charged_propagations_ = 0;   // high-water mark of charges
   double max_learnts_ = 0;
   SolverStats stats_;

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -311,31 +310,6 @@ const Json* Json::find(std::string_view key) const {
   for (const auto& [k, v] : obj_)
     if (k == key) return &v;
   return nullptr;
-}
-
-void json_append_quoted(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(raw);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 std::string json_double(double v) {

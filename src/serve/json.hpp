@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/strings.hpp"  // json_append_quoted, the writers' quoter
+
 namespace kms::serve {
 
 class JsonError : public std::runtime_error {
@@ -68,9 +70,6 @@ class Json {
   std::vector<Json> arr_;
   std::vector<std::pair<std::string, Json>> obj_;
 };
-
-/// Append `s` as a quoted, escaped JSON string literal.
-void json_append_quoted(std::string* out, std::string_view s);
 
 /// Shortest round-trip decimal form of `v` (std::to_chars); emits the
 /// JSON-legal spellings 0/-0 for signed zero and rejects NaN/Inf by

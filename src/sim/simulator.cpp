@@ -5,50 +5,6 @@
 #include <stdexcept>
 
 namespace kms {
-namespace {
-
-std::uint64_t eval_word(const Network& net, const Gate& g,
-                        const std::vector<std::uint64_t>& value) {
-  auto in = [&](std::size_t pin) {
-    return value[net.conn(g.fanins[pin]).from.value()];
-  };
-  switch (g.kind) {
-    case GateKind::kConst0:
-      return 0;
-    case GateKind::kConst1:
-      return ~0ull;
-    case GateKind::kInput:
-      return 0;  // overwritten by the driver loop
-    case GateKind::kOutput:
-    case GateKind::kBuf:
-      return in(0);
-    case GateKind::kNot:
-      return ~in(0);
-    case GateKind::kAnd:
-    case GateKind::kNand: {
-      std::uint64_t w = ~0ull;
-      for (std::size_t i = 0; i < g.fanins.size(); ++i) w &= in(i);
-      return g.kind == GateKind::kNand ? ~w : w;
-    }
-    case GateKind::kOr:
-    case GateKind::kNor: {
-      std::uint64_t w = 0;
-      for (std::size_t i = 0; i < g.fanins.size(); ++i) w |= in(i);
-      return g.kind == GateKind::kNor ? ~w : w;
-    }
-    case GateKind::kXor:
-    case GateKind::kXnor: {
-      std::uint64_t w = 0;
-      for (std::size_t i = 0; i < g.fanins.size(); ++i) w ^= in(i);
-      return g.kind == GateKind::kXnor ? ~w : w;
-    }
-    case GateKind::kMux:
-      return (in(0) & in(1)) | (~in(0) & in(2));
-  }
-  return 0;
-}
-
-}  // namespace
 
 Simulator::Simulator(const Network& net)
     : net_(net), order_(net.topo_order()), value_(net.gate_capacity(), 0) {}
@@ -60,7 +16,11 @@ void Simulator::run(const std::vector<std::uint64_t>& pi_words) {
   for (GateId g : order_) {
     const Gate& gt = net_.gate(g);
     if (gt.kind == GateKind::kInput) continue;
-    value_[g.value()] = eval_word(net_, gt, value_);
+    value_[g.value()] =
+        eval_word(gt.kind, static_cast<std::uint32_t>(gt.fanins.size()),
+                  [&](std::uint32_t k) {
+                    return value_[net_.conn(gt.fanins[k]).from.value()];
+                  });
   }
 }
 

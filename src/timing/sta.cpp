@@ -4,6 +4,27 @@
 #include <limits>
 
 namespace kms {
+namespace {
+
+/// One gate's required time from its fanouts' table entries, against the
+/// network delay (required(po) = delay): the min over live fanout
+/// connections of `(required(sink) - d(sink)) - d(conn)`. +infinity
+/// where no live fanout constrains the gate.
+double local_required(const Network& net, GateId g,
+                      const std::vector<double>& required, double delay) {
+  const Gate& gt = net.gate(g);
+  if (gt.kind == GateKind::kOutput) return delay;
+  double req = std::numeric_limits<double>::infinity();
+  for (ConnId c : gt.fanouts) {
+    const Conn& cn = net.conn(c);
+    if (cn.dead) continue;
+    req = std::min(req, (required[cn.to.value()] - net.gate(cn.to).delay) -
+                            cn.delay);
+  }
+  return req;
+}
+
+}  // namespace
 
 double minus_infinity() { return -std::numeric_limits<double>::infinity(); }
 

@@ -6,13 +6,14 @@
 // delay bound is the max arrival over primary outputs — the "longest
 // path" the paper contrasts with the critical (sensitizable) path.
 //
-// The per-gate relaxation kernels below (local_arrival / local_required /
-// local_suffix) are the single definition of each timing quantity. Both
+// The per-gate relaxation kernels below (local_arrival / local_suffix)
+// are the single definition of each maintained timing quantity. Both
 // the full passes in this file and the dirty-cone repair in
 // src/timing/incremental.hpp evaluate exactly these expressions, in the
 // same association order, so a repaired table is bit-identical to a
-// from-scratch one: IEEE max/min are exact, and +/- over identical
-// operands in identical order is deterministic.
+// from-scratch one: IEEE max is exact, and + over identical operands in
+// identical order is deterministic. Required times and slack are only
+// ever computed from scratch (compute_timing).
 #pragma once
 
 #include <algorithm>
@@ -57,27 +58,6 @@ inline double local_arrival(const Network& net, GateId g,
       return in + gt.delay;
     }
   }
-}
-
-/// One gate's required time from its fanouts' table entries, against the
-/// network delay (required(po) = delay). Pulling the min over fanout
-/// connections evaluates the same `(required(sink) - d(sink)) - d(conn)`
-/// terms the classic reverse-topological push relaxation produces, and
-/// IEEE min is order-independent, so both formulations are bit-identical.
-/// +infinity where no live fanout constrains the gate.
-inline double local_required(const Network& net, GateId g,
-                             const std::vector<double>& required,
-                             double delay) {
-  const Gate& gt = net.gate(g);
-  if (gt.kind == GateKind::kOutput) return delay;
-  double req = std::numeric_limits<double>::infinity();
-  for (ConnId c : gt.fanouts) {
-    const Conn& cn = net.conn(c);
-    if (cn.dead) continue;
-    req = std::min(req, (required[cn.to.value()] - net.gate(cn.to).delay) -
-                            cn.delay);
-  }
-  return req;
 }
 
 /// One gate's longest completion (conn delay + gate delay sums) from its

@@ -159,57 +159,59 @@ TEST(AnalysisOutputTest, HandBuiltAndExampleBytesArePinned) {
 }
 
 // The corpus's iteration order over the examples directory is not
-// fixed, so its digests are compared as a sorted list.
+// fixed, so its digests are compared as a sorted list. Eleven of the
+// random networks have more findings than the cap of 100; their reports
+// say "truncated".
 TEST(AnalysisOutputTest, TestNetworkBytesArePinned) {
   const std::vector<std::uint64_t> pinned = {
-      0x009bf8aa08f6f3e9ull,
       0x059c84d180a72790ull,
       0x0c975bc4832328fcull,
       0x0c975bc4832328fcull,
       0x0ee89a8aac66d972ull,
+      0x10b00f8597270eebull,
       0x11796a74b6bc27e0ull,
       0x145d8dc5f05412c5ull,
-      0x14e9c1a2a8f454a2ull,
-      0x199753a2458ae4b8ull,
       0x1a4984635641e4a1ull,
       0x1bbd4d599714495full,
       0x1e5f9ff3cc1fa3f4ull,
-      0x2171a682362e971dull,
       0x2556d27b4d81b775ull,
-      0x28d41b61160d8ce8ull,
+      0x2848f714e60974dfull,
+      0x29a8bc9cb780f1ddull,
       0x3e565bc2bc247516ull,
       0x45c1d759376739e8ull,
+      0x4d823230b63d739eull,
       0x4e11e9f00872e5f8ull,
       0x57492e9e325ba69aull,
-      0x5bc3dfb4d2134339ull,
       0x65886a4899526e95ull,
       0x675670fe1178d37cull,
       0x675670fe1178d37cull,
-      0x6ad0c5e714aca1b5ull,
       0x6b1216301cada02eull,
       0x6c9263a5889e00e3ull,
       0x6ca05cb49c029a0eull,
+      0x7528e48af1101523ull,
       0x7ab7c0017711f036ull,
-      0x8f478d2af06f3945ull,
       0x95067d8882ab6ac9ull,
-      0x96018289c40609e8ull,
       0x9f2a4211da479b76ull,
       0xa02240f5c7227868ull,
       0xa3870c0740dd5cfbull,
-      0xa5e93501b2dec640ull,
       0xade9f156b18a3712ull,
+      0xae12c148edbee502ull,
       0xb8130b99563c8f88ull,
       0xb8efe98cf5aeaac6ull,
       0xb9767e13fe501107ull,
+      0xba7511df1ede0521ull,
       0xbcef812ee0fe9e4eull,
+      0xbf9098e341478c56ull,
       0xc3eb3a120a8d4a04ull,
-      0xd7a3927ce36d186aull,
+      0xd68b669a091a698aull,
       0xd8b34c8be4579fa0ull,
       0xd8b34c8be4579fa0ull,
+      0xdde68d282560b8b3ull,
       0xde477d99ae955886ull,
       0xe6855b15bbc807c9ull,
       0xe86cce7cec0d3887ull,
       0xeac1212fa67825f8ull,
+      0xead220a17a94d7f6ull,
       0xff3934fb591f7d9dull,
   };
   std::vector<std::uint64_t> got;

@@ -338,6 +338,34 @@ TEST(AnalysisRulesTest, BlockedBranchFiresOnStatredOnly) {
         << f.rule << " fired on an irredundant circuit: " << f.message;
 }
 
+TEST(AnalysisRulesTest, CappedReportIsTruncatedOnlyWhenAFindingIsDropped) {
+  // Eight statred blocks, each with a blocked branch. Count the findings
+  // uncapped, then rerun at exactly that cap and at one below it.
+  Network net("statred_x8");
+  for (int k = 0; k < 8; ++k) {
+    const std::string s = std::to_string(k);
+    const GateId a = net.add_input("a" + s);
+    const GateId b = net.add_input("b" + s);
+    const GateId x = net.add_gate(GateKind::kAnd, {a, b}, 1.0);
+    net.add_output("y" + s, net.add_gate(GateKind::kAnd, {a, x}, 1.0));
+  }
+  Diagnostics uncapped;
+  analysis::run_analysis_rules(net, &uncapped, 1000);
+  const std::size_t n = uncapped.all().size();
+  ASSERT_GE(n, 8u);
+  EXPECT_FALSE(uncapped.truncated());
+
+  Diagnostics exact;
+  analysis::run_analysis_rules(net, &exact, n);
+  EXPECT_EQ(exact.all().size(), n);
+  EXPECT_FALSE(exact.truncated());
+
+  Diagnostics over;
+  analysis::run_analysis_rules(net, &over, n - 1);
+  EXPECT_EQ(over.all().size(), n - 1);
+  EXPECT_TRUE(over.truncated());
+}
+
 TEST(AnalysisRulesTest, RegistryCarriesTheAnalysisRules) {
   for (const char* id : {"NL017", "NL018", "NL019", "NL020", "NL021"}) {
     const RuleInfo* info = find_rule(id);

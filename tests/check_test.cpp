@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "src/base/strings.hpp"
 #include "src/check/checker.hpp"
 #include "src/check/diagnostics.hpp"
 #include "src/check/hooks.hpp"
@@ -291,7 +292,9 @@ TEST_F(CheckTest, JsonEmitterIsStructured) {
 }
 
 TEST_F(CheckTest, JsonEscapesControlCharacters) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  std::string quoted;
+  json_append_quoted(&quoted, "a\"b\\c\nd");
+  EXPECT_EQ(quoted, "\"a\\\"b\\\\c\\nd\"");
 }
 
 TEST_F(CheckTest, RuleTableIsWellFormed) {

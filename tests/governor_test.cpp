@@ -78,20 +78,6 @@ TEST(GovernorTest, BudgetSpansSolversSharingTheGovernor) {
   EXPECT_EQ(gov.report().unknown_results, 2u);
 }
 
-TEST(GovernorTest, PerSolveConflictBudgetIsPerSolve) {
-  // Solver-local budget: each solve gets the full allowance again, so
-  // an incremental solver is not starved by its own history.
-  Solver s;
-  add_pigeonhole(s, 8);
-  const Var extra = s.new_var();
-  s.add_clause(sat::mk_lit(extra));
-  s.set_conflict_budget(15);
-  EXPECT_EQ(s.solve(), Result::kUnknown);
-  EXPECT_EQ(s.solve(), Result::kUnknown);  // fresh 15, not already spent
-  s.set_conflict_budget(-1);
-  EXPECT_EQ(s.solve(), Result::kUnsat);  // unlimited: the real verdict
-}
-
 TEST(GovernorTest, ExpiredDeadlineStopsBeforeAnyWork) {
   ResourceGovernor gov;
   gov.set_time_limit(1e-9);  // already in the past by the first probe

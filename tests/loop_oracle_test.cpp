@@ -383,8 +383,6 @@ TEST(LoopOracleTest, RepairedOrderKeyTablesMatchRebuild) {
           const IncrementalSta fresh(n);
           ASSERT_EQ(sta.delay(), fresh.delay()) << name;
           ASSERT_EQ(sta.arrival(), fresh.arrival()) << name;
-          ASSERT_EQ(sta.required(), fresh.required()) << name;
-          ASSERT_EQ(sta.slack(), fresh.slack()) << name;
           ASSERT_EQ(sta.suffix(), fresh.suffix()) << name;
           EXPECT_NO_THROW(enforce_timing_invariants(n, sta, "oracle")) << name;
         });

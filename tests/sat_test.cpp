@@ -172,26 +172,6 @@ TEST_P(RandomCnfCross, AgreesWithDpll) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnfCross, ::testing::Range(0, 60));
 
-TEST(SatTest, ConflictBudgetReturnsUnknown) {
-  // A hard pigeonhole with a tiny budget must come back kUnknown.
-  const int pigeons = 9, holes = 8;
-  Solver s;
-  std::vector<std::vector<Var>> p(pigeons, std::vector<Var>(holes));
-  for (auto& row : p)
-    for (auto& v : row) v = s.new_var();
-  for (int i = 0; i < pigeons; ++i) {
-    std::vector<Lit> clause;
-    for (int h = 0; h < holes; ++h) clause.push_back(mk_lit(p[i][h]));
-    s.add_clause(clause);
-  }
-  for (int h = 0; h < holes; ++h)
-    for (int i = 0; i < pigeons; ++i)
-      for (int j = i + 1; j < pigeons; ++j)
-        s.add_clause(mk_lit(p[i][h], true), mk_lit(p[j][h], true));
-  s.set_conflict_budget(5);
-  EXPECT_EQ(s.solve(), Result::kUnknown);
-}
-
 TEST(SatTest, IncrementalSolvesWithGrowingClauses) {
   Solver s;
   const Var a = s.new_var(), b = s.new_var(), c = s.new_var();
@@ -277,7 +257,6 @@ struct Script {
     std::vector<Lit> assume;
   };
   std::vector<Query> queries;
-  std::int64_t conflict_budget = -1;
   std::int64_t governor_conflicts = -1;  ///< >= 0: attach a governor
   bool model_reuse = false;
   bool drat = false;
@@ -305,8 +284,6 @@ std::vector<Observed> run_script(Solver& s, const Script& script,
   }
   if (script.drat) s.set_proof(&trace);
   if (script.model_reuse) s.set_model_reuse(true);
-  if (script.conflict_budget >= 0)
-    s.set_conflict_budget(script.conflict_budget);
   for (int v = 0; v < script.vars; ++v) s.new_var();
   for (const auto& clause : script.clauses) s.add_clause(clause);
   std::vector<Observed> out;
@@ -375,16 +352,6 @@ std::vector<Script> reset_scripts() {
       s.clauses.push_back(random_clause(hard, 180, 3));
     s.queries.push_back({});
     s.queries.push_back({{}, random_clause(rng, 180, 4)});
-    out.push_back(std::move(s));
-  }
-  {
-    Script s;
-    s.name = "conflict_budget";
-    add_pigeonhole(s, 9, 8);
-    s.conflict_budget = 40;
-    s.queries.push_back({});
-    s.queries.push_back({{}, {mk_lit(0), mk_lit(9, true)}});
-    s.queries.push_back({{}, {mk_lit(3, true)}});
     out.push_back(std::move(s));
   }
   {
@@ -491,18 +458,17 @@ TEST(SatTest, ResetSolverBehavesAsFresh) {
   // The scripts reach what they are named for.
   EXPECT_GT(fresh[0].back().stats[5], 0u) << "no reduce_db";
   EXPECT_EQ(fresh[1][0].result, Result::kUnknown);
-  EXPECT_EQ(fresh[2][0].result, Result::kUnknown);
-  EXPECT_GT(fresh[2][0].stats[0], 0u) << "governor stopped at entry";
-  EXPECT_EQ(fresh[2][2].stats, fresh[2][1].stats) << "later query searched";
-  EXPECT_TRUE(fresh[3][0].inconsistent);
-  EXPECT_FALSE(fresh[3][0].certificate.empty());
+  EXPECT_GT(fresh[1][0].stats[0], 0u) << "governor stopped at entry";
+  EXPECT_EQ(fresh[1][2].stats, fresh[1][1].stats) << "later query searched";
+  EXPECT_TRUE(fresh[2][0].inconsistent);
+  EXPECT_FALSE(fresh[2][0].certificate.empty());
   std::size_t reused_models = 0;
-  for (std::size_t q = 1; q < fresh[4].size(); ++q)
-    reused_models += fresh[4][q].result == Result::kSat &&
-                     fresh[4][q].stats == fresh[4][q - 1].stats;
+  for (std::size_t q = 1; q < fresh[3].size(); ++q)
+    reused_models += fresh[3][q].result == Result::kSat &&
+                     fresh[3][q].stats == fresh[3][q - 1].stats;
   EXPECT_GT(reused_models, 0u);
   std::size_t drat_unsat = 0;
-  for (const Observed& o : fresh[6]) drat_unsat += !o.certificate.empty();
+  for (const Observed& o : fresh[5]) drat_unsat += !o.certificate.empty();
   EXPECT_GT(drat_unsat, 0u);
 
   Solver reused;

@@ -339,7 +339,8 @@ TEST(CheckpointTest, RejectsDeletedCounterKeys) {
   EXPECT_NO_THROW(read_checkpoint(text));
   for (const char* key :
        {"kms.redundancies_removed", "kms.path_cap_hit",
-        "kms.decomposed_complex", "rm.unknown_queries", "cache"}) {
+        "kms.decomposed_complex", "kms.sta_full_visits", "rm.unknown_queries",
+        "cache"}) {
     EXPECT_EQ(text.find(std::string("\n") + key + " "), std::string::npos)
         << key;
     EXPECT_THROW(read_checkpoint(std::string(key) + " 0\n" + text),

@@ -103,9 +103,10 @@ ctest --preset checked -L analysis --output-on-failure
 # Timing stage: the `timing` label covers the STA surface — the
 # per-gate kernels, path enumeration, sensitization, and the
 # incremental engine's property suite (randomized edit walks asserting
-# repaired tables equal a from-scratch recompute under exact double
-# equality, KMS runs audited against TimingChecker after every repair,
-# and the NL022-NL028 tamper tests).
+# the repaired arrival and suffix tables and delay bound equal a
+# from-scratch recompute under exact double equality, KMS runs audited
+# against TimingChecker after every repair, the NL022-NL028 tamper
+# tests, and the timing rules' diagnostic cap).
 echo "== timing-labelled tests (checked preset) =="
 ctest --preset checked -L timing --output-on-failure
 

@@ -161,11 +161,10 @@ void print_irr_summary(const JobSpec& spec, const JobReport& r) {
       r.removal_sim_seconds, r.removal_sat_seconds);
   std::fprintf(stderr,
                "timing: incremental sta, %llu repairs + %llu rebuilds "
-               "touched %llu gates (per-iteration full recompute: %llu)%s\n",
+               "touched %llu gates%s\n",
                static_cast<unsigned long long>(r.sta_applies),
                static_cast<unsigned long long>(r.sta_rebuilds),
                static_cast<unsigned long long>(r.sta_gates_repaired),
-               static_cast<unsigned long long>(r.sta_full_visits),
                spec.check ? ", audited" : "");
   if (r.degraded)
     std::fprintf(stderr,

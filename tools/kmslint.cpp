@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/strings.hpp"
 #include "src/check/diagnostics.hpp"
 #include "src/check/hooks.hpp"
 #include "src/serve/job.hpp"
@@ -108,8 +109,9 @@ int main(int argc, char** argv) {
     any_finding |= rep.lint_findings > 0;
     if (args.spec.json) {
       if (i > 0) std::cout << ",";
-      std::cout << "{\"file\":\"" << json_escape(path)
-                << "\",\"report\":" << rep.text << "}";
+      std::string file = "{\"file\":";
+      json_append_quoted(&file, path);
+      std::cout << file << ",\"report\":" << rep.text << "}";
     } else {
       std::istringstream lines(rep.text);
       std::string line;
