@@ -23,7 +23,6 @@
 
 #include "src/atpg/fault.hpp"
 #include "src/netlist/network.hpp"
-#include "src/netlist/transform.hpp"
 
 namespace kms {
 

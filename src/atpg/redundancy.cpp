@@ -389,8 +389,11 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
       journal_deletion(*session, format_fault(net, fault),
                        spec[chosen].result);
     TransformTrace trace;
-    apply_redundancy_removal(net, fault, &trace);
-    simplify(net, &trace);
+    {
+      const TraceScope tracing(net, trace);
+      apply_redundancy_removal(net, fault);
+      simplify(net);
+    }
     ++result.removed;
     result.cache_invalidated += cache.invalidate(net, trace);
     // Speculative verdicts beyond `chosen` are re-queued implicitly:
@@ -407,34 +410,18 @@ RedundancyRemovalResult remove_on_lanes(Network& net,
 
 }  // namespace
 
-void apply_redundancy_removal(Network& net, const Fault& fault,
-                              TransformTrace* trace) {
+void apply_redundancy_removal(Network& net, const Fault& fault) {
   if (fault.site == Fault::Site::kStem) {
     if (net.gate(fault.gate).kind == GateKind::kInput) {
       // A primary input stays part of the interface; assert the stuck
       // value on its fanout wires instead of replacing the pin.
       auto fanouts = net.gate(fault.gate).fanouts;  // copy: we reroute
-      for (ConnId c : fanouts) {
-        if (net.conn(c).dead) continue;
-        if (trace) {
-          trace->note_touch(net.conn(c).to);
-          trace->note_severed(fault.gate, net.conn(c).to);
-        }
-        net.set_conn_constant(c, fault.stuck);
-      }
+      for (ConnId c : fanouts)
+        if (!net.conn(c).dead) net.set_conn_constant(c, fault.stuck);
     } else {
-      if (trace) {
-        trace->note_touch(fault.gate);
-        for (ConnId c : net.gate(fault.gate).fanins)
-          trace->note_severed(net.conn(c).from, fault.gate);
-      }
       net.convert_to_constant(fault.gate, fault.stuck);
     }
   } else {
-    if (trace) {
-      trace->note_touch(net.conn(fault.conn).to);
-      trace->note_severed(net.conn(fault.conn).from, net.conn(fault.conn).to);
-    }
     net.set_conn_constant(fault.conn, fault.stuck);
   }
 }
@@ -443,7 +430,7 @@ RedundancyRemovalResult remove_redundancies(
     Network& net, const RedundancyRemovalOptions& opts) {
   const RunContext ctx = opts.context;
   RedundancyRemovalResult result =
-      remove_on_lanes(net, opts, ctx, ctx.effective_jobs());
+      remove_on_lanes(net, opts, ctx, resolve_jobs(ctx.jobs));
   if (result.aborted && ctx.session)
     ctx.session->journal.mark_partial(
         "redundancy removal stopped early: resource governor exhausted");

@@ -28,7 +28,8 @@
 //     barrier; lanes never touch it;
 //  3. cone-scoped invalidation: a removal invalidates only cached
 //     verdicts whose fault region intersects the edited gates, which
-//     TransformTrace records (including severed old edges, so the
+//     the network records in a TransformTrace while the commit edits
+//     it (every severed edge included, the sweep's too, so the
 //     traversal sees connectivity that the edit itself cut).
 // Every skip is backed by positive evidence of testability, never by
 // an assumption of untestability, so the engine removes exactly the
@@ -36,7 +37,7 @@
 // one at a time with a recompute after each (tests/ keeps that scan as
 // the differential oracle).
 //
-// Each pass classifies faults on context.effective_jobs() lanes of a
+// Each pass classifies faults on resolve_jobs(context.jobs) lanes of a
 // worker pool; with one lane the pool runs inline on the caller and
 // spawns no thread. Lanes speculatively classify faults (each with a
 // private Atpg, SAT solver and cone encoding) against the frozen
@@ -87,7 +88,7 @@ struct RedundancyRemovalOptions {
   /// journalled citing it, in commit order; witness drops are not
   /// journalled, since at jobs > 1 they depend on worker timing; an
   /// aborted run finalizes the journal as partial), and the worker count:
-  /// fault classification runs on context.effective_jobs() lanes (0 =
+  /// fault classification runs on resolve_jobs(context.jobs) lanes (0 =
   /// hardware concurrency) with the deterministic commit protocol, whose
   /// removed-fault set is bit-identical at any lane count.
   RunContext context;
@@ -135,9 +136,6 @@ RedundancyRemovalResult remove_redundancies(
 
 /// Assert the stuck value at one untestable fault's site. The caller
 /// must know the fault is untestable; the function only rewires.
-/// `trace`, if non-null, records every modified gate and severed edge
-/// (for the fault cache's invalidation).
-void apply_redundancy_removal(Network& net, const Fault& fault,
-                              TransformTrace* trace = nullptr);
+void apply_redundancy_removal(Network& net, const Fault& fault);
 
 }  // namespace kms

@@ -1,8 +1,5 @@
 #include "src/check/hooks.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "src/check/checker.hpp"
 #include "src/netlist/network.hpp"
 
@@ -16,19 +13,11 @@ void self_check_trampoline(const Network& net, const char* op) {
 }  // namespace
 
 bool invariant_checks_enabled() {
-  static const bool enabled = [] {
-    if (const char* env = std::getenv("KMS_CHECK_INVARIANTS")) {
-      const std::string_view v(env);
-      return !(v == "0" || v == "off" || v == "OFF" || v == "false" ||
-               v == "no");
-    }
 #ifdef KMS_CHECK_INVARIANTS
-    return true;
+  return true;
 #else
-    return false;
+  return false;
 #endif
-  }();
-  return enabled;
 }
 
 void install_invariant_self_checks() {

@@ -1,23 +1,19 @@
 // Wiring between the invariant checker and the Network surgery hooks.
 //
-// Two gates control self-checking:
-//  * compile time — the KMS_CHECK_INVARIANTS CMake option compiles a
-//    self-check call into every Network surgery op (reroute_source,
-//    remove_conn-family ops, duplication, sweep, ...) and into the ends
-//    of the transform passes;
-//  * run time — the KMS_CHECK_INVARIANTS environment variable. Unset, it
-//    defaults to the compile-time setting; "0"/"off"/"false"/"no"
-//    disables checks in a checking build; any other value enables the
-//    KMS-loop checkpoints even in a non-checking build (the per-op hooks
-//    only exist when compiled in).
+// Two switches control self-checking:
+//  * the KMS_CHECK_INVARIANTS CMake option compiles a self-check call
+//    into every Network surgery op (reroute_source, remove_conn-family
+//    ops, duplication, sweep, ...) and into the ends of the transform
+//    passes, and arms the KMS loop's phase checkpoints in every run;
+//  * `kmscli irr --check` (RunContext::check_invariants) arms the phase
+//    checkpoints for one run in any build.
 //
 // A violation throws CheckFailure at the operation that introduced it.
 #pragma once
 
 namespace kms {
 
-/// Effective runtime setting (env toggle over the compile-time default).
-/// Computed once per process.
+/// True in a build with the KMS_CHECK_INVARIANTS option on.
 bool invariant_checks_enabled();
 
 /// Install the checker as the Network self-check hook (idempotent,

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <thread>
 
 namespace kms {
 
@@ -98,15 +97,6 @@ struct RunContext {
   /// one lane inline on the caller; 0 means one lane per hardware
   /// thread; N > 1 pins the count. Results never depend on it.
   unsigned jobs = 1;
-
-  /// `jobs` with 0 resolved to the hardware concurrency (and a paranoid
-  /// floor of 1 when the runtime reports nothing).
-  unsigned effective_jobs() const {
-    if (jobs != 0) return jobs;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-  }
-
 };
 
 }  // namespace kms

@@ -37,12 +37,9 @@ void require_simple_gates(const Network& net) {
 /// `n_index` (the gate closest to the output with fanout > 1), and move
 /// the on-path fanout edge of that gate to the duplicate. Returns the
 /// rewritten path P' (all of whose gates have fanout exactly one).
-/// The number of copied gates is added to *duplicated. `trace` records
-/// the one edit the incremental STA cannot see from liveness diffs: the
-/// final reroute keeps p.conns[n_index+1] alive while changing its
-/// source from gate n to the (new, watermark-covered) duplicate.
+/// The number of copied gates is added to *duplicated.
 Path duplicate_prefix(Network& net, const Path& p, std::size_t n_index,
-                      std::size_t* duplicated, TransformTrace* trace) {
+                      std::size_t* duplicated) {
   Path out = p;
   GateId prev_dup = GateId::invalid();
   for (std::size_t j = 0; j <= n_index; ++j) {
@@ -63,30 +60,19 @@ Path duplicate_prefix(Network& net, const Path& p, std::size_t n_index,
   }
   // Move edge e — the fanout connection of gate n that lies on P — to be
   // the single fanout of n'.
-  const ConnId moved = p.conns[n_index + 1];
-  if (trace != nullptr)
-    trace->note_severed(p.gates[n_index], net.conn(moved).to);
-  net.reroute_source(moved, prev_dup);
+  net.reroute_source(p.conns[n_index + 1], prev_dup);
   return out;
 }
 
 /// The constant-assertion step: set the first edge of P' to the value
-/// that deletes the gate it feeds, then propagate. `trace` records the
-/// reroute set_conn_constant performs under the hood (the edge stays
-/// alive; its source changes to a — possibly new — constant gate) plus
-/// everything the propagation passes touch.
-void assert_first_edge_constant(Network& net, const Path& pp,
-                                TransformTrace* trace) {
+/// that deletes the gate it feeds, then propagate.
+void assert_first_edge_constant(Network& net, const Path& pp) {
   const GateKind k0 = net.gate(pp.gates[0]).kind;
   const bool value =
       has_controlling_value(k0) ? controlling_value(k0) : false;
-  if (trace != nullptr) {
-    trace->note_touch(pp.gates[0]);
-    trace->note_severed(net.conn(pp.conns[0]).from, pp.gates[0]);
-  }
   net.set_conn_constant(pp.conns[0], value);
-  propagate_constants(net, trace);
-  collapse_buffers(net, trace);
+  propagate_constants(net);
+  collapse_buffers(net);
   net.sweep();
 }
 
@@ -100,7 +86,7 @@ void assert_first_edge_constant(Network& net, const Path& pp,
 /// live loop journals and checkpoints there.
 template <class Between>
 KmsLoopTransform transform_path(Network& net, const Path& path,
-                                TransformTrace* trace, Between&& between) {
+                                Between&& between) {
   std::ptrdiff_t n_index = -1;
   for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(path.gates.size()) - 1;
        i >= 0; --i) {
@@ -116,12 +102,12 @@ KmsLoopTransform transform_path(Network& net, const Path& path,
   const Path pp =
       n_index >= 0
           ? duplicate_prefix(net, path, static_cast<std::size_t>(n_index),
-                             &dup, trace)
+                             &dup)
           : path;
   out.duplicated = dup;
   out.constant_conn = pp.conns[0].value();
   between(out);
-  assert_first_edge_constant(net, pp, trace);
+  assert_first_edge_constant(net, pp);
   return out;
 }
 
@@ -292,10 +278,12 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     // sensitizable under the loop condition (and not-viable implies
     // not-statically-sensitizable), and by Theorem 7.1 the duplication
     // preserved every side-input function and path length, so P'
-    // inherits the verdict.
+    // inherits the verdict. The surgery records its edit in `trace`,
+    // from which the timing engine repairs its tables.
     TransformTrace trace;
+    const TraceScope tracing(net, trace);
     const KmsLoopTransform t =
-        transform_path(net, path, &trace, [&](const KmsLoopTransform& dup) {
+        transform_path(net, path, [&](const KmsLoopTransform& dup) {
           checkpoint("kms:duplicate_prefix");
           if (session && dup.duplicated > 0)
             session->journal.add_duplicate(dup.duplicated);
@@ -380,8 +368,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   return stats;
 }
 
-KmsLoopTransform kms_replay_loop_transform(Network& net,
-                                           TransformTrace* trace) {
+KmsLoopTransform kms_replay_loop_transform(Network& net) {
   // Mirrors one iteration of the loop above with the SAT query elided:
   // the journal being replayed recorded the unsensitizability verdict,
   // so only the structural surgery needs repeating. Path selection is a
@@ -392,7 +379,7 @@ KmsLoopTransform kms_replay_loop_transform(Network& net,
     throw std::runtime_error(
         "kms replay: no IO-path left to transform (journal does not match "
         "this network)");
-  return transform_path(net, *chosen, trace, [](const KmsLoopTransform&) {});
+  return transform_path(net, *chosen, [](const KmsLoopTransform&) {});
 }
 
 }  // namespace kms

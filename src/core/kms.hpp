@@ -67,9 +67,8 @@ struct KmsOptions {
   ///    (src/check/) between loop phases, and audit the incremental
   ///    timing engine's tables against a from-scratch recompute after
   ///    every repair (rules NL024–NL028); throw CheckFailure on a
-  ///    violation. Costs a full timing pass per iteration. Also enabled
-  ///    globally by the KMS_CHECK_INVARIANTS build option / environment
-  ///    toggle.
+  ///    violation. Costs a full timing pass per iteration. Always on in
+  ///    a build with the KMS_CHECK_INVARIANTS option.
   ///  * jobs — worker count for the final removal phase (the loop
   ///    phases are sequential); removal.context.jobs is overridden by
   ///    this so one knob configures the whole run.
@@ -120,9 +119,7 @@ struct KmsLoopTransform {
 /// kms_make_irredundant would and apply the duplicate+constant transform
 /// — no SAT (the journal already recorded the unsensitizability verdict)
 /// and no journaling. Throws std::runtime_error when no IO-path exists
-/// (a replay/journal mismatch). `trace`, if non-null, records the edit
-/// exactly as the live loop would for IncrementalSta::apply().
-KmsLoopTransform kms_replay_loop_transform(Network& net,
-                                           TransformTrace* trace = nullptr);
+/// (a replay/journal mismatch).
+KmsLoopTransform kms_replay_loop_transform(Network& net);
 
 }  // namespace kms

@@ -116,6 +116,10 @@ void Network::reroute_source(ConnId c, GateId new_from) {
   KMS_SURGERY("reroute_source");
   Conn& cn = conn(c);
   assert(!cn.dead && !gate(new_from).dead);
+  if (trace_.trace != nullptr) {
+    trace_.trace->note_touch(cn.to);
+    trace_.trace->note_severed(cn.from, cn.to);
+  }
   auto& outs = gates_[cn.from.value()].fanouts;
   outs.erase(std::find(outs.begin(), outs.end(), c));
   cn.from = new_from;
@@ -125,6 +129,7 @@ void Network::reroute_source(ConnId c, GateId new_from) {
 void Network::remove_conn(ConnId c) {
   Conn& cn = conn(c);
   assert(!cn.dead);
+  if (trace_.trace != nullptr) trace_.trace->note_severed(cn.from, cn.to);
   auto& outs = gates_[cn.from.value()].fanouts;
   outs.erase(std::find(outs.begin(), outs.end(), c));
   auto& ins = gates_[cn.to.value()].fanins;
@@ -144,6 +149,7 @@ void Network::remove_gate(GateId g) {
   assert(gt.fanouts.empty() && "remove_gate requires no live fanouts");
   while (!gt.fanins.empty()) remove_conn(gt.fanins.back());
   gt.dead = true;
+  note_touch(g);
 }
 
 GateId Network::duplicate_gate(GateId g) {
@@ -175,6 +181,7 @@ void Network::convert_to_constant(GateId g, bool value) {
   while (!gt.fanins.empty()) remove_conn(gt.fanins.back());
   gt.kind = value ? GateKind::kConst1 : GateKind::kConst0;
   gt.delay = 0.0;
+  note_touch(g);
 }
 
 std::size_t Network::pin_of(ConnId c) const {

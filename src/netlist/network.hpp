@@ -11,8 +11,10 @@
 // lifetime; `clone_compact()` produces a tombstone-free copy.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/ids.hpp"
@@ -39,6 +41,25 @@ struct Gate {
   std::vector<ConnId> fanins;
   std::vector<ConnId> fanouts;
   bool dead = false;
+};
+
+/// What one edit of a network changed, recorded by the Network surgery
+/// primitives while a TraceScope attaches the trace (DESIGN.md §3 states
+/// the contract). `touched` lists the sink of every rerouted connection,
+/// every gate turned constant or removed, and every gate rewritten in
+/// place through gate() or a fanin's conn() (Network::note_touch).
+/// `severed` lists every edge (from, to) the edit cut: each removed
+/// connection, and each rerouted connection's old source with its sink.
+/// Gates and connections born during the edit are not listed: ids only
+/// grow, so theirs lie at or above the capacities before the edit. An
+/// entry may repeat.
+struct TransformTrace {
+  std::vector<GateId> touched;
+  std::vector<std::pair<GateId, GateId>> severed;
+
+  void note_touch(GateId g) { touched.push_back(g); }
+  void note_severed(GateId from, GateId to) { severed.emplace_back(from, to); }
+  bool empty() const { return touched.empty() && severed.empty(); }
 };
 
 class Network {
@@ -95,6 +116,14 @@ class Network {
 
   /// Turn `g` into a constant gate of `value`, dropping all its fanins.
   void convert_to_constant(GateId g, bool value);
+
+  /// Record `g` as touched in the attached trace, if any. The surgery
+  /// primitives record their own edits; code that rewrites a gate's
+  /// kind, delay or arrival, or a fanin connection's delay, through
+  /// gate()/conn() calls this once for the gate.
+  void note_touch(GateId g) {
+    if (trace_.trace != nullptr) trace_.trace->note_touch(g);
+  }
 
   // ---- access -------------------------------------------------------------
 
@@ -184,6 +213,16 @@ class Network {
 
  private:
   friend class SurgeryScope;
+  friend class TraceScope;
+
+  /// The trace a TraceScope attached. A copy of the network starts
+  /// without one, and assigning a network keeps the target's own.
+  struct TraceLink {
+    TransformTrace* trace = nullptr;
+    TraceLink() = default;
+    TraceLink(const TraceLink&) {}
+    TraceLink& operator=(const TraceLink&) { return *this; }
+  };
 
   GateId new_gate(GateKind kind, double delay, std::string name);
 
@@ -196,6 +235,24 @@ class Network {
   GateId const1_ = GateId::invalid();
   /// Surgery re-entrancy depth; self_check fires only at depth zero.
   int surgery_depth_ = 0;
+  TraceLink trace_;
+};
+
+/// Attaches `trace` to `net` for the scope's lifetime: every surgery
+/// primitive run on `net` meanwhile records its edit there. Scopes do
+/// not nest.
+class TraceScope {
+ public:
+  TraceScope(Network& net, TransformTrace& trace) : net_(net) {
+    assert(net_.trace_.trace == nullptr);
+    net_.trace_.trace = &trace;
+  }
+  TraceScope(const TraceScope&) = delete;
+  TraceScope& operator=(const TraceScope&) = delete;
+  ~TraceScope() { net_.trace_.trace = nullptr; }
+
+ private:
+  Network& net_;
 };
 
 }  // namespace kms

@@ -211,9 +211,8 @@ void reduce_single_input(Network& net, GateId g) {
   }
 }
 
-}  // namespace
-
-bool simplify_gate(Network& net, GateId g) {
+/// simplify_gate without the trace note.
+bool rewrite_gate(Network& net, GateId g) {
   Gate& gt = net.gate(g);
   switch (gt.kind) {
     case GateKind::kBuf:
@@ -349,7 +348,15 @@ bool simplify_gate(Network& net, GateId g) {
   }
 }
 
-std::size_t propagate_constants(Network& net, TransformTrace* trace) {
+}  // namespace
+
+bool simplify_gate(Network& net, GateId g) {
+  if (!rewrite_gate(net, g)) return false;
+  net.note_touch(g);  // kind, delay or pin delay may have changed in place
+  return true;
+}
+
+std::size_t propagate_constants(Network& net) {
   // Only a gate with a constant fanin simplifies, and a simplification
   // hands a constant on only where the gate became a constant itself
   // (its fanouts) or a MUX was left as a buffer of one (the gate
@@ -382,7 +389,6 @@ std::size_t propagate_constants(Network& net, TransformTrace* trace) {
                       std::greater<std::uint64_t>>
       heap;
   std::size_t changed_total = 0;
-  std::vector<GateId> old_srcs;  // pre-edit fanin sources, for the trace
   while (!next.empty()) {
     if (has_mux) {
       const std::vector<GateId> order = net.topo_order();
@@ -401,17 +407,7 @@ std::size_t propagate_constants(Network& net, TransformTrace* trace) {
       const GateId g{static_cast<std::uint32_t>(k & 0xffffffffu)};
       const Gate& gt = net.gate(g);
       if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
-      if (trace) {
-        old_srcs.clear();
-        for (ConnId c : gt.fanins) old_srcs.push_back(net.conn(c).from);
-      }
       if (!simplify_gate(net, g)) continue;
-      if (trace) {
-        // Every edit simplify_gate makes rewires g's fanins; record g
-        // and (conservatively) all of its pre-edit input edges.
-        trace->note_touch(g);
-        for (GateId s : old_srcs) trace->note_severed(s, g);
-      }
       ++changed_total;
       if (!is_constant(net.gate(g).kind)) {
         // A MUX whose select chose a constant data input is now a
@@ -433,7 +429,7 @@ std::size_t propagate_constants(Network& net, TransformTrace* trace) {
   return changed_total;
 }
 
-std::size_t collapse_buffers(Network& net, TransformTrace* trace) {
+std::size_t collapse_buffers(Network& net) {
   std::vector<GateId> bufs;
   for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
     const Gate& gt = net.gate(GateId{i});
@@ -465,13 +461,8 @@ std::size_t collapse_buffers(Network& net, TransformTrace* trace) {
     const double through = net.conn(in).delay + gt.delay;
     auto fanouts = gt.fanouts;  // copy: reroute mutates the list
     for (ConnId c : fanouts) {
-      if (trace) trace->note_severed(g, net.conn(c).to);
-      net.conn(c).delay += through;
+      net.conn(c).delay += through;  // the reroute touches the sink
       net.reroute_source(c, src);
-    }
-    if (trace) {
-      trace->note_touch(g);
-      trace->note_severed(src, g);
     }
     net.remove_gate(g);
   }
@@ -487,10 +478,10 @@ Network extract_output(const Network& net, std::size_t index) {
   return out;
 }
 
-void simplify(Network& net, TransformTrace* trace) {
+void simplify(Network& net) {
   for (;;) {
-    std::size_t work = propagate_constants(net, trace);
-    work += collapse_buffers(net, trace);
+    std::size_t work = propagate_constants(net);
+    work += collapse_buffers(net);
     work += net.sweep();
     if (work == 0) break;
   }

@@ -15,30 +15,10 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "src/netlist/network.hpp"
 
 namespace kms {
-
-/// Record of which gates a transformation pass modified, used by the
-/// incremental ATPG engine to invalidate only the fault verdicts whose
-/// cones intersect the changed region. `touched` lists every gate whose
-/// kind, fanin list or fanin sources changed (conservatively — listing
-/// an unchanged gate is harmless, omitting a changed one is not).
-/// `severed` lists edges (from, to) that existed before the pass but may
-/// not exist afterwards; the invalidation traversal walks the union of
-/// the current connectivity and these edges, so a verdict computed over
-/// the old structure is re-checked even where the path to it was cut.
-struct TransformTrace {
-  std::vector<GateId> touched;
-  std::vector<std::pair<GateId, GateId>> severed;
-
-  void note_touch(GateId g) { touched.push_back(g); }
-  void note_severed(GateId from, GateId to) { severed.emplace_back(from, to); }
-  bool empty() const { return touched.empty() && severed.empty(); }
-};
 
 /// Expand every XOR/XNOR/MUX into AND/OR/NOT/NOR gates. Path lengths are
 /// preserved exactly: the final gate of each expansion keeps the complex
@@ -55,12 +35,12 @@ std::size_t decompose_to_simple(Network& net);
 /// the network a topological sweep repeated to a fixpoint produces, ids
 /// and list orders included. Returns the number of simplification
 /// steps (nonzero iff anything changed). Does not sweep — call
-/// Network::sweep() afterwards. `trace`, if non-null, records every
-/// modified gate and severed edge.
-std::size_t propagate_constants(Network& net, TransformTrace* trace = nullptr);
+/// Network::sweep() afterwards.
+std::size_t propagate_constants(Network& net);
 
 /// One step of propagate_constants: simplify gate `g` against the
-/// constants among its current fanins. Returns true if it changed.
+/// constants among its current fanins. Returns true if it changed, and
+/// then records `g` as touched in the network's attached trace.
 bool simplify_gate(Network& net, GateId g);
 
 /// Splice out every kBuf gate, folding its gate delay and input-connection
@@ -68,14 +48,11 @@ bool simplify_gate(Network& net, GateId g);
 /// unchanged. Buffers are found by a scan; only buffers that feed one
 /// another or share a source need (and get) a topological order.
 /// Returns the number of buffers removed.
-/// `trace`, if non-null, records every modified gate and severed edge.
-std::size_t collapse_buffers(Network& net, TransformTrace* trace = nullptr);
+std::size_t collapse_buffers(Network& net);
 
-/// propagate_constants + collapse_buffers + sweep to a fixpoint.
-/// `trace`, if non-null, records every modified gate and severed edge
-/// (sweep removals are not traced: a swept gate reaches no primary
-/// output, so no testability verdict ever depended on it).
-void simplify(Network& net, TransformTrace* trace = nullptr);
+/// propagate_constants + collapse_buffers + sweep, repeated until a
+/// round changes nothing.
+void simplify(Network& net);
 
 /// Copy of `net` keeping only the primary output at `index` (all other
 /// output cones swept away, primary inputs kept). Used to carve out the

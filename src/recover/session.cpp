@@ -100,8 +100,8 @@ void replay_delete(Network& net, const std::string& what) {
     throw std::runtime_error(
         "resume: journal deletes unknown fault '" + what +
         "' (journal does not match the replayed network)");
-  apply_redundancy_removal(net, *found, nullptr);
-  simplify(net, nullptr);
+  apply_redundancy_removal(net, *found);
+  simplify(net);
 }
 
 /// Deterministically re-apply the committed journal prefix onto the

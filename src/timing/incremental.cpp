@@ -32,11 +32,12 @@ void IncrementalSta::reset_dead(std::uint32_t g) {
 }
 
 void IncrementalSta::grow() {
-  arrival_.resize(net_.gate_capacity(), minus_infinity());
-  suffix_.resize(net_.gate_capacity(), minus_infinity());
-  gate_live_.resize(net_.gate_capacity(), 0);
-  conn_live_.resize(net_.conn_capacity(), 0);
-  key_.resize(net_.gate_capacity(), 0);
+  const std::uint32_t gcap = net_.gate_capacity();
+  arrival_.resize(gcap, minus_infinity());
+  suffix_.resize(gcap, minus_infinity());
+  key_.resize(gcap, 0);
+  fwd_dirty_.resize(gcap, 0);
+  bwd_dirty_.resize(gcap, 0);
 }
 
 void IncrementalSta::order_edge(GateId u, GateId v) {
@@ -58,15 +59,11 @@ void IncrementalSta::order_edge(GateId u, GateId v) {
 void IncrementalSta::rebuild() {
   ++stats_.rebuilds;
   const std::uint32_t gcap = net_.gate_capacity();
-  const std::uint32_t ccap = net_.conn_capacity();
   arrival_.assign(gcap, minus_infinity());
   suffix_.assign(gcap, minus_infinity());
-  gate_live_.assign(gcap, 0);
-  conn_live_.assign(ccap, 0);
-  for (std::uint32_t i = 0; i < gcap; ++i)
-    gate_live_[i] = net_.gate(GateId{i}).dead ? 0 : 1;
-  for (std::uint32_t i = 0; i < ccap; ++i)
-    conn_live_[i] = net_.conn(ConnId{i}).dead ? 0 : 1;
+  fwd_dirty_.assign(gcap, 0);
+  bwd_dirty_.assign(gcap, 0);
+  conn_mark_ = net_.conn_capacity();
 
   const std::vector<GateId> order = net_.topo_order();
   key_.assign(gcap, 0);
@@ -84,94 +81,68 @@ void IncrementalSta::rebuild() {
 
 void IncrementalSta::apply(const TransformTrace& trace) {
   ++stats_.applies;
-  // Watermarks: ids past these were born since the last repair (ids grow
-  // monotonically and tombstones never revive, so births and deaths are
-  // both recoverable from a capacity/liveness diff).
-  const std::uint32_t gate_mark = static_cast<std::uint32_t>(gate_live_.size());
-  const std::uint32_t conn_mark = static_cast<std::uint32_t>(conn_live_.size());
+  // Watermarks: ids at or above these were born since the last repair
+  // (ids only grow); every other change is in the trace.
+  const std::uint32_t gate_mark = static_cast<std::uint32_t>(arrival_.size());
+  const std::uint32_t conn_mark = conn_mark_;
   const std::uint32_t gcap = net_.gate_capacity();
   const std::uint32_t ccap = net_.conn_capacity();
   grow();
-  fwd_dirty_.assign(gcap, 0);
-  bwd_dirty_.assign(gcap, 0);
+  conn_mark_ = ccap;
+  const auto live = [&](GateId g) { return !net_.gate(g).dead; };
+  const auto seed = [&](GateId g, std::vector<char>& dirty,
+                        std::vector<std::uint32_t>& seeds) {
+    if (!live(g) || dirty[g.value()]) return;
+    dirty[g.value()] = 1;
+    seeds.push_back(g.value());
+  };
+  const auto seed_fwd = [&](GateId g) { seed(g, fwd_dirty_, fwd_seeds_); };
+  const auto seed_bwd = [&](GateId g) { seed(g, bwd_dirty_, bwd_seeds_); };
 
-  // Seed 1: gate births and deaths.
-  for (std::uint32_t i = 0; i < gcap; ++i) {
-    const bool live = !net_.gate(GateId{i}).dead;
-    if (i >= gate_mark) {
-      gate_live_[i] = live ? 1 : 0;
-      if (live) {
-        fwd_dirty_[i] = 1;
-        bwd_dirty_[i] = 1;
-      } else {
-        reset_dead(i);
-      }
-    } else if (gate_live_[i] && !live) {
-      gate_live_[i] = 0;
-      reset_dead(i);
-    }
+  // Born gates are evaluated both ways. A born connection, like a
+  // severed edge, moves its sink's arrival and its source's suffix.
+  for (std::uint32_t i = gate_mark; i < gcap; ++i) {
+    seed_fwd(GateId{i});
+    seed_bwd(GateId{i});
   }
-
-  // Seed 2: connection births and deaths. A (dis)appearing edge moves
-  // the sink's arrival and the source's suffix. Tombstoned
-  // connections keep their endpoints, so deaths seed precisely.
-  for (std::uint32_t i = 0; i < ccap; ++i) {
-    const Conn& cn = net_.conn(ConnId{i});
-    const bool live = !cn.dead;
-    bool changed = false;
-    if (i >= conn_mark) {
-      conn_live_[i] = live ? 1 : 0;
-      changed = true;
-    } else if (conn_live_[i] && !live) {
-      conn_live_[i] = 0;
-      changed = true;
-    }
-    if (!changed) continue;
-    if (gate_live_[cn.from.value()]) bwd_dirty_[cn.from.value()] = 1;
-    if (gate_live_[cn.to.value()]) fwd_dirty_[cn.to.value()] = 1;
-  }
-
-  // Seed 3: the trace. Touched gates may have changed kind, delay, or
-  // fanin sources (a reroute keeps the connection alive, so only the
-  // trace can see it); their fanin sources read the touched gate's delay
-  // through suffix and must re-pull. Severed edges dirty both
-  // endpoints like a connection death.
-  for (GateId g : trace.touched) {
-    const std::uint32_t v = g.value();
-    if (v >= gcap || !gate_live_[v]) continue;
-    fwd_dirty_[v] = 1;
-    bwd_dirty_[v] = 1;
-    for (ConnId c : net_.gate(g).fanins) {
-      const std::uint32_t src = net_.conn(c).from.value();
-      if (gate_live_[src]) bwd_dirty_[src] = 1;
-    }
+  for (std::uint32_t i = conn_mark; i < ccap; ++i) {
+    seed_bwd(net_.conn(ConnId{i}).from);
+    seed_fwd(net_.conn(ConnId{i}).to);
   }
   for (const auto& [from, to] : trace.severed) {
-    if (from.value() < gcap && gate_live_[from.value()])
-      bwd_dirty_[from.value()] = 1;
-    if (to.value() < gcap && gate_live_[to.value()])
-      fwd_dirty_[to.value()] = 1;
+    seed_bwd(from);
+    seed_fwd(to);
+  }
+  // A touched gate that died takes the canonical dead values. A live
+  // one may have changed kind, delay, fanin sources or fanin delays:
+  // its arrival re-evaluates, and so do the suffixes of its fanin
+  // sources, which read those delays. Its own suffix reads only its
+  // fanouts.
+  for (GateId g : trace.touched) {
+    if (!live(g)) {
+      reset_dead(g.value());
+      continue;
+    }
+    seed_fwd(g);
+    for (ConnId c : net_.gate(g).fanins) seed_bwd(net_.conn(c).from);
   }
 
   // Repair the topological key. Only a born connection or one whose
-  // source changed can break it: the latter's sink is touched or a
-  // severed edge's sink (the TransformTrace contract), so checking the
-  // fanins of born gates, touched gates and severed sinks, plus every
-  // born connection, restores the key everywhere. Born gates start at
-  // zero and rise above their fanins here.
+  // source changed can break it, and the latter's sink is touched (the
+  // TransformTrace contract), so checking the fanins of born and
+  // touched gates plus every born connection restores the key
+  // everywhere. Born gates start at zero and rise above their fanins.
   const auto order_fanins = [&](GateId g) {
     for (ConnId c : net_.gate(g).fanins) order_edge(net_.conn(c).from, g);
   };
   for (std::uint32_t i = gate_mark; i < gcap; ++i)
-    if (gate_live_[i]) order_fanins(GateId{i});
+    if (live(GateId{i})) order_fanins(GateId{i});
   for (std::uint32_t i = conn_mark; i < ccap; ++i) {
     const Conn& cn = net_.conn(ConnId{i});
     if (!cn.dead) order_edge(cn.from, cn.to);
   }
   for (GateId g : trace.touched)
-    if (g.value() < gcap && gate_live_[g.value()]) order_fanins(g);
-  for (const auto& [from, to] : trace.severed)
-    if (to.value() < gcap && gate_live_[to.value()]) order_fanins(to);
+    if (live(g)) order_fanins(g);
 
   // Forward repair: re-evaluate dirty gates in topological order; a
   // changed arrival dirties live fanout sinks (always downstream, so
@@ -181,8 +152,8 @@ void IncrementalSta::apply(const TransformTrace& trace) {
     std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                         std::greater<std::uint64_t>>
         heap;
-    for (std::uint32_t i = 0; i < gcap; ++i)
-      if (fwd_dirty_[i]) heap.push(key(key_[i], i));
+    for (std::uint32_t i : fwd_seeds_) heap.push(key(key_[i], i));
+    fwd_seeds_.clear();
     while (!heap.empty()) {
       const std::uint32_t g = id_of(heap.top());
       heap.pop();
@@ -195,7 +166,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
         const Conn& cn = net_.conn(c);
         if (cn.dead) continue;
         const std::uint32_t to = cn.to.value();
-        if (!gate_live_[to] || fwd_dirty_[to]) continue;
+        if (fwd_dirty_[to]) continue;
         fwd_dirty_[to] = 1;
         heap.push(key(key_[to], to));
       }
@@ -208,8 +179,8 @@ void IncrementalSta::apply(const TransformTrace& trace) {
   // order; a changed suffix dirties the gate's live fanin sources.
   {
     std::priority_queue<std::uint64_t> heap;  // max position first
-    for (std::uint32_t i = 0; i < gcap; ++i)
-      if (bwd_dirty_[i]) heap.push(key(key_[i], i));
+    for (std::uint32_t i : bwd_seeds_) heap.push(key(key_[i], i));
+    bwd_seeds_.clear();
     while (!heap.empty()) {
       const std::uint32_t g = id_of(heap.top());
       heap.pop();
@@ -220,7 +191,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
       suffix_[g] = ns;
       for (ConnId c : net_.gate(GateId{g}).fanins) {
         const std::uint32_t src = net_.conn(c).from.value();
-        if (!gate_live_[src] || bwd_dirty_[src]) continue;
+        if (bwd_dirty_[src]) continue;
         bwd_dirty_[src] = 1;
         heap.push(key(key_[src], src));
       }

@@ -31,7 +31,6 @@
 
 #include "src/base/ids.hpp"
 #include "src/netlist/network.hpp"
-#include "src/netlist/transform.hpp"
 
 namespace kms {
 
@@ -47,15 +46,13 @@ class IncrementalSta {
 
   /// Builds the tables with one full pass over `net`. The network must
   /// outlive the engine; between apply() calls it must only be edited
-  /// through traced transformations (see apply()).
+  /// under a TraceScope (see apply()).
   explicit IncrementalSta(const Network& net);
 
-  /// Repair the tables after a traced edit. `trace` must cover every
-  /// gate whose kind/delay/fanin-sources changed and every severed edge,
-  /// exactly as the TransformTrace contract specifies; edits the trace
-  /// cannot see (new gates, new connections, deaths by sweep) are
-  /// discovered from capacity watermarks and liveness diffs, since ids
-  /// grow monotonically and tombstones never revive.
+  /// Repair the tables after an edit that `trace` recorded (a
+  /// TraceScope on the network, see TransformTrace). Births, which the
+  /// trace leaves out, lie at or above the gate and connection
+  /// capacities of the last repair.
   void apply(const TransformTrace& trace);
 
   /// Recompute everything from scratch (used after untraced bulk edits,
@@ -84,15 +81,16 @@ class IncrementalSta {
   std::vector<double> arrival_;
   std::vector<double> suffix_;
   double delay_ = 0.0;
+  /// Connection capacity at the last repair; the gate capacity is the
+  /// tables' size.
+  std::uint32_t conn_mark_ = 0;
 
-  // Liveness snapshot as of the last apply()/rebuild(), used to diff
-  // deaths (and births past the watermark) the trace cannot report.
-  std::vector<char> gate_live_;
-  std::vector<char> conn_live_;
-
-  // Scratch (kept across calls to avoid reallocation).
+  // Scratch (kept across calls to avoid reallocation). The dirty flags
+  // are all clear between repairs.
   std::vector<char> fwd_dirty_;
   std::vector<char> bwd_dirty_;
+  std::vector<std::uint32_t> fwd_seeds_;
+  std::vector<std::uint32_t> bwd_seeds_;
   /// Topological key of every live gate: strictly increasing along every
   /// live connection, so the repair heaps pop in topological order. Set
   /// to levels by rebuild() and repaired by apply() (born gates and new

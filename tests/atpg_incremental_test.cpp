@@ -156,6 +156,48 @@ TEST(AtpgIncrementalTest, EnginesAgreeOnExampleNetlists) {
   for (const Network& net : example_circuits()) expect_engines_agree(net);
 }
 
+/// Random networks on which a commit's sweep severed the only edges
+/// linking a cached testable verdict to the edit: a record without the
+/// sweep's edges kept the stale verdict, so the engine either removed a
+/// different fault than the reference scan or stopped with untestable
+/// faults left. The networks run as generated: clone_compact()
+/// renumbers them and hides the failure.
+Network stale_verdict_network(std::uint64_t s, bool allow_xor, bool simple) {
+  RandomNetworkOptions opts;
+  opts.inputs = 4 + s % 6;
+  opts.outputs = 1 + s % 4;
+  opts.gates = 10 + (7 * s) % 150;
+  opts.max_fanin = 2 + s % 3;
+  opts.locality = 0.3 + 0.1 * static_cast<double>(s % 6);
+  opts.seed = s;
+  opts.allow_xor = allow_xor;
+  Network net = random_network(opts);
+  if (simple) decompose_to_simple(net);
+  return net;
+}
+
+TEST(StaleVerdictTest, RemovalMatchesReferenceAtJobs1And4) {
+  std::vector<std::pair<std::uint64_t, Network>> nets;
+  for (std::uint64_t s : {1143u, 1353u, 31482u, 39219u, 55794u})
+    nets.emplace_back(s, stale_verdict_network(s, s % 3 == 0, true));
+  nets.emplace_back(68955, stale_verdict_network(68955, false, false));
+  for (const auto& [seed, original] : nets) {
+    Network ref_net = original;
+    reference_remove_redundancies(ref_net);
+    const std::string want = write_blif_string(ref_net);
+    for (unsigned jobs : {1u, 4u}) {
+      const std::string ctx =
+          "seed " + std::to_string(seed) + " jobs " + std::to_string(jobs);
+      Network net = original;
+      RedundancyRemovalOptions opts;
+      opts.context.jobs = jobs;
+      remove_redundancies(net, opts);
+      EXPECT_EQ(write_blif_string(net), want) << ctx;
+      EXPECT_EQ(count_redundancies(net), 0u) << ctx;
+    }
+  }
+}
+
 TEST(AtpgIncrementalTest, IncrementalSavesQueriesOnCarrySkip) {
   Network net = carry_skip_adder(8, 2);
   decompose_to_simple(net);

@@ -336,7 +336,6 @@ TEST_F(CheckTest, SurgeryOpsSelfCheckWhenCompiledIn) {
 }
 
 TEST_F(CheckTest, CorruptingRerouteThrowsUnderArmedHooks) {
-  if (!invariant_checks_enabled()) GTEST_SKIP();
   Rig r;
   const GateId g2 = r.net.add_gate(GateKind::kAnd, {r.g, r.b}, 1.0, "g2");
   install_invariant_self_checks();

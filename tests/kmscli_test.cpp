@@ -59,7 +59,7 @@ TEST(KmscliTest, IrrStderrSummaryIsPinned) {
        "removal: 48 passes, 53 sat queries (+0 structural), 5538 "
        "sim-dropped, 8 witness-dropped, 4144 cache hits (5184 "
        "invalidated), cone avg 125.6 max 444, sim *s sat *s\n"
-       "timing: incremental sta, 378 repairs + 2 rebuilds touched 4987 "
+       "timing: incremental sta, 378 repairs + 2 rebuilds touched 5708 "
        "gates\n"},
       {"smisex2", build_suite_circuit(suite_spec("smisex2")),
        "gates 140 -> 129, delay 5.000 -> 5.000 (computed 5.000 -> 5.000), "

@@ -10,7 +10,8 @@
 //    one: verdict, witness, formula size and certificate bytes;
 //  * worklist constant propagation, buffer collapsing and the order-free
 //    sweep produce the write_blif bytes of the whole-network topological
-//    sweeps in tests/reference_surgery.hpp;
+//    sweeps in tests/reference_surgery.hpp, and the network records the
+//    same edits for both;
 //  * IncrementalSta tables repaired over the maintained topological key
 //    stay bit-identical to a from-scratch build;
 //  * computed_delay with model reuse reports the delay, witness path and
@@ -66,8 +67,8 @@ std::size_t walk_loop(
     Network& net, SensitizationMode mode,
     const std::function<void(const Network&, const Path&, std::size_t)>&
         visit,
-    TransformTrace* trace = nullptr,
-    const std::function<void(const Network&)>& after = nullptr) {
+    const std::function<void(const Network&, const TransformTrace&)>& after =
+        nullptr) {
   for (std::size_t it = 0;; ++it) {
     PathEnumerator en(net);
     const std::optional<Path> path = en.next();
@@ -75,9 +76,12 @@ std::size_t walk_loop(
     visit(net, *path, it);
     Sensitizer whole(net, mode);
     if (whole.check(*path).verdict != sat::Result::kUnsat) return it;
-    if (trace) *trace = TransformTrace{};
-    kms_replay_loop_transform(net, trace);
-    if (after) after(net);
+    TransformTrace trace;
+    {
+      const TraceScope tracing(net, trace);
+      kms_replay_loop_transform(net);
+    }
+    if (after) after(net, trace);
   }
 }
 
@@ -242,24 +246,10 @@ TEST(LoopOracleTest, RetargetedSensitizerMatchesFreshOnRandomNetworks) {
   EXPECT_GT(rejected, 0u);
 }
 
-TEST(LoopOracleTest, WorklistSurgeryMatchesTopologicalSweep) {
-  for (auto& [name, net] : loop_circuits()) {
-    Network reference = net;
-    std::size_t iterations = walk_loop(
-        net, SensitizationMode::kStatic,
-        [](const Network&, const Path&, std::size_t) {}, nullptr,
-        [&, &name = name](const Network& n) {
-          ASSERT_TRUE(reference_loop_transform(reference));
-          ASSERT_EQ(write_blif_string(n), write_blif_string(reference))
-              << name;
-        });
-    EXPECT_GT(iterations, 0u) << name;
-  }
-}
-
 /// Sorted, de-duplicated copy of a trace: the production passes visit
-/// gates in a different order, possibly more than once, but must report
-/// the same touched gates and severed edges.
+/// gates in a different order, possibly more than once, but make the
+/// same edits, so the network records the same touched gates and
+/// severed edges.
 TransformTrace canonical(TransformTrace t) {
   std::sort(t.touched.begin(), t.touched.end());
   t.touched.erase(std::unique(t.touched.begin(), t.touched.end()),
@@ -268,6 +258,29 @@ TransformTrace canonical(TransformTrace t) {
   t.severed.erase(std::unique(t.severed.begin(), t.severed.end()),
                   t.severed.end());
   return t;
+}
+
+TEST(LoopOracleTest, WorklistSurgeryMatchesTopologicalSweep) {
+  for (auto& [name, net] : loop_circuits()) {
+    Network reference = net;
+    std::size_t iterations = walk_loop(
+        net, SensitizationMode::kStatic,
+        [](const Network&, const Path&, std::size_t) {},
+        [&, &name = name](const Network& n, const TransformTrace& got) {
+          TransformTrace want;
+          {
+            const TraceScope tracing(reference, want);
+            ASSERT_TRUE(reference_loop_transform(reference));
+          }
+          ASSERT_EQ(write_blif_string(n), write_blif_string(reference))
+              << name;
+          const TransformTrace a = canonical(got);
+          const TransformTrace b = canonical(want);
+          EXPECT_EQ(a.touched, b.touched) << name;
+          EXPECT_EQ(a.severed, b.severed) << name;
+        });
+    EXPECT_GT(iterations, 0u) << name;
+  }
 }
 
 TEST(LoopOracleTest, ConstantPropagationMatchesSweepOnRandomNetworks) {
@@ -288,12 +301,13 @@ TEST(LoopOracleTest, ConstantPropagationMatchesSweepOnRandomNetworks) {
         value = !value;
       }
       TransformTrace got_trace, want_trace;
-      EXPECT_EQ(propagate_constants(got, &got_trace) > 0,
-                reference_propagate_constants(want, &want_trace) > 0);
+      const TraceScope got_tracing(got, got_trace);
+      const TraceScope want_tracing(want, want_trace);
+      EXPECT_EQ(propagate_constants(got) > 0,
+                reference_propagate_constants(want) > 0);
       const std::string ctx = base.name() + " stride " + std::to_string(stride);
       ASSERT_EQ(write_blif_string(got), write_blif_string(want)) << ctx;
-      EXPECT_EQ(collapse_buffers(got, &got_trace),
-                reference_collapse_buffers(want, &want_trace))
+      EXPECT_EQ(collapse_buffers(got), reference_collapse_buffers(want))
           << ctx;
       EXPECT_EQ(got.sweep(), reference_sweep(want)) << ctx;
       ASSERT_EQ(got.check(), "") << ctx;
@@ -355,12 +369,12 @@ TEST(LoopOracleTest, MuxRoundsMatchSweepIdsAndOrders) {
       }
       const std::string ctx = base.name() + " trial " + std::to_string(trial);
       propagate_constants(got);
-      reference_propagate_constants(want, nullptr);
+      reference_propagate_constants(want);
       ASSERT_EQ(write_blif_string(got), write_blif_string(want)) << ctx;
       simplify(got);
       for (;;) {
-        std::size_t work = reference_propagate_constants(want, nullptr);
-        work += reference_collapse_buffers(want, nullptr);
+        std::size_t work = reference_propagate_constants(want);
+        work += reference_collapse_buffers(want);
         work += reference_sweep(want);
         if (work == 0) break;
       }
@@ -374,11 +388,10 @@ TEST(LoopOracleTest, MuxRoundsMatchSweepIdsAndOrders) {
 TEST(LoopOracleTest, RepairedOrderKeyTablesMatchRebuild) {
   for (auto& [name, net] : loop_circuits()) {
     IncrementalSta sta(net);
-    TransformTrace trace;
     const std::size_t iterations = walk_loop(
         net, SensitizationMode::kStatic,
-        [](const Network&, const Path&, std::size_t) {}, &trace,
-        [&, &name = name](const Network& n) {
+        [](const Network&, const Path&, std::size_t) {},
+        [&, &name = name](const Network& n, const TransformTrace& trace) {
           sta.apply(trace);
           const IncrementalSta fresh(n);
           ASSERT_EQ(sta.delay(), fresh.delay()) << name;
@@ -393,9 +406,8 @@ TEST(LoopOracleTest, RepairedOrderKeyTablesMatchRebuild) {
 TEST(LoopOracleTest, RepairedKeyFollowsEdgesAgainstTheOrder) {
   // Connections from the end of a long chain into the head of another
   // cone run against the key: each sink and its fanout cone must rise
-  // above the chain, whether the edit is an untraced new connection
-  // (found from the watermark), a reroute noted as a touch, or a
-  // reroute noted as a severed edge.
+  // above the chain, whether the edit is a new connection (found from
+  // the watermark) or a reroute, whose record touches the sink.
   Network net("against");
   const GateId a = net.add_input("a");
   const GateId b = net.add_input("b");
@@ -418,17 +430,15 @@ TEST(LoopOracleTest, RepairedKeyFollowsEdgesAgainstTheOrder) {
   sta.apply(TransformTrace{});
   EXPECT_NO_THROW(enforce_timing_invariants(net, sta, "new connection"));
 
-  TransformTrace touched;
-  net.reroute_source(net.gate(h2).fanins[0], chain);
-  touched.note_touch(h2);
-  sta.apply(touched);
-  EXPECT_NO_THROW(enforce_timing_invariants(net, sta, "touched reroute"));
-
-  TransformTrace severed;
-  net.reroute_source(net.gate(h3).fanins[1], chain);
-  severed.note_severed(b, h3);
-  sta.apply(severed);
-  EXPECT_NO_THROW(enforce_timing_invariants(net, sta, "severed reroute"));
+  for (const auto& [head, pin] : {std::pair{h2, 0}, std::pair{h3, 1}}) {
+    TransformTrace trace;
+    {
+      const TraceScope tracing(net, trace);
+      net.reroute_source(net.gate(head).fanins[pin], chain);
+    }
+    sta.apply(trace);
+    EXPECT_NO_THROW(enforce_timing_invariants(net, sta, "reroute"));
+  }
   EXPECT_EQ(sta.delay(), IncrementalSta(net).delay());
 }
 

@@ -332,9 +332,7 @@ TEST(ParallelRemovalTest, GovernorInterruptWithSessionJournalsPartial) {
 }
 
 TEST(ParallelRemovalTest, JobsZeroMeansHardwareConcurrency) {
-  RunContext ctx;
-  ctx.jobs = 0;
-  EXPECT_GE(ctx.effective_jobs(), 1u);
+  // resolve_jobs(0) >= 1 is pinned with the pool primitives below.
   Network original = carry_skip_adder(4, 2);
   decompose_to_simple(original);
   Network base = original.clone_compact();

@@ -28,25 +28,15 @@
 
 namespace kms {
 
-inline std::size_t reference_propagate_constants(Network& net,
-                                                 TransformTrace* trace) {
+inline std::size_t reference_propagate_constants(Network& net) {
   std::size_t changed_total = 0;
-  std::vector<GateId> old_srcs;
   bool changed = true;
   while (changed) {
     changed = false;
     for (GateId g : net.topo_order()) {
       const Gate& gt = net.gate(g);
       if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
-      if (trace) {
-        old_srcs.clear();
-        for (ConnId c : gt.fanins) old_srcs.push_back(net.conn(c).from);
-      }
       if (simplify_gate(net, g)) {
-        if (trace) {
-          trace->note_touch(g);
-          for (GateId s : old_srcs) trace->note_severed(s, g);
-        }
         ++changed_total;
         changed = true;
       }
@@ -55,8 +45,7 @@ inline std::size_t reference_propagate_constants(Network& net,
   return changed_total;
 }
 
-inline std::size_t reference_collapse_buffers(Network& net,
-                                              TransformTrace* trace) {
+inline std::size_t reference_collapse_buffers(Network& net) {
   std::size_t removed = 0;
   for (GateId g : net.topo_order()) {
     Gate& gt = net.gate(g);
@@ -66,13 +55,8 @@ inline std::size_t reference_collapse_buffers(Network& net,
     const double through = net.conn(in).delay + gt.delay;
     auto fanouts = gt.fanouts;
     for (ConnId c : fanouts) {
-      if (trace) trace->note_severed(g, net.conn(c).to);
       net.conn(c).delay += through;
       net.reroute_source(c, src);
-    }
-    if (trace) {
-      trace->note_touch(g);
-      trace->note_severed(src, g);
     }
     net.remove_gate(g);
     ++removed;
@@ -156,8 +140,8 @@ inline bool reference_loop_transform(Network& net) {
   net.set_conn_constant(first,
                         has_controlling_value(k0) ? controlling_value(k0)
                                                   : false);
-  reference_propagate_constants(net, nullptr);
-  reference_collapse_buffers(net, nullptr);
+  reference_propagate_constants(net);
+  reference_collapse_buffers(net);
   reference_sweep(net);
   return true;
 }

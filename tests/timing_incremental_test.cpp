@@ -7,8 +7,9 @@
 // randomized edit walks (delay/arrival changes plus the production
 // duplicate+constant surgery via kms_replay_loop_transform), audits
 // whole KMS runs against TimingChecker's from-scratch recompute after
-// every repair, and tampers each table to prove the checker's rules
-// (NL022–NL028) actually fire.
+// every repair, checks that the record each loop transform and removal
+// commit leaves covers the edit, and tampers each table to prove the
+// checker's rules (NL022–NL028) actually fire.
 #include "src/timing/incremental.hpp"
 
 #include <gtest/gtest.h>
@@ -16,10 +17,14 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "src/atpg/atpg.hpp"
+#include "src/atpg/fault_cache.hpp"
+#include "src/atpg/redundancy.hpp"
 #include "src/check/checker.hpp"
 #include "src/core/kms.hpp"
 #include "src/gen/adders.hpp"
@@ -31,6 +36,7 @@
 #include "src/timing/path.hpp"
 #include "src/timing/sensitize.hpp"
 #include "src/timing/sta.hpp"
+#include "tests/reference_surgery.hpp"
 
 namespace kms {
 namespace {
@@ -93,12 +99,13 @@ TEST(IncrementalStaTest, RandomEditWalksStayExact) {
     std::uniform_real_distribution<double> delay_dist(0.0, 3.0);
     for (int step = 0; step < 40; ++step) {
       TransformTrace trace;
+      const TraceScope tracing(net, trace);
       const std::vector<GateId> gates = live_logic_gates(net);
       switch (rng() % 4) {
         case 0: {  // gate delay change
           const GateId g = gates[rng() % gates.size()];
           net.gate(g).delay = delay_dist(rng);
-          trace.note_touch(g);
+          net.note_touch(g);
           break;
         }
         case 1: {  // fanin connection delay change
@@ -110,19 +117,19 @@ TEST(IncrementalStaTest, RandomEditWalksStayExact) {
           // Touching the sink covers both directions: the sink re-pulls
           // its arrival, and the sink's fanin sources (the conn's
           // source among them) re-pull their suffix.
-          trace.note_touch(g);
+          net.note_touch(g);
           break;
         }
         case 2: {  // primary-input arrival change
           const auto& pis = net.inputs();
           const GateId pi = pis[rng() % pis.size()];
           net.gate(pi).arrival = delay_dist(rng);
-          trace.note_touch(pi);
+          net.note_touch(pi);
           break;
         }
         default: {  // the production loop surgery, SAT-free
           try {
-            kms_replay_loop_transform(net, &trace);
+            kms_replay_loop_transform(net);
           } catch (const std::runtime_error&) {
             continue;  // no IO-path left to transform
           }
@@ -153,7 +160,8 @@ TEST(IncrementalStaTest, ReplaySurgerySequenceStaysExact) {
   for (int i = 0; i < 12; ++i) {
     TransformTrace trace;
     try {
-      kms_replay_loop_transform(net, &trace);
+      const TraceScope tracing(net, trace);
+      kms_replay_loop_transform(net);
     } catch (const std::runtime_error&) {
       break;
     }
@@ -161,6 +169,102 @@ TEST(IncrementalStaTest, ReplaySurgerySequenceStaysExact) {
     expect_tables_exact(net, sta, "surgery " + std::to_string(i));
   }
   EXPECT_GT(sta.stats().applies, 0u);
+}
+
+/// Liveness and from-scratch timing of a network, before an edit.
+struct Snapshot {
+  std::vector<bool> live;
+  std::vector<double> arrival;
+  std::vector<double> suffix;
+};
+
+Snapshot snapshot(const Network& net) {
+  Snapshot s;
+  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i)
+    s.live.push_back(!net.gate(GateId{i}).dead);
+  s.arrival = compute_arrival(net);
+  s.suffix = compute_suffix(net);
+  return s;
+}
+
+/// The record of one edit covers it: every gate that died is touched,
+/// and every surviving gate whose arrival or suffix changed lies in the
+/// edit region the fault cache invalidates. Gates born by the edit lie
+/// at or above the snapshot's capacity and need no record.
+void expect_edit_covered(const Network& net, const Snapshot& before,
+                         const TransformTrace& trace, const std::string& ctx) {
+  const std::vector<bool> region = edit_region(net, trace);
+  std::vector<bool> touched(net.gate_capacity(), false);
+  for (GateId g : trace.touched) touched[g.value()] = true;
+  const std::vector<double> arrival = compute_arrival(net);
+  const std::vector<double> suffix = compute_suffix(net);
+  for (std::uint32_t i = 0; i < before.live.size(); ++i) {
+    if (!before.live[i]) continue;
+    if (net.gate(GateId{i}).dead) {
+      EXPECT_TRUE(touched[i]) << ctx << ": death of g" << i << " unrecorded";
+    } else if (arrival[i] != before.arrival[i] ||
+               suffix[i] != before.suffix[i]) {
+      EXPECT_TRUE(region[i]) << ctx << ": timing of g" << i
+                             << " changed outside the edit region";
+    }
+  }
+}
+
+TEST(IncrementalStaTest, RecordsCoverLoopAndRemovalEdits) {
+  // The loop-oracle circuits: every loop transform (its bytes checked
+  // against the whole-network reference surgery), then every removal
+  // commit of a one-at-a-time scan. After each, the record covers the
+  // edit and the engine repaired from it stays exact.
+  std::vector<Network> nets = {carry_skip_adder(4, 2), carry_skip_adder(6, 3),
+                               carry_skip_adder(8, 4), carry_skip_adder(8, 2),
+                               replicate_blocks(carry_skip_adder(4, 2), 3)};
+  for (Network& net : nets) {
+    decompose_to_simple(net);
+    IncrementalSta sta(net);
+    Network reference = net;
+    const auto edit = [&](const std::string& ctx, const auto& surgery) {
+      const Snapshot before = snapshot(net);
+      TransformTrace trace;
+      {
+        const TraceScope tracing(net, trace);
+        surgery();
+      }
+      expect_edit_covered(net, before, trace, ctx);
+      sta.apply(trace);
+      expect_tables_exact(net, sta, ctx);
+    };
+    std::size_t transforms = 0;
+    for (;;) {
+      PathEnumerator en(net);
+      const std::optional<Path> path = en.next();
+      if (!path || Sensitizer(net, SensitizationMode::kStatic)
+                           .check(*path)
+                           .verdict != sat::Result::kUnsat)
+        break;
+      const std::string ctx =
+          net.name() + " transform " + std::to_string(transforms++);
+      edit(ctx, [&] { kms_replay_loop_transform(net); });
+      ASSERT_TRUE(reference_loop_transform(reference)) << ctx;
+      ASSERT_EQ(write_blif_string(net), write_blif_string(reference)) << ctx;
+    }
+    std::size_t removals = 0;
+    for (bool removed = true; removed;) {
+      removed = false;
+      Atpg atpg(net);
+      for (const Fault& f : collapsed_faults(net)) {
+        if (atpg.generate_test(f).outcome != TestOutcome::kUntestable)
+          continue;
+        edit(net.name() + " removal " + std::to_string(removals++), [&] {
+          apply_redundancy_removal(net, f);
+          simplify(net);
+        });
+        removed = true;
+        break;
+      }
+    }
+    EXPECT_GT(transforms, 0u) << net.name();
+    EXPECT_GT(removals, 0u) << net.name();
+  }
 }
 
 TEST(IncrementalStaTest, SeededPathEnumerationIsIdentical) {
