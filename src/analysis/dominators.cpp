@@ -28,7 +28,6 @@ DominatorTree::DominatorTree(const Network& net) : net_(net) {
     }
     std::uint32_t meet = none_;
     for (ConnId c : gt.fanouts) {
-      if (net.conn(c).dead) continue;
       const GateId to = net.conn(c).to;
       if (!reach_[to.value()]) continue;
       meet = meet == none_ ? to.value() : intersect(meet, to.value());

@@ -35,8 +35,7 @@ struct Prop {
     slot = static_cast<std::int8_t>(v);
     out.assigned.emplace_back(g, v);
     enqueue(g);
-    for (ConnId c : net.gate(g).fanouts)
-      if (!net.conn(c).dead) enqueue(net.conn(c).to);
+    for (ConnId c : net.gate(g).fanouts) enqueue(net.conn(c).to);
     return true;
   }
 

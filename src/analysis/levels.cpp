@@ -9,10 +9,8 @@ std::vector<std::uint32_t> gate_levels(const Network& net) {
   for (GateId g : net.topo_order()) {
     const Gate& gt = net.gate(g);
     std::uint32_t in_max = 0;
-    for (ConnId c : gt.fanins) {
-      if (net.conn(c).dead) continue;
+    for (ConnId c : gt.fanins)
       in_max = std::max(in_max, level[net.conn(c).from.value()]);
-    }
     if (gt.fanins.empty()) {
       level[g.value()] = 0;
     } else if (gt.kind == GateKind::kOutput) {

@@ -73,7 +73,8 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
     const ConnId c{i};
     if (net.conn(c).dead) continue;
     const GateId src = net.conn(c).from;
-    if (!is_fault_site(net, src) || net.live_fanout(src) <= 1) continue;
+    if (!is_fault_site(net, src) || net.gate(src).fanouts.size() <= 1)
+      continue;
     if (net.gate(net.conn(c).to).kind == GateKind::kOutput) continue;
     for (bool v : {false, true}) {
       const StaticVerdict r =
@@ -109,7 +110,7 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
   // values — the reconvergent paths statically cancel.
   for (std::uint32_t i = 0; i < net.gate_capacity() && !emit.full(); ++i) {
     const GateId g{i};
-    if (!is_fault_site(net, g) || net.live_fanout(g) <= 1) continue;
+    if (!is_fault_site(net, g) || net.gate(g).fanouts.size() <= 1) continue;
     const Implications c0 = imp.propagate({{g, false}});
     const Implications c1 = imp.propagate({{g, true}});
     if (c0.conflict || c1.conflict) continue;  // NL018 territory
@@ -123,7 +124,7 @@ void run_analysis_rules(const Network& net, Diagnostics* out,
       // the stem's cone.
       std::size_t in_cone = 0;
       for (ConnId c : net.gate(r).fanins)
-        if (!net.conn(c).dead && cone[net.conn(c).from.value()]) ++in_cone;
+        if (cone[net.conn(c).from.value()]) ++in_cone;
       if (in_cone < 2) continue;
       if (v0[j] != -1 && v0[j] == v1[j]) {
         emit.add("NL021",

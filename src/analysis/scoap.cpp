@@ -125,7 +125,6 @@ ScoapMetrics compute_scoap(const Network& net) {
     // this gate. A source's CO is the minimum over its fanout pins.
     for (std::size_t pin = 0; pin < gt.fanins.size(); ++pin) {
       const ConnId c = gt.fanins[pin];
-      if (net.conn(c).dead) continue;
       const GateId src = net.conn(c).from;
       U through = kInf;
       switch (gt.kind) {

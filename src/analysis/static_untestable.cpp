@@ -13,7 +13,6 @@ std::vector<char> mark_cone(const Network& net, GateId entry) {
     const GateId g = stack.back();
     stack.pop_back();
     for (ConnId c : net.gate(g).fanouts) {
-      if (net.conn(c).dead) continue;
       const GateId to = net.conn(c).to;
       if (cone[to.value()]) continue;
       cone[to.value()] = 1;
@@ -43,7 +42,7 @@ std::vector<Side> outside_sides(const Network& net,
   for (GateId d : doms) {
     if (!has_controlling_value(net.gate(d).kind)) continue;
     for (ConnId c : net.gate(d).fanins) {
-      if (net.conn(c).dead || c == fault_conn) continue;
+      if (c == fault_conn) continue;
       const GateId s = net.conn(c).from;
       if (cone[s.value()]) continue;
       sides.push_back(Side{d, s});

@@ -31,8 +31,7 @@ void Atpg::mark_fault_cone(const Fault& f) {
   while (!stack_.empty()) {
     const GateId g = stack_.back();
     stack_.pop_back();
-    for (ConnId c : net_.gate(g).fanouts)
-      if (!net_.conn(c).dead) push(net_.conn(c).to);
+    for (ConnId c : net_.gate(g).fanouts) push(net_.conn(c).to);
   }
   for (GateId o : net_.outputs())
     if (cone_[o.value()] == stamp_) cone_outputs_.push_back(o);

@@ -57,8 +57,8 @@ UnionFind equivalences(const Network& net) {
   // the branch site if the source has fanout > 1, else the source's stem.
   auto input_site_key = [&net](ConnId c, bool v) {
     const GateId src = net.conn(c).from;
-    return net.live_fanout(src) > 1 ? branch_key(net, c, v)
-                                    : stem_key(src, v);
+    return net.gate(src).fanouts.size() > 1 ? branch_key(net, c, v)
+                                            : stem_key(src, v);
   };
 
   UnionFind uf(2 * static_cast<std::size_t>(net.gate_capacity()) +
@@ -107,7 +107,7 @@ bool is_fault_site(const Network& net, GateId g) {
   if (gt.dead) return false;
   if (gt.kind == GateKind::kOutput) return false;
   if (is_constant(gt.kind)) return false;
-  return net.live_fanout(g) > 0;
+  return !net.gate(g).fanouts.empty();
 }
 
 GateId fault_source(const Network& net, const Fault& f) {
@@ -143,7 +143,7 @@ std::vector<Fault> enumerate_faults(const Network& net) {
     const Conn& cn = net.conn(c);
     if (cn.dead) continue;
     if (!is_fault_site(net, cn.from)) continue;
-    if (net.live_fanout(cn.from) <= 1) continue;  // branch == stem
+    if (net.gate(cn.from).fanouts.size() <= 1) continue;  // branch == stem
     for (bool v : {false, true})
       out.push_back(Fault{Fault::Site::kBranch, GateId::invalid(), c, v});
   }

@@ -27,8 +27,7 @@ std::vector<bool> edit_region(const Network& net,
     stack.pop_back();
     const Gate& gt = net.gate(GateId(v));
     if (!gt.dead)
-      for (ConnId c : gt.fanouts)
-        if (!net.conn(c).dead) push_fwd(net.conn(c).to.value());
+      for (ConnId c : gt.fanouts) push_fwd(net.conn(c).to.value());
     if (const auto it = sev_fwd.find(v); it != sev_fwd.end())
       for (std::uint32_t t : it->second) push_fwd(t);
   }

@@ -39,8 +39,7 @@ void FaultSimulator::reset() {
       fanin_src_.push_back(net.conn(c).from.value());
       fanin_conn_.push_back(c);
     }
-    for (ConnId c : gt.fanouts)
-      if (!net.conn(c).dead) fanout_sink_.push_back(net.conn(c).to.value());
+    for (ConnId c : gt.fanouts) fanout_sink_.push_back(net.conn(c).to.value());
   }
   fanin_begin_[cap] = static_cast<std::uint32_t>(fanin_src_.size());
   fanout_begin_[cap] = static_cast<std::uint32_t>(fanout_sink_.size());

@@ -9,8 +9,7 @@ Network inject_fault(const Network& net, const Fault& fault) {
       // Primary inputs stay part of the interface: the stuck-at sits on
       // the input's wire, i.e. on every fanout connection.
       auto fanouts = copy.gate(fault.gate).fanouts;  // copy: we reroute
-      for (ConnId c : fanouts)
-        if (!copy.conn(c).dead) copy.set_conn_constant(c, fault.stuck);
+      for (ConnId c : fanouts) copy.set_conn_constant(c, fault.stuck);
     } else {
       copy.convert_to_constant(fault.gate, fault.stuck);
     }

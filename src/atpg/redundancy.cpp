@@ -416,8 +416,7 @@ void apply_redundancy_removal(Network& net, const Fault& fault) {
       // A primary input stays part of the interface; assert the stuck
       // value on its fanout wires instead of replacing the pin.
       auto fanouts = net.gate(fault.gate).fanouts;  // copy: we reroute
-      for (ConnId c : fanouts)
-        if (!net.conn(c).dead) net.set_conn_constant(c, fault.stuck);
+      for (ConnId c : fanouts) net.set_conn_constant(c, fault.stuck);
     } else {
       net.convert_to_constant(fault.gate, fault.stuck);
     }
@@ -428,6 +427,9 @@ void apply_redundancy_removal(Network& net, const Fault& fault) {
 
 RedundancyRemovalResult remove_redundancies(
     Network& net, const RedundancyRemovalOptions& opts) {
+  // Each commit's cleanup folds constants on simple gates only; reject
+  // a MUX before the first commit rather than stop half way.
+  require_simple_gates(net, {GateKind::kMux}, "remove_redundancies");
   const RunContext ctx = opts.context;
   RedundancyRemovalResult result =
       remove_on_lanes(net, opts, ctx, resolve_jobs(ctx.jobs));

@@ -131,6 +131,8 @@ struct RemovalResume {
 /// unless a governor stopped the run early (result.aborted), in which
 /// case the network is a correct partial result: every removal so far
 /// was individually proved, so function is preserved regardless.
+/// Throws std::invalid_argument naming the first MUX, if any, before
+/// any edit (decompose_to_simple first).
 RedundancyRemovalResult remove_redundancies(
     Network& net, const RedundancyRemovalOptions& opts = {});
 

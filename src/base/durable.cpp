@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace kms {
@@ -74,6 +76,14 @@ void fsync_dir(const std::string& dir) {
     errno = saved;
     throw std::runtime_error(errno_msg("fsync dir " + dir));
   }
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {

@@ -10,6 +10,9 @@
 //  * fsync_fd / fsync_dir — the explicit durability barriers the
 //    append-only journal (src/recover/wal.*) places at commit points.
 //
+// read_file is the one whole-file reader beside them: the WAL, resume,
+// proof-directory verification and job payloads read through it.
+//
 // Kill points are the crash-injection hooks of the durability layer, in
 // the spirit of FaultInjector (src/base/governor.hpp) but for process
 // death instead of solver aborts: every fsync / rename / commit boundary
@@ -24,6 +27,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <optional>
 #include <string>
 
 namespace kms {
@@ -70,6 +74,10 @@ void fsync_fd(int fd, const std::string& what);
 
 /// fsync a directory so a completed rename inside it is durable.
 void fsync_dir(const std::string& dir);
+
+/// The whole contents of `path`, or nullopt when it cannot be opened.
+/// Callers word their own error.
+std::optional<std::string> read_file(const std::string& path);
 
 /// Durably replace `path` with `bytes`: write to a sibling temp file,
 /// fsync it, rename over `path`, fsync the directory. Kill points

@@ -17,22 +17,6 @@
 namespace kms {
 namespace {
 
-/// Section VI: the algorithm runs on simple gates only. Name the first
-/// XOR/XNOR/MUX instead of transforming around it.
-void require_simple_gates(const Network& net) {
-  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
-    const Gate& gt = net.gate(GateId(i));
-    if (gt.dead || (gt.kind != GateKind::kXor && gt.kind != GateKind::kXnor &&
-                    gt.kind != GateKind::kMux))
-      continue;
-    throw std::invalid_argument(
-        "kms_make_irredundant: complex gate " +
-        (gt.name.empty() ? "g" + std::to_string(i) : gt.name) + " (" +
-        std::string(gate_kind_name(gt.kind)) +
-        "); decompose_to_simple first");
-  }
-}
-
 /// Duplicate the gates of `p` from its start up to and including index
 /// `n_index` (the gate closest to the output with fanout > 1), and move
 /// the on-path fanout edge of that gate to the duplicate. Returns the
@@ -71,9 +55,7 @@ void assert_first_edge_constant(Network& net, const Path& pp) {
   const bool value =
       has_controlling_value(k0) ? controlling_value(k0) : false;
   net.set_conn_constant(pp.conns[0], value);
-  propagate_constants(net);
-  collapse_buffers(net);
-  net.sweep();
+  simplify(net);
 }
 
 /// The structural surgery of one loop iteration on the unsensitizable
@@ -92,7 +74,7 @@ KmsLoopTransform transform_path(Network& net, const Path& path,
        i >= 0; --i) {
     const GateId g = path.gates[static_cast<std::size_t>(i)];
     if (net.gate(g).kind == GateKind::kOutput) continue;
-    if (net.live_fanout(g) > 1) {
+    if (net.gate(g).fanouts.size() > 1) {
       n_index = i;
       break;
     }
@@ -127,7 +109,9 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
     if (checking) enforce_invariants(net, phase);
   };
   checkpoint("kms:input");
-  require_simple_gates(net);
+  // Section VI: the algorithm runs on simple gates only.
+  require_simple_gates(net, {GateKind::kXor, GateKind::kXnor, GateKind::kMux},
+                       "kms_make_irredundant");
   proof::ProofSession* const session = ctx.session;
   const KmsResumeState* const res = opts.resume;
   // Resumed run: the caller already replayed the journal prefix onto
@@ -151,8 +135,7 @@ KmsStats kms_make_irredundant(Network& net, const KmsOptions& opts) {
   const auto measure = [&](double* topo, double* computed, bool* exact) {
     *topo = sta.delay();
     const StaSeed seed{&sta.arrival(), &sta.suffix()};
-    const DelayReport r =
-        computed_delay(net, opts.mode, opts.max_queries, gov, &seed);
+    const DelayReport r = computed_delay(net, opts.mode, gov, &seed);
     *computed = r.delay;
     *exact = r.exact;
   };

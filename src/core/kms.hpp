@@ -37,12 +37,10 @@ struct KmsOptions {
   /// for both, viability merely avoids some unnecessary duplications).
   SensitizationMode mode = SensitizationMode::kStatic;
 
-  /// Safety caps. `max_queries` bounds the SAT work of each
-  /// iteration's branch-and-bound longest-sensitizable-path search; if
-  /// it is exhausted the loop stops transforming (flagged in the
-  /// stats) and falls through to plain removal.
+  /// Safety cap on loop transforms; a run that reaches it stops
+  /// transforming (loop_exit "iteration-cap") and falls through to
+  /// plain removal.
   std::size_t max_iterations = 100000;
-  std::size_t max_queries = 200000;
 
   /// Options for the final conventional redundancy-removal phase.
   RedundancyRemovalOptions removal;

@@ -40,15 +40,8 @@ Network random_network(const RandomNetworkOptions& opts) {
 
   // Outputs: gates with no fanout first, then the most recent gates.
   std::vector<GateId> sinks;
-  for (std::size_t i = pool.size(); i-- > opts.inputs;) {
-    bool has_fanout = false;
-    for (ConnId c : net.gate(pool[i]).fanouts)
-      if (!net.conn(c).dead) {
-        has_fanout = true;
-        break;
-      }
-    if (!has_fanout) sinks.push_back(pool[i]);
-  }
+  for (std::size_t i = pool.size(); i-- > opts.inputs;)
+    if (net.gate(pool[i]).fanouts.empty()) sinks.push_back(pool[i]);
   for (std::size_t i = pool.size(); sinks.size() < opts.outputs; --i) {
     assert(i > 0);
     const GateId g = pool[i - 1];

@@ -201,18 +201,14 @@ std::vector<GateId> Network::topo_order() const {
   for (std::uint32_t i = 0; i < gates_.size(); ++i) {
     if (gates_[i].dead) continue;
     ++live;
-    std::uint32_t n = 0;
-    for (ConnId c : gates_[i].fanins)
-      if (!conn(c).dead) ++n;
-    pending[i] = n;
-    if (n == 0) ready.push_back(GateId{i});
+    pending[i] = static_cast<std::uint32_t>(gates_[i].fanins.size());
+    if (pending[i] == 0) ready.push_back(GateId{i});
   }
   while (!ready.empty()) {
     GateId g = ready.back();
     ready.pop_back();
     order.push_back(g);
     for (ConnId c : gate(g).fanouts) {
-      if (conn(c).dead) continue;
       GateId to = conn(c).to;
       if (--pending[to.value()] == 0) ready.push_back(to);
     }
@@ -244,8 +240,7 @@ std::size_t Network::depth() const {
   for (GateId g : topo_order()) {
     const Gate& gt = gate(g);
     std::size_t in = 0;
-    for (ConnId c : gt.fanins)
-      if (!conn(c).dead) in = std::max(in, level[conn(c).from.value()]);
+    for (ConnId c : gt.fanins) in = std::max(in, level[conn(c).from.value()]);
     const bool counts =
         is_logic(gt.kind) && !is_constant(gt.kind) && gt.kind != GateKind::kBuf;
     level[g.value()] = in + (counts ? 1 : 0);
@@ -259,7 +254,7 @@ std::size_t Network::max_fanout() const {
   for (std::uint32_t i = 0; i < gates_.size(); ++i) {
     const Gate& g = gates_[i];
     if (g.dead || !is_logic(g.kind) || is_constant(g.kind)) continue;
-    best = std::max(best, live_fanout(GateId{i}));
+    best = std::max(best, g.fanouts.size());
   }
   return best;
 }
@@ -320,10 +315,8 @@ Network Network::clone_compact() const {
       }
       default: {
         ng = out.new_gate(gt.kind, gt.delay, gt.name);
-        for (ConnId c : gt.fanins) {
-          if (conn(c).dead) continue;
+        for (ConnId c : gt.fanins)
           out.connect(map.at(conn(c).from.value()), ng, conn(c).delay);
-        }
         break;
       }
     }

@@ -165,15 +165,7 @@ class Network {
   /// (Definition 4.12).
   std::size_t depth() const;
 
-  /// Number of live outgoing connections of `g`.
-  std::size_t live_fanout(GateId g) const {
-    std::size_t n = 0;
-    for (ConnId c : gate(g).fanouts)
-      if (!conn(c).dead) ++n;
-    return n;
-  }
-
-  /// Maximum live_fanout over live logic gates; used to report the
+  /// Maximum fanout over live logic gates; used to report the
   /// Section VI.2 fanout-growth discussion.
   std::size_t max_fanout() const;
 

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace kms {
@@ -149,6 +151,15 @@ std::size_t decompose_to_simple(Network& net) {
 
 namespace {
 
+[[noreturn]] void reject_complex_gate(const Network& net, GateId g,
+                                      const char* who) {
+  const Gate& gt = net.gate(g);
+  throw std::invalid_argument(
+      std::string(who) + ": complex gate " +
+      (gt.name.empty() ? "g" + std::to_string(g.value()) : gt.name) + " (" +
+      std::string(gate_kind_name(gt.kind)) + "); decompose_to_simple first");
+}
+
 /// Constant value of a gate, if it is a constant gate.
 bool const_value_of(const Network& net, GateId g, bool* value) {
   const GateKind k = net.gate(g).kind;
@@ -276,79 +287,23 @@ bool rewrite_gate(Network& net, GateId g) {
         reduce_single_input(net, g);
       return true;
     }
-    case GateKind::kMux: {
-      const ConnId cs = gt.fanins[0];
-      const ConnId ca = gt.fanins[1];
-      const ConnId cb = gt.fanins[2];
-      bool vs = false, va = false, vb = false;
-      const bool ks = const_value_of(net, net.conn(cs).from, &vs);
-      const bool ka = const_value_of(net, net.conn(ca).from, &va);
-      const bool kb = const_value_of(net, net.conn(cb).from, &vb);
-      if (ks) {
-        // Select known: keep the chosen data pin as a buffer.
-        const ConnId keep = vs ? ca : cb;
-        const GateId src = net.conn(keep).from;
-        net.remove_conn(cs);
-        net.remove_conn(vs ? cb : ca);
-        net.remove_conn(keep);
-        Gate& gt2 = net.gate(g);
-        gt2.kind = GateKind::kBuf;
-        gt2.delay = 0.0;
-        net.connect(src, g, 0.0);
-        return true;
-      }
-      if (ka && kb) {
-        const GateId s = net.conn(cs).from;
-        const double ds = net.conn(cs).delay;
-        net.remove_conn(cs);
-        net.remove_conn(ca);
-        net.remove_conn(cb);
-        if (va == vb) {
-          net.convert_to_constant(g, va);
-        } else {
-          Gate& gt2 = net.gate(g);
-          gt2.kind = va ? GateKind::kBuf : GateKind::kNot;
-          if (va) gt2.delay = 0.0;
-          net.connect(s, g, va ? 0.0 : ds);
-        }
-        return true;
-      }
-      if (ka || kb) {
-        // mux(s,1,b)=s|b; mux(s,0,b)=!s&b; mux(s,a,1)=!s|a; mux(s,a,0)=s&a.
-        const GateId s = net.conn(cs).from;
-        const double ds = net.conn(cs).delay;
-        const ConnId data = ka ? cb : ca;
-        const GateId d = net.conn(data).from;
-        const double dd = net.conn(data).delay;
-        const bool cval = ka ? va : vb;
-        net.remove_conn(cs);
-        net.remove_conn(ca);
-        net.remove_conn(cb);
-        const bool need_not = (ka && !va) || (!ka && vb);
-        GateId sel = s;
-        double dsel = ds;
-        if (need_not) {
-          // add_gate can reallocate the gate table; take references to
-          // net.gate(g) only afterwards.
-          sel = net.add_gate(GateKind::kNot, {}, 0.0);
-          net.connect(s, sel, ds);
-          dsel = 0.0;
-        }
-        // ka,va=1 -> OR(s,b); ka,va=0 -> AND(!s,b);
-        // kb,vb=1 -> OR(!s,a); kb,vb=0 -> AND(s,a).
-        net.gate(g).kind = cval ? GateKind::kOr : GateKind::kAnd;
-        net.connect(sel, g, dsel);
-        net.connect(d, g, dd);
-        return true;
-      }
-      return false;
-    }
     default:
       return false;
   }
 }
 
 }  // namespace
+
+void require_simple_gates(const Network& net,
+                          std::initializer_list<GateKind> kinds,
+                          const char* who) {
+  for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
+    const Gate& gt = net.gate(GateId{i});
+    if (!gt.dead &&
+        std::find(kinds.begin(), kinds.end(), gt.kind) != kinds.end())
+      reject_complex_gate(net, GateId{i}, who);
+  }
+}
 
 bool simplify_gate(Network& net, GateId g) {
   if (!rewrite_gate(net, g)) return false;
@@ -358,72 +313,36 @@ bool simplify_gate(Network& net, GateId g) {
 
 std::size_t propagate_constants(Network& net) {
   // Only a gate with a constant fanin simplifies, and a simplification
-  // hands a constant on only where the gate became a constant itself
-  // (its fanouts) or a MUX was left as a buffer of one (the gate
-  // itself). So the work starts at the fanouts of the constant gates.
-  std::vector<GateId> next;  // gates to visit in the next round
-  bool has_mux = false;
+  // hands a constant on only where the gate became a constant itself.
+  // So the work starts at the fanouts of the constant gates. The order
+  // does not matter: the simplifications only delete connections and
+  // change kinds, and a gate visited before all its constant fanins are
+  // known is visited again when the next one appears, ending as if it
+  // had seen them at once. So the worklist is a min-heap of ids, and a
+  // gate queued twice before its visit is visited once.
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      std::greater<std::uint32_t>>
+      heap;
   for (std::uint32_t i = 0; i < net.gate_capacity(); ++i) {
     const Gate& gt = net.gate(GateId{i});
-    if (gt.dead) continue;
-    if (gt.kind == GateKind::kMux) has_mux = true;
-    if (!is_constant(gt.kind)) continue;
-    for (ConnId c : gt.fanouts) next.push_back(net.conn(c).to);
+    if (gt.dead || !is_constant(gt.kind)) continue;
+    for (ConnId c : gt.fanouts) heap.push(net.conn(c).to.value());
   }
-  // Order of a round. Without MUXes any order reaches the same network:
-  // the simplifications only delete connections and change kinds, and
-  // a gate visited before all its constant fanins are known is visited
-  // again when the next one appears, ending as if it had seen them at
-  // once. A MUX simplification depends on which fanins are constant
-  // when it runs, and it creates gates and connections whose ids (and
-  // fanout-list positions) reach the output, so with MUXes present the
-  // rounds follow topo_order() exactly as a sweep over every gate does.
-  constexpr std::uint32_t kUnplaced = 0xffffffffu;
-  std::vector<std::uint32_t> pos;
-  const auto key = [&](GateId g) -> std::uint64_t {
-    return has_mux ? (static_cast<std::uint64_t>(pos[g.value()]) << 32) |
-                         g.value()
-                   : g.value();
-  };
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<std::uint64_t>>
-      heap;
   std::size_t changed_total = 0;
-  while (!next.empty()) {
-    if (has_mux) {
-      const std::vector<GateId> order = net.topo_order();
-      pos.assign(net.gate_capacity(), kUnplaced);
-      for (std::uint32_t i = 0; i < order.size(); ++i)
-        pos[order[i].value()] = i;
-    }
-    for (GateId g : next) heap.push(key(g));
-    next.clear();
-    std::uint64_t last = ~std::uint64_t{0};
-    while (!heap.empty()) {
-      const std::uint64_t k = heap.top();
-      heap.pop();
-      if (k == last) continue;  // queued twice before its visit
-      last = k;
-      const GateId g{static_cast<std::uint32_t>(k & 0xffffffffu)};
-      const Gate& gt = net.gate(g);
-      if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
-      if (!simplify_gate(net, g)) continue;
-      ++changed_total;
-      if (!is_constant(net.gate(g).kind)) {
-        // A MUX whose select chose a constant data input is now a
-        // buffer of that constant: the next round folds it.
-        if (has_const_fanin(net, g, false) || has_const_fanin(net, g, true))
-          next.push_back(g);
-        continue;
-      }
-      for (ConnId c : net.gate(g).fanouts) {
-        const GateId to = net.conn(c).to;
-        if (has_mux && pos[to.value()] == kUnplaced)
-          next.push_back(to);  // created this round: no position yet
-        else
-          heap.push(key(to));
-      }
-    }
+  GateId last = GateId::invalid();
+  while (!heap.empty()) {
+    const GateId g{heap.top()};
+    heap.pop();
+    if (g == last) continue;
+    last = g;
+    const Gate& gt = net.gate(g);
+    if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
+    if (gt.kind == GateKind::kMux)
+      reject_complex_gate(net, g, "propagate_constants");
+    if (!simplify_gate(net, g)) continue;
+    ++changed_total;
+    if (!is_constant(net.gate(g).kind)) continue;
+    for (ConnId c : net.gate(g).fanouts) heap.push(net.conn(c).to.value());
   }
   net.self_check("propagate_constants");
   return changed_total;
@@ -479,12 +398,9 @@ Network extract_output(const Network& net, std::size_t index) {
 }
 
 void simplify(Network& net) {
-  for (;;) {
-    std::size_t work = propagate_constants(net);
-    work += collapse_buffers(net);
-    work += net.sweep();
-    if (work == 0) break;
-  }
+  propagate_constants(net);
+  collapse_buffers(net);
+  net.sweep();
 }
 
 }  // namespace kms

@@ -14,8 +14,7 @@ namespace {
 /// Replace every use of `from` with `to` (rerouting fanout connections).
 void replace_uses(Network& net, GateId from, GateId to) {
   auto fanouts = net.gate(from).fanouts;  // copy
-  for (ConnId c : fanouts)
-    if (!net.conn(c).dead) net.reroute_source(c, to);
+  for (ConnId c : fanouts) net.reroute_source(c, to);
 }
 
 bool commutative(GateKind k) {
@@ -89,7 +88,7 @@ std::size_t balance(Network& net) {
       for (ConnId c : net.gate(n).fanins) {
         const GateId src = net.conn(c).from;
         const Gate& sg = net.gate(src);
-        if (sg.kind == net.gate(g).kind && net.live_fanout(src) == 1 &&
+        if (sg.kind == net.gate(g).kind && sg.fanouts.size() == 1 &&
             sg.delay == net.gate(g).delay) {
           internal.push_back(src);
           stack.push_back(src);

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -18,11 +19,9 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string slurp(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + p.string());
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+  std::optional<std::string> bytes = read_file(p.string());
+  if (!bytes) throw std::runtime_error("cannot open " + p.string());
+  return std::move(*bytes);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -26,10 +26,6 @@ constexpr char kStepTag[] = "step ";
 constexpr char kCkptTag[] = "ckpt\n";
 constexpr char kFinalTag[] = "final\n";
 
-bool has_prefix(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
 void bind(FieldTable& t, SessionMeta& m) {
   t.field("model", &m.model);
   t.field("mode", &m.mode);
@@ -37,7 +33,6 @@ void bind(FieldTable& t, SessionMeta& m) {
   t.field("seed", &m.seed);
   t.field("remove-remaining", &m.remove_remaining);
   t.field("max-iterations", &m.max_iterations);
-  t.field("max-queries", &m.max_queries);
   t.field("checkpoint-every", &m.checkpoint_every);
   t.hex("source-digest", &m.source_digest);
 }
@@ -49,16 +44,6 @@ const char* order_name(RemovalOrder o) {
     case RemovalOrder::kRandom: return "random";
   }
   return "forward";
-}
-
-std::string slurp(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error(std::string("resume: cannot open ") + what +
-                             " (" + path + ")");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 /// FNV-1a over the live structure in topological order: each gate's
@@ -77,9 +62,8 @@ std::uint64_t net_digest(const Network& net) {
     bytes += str_format(" %.17g %.17g \"%s\"", gt.delay, gt.arrival,
                         gt.name.c_str());
     for (const ConnId c : gt.fanins)
-      if (!net.conn(c).dead)
-        bytes += str_format(" %u:%.17g", index[net.conn(c).from.value()],
-                            net.conn(c).delay);
+      bytes += str_format(" %u:%.17g", index[net.conn(c).from.value()],
+                          net.conn(c).delay);
   }
   return proof::digest_bytes(bytes);
 }
@@ -185,7 +169,6 @@ SessionMeta make_meta(const std::string& model, const KmsOptions& opts,
   m.seed = opts.removal.seed;
   m.remove_remaining = opts.remove_remaining;
   m.max_iterations = opts.max_iterations;
-  m.max_queries = opts.max_queries;
   m.checkpoint_every = checkpoint_every;
   m.source_digest = source_digest;
   return m;
@@ -195,7 +178,6 @@ void apply_meta(const SessionMeta& meta, KmsOptions* opts) {
   opts->mode = meta.mode == "viability" ? SensitizationMode::kViability
                                         : SensitizationMode::kStatic;
   opts->max_iterations = static_cast<std::size_t>(meta.max_iterations);
-  opts->max_queries = static_cast<std::size_t>(meta.max_queries);
   opts->remove_remaining = meta.remove_remaining;
   opts->removal.seed = meta.seed;
   opts->removal.order = meta.order == "reverse"   ? RemovalOrder::kReverse
@@ -230,7 +212,7 @@ ResumeInfo load_resume(const std::string& dir) {
     throw std::runtime_error("resume: " + wal_path +
                              " holds no committed records");
   const std::string& first = wal.records[0].payload;
-  if (!has_prefix(first, kMetaTag))
+  if (!starts_with(first, kMetaTag))
     throw std::runtime_error("resume: " + wal_path +
                              " does not start with a meta record");
   info.meta = read_meta(first.substr(sizeof(kMetaTag) - 1));
@@ -240,9 +222,9 @@ ResumeInfo load_resume(const std::string& dir) {
   bool completed = false;
   for (std::size_t i = 1; i < wal.records.size(); ++i) {
     const WalRecord& rec = wal.records[i];
-    if (has_prefix(rec.payload, kStepTag)) {
+    if (starts_with(rec.payload, kStepTag)) {
       steps.push_back(proof::parse_step(rec.payload));
-    } else if (has_prefix(rec.payload, kCkptTag)) {
+    } else if (starts_with(rec.payload, kCkptTag)) {
       info.ckpt = read_checkpoint(rec.payload.substr(sizeof(kCkptTag) - 1));
       if (steps.size() != info.ckpt.steps)
         throw std::runtime_error(
@@ -251,7 +233,7 @@ ResumeInfo load_resume(const std::string& dir) {
             std::to_string(steps.size()));
       info.has_checkpoint = true;
       info.wal_valid_bytes = rec.end_offset;
-    } else if (has_prefix(rec.payload, kFinalTag)) {
+    } else if (starts_with(rec.payload, kFinalTag)) {
       completed = true;
     } else {
       throw std::runtime_error("resume: unknown record type in " + wal_path);
@@ -266,7 +248,11 @@ ResumeInfo load_resume(const std::string& dir) {
   steps.resize(info.has_checkpoint ? info.ckpt.steps : 0);
   info.steps = std::move(steps);
 
-  info.source = slurp(dir + "/source.blif", "source.blif");
+  std::optional<std::string> source = read_file(dir + "/source.blif");
+  if (!source)
+    throw std::runtime_error("resume: cannot open source.blif (" + dir +
+                             "/source.blif)");
+  info.source = std::move(*source);
   if (proof::digest_bytes(info.source) != info.meta.source_digest)
     throw std::runtime_error(
         "resume: source.blif does not match the session's recorded digest");

@@ -6,8 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
 #include "src/base/durable.hpp"
@@ -130,17 +129,12 @@ void WalWriter::sync() {
 
 WalReadResult read_wal(const std::string& path) {
   WalReadResult out;
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      out.error = "cannot open " + path;
-      return out;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    bytes = ss.str();
+  const std::optional<std::string> file = read_file(path);
+  if (!file) {
+    out.error = "cannot open " + path;
+    return out;
   }
+  const std::string& bytes = *file;
   if (bytes.size() < kMagicLen ||
       bytes.compare(0, kMagicLen, kWalMagic, kMagicLen) != 0) {
     out.error = path + ": missing 'kms-wal v1' header";

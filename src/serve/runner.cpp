@@ -1,8 +1,6 @@
 #include "src/serve/runner.hpp"
 
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -13,6 +11,8 @@
 #include "src/analysis/report.hpp"
 #include "src/analysis/rules.hpp"
 #include "src/atpg/atpg.hpp"
+#include "src/base/durable.hpp"
+#include "src/base/strings.hpp"
 #include "src/check/checker.hpp"
 #include "src/check/diagnostics.hpp"
 #include "src/core/kms.hpp"
@@ -51,38 +51,18 @@ void fill_counters(const KmsStats& counters, JobReport* rep) {
 
 namespace {
 
-void appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<std::size_t>(n) < sizeof buf
-                                  ? static_cast<std::size_t>(n)
-                                  : sizeof buf - 1);
-}
-
-/// Load either a combinational or a sequential BLIF file.
-BlifSequential load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw BlifError("cannot open " + path);
-  return read_blif_sequential(in);
-}
-
-/// The spec's payload as parsed model + exact source bytes (durable
+/// The spec's payload (a combinational or sequential model) as parsed
+/// model, and with `source_bytes` its exact source bytes (durable
 /// sessions persist the bytes; digests are computed over them).
 BlifSequential load_payload(const JobSpec& spec, std::string* source_bytes) {
-  if (!spec.blif.empty()) {
-    if (source_bytes != nullptr) *source_bytes = spec.blif;
-    return read_blif_sequential_string(spec.blif);
+  std::optional<std::string> file;
+  if (spec.blif.empty()) {
+    file = read_file(spec.blif_path);
+    if (!file) throw BlifError("cannot open " + spec.blif_path);
   }
-  if (source_bytes == nullptr) return load_file(spec.blif_path);
-  std::ifstream in(spec.blif_path, std::ios::binary);
-  if (!in) throw BlifError("cannot open " + spec.blif_path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *source_bytes = ss.str();
-  return read_blif_sequential_string(*source_bytes);
+  const std::string& text = file ? *file : spec.blif;
+  if (source_bytes != nullptr) *source_bytes = text;
+  return read_blif_sequential_string(text);
 }
 
 /// --emit-proof preflight: create the artifact directory and prove it
@@ -137,18 +117,16 @@ void finish_governed(const ResourceGovernor& governor, JobReport* rep) {
   rep->interrupted = rep->interrupted || r.interrupted;
   if (r.degraded()) {
     rep->degraded = true;
-    std::string note;
-    appendf(&note,
-            "degraded: %llu of %llu queries unknown%s%s%s "
-            "(%llu conflicts, %llu propagations charged)",
-            static_cast<unsigned long long>(r.unknown_results),
-            static_cast<unsigned long long>(r.queries),
-            r.deadline_hit ? ", deadline hit" : "",
-            r.budget_exhausted ? ", conflict budget exhausted" : "",
-            r.interrupted ? ", interrupted" : "",
-            static_cast<unsigned long long>(r.conflicts),
-            static_cast<unsigned long long>(r.propagations));
-    rep->diagnostics.push_back(note);
+    rep->diagnostics.push_back(
+        str_format("degraded: %llu of %llu queries unknown%s%s%s "
+                   "(%llu conflicts, %llu propagations charged)",
+                   static_cast<unsigned long long>(r.unknown_results),
+                   static_cast<unsigned long long>(r.queries),
+                   r.deadline_hit ? ", deadline hit" : "",
+                   r.budget_exhausted ? ", conflict budget exhausted" : "",
+                   r.interrupted ? ", interrupted" : "",
+                   static_cast<unsigned long long>(r.conflicts),
+                   static_cast<unsigned long long>(r.propagations)));
     if (rep->exit_code == 0) rep->exit_code = 3;
   }
 }
@@ -158,12 +136,14 @@ void run_stats(const JobSpec& spec, ResourceGovernor&, JobReport* rep) {
   check_stage(spec, rep, model.comb, "input");
   const std::size_t latches = model.latch_init.size();
   const Network& net = model.comb;
-  appendf(&rep->text, "model          : %s\n", net.name().c_str());
-  appendf(&rep->text, "inputs/outputs : %zu / %zu\n",
-          net.inputs().size() - latches, net.outputs().size() - latches);
-  appendf(&rep->text, "latches        : %zu\n", latches);
-  appendf(&rep->text, "gates          : %zu (depth %zu, max fanout %zu)\n",
-          net.count_gates(), net.depth(), net.max_fanout());
+  rep->text += str_format("model          : %s\n", net.name().c_str());
+  rep->text += str_format("inputs/outputs : %zu / %zu\n",
+                          net.inputs().size() - latches,
+                          net.outputs().size() - latches);
+  rep->text += str_format("latches        : %zu\n", latches);
+  rep->text +=
+      str_format("gates          : %zu (depth %zu, max fanout %zu)\n",
+                 net.count_gates(), net.depth(), net.max_fanout());
   rep->initial_gates = rep->final_gates = net.count_gates();
 }
 
@@ -175,22 +155,23 @@ void run_delay(const JobSpec& spec, ResourceGovernor& governor,
                                      ? SensitizationMode::kViability
                                      : SensitizationMode::kStatic;
   const double topo = topological_delay(model.comb);
-  const DelayReport r = computed_delay(model.comb, mode, 200000, &governor);
-  appendf(&rep->text, "longest path    : %.3f\n", topo);
-  appendf(&rep->text, "computed delay  : %.3f (%s, %s)\n", r.delay,
-          mode == SensitizationMode::kStatic ? "static sensitization"
-                                             : "viability",
-          r.exact ? "exact"
-                  : (r.aborted ? "upper bound, resources exhausted"
-                               : "upper bound, budget exhausted"));
+  const DelayReport r = computed_delay(model.comb, mode, &governor);
+  rep->text += str_format("longest path    : %.3f\n", topo);
+  rep->text += str_format(
+      "computed delay  : %.3f (%s, %s)\n", r.delay,
+      mode == SensitizationMode::kStatic ? "static sensitization"
+                                         : "viability",
+      r.exact ? "exact"
+              : (r.aborted ? "upper bound, resources exhausted"
+                           : "upper bound, budget exhausted"));
   if (r.witness)
-    appendf(&rep->text, "critical path   : %s\n",
-            format_path(model.comb, *r.witness).c_str());
+    rep->text += str_format("critical path   : %s\n",
+                            format_path(model.comb, *r.witness).c_str());
   if (topo > r.delay + 1e-9 && r.exact)
-    appendf(&rep->text,
-            "note: the longest path is FALSE — a plain static timing "
-            "verifier overestimates this circuit by %.3f\n",
-            topo - r.delay);
+    rep->text += str_format(
+        "note: the longest path is FALSE — a plain static timing "
+        "verifier overestimates this circuit by %.3f\n",
+        topo - r.delay);
   rep->initial_topo_delay = rep->final_topo_delay = topo;
   rep->initial_computed_delay = rep->final_computed_delay = r.delay;
   rep->initial_computed_exact = rep->final_computed_exact = r.exact;
@@ -268,32 +249,34 @@ void run_audit(const JobSpec& spec, ResourceGovernor& governor,
     const TestOutcome outcome = atpg.generate_test(faults[i]).outcome;
     if (outcome == TestOutcome::kUntestable) {
       ++redundant;
-      appendf(&rep->text, "redundant: %s\n",
-              format_fault(model.comb, faults[i]).c_str());
+      rep->text += str_format("redundant: %s\n",
+                              format_fault(model.comb, faults[i]).c_str());
     } else if (outcome == TestOutcome::kUnknown) {
       ++unresolved;
     }
   }
   const AtpgStats& as = atpg.stats();
-  appendf(&rep->text, "faults         : %zu collapsed\n", faults.size());
-  appendf(&rep->text, "redundant      : %zu\n", redundant);
-  appendf(&rep->text,
-          "unknown        : %zu (resource-limited; treated as testable)\n",
-          unresolved);
-  appendf(&rep->text, "sat conflicts  : %llu\n",
-          static_cast<unsigned long long>(as.sat_conflicts));
-  appendf(&rep->text, "sat solves     : %llu (+%llu structural shortcuts)\n",
-          static_cast<unsigned long long>(as.sat_solves),
-          static_cast<unsigned long long>(as.structural_shortcuts));
+  rep->text += str_format("faults         : %zu collapsed\n", faults.size());
+  rep->text += str_format("redundant      : %zu\n", redundant);
+  rep->text += str_format(
+      "unknown        : %zu (resource-limited; treated as testable)\n",
+      unresolved);
+  rep->text += str_format("sat conflicts  : %llu\n",
+                          static_cast<unsigned long long>(as.sat_conflicts));
+  rep->text += str_format(
+      "sat solves     : %llu (+%llu structural shortcuts)\n",
+      static_cast<unsigned long long>(as.sat_solves),
+      static_cast<unsigned long long>(as.structural_shortcuts));
   if (as.sat_solves > 0)
-    appendf(&rep->text, "cone gates     : %.1f avg, %llu max per solve\n",
-            static_cast<double>(as.cone_gates_encoded) /
-                static_cast<double>(as.sat_solves),
-            static_cast<unsigned long long>(as.max_cone_gates));
-  appendf(&rep->text, "verdict        : %s\n",
-          redundant != 0    ? "NOT fully testable"
-          : unresolved != 0 ? "inconclusive (resource limit)"
-                            : "fully single-stuck-at testable");
+    rep->text += str_format(
+        "cone gates     : %.1f avg, %llu max per solve\n",
+        static_cast<double>(as.cone_gates_encoded) /
+            static_cast<double>(as.sat_solves),
+        static_cast<unsigned long long>(as.max_cone_gates));
+  rep->text += str_format("verdict        : %s\n",
+                          redundant != 0    ? "NOT fully testable"
+                          : unresolved != 0 ? "inconclusive (resource limit)"
+                                            : "fully single-stuck-at testable");
   rep->audit_faults = faults.size();
   rep->audit_redundant = redundant;
   rep->audit_unknown = unresolved;
@@ -328,16 +311,13 @@ void run_irr(const JobSpec& spec, ResourceGovernor& governor, JobReport* rep) {
     if (rs.info.has_checkpoint) opts.resume = &rs.state;
     dur.emplace(
         recover::DurableSession::attach(spec.resume, rs.info, session));
-    std::string note;
-    appendf(&note, "resuming %s: phase %s, %llu steps, %llu removals "
-                   "committed",
-            spec.resume.c_str(),
-            rs.info.has_checkpoint ? rs.info.ckpt.phase.c_str() : "start",
-            static_cast<unsigned long long>(rs.info.steps.size()),
-            static_cast<unsigned long long>(
-                rs.info.has_checkpoint ? rs.info.ckpt.stats.removal.removed
-                                       : 0));
-    rep->diagnostics.push_back(note);
+    rep->diagnostics.push_back(str_format(
+        "resuming %s: phase %s, %llu steps, %llu removals committed",
+        spec.resume.c_str(),
+        rs.info.has_checkpoint ? rs.info.ckpt.phase.c_str() : "start",
+        static_cast<unsigned long long>(rs.info.steps.size()),
+        static_cast<unsigned long long>(
+            rs.info.has_checkpoint ? rs.info.ckpt.stats.removal.removed : 0)));
   } else {
     opts.mode = spec.mode == "viability" ? SensitizationMode::kViability
                                          : SensitizationMode::kStatic;

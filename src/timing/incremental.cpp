@@ -163,9 +163,7 @@ void IncrementalSta::apply(const TransformTrace& trace) {
       if (nv == arrival_[g]) continue;
       arrival_[g] = nv;
       for (ConnId c : net_.gate(GateId{g}).fanouts) {
-        const Conn& cn = net_.conn(c);
-        if (cn.dead) continue;
-        const std::uint32_t to = cn.to.value();
+        const std::uint32_t to = net_.conn(c).to.value();
         if (fwd_dirty_[to]) continue;
         fwd_dirty_[to] = 1;
         heap.push(key(key_[to], to));

@@ -35,14 +35,15 @@ void apply_load_delays(Network& net, const LoadDelayModel& model,
     const GateId g{i};
     Gate& gt = net.gate(g);
     if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
-    gt.delay = model.gate_delay(gt.kind, drives.get(g), net.live_fanout(g));
+    gt.delay = model.gate_delay(gt.kind, drives.get(g), gt.fanouts.size());
   }
 }
 
 std::vector<std::size_t> fanout_profile(const Network& net) {
   std::vector<std::size_t> profile(net.gate_capacity(), 0);
   for (std::uint32_t i = 0; i < net.gate_capacity(); ++i)
-    if (!net.gate(GateId{i}).dead) profile[i] = net.live_fanout(GateId{i});
+    if (!net.gate(GateId{i}).dead)
+      profile[i] = net.gate(GateId{i}).fanouts.size();
   return profile;
 }
 
@@ -54,7 +55,7 @@ std::size_t resize_for_fanout(Network& net, const LoadDelayModel& model,
     const GateId g{i};
     const Gate& gt = net.gate(g);
     if (gt.dead || !is_logic(gt.kind) || is_constant(gt.kind)) continue;
-    const std::size_t now = net.live_fanout(g);
+    const std::size_t now = net.gate(g).fanouts.size();
     const std::size_t ref = i < reference_fanout.size() ? reference_fanout[i]
                                                         : now;
     const Drive original = drives.get(g);

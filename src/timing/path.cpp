@@ -79,7 +79,6 @@ void PathEnumerator::expand(std::int32_t node_idx) {
   const Gate& gt = net_.gate(n.gate);
   for (ConnId c : gt.fanouts) {
     const Conn& cn = net_.conn(c);
-    if (cn.dead) continue;
     if ((*suffix_)[cn.to.value()] == minus_infinity() &&
         net_.gate(cn.to).kind != GateKind::kOutput)
       continue;

@@ -193,8 +193,8 @@ SensitizeResult Sensitizer::check(const Path& path) {
 }
 
 DelayReport computed_delay(const Network& net, SensitizationMode mode,
-                           std::size_t max_queries, ResourceGovernor* governor,
-                           const StaSeed* seed) {
+                           ResourceGovernor* governor, const StaSeed* seed) {
+  constexpr std::size_t kMaxQueries = 200000;
   DelayReport report;
   Sensitizer sens(net, mode, governor, seed ? seed->arrival : nullptr);
   std::vector<double> own_suffix;
@@ -212,8 +212,7 @@ DelayReport computed_delay(const Network& net, SensitizationMode mode,
     const Gate& gt = net.gate(GateId{i});
     if (gt.dead) continue;
     auto& outs = sorted_fanouts[i];
-    for (ConnId c : gt.fanouts)
-      if (!net.conn(c).dead) outs.push_back(c);
+    outs = gt.fanouts;
     std::sort(outs.begin(), outs.end(), [&](ConnId a, ConnId b) {
       const Conn& ca = net.conn(a);
       const Conn& cb = net.conn(b);
@@ -299,7 +298,7 @@ DelayReport computed_delay(const Network& net, SensitizationMode mode,
       // new, or when completing a path (need a model for the witness).
       if (assumptions.size() > mark ||
           net.gate(child).kind == GateKind::kOutput) {
-        if (sens.queries() >= max_queries) {
+        if (sens.queries() >= kMaxQueries) {
           budget_exhausted = true;
           break;
         }

@@ -207,12 +207,11 @@ struct DelayReport {
 /// sensitizable/viable path (the [15] "longest viable path" approach):
 /// depth-first extension of path prefixes ordered by an exact
 /// completion bound, pruning a whole subtree as soon as the prefix's
-/// accumulated side constraints become unsatisfiable. `max_queries`
-/// bounds the SAT work; on exhaustion — or when the governor stops a
-/// solve (aborted=true) — the report degrades conservatively to the
+/// accumulated side constraints become unsatisfiable. The SAT work is
+/// capped at 200000 queries; on exhaustion — or when the governor stops
+/// a solve (aborted=true) — the report degrades conservatively to the
 /// topological upper bound with exact=false; it never under-reports.
 DelayReport computed_delay(const Network& net, SensitizationMode mode,
-                           std::size_t max_queries = 200000,
                            ResourceGovernor* governor = nullptr,
                            const StaSeed* seed = nullptr);
 

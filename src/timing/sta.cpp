@@ -17,7 +17,6 @@ double local_required(const Network& net, GateId g,
   double req = std::numeric_limits<double>::infinity();
   for (ConnId c : gt.fanouts) {
     const Conn& cn = net.conn(c);
-    if (cn.dead) continue;
     req = std::min(req, (required[cn.to.value()] - net.gate(cn.to).delay) -
                             cn.delay);
   }

@@ -73,7 +73,6 @@ inline double local_suffix(const Network& net, GateId g,
   double best = minus_infinity();
   for (ConnId c : gt.fanouts) {
     const Conn& cn = net.conn(c);
-    if (cn.dead) continue;
     best = std::max(best,
                     cn.delay + net.gate(cn.to).delay + suffix[cn.to.value()]);
   }

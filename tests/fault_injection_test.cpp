@@ -150,12 +150,10 @@ TEST_P(FaultInjectionScheduleTest, PreservesEquivalence) {
   KmsOptions opts;
   opts.context.governor = &gov;
   // The property under test is equivalence under degradation, not
-  // optimization depth: cap the branch-and-bound budget and the loop's
-  // transform count so uninjected schedules on the random-network
-  // family (whose duplication phase can balloon) stay cheap under ASan.
-  // Both caps are themselves graceful-exit paths, so every schedule
-  // still ends in the final removal phase.
-  opts.max_queries = 2000;
+  // optimization depth: cap the loop's transform count so uninjected
+  // schedules on the random-network family (whose duplication phase can
+  // balloon) stay cheap under ASan. The cap is itself a graceful-exit
+  // path, so every schedule still ends in the final removal phase.
   opts.max_iterations = 50;
   const KmsStats stats = kms_make_irredundant(net, opts);
 

@@ -9,6 +9,7 @@
 #include "src/cnf/encoder.hpp"
 #include "src/gen/adders.hpp"
 #include "src/gen/random_logic.hpp"
+#include "src/netlist/blif.hpp"
 #include "src/netlist/transform.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/timing/sensitize.hpp"
@@ -133,6 +134,54 @@ TEST(KmsTest, RejectsComplexGates) {
   }
   decompose_to_simple(net);
   EXPECT_NO_THROW(kms_make_irredundant(net, {}));
+}
+
+// The surgery folds constants on simple gates only: a constant reaching
+// a MUX is rejected by name.
+TEST(KmsTest, PropagateConstantsRejectsMux) {
+  Network net("cm");
+  const GateId a = net.add_input("a");
+  const GateId b = net.add_input("b");
+  const GateId s = net.add_input("s");
+  const GateId m = net.add_gate(GateKind::kMux, {s, a, b}, 1.0, "m1");
+  net.add_output("f", m);
+  net.set_conn_constant(net.gate(m).fanins[0], true);
+  try {
+    propagate_constants(net);
+    ADD_FAILURE() << "constant folded into a MUX";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("m1 (mux); decompose_to_simple"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Removal rejects a MUX before its first edit, so a run never stops
+// half way through its commits.
+TEST(KmsTest, RemovalRejectsMuxUpFront) {
+  Network net("rm");
+  const GateId a = net.add_input("a");
+  const GateId b = net.add_input("b");
+  const GateId s = net.add_input("s");
+  // a & !a is redundant logic the removal would delete first.
+  const GateId na = net.add_gate(GateKind::kNot, {a}, 1.0);
+  const GateId r = net.add_gate(GateKind::kAnd, {a, na}, 1.0);
+  const GateId o = net.add_gate(GateKind::kOr, {r, b}, 1.0);
+  const GateId m = net.add_gate(GateKind::kMux, {s, o, a}, 1.0, "m1");
+  net.add_output("f", m);
+  const std::string before = write_blif_string(net);
+  try {
+    remove_redundancies(net);
+    ADD_FAILURE() << "MUX accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("remove_redundancies: complex gate "
+                                         "m1 (mux)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(write_blif_string(net), before);
+  decompose_to_simple(net);
+  EXPECT_GT(remove_redundancies(net).removed, 0u);
 }
 
 TEST(KmsTest, LoopDisabledLeavesRedundancies) {

@@ -12,15 +12,20 @@
 
 #include <cstdint>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include "src/base/governor.hpp"
+#include "src/gen/adders.hpp"
+#include "src/netlist/blif.hpp"
 #include "src/proof/journal.hpp"
 #include "src/recover/checkpoint.hpp"
 #include "src/serve/cache.hpp"
 #include "src/serve/job.hpp"
 #include "src/serve/json.hpp"
 #include "src/serve/runner.hpp"
+#include "src/timing/path.hpp"
+#include "src/timing/sensitize.hpp"
 #include "tests/counter_table.hpp"
 
 namespace {
@@ -384,6 +389,32 @@ TEST(RunJobTest, CertifyKindForcesTheInProcessAudit) {
   EXPECT_TRUE(rep.certified);
   EXPECT_FALSE(rep.certify_partial);
   EXPECT_GT(rep.steps_checked, 0u);
+}
+
+TEST(RunJobTest, DelayReportKeepsLongLinesWhole) {
+  // A 64-bit carry-skip adder's critical path names far more than 512
+  // bytes of gates; the report carries it whole, on its own line.
+  const std::string blif = write_blif_string(carry_skip_adder(64, 4));
+  JobSpec spec;
+  spec.kind = JobKind::kDelay;
+  spec.blif = blif;
+  ResourceGovernor governor;
+  const JobReport rep = run_job(spec, governor);
+  ASSERT_EQ(rep.exit_code, 0) << rep.error;
+  ASSERT_FALSE(rep.text.empty());
+  EXPECT_EQ(rep.text.back(), '\n');
+  const Network net = read_blif_sequential_string(blif).comb;
+  const DelayReport r = computed_delay(net, SensitizationMode::kStatic);
+  ASSERT_TRUE(r.witness.has_value());
+  const std::string path = format_path(net, *r.witness);
+  ASSERT_GT(path.size(), 512u);
+  const std::string line = "critical path   : " + path + "\n";
+  EXPECT_NE(rep.text.find(line), std::string::npos) << rep.text;
+  std::istringstream lines(rep.text);
+  std::size_t count = 0;
+  for (std::string l; std::getline(lines, l); ++count)
+    EXPECT_EQ(l.find("note:", 1), std::string::npos) << l.substr(0, 80);
+  EXPECT_GE(count, 3u);
 }
 
 TEST(RunJobTest, InvalidSpecIsRejectedNotRun) {

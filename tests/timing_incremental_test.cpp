@@ -296,8 +296,7 @@ TEST(IncrementalStaTest, SeededComputedDelayIsIdentical) {
   for (SensitizationMode mode :
        {SensitizationMode::kStatic, SensitizationMode::kViability}) {
     const DelayReport plain = computed_delay(net, mode);
-    const DelayReport seeded = computed_delay(net, mode, 200000, nullptr,
-                                              &seed);
+    const DelayReport seeded = computed_delay(net, mode, nullptr, &seed);
     EXPECT_EQ(plain.delay, seeded.delay);
     EXPECT_EQ(plain.paths_examined, seeded.paths_examined);
   }

@@ -137,41 +137,6 @@ TEST(TransformTest, XorConstantFlipsPolarity) {
   EXPECT_FALSE(eval_once(net, {true, false})[0]);
 }
 
-TEST(TransformTest, MuxConstantSelect) {
-  Network net("m");
-  const GateId a = net.add_input("a");
-  const GateId b = net.add_input("b");
-  const GateId c1 = net.const_gate(true);
-  const GateId m = net.add_gate(GateKind::kMux, {c1, a, b}, 2.0);
-  net.add_output("f", m);
-  propagate_constants(net);
-  // Selects a.
-  EXPECT_TRUE(eval_once(net, {true, false})[0]);
-  EXPECT_FALSE(eval_once(net, {false, true})[0]);
-}
-
-TEST(TransformTest, MuxConstantDataBranches) {
-  // mux(s, 1, b) = s | b;  mux(s, a, 0) = s & a;
-  // mux(s, 0, b) = !s & b; mux(s, a, 1) = !s | a.
-  for (int variant = 0; variant < 4; ++variant) {
-    Network net("m");
-    const GateId s = net.add_input("s");
-    const GateId d = net.add_input("d");
-    const bool data_is_a = variant < 2;
-    const bool cval = (variant % 2) == 0;
-    const GateId cg = net.const_gate(cval);
-    const GateId m = data_is_a
-                         ? net.add_gate(GateKind::kMux, {s, cg, d}, 2.0)
-                         : net.add_gate(GateKind::kMux, {s, d, cg}, 2.0);
-    net.add_output("f", m);
-    Network orig = net;
-    propagate_constants(net);
-    EXPECT_EQ(net.check(), "");
-    EXPECT_TRUE(exhaustive_equiv(orig, net).equivalent)
-        << "variant " << variant;
-  }
-}
-
 TEST(TransformTest, CollapseBuffersFoldsDelay) {
   Network net("b");
   const GateId a = net.add_input("a");

@@ -359,7 +359,6 @@ TEST(SessionMetaTest, RoundTripsExactly) {
   m.seed = 0x5EEDull;
   m.remove_remaining = false;
   m.max_iterations = 100000;
-  m.max_queries = 200000;
   m.checkpoint_every = 3;
   m.source_digest = 0x0123456789abcdefull;
   const std::string text = write_meta(m);
@@ -381,10 +380,12 @@ TEST(SessionMetaTest, RejectsMalformedMeta) {
   EXPECT_THROW(read_meta("incremental 1\n" + text), std::runtime_error);
   EXPECT_EQ(text.find("static-prepass"), std::string::npos);
   EXPECT_THROW(read_meta("static-prepass 1\n" + text), std::runtime_error);
-  // So are the fault-sim switch, the random word count (both constants
-  // of the engine now) and the job count (the result does not depend
-  // on it): a session written by an older build is rejected at resume.
-  for (const std::string line : {"fault-sim 1", "random-words 8", "jobs 1"}) {
+  // So are the fault-sim switch, the random word count, the delay
+  // search's query cap (all constants of the engine now) and the job
+  // count (the result does not depend on it): a session written by an
+  // older build is rejected at resume.
+  for (const std::string line :
+       {"fault-sim 1", "random-words 8", "jobs 1", "max-queries 200000"}) {
     const std::string key = line.substr(0, line.find(' '));
     EXPECT_EQ(text.find("\n" + key + " "), std::string::npos) << line;
     EXPECT_THROW(read_meta(line + "\n" + text), std::runtime_error) << line;

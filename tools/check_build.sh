@@ -110,6 +110,16 @@ ctest --preset checked -L analysis --output-on-failure
 echo "== timing-labelled tests (checked preset) =="
 ctest --preset checked -L timing --output-on-failure
 
+# Surgery stage: the `surgery` label covers the Network primitives
+# (netlist_test), constant propagation, buffer collapsing and the
+# one-round simplify on simple gates (transform_test), and the
+# worklist surgery against the whole-network
+# topological sweeps of tests/reference_surgery.hpp (loop_oracle_test,
+# also in the timing stage). Run it by name so a surgery regression is
+# called out in CI output.
+echo "== surgery-labelled tests (checked preset) =="
+ctest --preset checked -L surgery --output-on-failure
+
 # Fault-simulation stage: the `faultsim` label covers the event-driven
 # simulator against its whole-order reference, fault dropping against
 # the full-list loop it replaced (detections, words simulated and rng
